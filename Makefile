@@ -92,13 +92,18 @@ sharded:
 # Verified-tier gate mirroring the CI job: the bytecode verifier, interpreter
 # and fault road under the race detector; the verified class through the
 # 7-class conformance suite on Machine80 (including serial-vs-sharded record
-# identity); the verified chaos smoke; the three-tier Attach API; and the
-# interpreted-pick allocation ratchet.
+# identity); the verified chaos smoke; the three-tier Attach API; and both
+# arms of the crossing ablation at 0 allocs/op — the interpreted pick and
+# the module crossing — with what the module arm stands on: the ring deque,
+# the never-reused token chunks, the class-data slot's ownership rules, and
+# the record logs of every module class pinned to the pre-change bytes.
 verified:
 	$(GO) test -race -count=1 ./internal/vpol
-	$(GO) test -race -run 'TestVerified' -count=1 ./internal/schedtest/conformance ./internal/chaos
+	$(GO) test -race -run 'TestVerified|TestRecordLogsPinned' -count=1 ./internal/schedtest/conformance ./internal/chaos
 	$(GO) test -race -run 'TestCampaignVerifiedTierSmoke|TestAttach' -count=1 ./internal/chaos .
-	$(GO) test -race -run 'TestScheduleOpVerifiedFIFOZeroAlloc' -count=1 ./internal/kernel
+	$(GO) test -race -run 'TestScheduleOp(Verified|Module)FIFOZeroAlloc|TestRTQueueZeroAlloc' -count=1 ./internal/kernel
+	$(GO) test -race -run 'TestDeque|TestTokenArena|TestMessageReset' -count=1 ./internal/core
+	$(GO) test -race -run 'TestRetainedTokens|TestClassDataSlot|TestUpgradeToTransfersQueuedRing' -count=1 ./internal/enokic
 
 # Public-API compatibility gate for package enoki: apidiff when installed,
 # textual surface diff against api/enoki.txt otherwise. Refresh the baseline

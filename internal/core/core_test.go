@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -212,5 +213,68 @@ func TestKindStrings(t *testing.T) {
 	}
 	if PickWrongCPU.String() != "wrong-cpu" || PickStale.String() != "stale-schedulable" {
 		t.Fatal("pick error names")
+	}
+}
+
+// TestMessageResetClearsEveryWireField guards the field-by-field Reset: a
+// field added to Message and forgotten there would leak one crossing's value
+// into the next one's record entry. Every field but the inline scratch
+// buffers is set by reflection, so the test needs no upkeep.
+func TestMessageResetClearsEveryWireField(t *testing.T) {
+	scratch := map[string]bool{"schedRef": true, "retRef": true, "replayTok": true}
+	m := &Message{}
+	m.AttachSched(NewSchedulable(1, 2, 3))
+	m.setRet(NewSchedulable(4, 5, 6))
+	m.retQueue = NewHintQueue(1)
+	m.Hint = "hint"
+	m.Allowed = []int{1, 2}
+	v := reflect.ValueOf(m).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(7)
+		case reflect.Uint64:
+			f.SetUint(7)
+		case reflect.Bool:
+			f.SetBool(true)
+		}
+	}
+	m.Reset()
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		if f := v.Field(i); !scratch[name] && !(name == "Allowed" && f.Len() == 0) && !f.IsZero() {
+			t.Errorf("Reset left %s = %v", name, f)
+		}
+	}
+	if cap(m.Allowed) == 0 {
+		t.Error("Reset dropped the Allowed backing array")
+	}
+}
+
+// TestTokenArenaNeverReusesSlots: tokens come out of shared chunks, one
+// allocation per tokenChunk of them, and no two issues ever return the same
+// pointer — a retained token can not come to alias a later proof.
+func TestTokenArenaNeverReusesSlots(t *testing.T) {
+	if got := reflect.TypeOf(Schedulable{}).Size(); got != 24 {
+		t.Errorf("Schedulable is %d bytes, want 24", got)
+	}
+	var ar TokenArena
+	origin := &Origin{}
+	seen := make(map[*Schedulable]bool)
+	for i := 0; i < 4*tokenChunk+3; i++ {
+		s := ar.Issue(i, i%8, uint64(i), origin)
+		if seen[s] {
+			t.Fatalf("issue %d returned a pointer already handed out", i)
+		}
+		seen[s] = true
+		if s.PID() != i || s.CPU() != i%8 || s.Gen() != uint64(i) || s.Origin() != origin || s.Consumed() {
+			t.Fatalf("issue %d: %v origin=%p", i, s, s.Origin())
+		}
+		s.Consume()
+	}
+	var warm TokenArena
+	warm.Issue(0, 0, 0, nil)
+	if avg := testing.AllocsPerRun(10*tokenChunk, func() { warm.Issue(1, 1, 1, origin) }); avg > 2.0/tokenChunk {
+		t.Errorf("%v allocs per issue, want one per %d", avg, tokenChunk)
 	}
 }

@@ -16,28 +16,70 @@ import "fmt"
 // fails validation and bounces back through pnt_err. The bug class the paper
 // catches at compile time is caught here before the kernel acts on it.
 type Schedulable struct {
-	pid      int
-	cpu      int
+	// origin points back at the issuing framework's record of the task, so
+	// validating a returned token reads that record through the token instead
+	// of looking the pid up. Nil on tokens nobody issued: replayed, test-built
+	// and forged ones. It is a pointer to a cell, not an interface, and pid
+	// and cpu are as narrow as the trace's, to hold the token at 24 bytes —
+	// tokens are the one thing a crossing still allocates.
+	origin   *Origin
 	gen      uint64
+	pid      int32
+	cpu      int16
 	consumed bool
 }
 
-// NewSchedulable constructs a token. Only the framework (enokic, or the
-// replay runtime reconstructing recorded tokens) should call this; a
-// scheduler forging tokens is outside Enoki's "trusted but clumsy" threat
-// model and will fail generation validation anyway.
+// Origin is the cell a framework-issued token points back to. The framework
+// embeds one in its per-task record, stores that record in it, and clears it
+// when the task leaves; from then on every outstanding token of the task
+// resolves to nothing.
+type Origin struct{ Record any }
+
+// NewSchedulable constructs a token. Only the replay runtime reconstructing
+// recorded tokens (and tests) should call this; a scheduler forging tokens
+// is outside Enoki's "trusted but clumsy" threat model and will fail
+// generation validation anyway.
 func NewSchedulable(pid, cpu int, gen uint64) *Schedulable {
-	return &Schedulable{pid: pid, cpu: cpu, gen: gen}
+	s := token(pid, cpu, gen, nil)
+	return &s
+}
+
+func token(pid, cpu int, gen uint64, origin *Origin) Schedulable {
+	return Schedulable{origin: origin, gen: gen, pid: int32(pid), cpu: int16(cpu)}
+}
+
+// tokenChunk is how many tokens one TokenArena allocation backs.
+const tokenChunk = 256
+
+// TokenArena is where the live framework draws the tokens it issues: chunked
+// backing arrays, one allocation per tokenChunk tokens. Slots are never
+// reused. A token a buggy module kept past its return is still that token —
+// consumed, or of a superseded generation — and fails validation exactly as
+// a separately allocated one would; recycling would let it alias a live
+// proof. The collector frees a chunk once no token in it is reachable.
+type TokenArena struct{ chunk []Schedulable }
+
+// Issue returns a fresh token pointing back at origin.
+func (ar *TokenArena) Issue(pid, cpu int, gen uint64, origin *Origin) *Schedulable {
+	if len(ar.chunk) == cap(ar.chunk) {
+		ar.chunk = make([]Schedulable, 0, tokenChunk)
+	}
+	ar.chunk = append(ar.chunk, token(pid, cpu, gen, origin))
+	return &ar.chunk[len(ar.chunk)-1]
 }
 
 // PID returns the task the token vouches for.
-func (s *Schedulable) PID() int { return s.pid }
+func (s *Schedulable) PID() int { return int(s.pid) }
 
 // CPU returns the CPU the task may run on.
-func (s *Schedulable) CPU() int { return s.cpu }
+func (s *Schedulable) CPU() int { return int(s.cpu) }
 
 // Gen returns the token's generation.
 func (s *Schedulable) Gen() uint64 { return s.gen }
+
+// Origin returns the issuing framework's cell, or nil for a token that was
+// not issued from a TokenArena.
+func (s *Schedulable) Origin() *Origin { return s.origin }
 
 // Consumed reports whether the token was already returned to the framework.
 func (s *Schedulable) Consumed() bool { return s.consumed }
@@ -51,7 +93,7 @@ func (s *Schedulable) Ref() *SchedulableRef {
 	if s == nil {
 		return nil
 	}
-	return &SchedulableRef{PID: s.pid, CPU: s.cpu, Gen: s.gen}
+	return &SchedulableRef{PID: s.PID(), CPU: s.CPU(), Gen: s.gen}
 }
 
 // String renders the token for diagnostics.

@@ -127,9 +127,16 @@ type Stats struct {
 }
 
 // taskInfo is Enoki-C's authoritative view of one task: which queue holds
-// it and which Schedulable generation is valid. Validation against this
-// table is what stops a buggy module from running a task on the wrong CPU.
+// it and which Schedulable generation is valid. Validation against it is
+// what stops a buggy module from running a task on the wrong CPU. It lives
+// in the task's class-data slot while the adapter owns the task (the hooks,
+// which arrive with the task, read it there) and every token issued for the
+// task points back at origin (a token the module returns resolves through
+// it), so no hook hashes a pid.
 type taskInfo struct {
+	// origin.Record is this taskInfo until the task dies or departs.
+	origin   core.Origin
+	a        *Adapter
 	t        *kernel.Task
 	gen      uint64
 	queued   bool
@@ -152,8 +159,8 @@ type Adapter struct {
 	sched  core.Scheduler
 	env    *kernelEnv
 
-	info    map[int]*taskInfo
 	nqueued []int
+	tokens  core.TokenArena
 
 	seq      uint64
 	lockSeq  uint64
@@ -244,7 +251,6 @@ func TryLoad(k *kernel.Kernel, policy int, cfg Config, factory func(core.Env) co
 		k:           k,
 		policy:      policy,
 		cfg:         cfg,
-		info:        make(map[int]*taskInfo),
 		nqueued:     make([]int, k.NumCPUs()),
 		kickPending: make([]bool, k.NumCPUs()),
 		queues:      make(map[int]*core.HintQueue),
@@ -399,7 +405,48 @@ func (a *Adapter) notify(m *core.Message) {
 
 func (a *Adapter) issue(ti *taskInfo, cpu int) *core.Schedulable {
 	ti.gen++
-	return core.NewSchedulable(ti.t.PID(), cpu, ti.gen)
+	return a.tokens.Issue(ti.t.PID(), cpu, ti.gen, &ti.origin)
+}
+
+// own narrows what a class-data slot or a token's origin holds to this
+// adapter's record of the task, nil when it is anything else.
+func (a *Adapter) own(v any) *taskInfo {
+	ti, _ := v.(*taskInfo)
+	if ti == nil || ti.a != a {
+		return nil
+	}
+	return ti
+}
+
+// infoOf returns the adapter's record of t from the task's class-data slot,
+// nil when t is not (or no longer) this adapter's task.
+func (a *Adapter) infoOf(t *kernel.Task) *taskInfo { return a.own(t.ClassData()) }
+
+// infoByPID is the pid-keyed route, for what names a task by number only:
+// a balance reply, and a token this framework did not issue.
+func (a *Adapter) infoByPID(pid int) *taskInfo {
+	if t := a.k.TaskByPID(pid); t != nil {
+		return a.infoOf(t)
+	}
+	return nil
+}
+
+// infoOfToken resolves a token to the record of the task it vouches for,
+// nil when that task is not (or no longer) this adapter's.
+func (a *Adapter) infoOfToken(tok *core.Schedulable) *taskInfo {
+	if o := tok.Origin(); o != nil {
+		return a.own(o.Record)
+	}
+	return a.infoByPID(tok.PID())
+}
+
+// forget ends the adapter's ownership of ti's task: the class-data slot is
+// handed back empty, and every token still out for the task resolves to
+// nothing from here on.
+func (a *Adapter) forget(ti *taskInfo) {
+	a.unmarkQueued(ti)
+	ti.origin.Record = nil
+	ti.t.SetClassData(nil)
 }
 
 func (a *Adapter) markQueued(ti *taskInfo, cpu int) {
@@ -435,17 +482,18 @@ func (a *Adapter) CrossingTier() string { return "module" }
 // TaskNew implements kernel.Class. The module's task_new message is sent at
 // the first enqueue, when a Schedulable for a concrete run queue exists.
 func (a *Adapter) TaskNew(t *kernel.Task) {
-	a.info[t.PID()] = &taskInfo{t: t}
+	ti := &taskInfo{a: a, t: t}
+	ti.origin.Record = ti
+	t.SetClassData(ti)
 }
 
 // TaskDead implements kernel.Class.
 func (a *Adapter) TaskDead(t *kernel.Task) {
-	ti := a.info[t.PID()]
+	ti := a.infoOf(t)
 	if ti == nil {
 		return
 	}
-	a.unmarkQueued(ti)
-	delete(a.info, t.PID())
+	a.forget(ti)
 	m := a.getMsg()
 	m.Kind, m.Thread, m.PID = core.MsgTaskDead, t.CPU(), t.PID()
 	a.notify(m)
@@ -458,12 +506,11 @@ func (a *Adapter) TaskDead(t *kernel.Task) {
 // enough not to matter inside a ~10µs blackout (§3.2's "trusted to upgrade
 // quickly").
 func (a *Adapter) Detach(t *kernel.Task) {
-	ti := a.info[t.PID()]
+	ti := a.infoOf(t)
 	if ti == nil {
 		return
 	}
-	a.unmarkQueued(ti)
-	delete(a.info, t.PID())
+	a.forget(ti)
 	m := a.getMsg()
 	m.Kind, m.Thread, m.PID, m.CPU = core.MsgTaskDeparted, t.CPU(), t.PID(), t.CPU()
 	a.dispatch(m)
@@ -476,7 +523,7 @@ func (a *Adapter) Detach(t *kernel.Task) {
 
 // Enqueue implements kernel.Class.
 func (a *Adapter) Enqueue(cpu int, t *kernel.Task, wakeup bool) {
-	ti := a.info[t.PID()]
+	ti := a.infoOf(t)
 	if ti == nil {
 		return
 	}
@@ -490,21 +537,14 @@ func (a *Adapter) Enqueue(cpu int, t *kernel.Task, wakeup bool) {
 	m := a.getMsg()
 	m.Thread, m.PID, m.CPU = cpu, t.PID(), cpu
 	m.Runtime = t.SumExec()
-	switch {
-	case !ti.newSent:
+	isNew := !ti.newSent
+	if isNew {
 		ti.newSent = true
 		m.Kind = core.MsgTaskNew
 		m.Runnable = true
 		m.Allowed = t.Allowed().AppendTo(m.Allowed[:0])
 		m.Prio = t.Nice()
-		if t.Nice() != 0 {
-			// Deliver the initial priority right after task_new.
-			pm := a.getMsg()
-			pm.Kind, pm.Thread = core.MsgTaskPrioChanged, cpu
-			pm.PID, pm.Prio = t.PID(), t.Nice()
-			defer a.notify(pm)
-		}
-	default:
+	} else {
 		m.Kind = core.MsgTaskWakeup
 		m.Deferrable = wakeup
 		m.LastCPU = t.CPU()
@@ -512,11 +552,18 @@ func (a *Adapter) Enqueue(cpu int, t *kernel.Task, wakeup bool) {
 	}
 	m.AttachSched(tok)
 	a.notify(m)
+	if isNew && t.Nice() != 0 {
+		// Deliver the initial priority right after task_new.
+		pm := a.getMsg()
+		pm.Kind, pm.Thread = core.MsgTaskPrioChanged, cpu
+		pm.PID, pm.Prio = t.PID(), t.Nice()
+		a.notify(pm)
+	}
 }
 
 // Dequeue implements kernel.Class.
 func (a *Adapter) Dequeue(cpu int, t *kernel.Task, sleep bool) {
-	ti := a.info[t.PID()]
+	ti := a.infoOf(t)
 	if ti == nil {
 		return
 	}
@@ -539,7 +586,7 @@ func (a *Adapter) Dequeue(cpu int, t *kernel.Task, sleep bool) {
 // migrate_task_rq with fresh proof for the new CPU and must return the old
 // token. Wake-time CPU changes are covered by task_wakeup instead.
 func (a *Adapter) Migrate(t *kernel.Task, src, dst int) {
-	ti := a.info[t.PID()]
+	ti := a.infoOf(t)
 	if ti == nil || !ti.moveInFlight {
 		return
 	}
@@ -580,7 +627,7 @@ func (a *Adapter) PutPrev(cpu int, t *kernel.Task, preempted bool) {
 }
 
 func (a *Adapter) requeueCurrent(kind core.Kind, cpu int, t *kernel.Task, preempted bool) {
-	ti := a.info[t.PID()]
+	ti := a.infoOf(t)
 	if ti == nil {
 		return
 	}
@@ -617,7 +664,7 @@ func (a *Adapter) PickNext(cpu int) *kernel.Task {
 		}
 		return nil
 	}
-	ti := a.info[tok.PID()]
+	ti := a.infoOfToken(tok)
 	var perr core.PickError
 	switch {
 	case ti == nil || !ti.queued:
@@ -706,7 +753,7 @@ func (a *Adapter) Balance(cpu int) {
 	if !retOK {
 		return
 	}
-	ti := a.info[int(retPID)]
+	ti := a.infoByPID(int(retPID))
 	if ti == nil || !ti.queued || ti.queuedOn == cpu || !a.k.MoveTask(ti.t, cpu) {
 		a.stats.BalanceErrs++
 		em := a.getMsg()
@@ -719,7 +766,7 @@ func (a *Adapter) Balance(cpu int) {
 
 // PrioChanged implements kernel.Class.
 func (a *Adapter) PrioChanged(t *kernel.Task) {
-	if a.info[t.PID()] == nil {
+	if a.infoOf(t) == nil {
 		return
 	}
 	m := a.getMsg()
@@ -730,7 +777,7 @@ func (a *Adapter) PrioChanged(t *kernel.Task) {
 
 // AffinityChanged implements kernel.Class.
 func (a *Adapter) AffinityChanged(t *kernel.Task) {
-	if a.info[t.PID()] == nil {
+	if a.infoOf(t) == nil {
 		return
 	}
 	m := a.getMsg()

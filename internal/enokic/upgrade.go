@@ -314,7 +314,7 @@ func (a *Adapter) superseded(m *core.Message) bool {
 	if tok == nil {
 		return false
 	}
-	ti := a.info[tok.PID()]
+	ti := a.infoOfToken(tok)
 	return ti == nil || tok.Gen() != ti.gen
 }
 

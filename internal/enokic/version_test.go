@@ -2,10 +2,13 @@ package enokic
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
+	"enoki/internal/core"
 	"enoki/internal/kernel"
+	"enoki/internal/sched/fifo"
 )
 
 // TestUpgradeToVersionLineage: a committed UpgradeTo renames the serving
@@ -89,5 +92,48 @@ func TestRollbackWithoutHistory(t *testing.T) {
 	_, a := newRig(t, wfqFactory)
 	if err := a.Rollback(nil); !errors.Is(err, ErrNoPreviousVersion) {
 		t.Fatalf("Rollback without history = %v, want ErrNoPreviousVersion", err)
+	}
+}
+
+// TestUpgradeToTransfersQueuedRing: v0 → v1 with a backlog waiting. The
+// FIFO module's per-CPU ring rides the state capsule by value — wrapped,
+// as it is after any pops — and the new generation serves the backlog in the
+// order the old one queued it.
+func TestUpgradeToTransfersQueuedRing(t *testing.T) {
+	k, a := newRig(t, fifoFactory)
+	var order []int
+	spawn := func(i int, run time.Duration) {
+		k.Spawn("w", policyEnoki, spin(run, run), kernel.WithAffinity(kernel.SingleCPU(0)),
+			kernel.WithExitObserver(func() { order = append(order, i) }))
+	}
+	// Three short tasks come and go first, so the ring's head has moved off
+	// slot 0 by the time the backlog that crosses the upgrade queues up.
+	for i := 0; i < 3; i++ {
+		spawn(i, 10*time.Microsecond)
+	}
+	k.RunFor(time.Millisecond)
+	for i := 3; i < 9; i++ {
+		spawn(i, time.Millisecond)
+	}
+	old := a.Scheduler().(*fifo.Sched)
+	var rep UpgradeReport
+	k.Engine().After(500*time.Microsecond, func() {
+		if n := old.QueueLen(0); n != 5 {
+			t.Errorf("backlog at upgrade = %d, want 5 queued behind the running task", n)
+		}
+		a.UpgradeTo("v1", fifoFactory, func(r UpgradeReport) { rep = r })
+	})
+	k.RunFor(20 * time.Millisecond)
+
+	if rep.Err != nil || rep.RolledBack || a.Version() != "v1" || a.Scheduler() == core.Scheduler(old) {
+		t.Fatalf("upgrade did not commit: %+v, version %q", rep, a.Version())
+	}
+	// Task 3 was running through the blackout; the resched that ends it
+	// preempts 3 to the back, behind the backlog the ring carried over.
+	if want := []int{0, 1, 2, 4, 5, 6, 7, 8, 3}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("completion order %v, want %v: the transferred ring lost its order", order, want)
+	}
+	if n := a.Stats().PntErrs; n != 0 {
+		t.Fatalf("%d pick errors across the upgrade", n)
 	}
 }

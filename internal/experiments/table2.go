@@ -54,6 +54,7 @@ var table2Components = []struct {
 	{"Locality scheduler", []string{"internal/sched/locality"}},
 	{"Arachne arbiter", []string{"internal/sched/arbiter"}},
 	{"FIFO scheduler", []string{"internal/sched/fifo"}},
+	{"Nest scheduler (extension)", []string{"internal/sched/nest"}},
 	{"ghOSt baseline", []string{"internal/ghost"}},
 	{"Arachne runtime", []string{"internal/arachne"}},
 	{"workloads", []string{"internal/workload"}},

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"time"
 
+	"enoki/internal/core"
 	"enoki/internal/kernel"
 	"enoki/internal/ktime"
 )
@@ -476,11 +477,11 @@ func (g *Ghost) NRunnable(cpu int) int { return g.nqueued[cpu] }
 // FIFOPolicy is ghOSt's per-CPU FIFO: one queue per CPU, tasks stay where
 // their messages said they were.
 type FIFOPolicy struct {
-	queues map[int][]int
+	queues []core.Deque[int] // by CPU, grown as CPUs are first named
 }
 
 // NewFIFOPolicy builds the per-CPU FIFO policy.
-func NewFIFOPolicy() *FIFOPolicy { return &FIFOPolicy{queues: make(map[int][]int)} }
+func NewFIFOPolicy() *FIFOPolicy { return &FIFOPolicy{} }
 
 // Name implements AgentPolicy.
 func (p *FIFOPolicy) Name() string { return "fifo" }
@@ -490,32 +491,29 @@ func (p *FIFOPolicy) OnMessage(m AgentMsg) {
 	switch m.Kind {
 	case MNew, MWakeup, MPreempt, MYield:
 		p.remove(m.PID)
-		p.queues[m.CPU] = append(p.queues[m.CPU], m.PID)
+		for m.CPU >= len(p.queues) {
+			p.queues = append(p.queues, core.Deque[int]{})
+		}
+		p.queues[m.CPU].PushBack(m.PID)
 	case MBlocked, MDead:
 		p.remove(m.PID)
 	}
 }
 
 func (p *FIFOPolicy) remove(pid int) {
-	for cpu, q := range p.queues {
-		for i, v := range q {
-			if v == pid {
-				p.queues[cpu] = append(append([]int{}, q[:i]...), q[i+1:]...)
-				return
-			}
+	for i := range p.queues {
+		if p.queues[i].Remove(pid) {
+			return
 		}
 	}
 }
 
 // NextFor implements AgentPolicy.
 func (p *FIFOPolicy) NextFor(cpu int) (int, bool) {
-	q := p.queues[cpu]
-	if len(q) == 0 {
-		return 0, false
+	if cpu < len(p.queues) {
+		return p.queues[cpu].PopFront()
 	}
-	pid := q[0]
-	p.queues[cpu] = q[1:]
-	return pid, true
+	return 0, false
 }
 
 // Slice implements AgentPolicy: run to block.
@@ -524,8 +522,8 @@ func (p *FIFOPolicy) Slice() time.Duration { return 0 }
 // Pending implements AgentPolicy.
 func (p *FIFOPolicy) Pending() int {
 	n := 0
-	for _, q := range p.queues {
-		n += len(q)
+	for i := range p.queues {
+		n += p.queues[i].Len()
 	}
 	return n
 }
@@ -535,7 +533,7 @@ func (p *FIFOPolicy) Pending() int {
 // the CPU they last ran on (cache warmth); the oldest arrival wins
 // otherwise.
 type GlobalPolicy struct {
-	queue   []int
+	queue   core.Deque[int]
 	allowed map[int][]int
 	lastCPU map[int]int
 	slice   time.Duration
@@ -560,26 +558,17 @@ func (p *GlobalPolicy) Name() string { return p.name }
 func (p *GlobalPolicy) OnMessage(m AgentMsg) {
 	switch m.Kind {
 	case MNew, MWakeup, MPreempt, MYield:
-		p.remove(m.PID)
-		p.queue = append(p.queue, m.PID)
+		p.queue.Remove(m.PID)
+		p.queue.PushBack(m.PID)
 		p.lastCPU[m.PID] = m.CPU
 		if m.Kind == MNew && len(m.Allowed) > 0 {
 			p.allowed[m.PID] = m.Allowed
 		}
 	case MBlocked, MDead:
-		p.remove(m.PID)
+		p.queue.Remove(m.PID)
 		if m.Kind == MDead {
 			delete(p.allowed, m.PID)
 			delete(p.lastCPU, m.PID)
-		}
-	}
-}
-
-func (p *GlobalPolicy) remove(pid int) {
-	for i, v := range p.queue {
-		if v == pid {
-			p.queue = append(append([]int{}, p.queue[:i]...), p.queue[i+1:]...)
-			return
 		}
 	}
 }
@@ -601,7 +590,8 @@ func (p *GlobalPolicy) allows(pid, cpu int) bool {
 // on cpu (cache warmth), falling back to the oldest allowed arrival.
 func (p *GlobalPolicy) NextFor(cpu int) (int, bool) {
 	pick := -1
-	for i, pid := range p.queue {
+	for i := 0; i < p.queue.Len(); i++ {
+		pid := p.queue.At(i)
 		if !p.allows(pid, cpu) {
 			continue
 		}
@@ -616,13 +606,11 @@ func (p *GlobalPolicy) NextFor(cpu int) (int, bool) {
 	if pick == -1 {
 		return 0, false
 	}
-	pid := p.queue[pick]
-	p.queue = append(append([]int{}, p.queue[:pick]...), p.queue[pick+1:]...)
-	return pid, true
+	return p.queue.RemoveAt(pick), true
 }
 
 // Slice implements AgentPolicy.
 func (p *GlobalPolicy) Slice() time.Duration { return p.slice }
 
 // Pending implements AgentPolicy.
-func (p *GlobalPolicy) Pending() int { return len(p.queue) }
+func (p *GlobalPolicy) Pending() int { return p.queue.Len() }

@@ -68,6 +68,22 @@ func TestScheduleOpVerifiedFIFOZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestScheduleOpModuleFIFOZeroAlloc is the allocation ratchet for the module
+// tier: the same ping-pong with both tasks scheduled by the FIFO Go module,
+// every hook a message crossing through enokic and core. The per-task record
+// is read from the class-data slot, messages are pooled, the module's run
+// queue is a ring, and proof tokens come 256 to an allocation — so a round
+// trip rounds to 0 allocs/op, where it was 2.
+func TestScheduleOpModuleFIFOZeroAlloc(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark-backed; skipped in -short")
+	}
+	r := testing.Benchmark(bench.ScheduleOpModuleFIFO)
+	if allocs := r.AllocsPerOp(); allocs != 0 {
+		t.Errorf("module-tier ScheduleOp: %d allocs/op, want 0", allocs)
+	}
+}
+
 // TestWakeBurstZeroAlloc is the allocation ratchet for the batched
 // cross-CPU message path: a 16-wake burst on the two-socket Machine80 —
 // per-target IPI coalescing, cross-socket delivery, idle exits — must

@@ -386,7 +386,7 @@ func (k *Kernel) doWake(t *Task, wakerCPU int, offset time.Duration) time.Durati
 	t.cpu = target
 	oh += t.class.OverheadPerCall()
 	t.class.Enqueue(target, t, true)
-	k.traceEvent(trace.KindWake, target, t.pid, k.classID(t.class), int64(wakerCPU))
+	k.traceTask(trace.KindWake, target, t, int64(wakerCPU))
 	k.afterEnqueue(t, target, wakerCPU >= 0 && target != wakerCPU, offset)
 	return oh
 }
@@ -580,9 +580,7 @@ func (k *Kernel) noteCrossing(src, dst int, t *Task) {
 	if d == core.DistCrossNode {
 		k.XNodeMoves++
 	}
-	if k.tracer != nil {
-		k.traceEvent(trace.KindXDomain, dst, t.pid, k.classID(t.class), int64(d))
-	}
+	k.traceTask(trace.KindXDomain, dst, t, int64(d))
 }
 
 // account charges cpu's current task for the time it has run since the last
@@ -789,7 +787,7 @@ func (k *Kernel) segmentDone(c *CPU, t *Task) {
 		t.class.Dequeue(c.id, t, false)
 		t.class.TaskDead(t)
 		delete(k.tasks, t.pid)
-		k.traceEvent(trace.KindExit, c.id, t.pid, k.classID(t.class), 0)
+		k.traceTask(trace.KindExit, c.id, t, 0)
 		if t.OnExit != nil {
 			t.OnExit()
 		}
@@ -821,7 +819,7 @@ func (k *Kernel) tickFire(c *CPU) {
 	t := c.curr
 	c.busy += t.class.OverheadPerCall()
 	t.class.Tick(c.id, t)
-	k.traceEvent(trace.KindTick, c.id, t.pid, k.classID(t.class), 0)
+	k.traceTask(trace.KindTick, c.id, t, 0)
 	k.nohzKick(c)
 	k.eng.RescheduleAfter(c.tickEvent, k.costs.TickPeriod)
 }

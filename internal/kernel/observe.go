@@ -42,6 +42,16 @@ func (k *Kernel) classID(c Class) int {
 	return -1
 }
 
+// traceTask emits an event about t, tagged with the policy id of its class.
+// The id lookup sits behind the tracer check: these calls are on the wake,
+// tick and exit paths of every run, traced or not.
+func (k *Kernel) traceTask(kind trace.Kind, cpu int, t *Task, arg int64) {
+	if k.tracer == nil {
+		return
+	}
+	k.traceEvent(kind, cpu, t.pid, k.classID(t.class), arg)
+}
+
 // traceEvent emits into the tracer when one is installed.
 func (k *Kernel) traceEvent(kind trace.Kind, cpu, pid, policy int, arg int64) {
 	if k.tracer == nil {

@@ -1,6 +1,10 @@
 package kernel
 
-import "time"
+import (
+	"time"
+
+	"enoki/internal/core"
+)
 
 // RT is the simulated SCHED_FIFO/SCHED_RR real-time class — the second of
 // Linux's three mainline schedulers (§2). It exists for substrate
@@ -11,7 +15,7 @@ import "time"
 type RT struct {
 	k *Kernel
 	// queues[cpu] is ordered by priority (descending), FIFO within.
-	queues  [][]*rtEntity
+	queues  []core.Deque[*rtEntity]
 	curr    []*rtEntity
 	rrSlice time.Duration
 	picked  []time.Duration // curr's SumExec at pick, for RR
@@ -32,9 +36,7 @@ func NewRT(k *Kernel, rrSlice time.Duration) *RT {
 		rrSlice = 100 * time.Millisecond
 	}
 	r := &RT{k: k, rrSlice: rrSlice}
-	for i := 0; i < k.NumCPUs(); i++ {
-		r.queues = append(r.queues, nil)
-	}
+	r.queues = make([]core.Deque[*rtEntity], k.NumCPUs())
 	r.curr = make([]*rtEntity, k.NumCPUs())
 	r.picked = make([]time.Duration, k.NumCPUs())
 	return r
@@ -59,13 +61,8 @@ func (r *RT) SetRTParams(t *Task, p RTParams) {
 	e.prio = p.Prio
 	e.rr = p.RoundRobin
 	// Reposition if queued.
-	cpu := t.CPU()
-	for i, q := range r.queues[cpu] {
-		if q == e {
-			r.queues[cpu] = append(r.queues[cpu][:i], r.queues[cpu][i+1:]...)
-			r.insert(cpu, e)
-			break
-		}
+	if cpu := t.CPU(); r.queues[cpu].Remove(e) {
+		r.insert(cpu, e)
 	}
 }
 
@@ -76,18 +73,12 @@ func (r *RT) ent(t *Task) *rtEntity {
 
 // insert places e behind equal-priority peers (FIFO within priority).
 func (r *RT) insert(cpu int, e *rtEntity) {
-	q := r.queues[cpu]
-	pos := len(q)
-	for i, o := range q {
-		if o.prio < e.prio {
-			pos = i
-			break
-		}
+	q := &r.queues[cpu]
+	pos := 0
+	for pos < q.Len() && q.At(pos).prio >= e.prio {
+		pos++
 	}
-	q = append(q, nil)
-	copy(q[pos+1:], q[pos:])
-	q[pos] = e
-	r.queues[cpu] = q
+	q.Insert(pos, e)
 }
 
 // Name implements Class.
@@ -115,12 +106,7 @@ func (r *RT) Dequeue(cpu int, t *Task, sleep bool) {
 		r.curr[cpu] = nil
 		return
 	}
-	for i, o := range r.queues[cpu] {
-		if o == e {
-			r.queues[cpu] = append(r.queues[cpu][:i], r.queues[cpu][i+1:]...)
-			return
-		}
-	}
+	r.queues[cpu].Remove(e)
 }
 
 // Yield implements Class: behind equals.
@@ -137,12 +123,10 @@ func (r *RT) PutPrev(cpu int, t *Task, preempted bool) {
 
 // PickNext implements Class.
 func (r *RT) PickNext(cpu int) *Task {
-	q := r.queues[cpu]
-	if len(q) == 0 {
+	e, ok := r.queues[cpu].PopFront()
+	if !ok {
 		return nil
 	}
-	e := q[0]
-	r.queues[cpu] = q[1:]
 	r.curr[cpu] = e
 	r.picked[cpu] = e.t.SumExec()
 	return e.t
@@ -151,10 +135,10 @@ func (r *RT) PickNext(cpu int) *Task {
 // Tick implements Class: SCHED_RR slice expiry among equal priorities.
 func (r *RT) Tick(cpu int, t *Task) {
 	e := r.curr[cpu]
-	if e == nil || !e.rr || len(r.queues[cpu]) == 0 {
+	if e == nil || !e.rr || r.queues[cpu].Len() == 0 {
 		return
 	}
-	if r.queues[cpu][0].prio != e.prio {
+	if r.queues[cpu].At(0).prio != e.prio {
 		return
 	}
 	if t.SumExec()-r.picked[cpu] >= r.rrSlice {
@@ -198,4 +182,4 @@ func (r *RT) PrioChanged(t *Task) {}
 func (r *RT) AffinityChanged(t *Task) {}
 
 // NRunnable implements Class.
-func (r *RT) NRunnable(cpu int) int { return len(r.queues[cpu]) }
+func (r *RT) NRunnable(cpu int) int { return r.queues[cpu].Len() }

@@ -124,3 +124,25 @@ func TestRTSleepWakeCycle(t *testing.T) {
 		t.Fatalf("periodic RT task stalled at %d rounds", n)
 	}
 }
+
+// TestRTQueueZeroAlloc pins the builtin floor the other tiers are measured
+// against: RT's enqueue, pick, requeue and dequeue cycle on a warm run queue
+// allocates nothing (the old pop resliced the queue off its backing array,
+// so every enqueue after a pick reallocated).
+func TestRTQueueZeroAlloc(t *testing.T) {
+	_, rt := rtRig()
+	var tasks [3]*Task
+	for i := range tasks {
+		tasks[i] = &Task{pid: i + 1}
+		rt.TaskNew(tasks[i])
+		rt.Enqueue(0, tasks[i], false)
+	}
+	if avg := testing.AllocsPerRun(1000, func() {
+		t0 := rt.PickNext(0)
+		rt.PutPrev(0, t0, true)
+		rt.Dequeue(0, tasks[1], true)
+		rt.Enqueue(0, tasks[1], true)
+	}); avg != 0 {
+		t.Errorf("RT queue cycle: %v allocs/op, want 0", avg)
+	}
+}

@@ -2,6 +2,7 @@ package replay_test
 
 import (
 	"bytes"
+	"hash/fnv"
 	"strings"
 	"testing"
 	"time"
@@ -126,8 +127,18 @@ func TestRecordSlowsTheRun(t *testing.T) {
 	}
 }
 
+// recordedLogPin is the FNV-1a hash of recordedRun(300)'s log at e17e4b5,
+// before the module crossing became allocation-free. What the replayed
+// module is fed must not have moved with the host-side change.
+const recordedLogPin = 0xd908c403014ca821
+
 func TestReplayMatchesRecording(t *testing.T) {
 	buf, _, _ := recordedRun(t, 300)
+	h := fnv.New64a()
+	h.Write(buf.Bytes())
+	if got := h.Sum64(); got != recordedLogPin {
+		t.Errorf("record log hashes to %#x, pinned %#x", got, uint64(recordedLogPin))
+	}
 	res, err := replay.Replay(bytes.NewReader(buf.Bytes()),
 		replay.Config{NumCPUs: 8},
 		func(env core.Env) core.Scheduler { return wfq.New(env, policyWFQ) })

@@ -22,7 +22,7 @@ type Sched struct {
 	env    core.Env
 	policy int
 	mu     core.Locker
-	queues [][]entry
+	queues []core.Deque[entry]
 }
 
 var _ core.Scheduler = (*Sched)(nil)
@@ -33,7 +33,7 @@ func New(env core.Env, policy int) *Sched {
 		env:    env,
 		policy: policy,
 		mu:     env.NewMutex("fifo"),
-		queues: make([][]entry, env.NumCPUs()),
+		queues: make([]core.Deque[entry], env.NumCPUs()),
 	}
 	return s
 }
@@ -44,7 +44,7 @@ func (s *Sched) GetPolicy() int { return s.policy }
 func (s *Sched) push(cpu int, pid int, sched *core.Schedulable) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.queues[cpu] = append(s.queues[cpu], entry{pid: pid, sched: sched})
+	s.queues[cpu].PushBack(entry{pid: pid, sched: sched})
 }
 
 // TaskNew implements core.Scheduler: queue the new task at the back of its
@@ -75,12 +75,7 @@ func (s *Sched) TaskYield(pid int, runtime time.Duration, cpu int, sched *core.S
 func (s *Sched) PickNextTask(cpu int, curr *core.Schedulable, currRuntime time.Duration) *core.Schedulable {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	q := s.queues[cpu]
-	if len(q) == 0 {
-		return nil
-	}
-	head := q[0]
-	s.queues[cpu] = q[1:]
+	head, _ := s.queues[cpu].PopFront()
 	return head.sched
 }
 
@@ -93,9 +88,9 @@ func (s *Sched) SelectTaskRQ(pid, prevCPU int, wakeup bool) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	best, bestLen := prevCPU, 1<<30
-	for cpu, q := range s.queues {
-		if len(q) < bestLen {
-			best, bestLen = cpu, len(q)
+	for cpu := range s.queues {
+		if n := s.queues[cpu].Len(); n < bestLen {
+			best, bestLen = cpu, n
 		}
 	}
 	return best
@@ -106,19 +101,25 @@ func (s *Sched) SelectTaskRQ(pid, prevCPU int, wakeup bool) int {
 func (s *Sched) MigrateTaskRQ(pid, newCPU int, sched *core.Schedulable) *core.Schedulable {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for cpu, q := range s.queues {
-		for i, e := range q {
-			if e.pid == pid {
-				old := e.sched
-				s.queues[cpu] = append(append([]entry{}, q[:i]...), q[i+1:]...)
-				s.queues[newCPU] = append(s.queues[newCPU], entry{pid: pid, sched: sched})
-				return old
+	// Not queued (e.g. a wake-time move already covered by task_wakeup)
+	// hands back nil; either way the new proof is queued so the task is
+	// not lost.
+	old := s.take(pid)
+	s.queues[newCPU].PushBack(entry{pid: pid, sched: sched})
+	return old
+}
+
+// take removes pid's entry from whichever queue holds it and returns its
+// proof, nil when the task is not queued. Callers hold mu.
+func (s *Sched) take(pid int) *core.Schedulable {
+	for cpu := range s.queues {
+		q := &s.queues[cpu]
+		for i := 0; i < q.Len(); i++ {
+			if q.At(i).pid == pid {
+				return q.RemoveAt(i).sched
 			}
 		}
 	}
-	// Not queued (e.g. a wake-time move already covered by task_wakeup):
-	// keep the new proof queued so the task is not lost.
-	s.queues[newCPU] = append(s.queues[newCPU], entry{pid: pid, sched: sched})
 	return nil
 }
 
@@ -126,15 +127,7 @@ func (s *Sched) MigrateTaskRQ(pid, newCPU int, sched *core.Schedulable) *core.Sc
 func (s *Sched) TaskDeparted(pid, cpu int) *core.Schedulable {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for c, q := range s.queues {
-		for i, e := range q {
-			if e.pid == pid {
-				s.queues[c] = append(append([]entry{}, q[:i]...), q[i+1:]...)
-				return e.sched
-			}
-		}
-	}
-	return nil
+	return s.take(pid)
 }
 
 // PntErr implements core.Scheduler: take the rejected proof back and requeue
@@ -145,8 +138,7 @@ func (s *Sched) PntErr(cpu int, pid int, err core.PickError, sched *core.Schedul
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	c := sched.CPU()
-	s.queues[c] = append([]entry{{pid: pid, sched: sched}}, s.queues[c]...)
+	s.queues[sched.CPU()].PushFront(entry{pid: pid, sched: sched})
 }
 
 // ReregisterPrepare implements core.Scheduler: export the queues wholesale.
@@ -160,10 +152,10 @@ func (s *Sched) ReregisterInit(in *core.TransferIn) {
 	if in == nil || in.State == nil {
 		return
 	}
-	if qs, ok := in.State.([][]entry); ok && len(qs) == len(s.queues) {
+	if qs, ok := in.State.([]core.Deque[entry]); ok && len(qs) == len(s.queues) {
 		s.queues = qs
 	}
 }
 
 // QueueLen reports the queue depth on cpu (for tests and examples).
-func (s *Sched) QueueLen(cpu int) int { return len(s.queues[cpu]) }
+func (s *Sched) QueueLen(cpu int) int { return s.queues[cpu].Len() }

@@ -46,7 +46,7 @@ type task struct {
 
 type state struct {
 	tasks     map[int]*task
-	queues    [][]*task
+	queues    []core.Deque[*task]
 	groupCore map[int]int // locality value → core
 	taskGroup map[int]int // pid → locality value
 	nextCore  int
@@ -87,7 +87,7 @@ func New(env core.Env, policy int) *Sched {
 	s := &Sched{env: env, policy: policy, mu: env.NewMutex("locality")}
 	s.st = &state{
 		tasks:     make(map[int]*task),
-		queues:    make([][]*task, env.NumCPUs()),
+		queues:    make([]core.Deque[*task], env.NumCPUs()),
 		groupCore: make(map[int]int),
 		taskGroup: make(map[int]int),
 	}
@@ -111,17 +111,11 @@ func (s *Sched) push(t *task, cpu int, sched *core.Schedulable) {
 	t.cpu = cpu
 	t.queued = true
 	t.sched = sched
-	s.st.queues[cpu] = append(s.st.queues[cpu], t)
+	s.st.queues[cpu].PushBack(t)
 }
 
 func (s *Sched) remove(t *task) {
-	q := s.st.queues[t.cpu]
-	for i, e := range q {
-		if e == t {
-			s.st.queues[t.cpu] = append(append([]*task{}, q[:i]...), q[i+1:]...)
-			break
-		}
-	}
+	s.st.queues[t.cpu].Remove(t)
 	t.queued = false
 }
 
@@ -141,7 +135,7 @@ func (s *Sched) placeFor(pid, fallback int) int {
 			s.st.nextCore++
 			s.st.groupCore[group] = coreID
 		}
-		if len(s.st.queues[coreID]) < maxGroupQueue {
+		if s.st.queues[coreID].Len() < maxGroupQueue {
 			s.HintsApplied++
 			return coreID
 		}
@@ -151,7 +145,7 @@ func (s *Sched) placeFor(pid, fallback int) int {
 				if sib == coreID {
 					continue
 				}
-				if n := len(s.st.queues[sib]); best == -1 || n < bestLen {
+				if n := s.st.queues[sib].Len(); best == -1 || n < bestLen {
 					best, bestLen = sib, n
 				}
 			}
@@ -247,12 +241,10 @@ func (s *Sched) TaskDeparted(pid, cpu int) *core.Schedulable {
 func (s *Sched) PickNextTask(cpu int, curr *core.Schedulable, currRuntime time.Duration) *core.Schedulable {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	q := s.st.queues[cpu]
-	if len(q) == 0 {
+	t, ok := s.st.queues[cpu].PopFront()
+	if !ok {
 		return nil
 	}
-	t := q[0]
-	s.st.queues[cpu] = q[1:]
 	t.queued = false
 	tok := t.sched
 	t.sched = nil
@@ -275,7 +267,7 @@ func (s *Sched) PntErr(cpu int, pid int, err core.PickError, sched *core.Schedul
 // TaskTick implements core.Scheduler: simple round-robin when peers wait.
 func (s *Sched) TaskTick(cpu int, queued bool, currPID int, currRuntime time.Duration) {
 	s.mu.Lock()
-	waiting := len(s.st.queues[cpu]) > 0
+	waiting := s.st.queues[cpu].Len() > 0
 	s.mu.Unlock()
 	if waiting {
 		s.env.Resched(cpu)

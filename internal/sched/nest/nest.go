@@ -39,7 +39,7 @@ type task struct {
 
 type state struct {
 	tasks  map[int]*task
-	queues [][]*task
+	queues []core.Deque[*task]
 	// running tracks the pid current on each core (module view).
 	running []int
 	// inNest marks the warm set; idleTicks counts demotion pressure.
@@ -68,7 +68,7 @@ func New(env core.Env, policy int) *Sched {
 	s := &Sched{env: env, policy: policy, mu: env.NewMutex("nest")}
 	s.st = &state{
 		tasks:     make(map[int]*task),
-		queues:    make([][]*task, env.NumCPUs()),
+		queues:    make([]core.Deque[*task], env.NumCPUs()),
 		running:   make([]int, env.NumCPUs()),
 		inNest:    make([]bool, env.NumCPUs()),
 		idleTicks: make([]int, env.NumCPUs()),
@@ -85,17 +85,11 @@ func (s *Sched) push(t *task, cpu int, sched *core.Schedulable) {
 	t.cpu = cpu
 	t.queued = true
 	t.sched = sched
-	s.st.queues[cpu] = append(s.st.queues[cpu], t)
+	s.st.queues[cpu].PushBack(t)
 }
 
 func (s *Sched) remove(t *task) {
-	q := s.st.queues[t.cpu]
-	for i, e := range q {
-		if e == t {
-			s.st.queues[t.cpu] = append(append([]*task{}, q[:i]...), q[i+1:]...)
-			break
-		}
-	}
+	s.st.queues[t.cpu].Remove(t)
 	t.queued = false
 }
 
@@ -109,7 +103,7 @@ func (s *Sched) place() int {
 		if !in {
 			continue
 		}
-		n := len(s.st.queues[cpu])
+		n := s.st.queues[cpu].Len()
 		if s.st.running[cpu] != 0 {
 			n++
 		}
@@ -245,12 +239,10 @@ func (s *Sched) TaskDeparted(pid, cpu int) *core.Schedulable {
 func (s *Sched) PickNextTask(cpu int, curr *core.Schedulable, currRuntime time.Duration) *core.Schedulable {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	q := s.st.queues[cpu]
-	if len(q) == 0 {
+	t, ok := s.st.queues[cpu].PopFront()
+	if !ok {
 		return nil
 	}
-	t := q[0]
-	s.st.queues[cpu] = q[1:]
 	t.queued = false
 	tok := t.sched
 	t.sched = nil
@@ -275,7 +267,7 @@ func (s *Sched) PntErr(cpu int, pid int, err core.PickError, sched *core.Schedul
 // TaskTick implements core.Scheduler: round-robin when peers wait.
 func (s *Sched) TaskTick(cpu int, queued bool, currPID int, currRuntime time.Duration) {
 	s.mu.Lock()
-	resched := len(s.st.queues[cpu]) > 0
+	resched := s.st.queues[cpu].Len() > 0
 	s.mu.Unlock()
 	if resched {
 		s.env.Resched(cpu)

@@ -29,8 +29,8 @@ func (t *task) allows(cpu int) bool { return t.allowed == nil || t.allowed[cpu] 
 
 type state struct {
 	tasks   map[int]*task
-	queues  [][]*task // per-CPU, ascending seq
-	busy    []int     // per-CPU running pid (0 = idle)
+	queues  []core.Deque[*task] // per-CPU, ascending seq
+	busy    []int               // per-CPU running pid (0 = idle)
 	nextSeq uint64
 }
 
@@ -67,7 +67,7 @@ func New(env core.Env, policy int, slice time.Duration) *Sched {
 	s := &Sched{env: env, policy: policy, slice: slice, mu: env.NewMutex("shinjuku")}
 	s.st = &state{
 		tasks:  make(map[int]*task),
-		queues: make([][]*task, env.NumCPUs()),
+		queues: make([]core.Deque[*task], env.NumCPUs()),
 		busy:   make([]int, env.NumCPUs()),
 	}
 	return s
@@ -115,17 +115,11 @@ func (s *Sched) push(t *task, cpu int, sched *core.Schedulable) {
 	t.cpu = cpu
 	t.queued = true
 	t.sched = sched
-	s.st.queues[cpu] = append(s.st.queues[cpu], t)
+	s.st.queues[cpu].PushBack(t)
 }
 
 func (s *Sched) remove(t *task) {
-	q := s.st.queues[t.cpu]
-	for i, e := range q {
-		if e == t {
-			s.st.queues[t.cpu] = append(append([]*task{}, q[:i]...), q[i+1:]...)
-			break
-		}
-	}
+	s.st.queues[t.cpu].Remove(t)
 	t.queued = false
 }
 
@@ -134,14 +128,14 @@ func (s *Sched) remove(t *task) {
 func (s *Sched) shortestQueue(t *task, fallback int) int {
 	best, bestLen := -1, 1<<30
 	if fallback >= 0 && fallback < len(s.st.queues) && (t == nil || t.allows(fallback)) {
-		best, bestLen = fallback, len(s.st.queues[fallback])
+		best, bestLen = fallback, s.st.queues[fallback].Len()
 	}
-	for cpu, q := range s.st.queues {
+	for cpu := range s.st.queues {
 		if t != nil && !t.allows(cpu) {
 			continue
 		}
-		if len(q) < bestLen {
-			best, bestLen = cpu, len(q)
+		if n := s.st.queues[cpu].Len(); n < bestLen {
+			best, bestLen = cpu, n
 		}
 	}
 	return best
@@ -260,13 +254,11 @@ func (s *Sched) TaskAffinityChanged(pid int, allowed []int) {
 // calls out in Table 3.
 func (s *Sched) PickNextTask(cpu int, curr *core.Schedulable, currRuntime time.Duration) *core.Schedulable {
 	s.mu.Lock()
-	q := s.st.queues[cpu]
-	if len(q) == 0 {
+	t, ok := s.st.queues[cpu].PopFront()
+	if !ok {
 		s.mu.Unlock()
 		return nil
 	}
-	t := q[0]
-	s.st.queues[cpu] = q[1:]
 	t.queued = false
 	s.st.busy[cpu] = t.pid
 	tok := t.sched
@@ -277,7 +269,7 @@ func (s *Sched) PickNextTask(cpu int, curr *core.Schedulable, currRuntime time.D
 	// one "to prevent overloading the scheduler" (§4.2.2) — a wakeup
 	// landing behind a running task re-arms the tight quantum below.
 	slice := s.tightSlice()
-	if len(s.st.queues[cpu]) == 0 {
+	if s.st.queues[cpu].Len() == 0 {
 		slice = time.Millisecond
 	}
 	s.mu.Unlock()
@@ -312,20 +304,21 @@ func (s *Sched) SelectTaskRQ(pid, prevCPU int, wakeup bool) int {
 func (s *Sched) Balance(cpu int) (uint64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.st.queues[cpu]) > 0 {
+	if s.st.queues[cpu].Len() > 0 {
 		return 0, false
 	}
 	var oldest *task
-	for qcpu, q := range s.st.queues {
-		if qcpu == cpu || len(q) == 0 {
+	for qcpu := range s.st.queues {
+		q := &s.st.queues[qcpu]
+		if qcpu == cpu || q.Len() == 0 {
 			continue
 		}
 		// A single task queued on an idle core is about to run there;
 		// pulling it would just move the wakeup.
-		if len(q) < 2 && s.st.busy[qcpu] == 0 {
+		if q.Len() < 2 && s.st.busy[qcpu] == 0 {
 			continue
 		}
-		head := q[0]
+		head := q.At(0)
 		if !head.allows(cpu) {
 			continue
 		}
@@ -356,18 +349,12 @@ func (s *Sched) MigrateTaskRQ(pid, newCPU int, sched *core.Schedulable) *core.Sc
 	t.cpu = newCPU
 	t.queued = true
 	t.sched = sched
-	q := s.st.queues[newCPU]
-	pos := len(q)
-	for i, e := range q {
-		if e.seq > t.seq {
-			pos = i
-			break
-		}
+	q := &s.st.queues[newCPU]
+	pos := 0
+	for pos < q.Len() && q.At(pos).seq <= t.seq {
+		pos++
 	}
-	q = append(q, nil)
-	copy(q[pos+1:], q[pos:])
-	q[pos] = t
-	s.st.queues[newCPU] = q
+	q.Insert(pos, t)
 	if s.st.busy[newCPU] != 0 {
 		s.env.ArmTimer(newCPU, s.tightSlice())
 	}

@@ -26,12 +26,14 @@ func verifiedPrograms() map[string]*vpol.Program {
 // rest exercise the case's own class, and the shared invariants (progress,
 // no double-run, no leaks) must hold across the tier boundary.
 func TestVerifiedConformanceMachine80(t *testing.T) {
-	for vname, prog := range verifiedPrograms() {
+	for vname := range verifiedPrograms() {
 		for _, c := range Cases() {
 			c := c
-			c.Verified = prog
 			t.Run(fmt.Sprintf("%s/%s", vname, c.Name), func(t *testing.T) {
 				t.Parallel()
+				// A program of its own: Load verifies in place, and the
+				// subtests run side by side.
+				c.Verified = verifiedPrograms()[vname]
 				r := NewRigOn(c, kernel.Machine80(), enokic.DefaultConfig(), nil)
 				ch := StartChecker(r, 500*time.Microsecond)
 				w := Workload{Seed: 0x80 + uint64(len(c.Name)), Tasks: 60, Churn: true}
