@@ -58,15 +58,15 @@ bench-overload:
 # replay, and the scaled-down fleet benchmark's fingerprint check.
 fleet:
 	$(GO) test -race -count=1 ./internal/cluster
-	$(GO) test -race -run 'TestFleet' -count=1 ./internal/sim ./internal/chaos ./internal/bench
+	$(GO) test -race -run 'TestFleet|FuzzParseSpec' -count=1 ./internal/sim ./internal/chaos ./internal/bench
 
 # Rollout gate mirroring the CI job: the canary-upgrade state machine under
 # the race detector — serial-vs-parallel identity of clean and halted
 # campaigns, machine death mid-wave, the r1: chaos-replay conformance suite
-# with ddmin minimization, the rollout-spec fuzz corpus, and the public
+# with ddmin minimization, the spec-parser fuzz corpus, and the public
 # Cluster.Rollout API.
 rollout:
-	$(GO) test -race -run 'TestRollout|TestClusterRollout|FuzzParseRolloutSpec' -count=1 ./internal/cluster ./internal/chaos ./internal/bench .
+	$(GO) test -race -run 'TestRollout|TestClusterRollout|TestSpecErrors|FuzzParseSpec' -count=1 ./internal/cluster ./internal/chaos ./internal/bench .
 
 # Overload gate mirroring the CI job: the admission/brownout control plane
 # under the race detector — per-class shedding, bounded retry backoff,
@@ -77,7 +77,7 @@ rollout:
 # DriveTraffic/WithAdmission API, and the overload artifact smoke.
 overload:
 	$(GO) test -race -count=1 ./internal/overload ./internal/workload/traffic
-	$(GO) test -race -run 'TestTraffic|TestParseTrafficSpec|TestGenerateTraffic|TestRunTraffic|FuzzParseTrafficSpec' -count=1 ./internal/chaos
+	$(GO) test -race -run 'TestTraffic|TestParseTrafficSpec|TestGenerateTraffic|TestRunTraffic|TestSpecErrors|FuzzParseSpec' -count=1 ./internal/chaos
 	$(GO) test -race -run 'TestDriveTraffic|TestWithBrownout|TestClusterOfferAdmission|TestTrafficFleetDriver' -count=1 .
 	$(GO) test -race -run 'TestOffer|TestSubmitBypassesAdmission' -count=1 ./internal/cluster
 	$(GO) test -race -run 'TestRunOverloadSmoke' -count=1 ./internal/bench
@@ -121,13 +121,14 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -1
 
 # Short local fuzz pass over the untrusted-input decoders (CI runs the same
-# two targets for 30s each).
+# targets for 30s each).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz=FuzzLoad -fuzztime=$(FUZZTIME) ./internal/record
 	$(GO) test -fuzz=FuzzBuffer -fuzztime=$(FUZZTIME) ./internal/ringbuf
 	$(GO) test -fuzz=FuzzVerify -fuzztime=$(FUZZTIME) ./internal/vpol
 	$(GO) test -fuzz=FuzzAssemble -fuzztime=$(FUZZTIME) ./internal/vpol
+	$(GO) test -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/chaos
 
 # Seeded chaos campaign under the race detector: fault schedules round-robin
 # across every scheduler class, judged by the invariant oracle; any failure

@@ -20,8 +20,7 @@ import (
 //   - BuiltinClass: a native Go kernel.Class (CFS, RT, or custom), no
 //     framework involvement at all.
 //
-// Every source attaches through the same call, System.Attach, which replaces
-// the historical trio of Load / RegisterClass / vpol wiring. The interface
+// Every source attaches through the same call, System.Attach. The interface
 // is sealed: the only implementations are the three constructors here.
 type PolicySource interface {
 	// attach installs the source under policy and returns the module
@@ -39,8 +38,8 @@ type PolicySource interface {
 //	sys.MustAttach(1, enoki.VerifiedProgram(prog))      // verified tier
 //	sys.MustAttach(0, enoki.BuiltinClass(cfs))          // builtin tier
 //
-// Attachment order is priority order, exactly as with the deprecated Load /
-// RegisterClass pair. Failures are typed: errors.Is(err, ErrDuplicatePolicy)
+// Attachment order is priority order. Failures are typed:
+// errors.Is(err, ErrDuplicatePolicy)
 // when the policy id is taken, errors.Is(err, ErrPolicyMismatch) when a
 // module's GetPolicy disagrees, errors.Is(err, ErrSystemClosed) after Close.
 // The returned Adapter is non-nil only for GoModule sources; reach a

@@ -158,31 +158,6 @@ func TestAttachSharded(t *testing.T) {
 	}
 }
 
-// TestAttachShimEquivalence keeps the deprecated Load/RegisterClass shims
-// behaving exactly like their Attach equivalents.
-func TestAttachShimEquivalence(t *testing.T) {
-	sys := enoki.NewSystem()
-	if _, err := sys.Load(1, func(env enoki.Env) enoki.Scheduler {
-		return enoki.NewWFQScheduler(env, 1)
-	}); err != nil {
-		t.Fatalf("Load shim: %v", err)
-	}
-	sys.RegisterClass(0, enoki.NewCFS(sys.Kernel()))
-	if _, err := sys.Load(1, func(env enoki.Env) enoki.Scheduler {
-		return enoki.NewWFQScheduler(env, 1)
-	}); !errors.Is(err, enoki.ErrDuplicatePolicy) {
-		t.Fatalf("duplicate Load = %v, want ErrDuplicatePolicy", err)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("duplicate RegisterClass did not panic")
-			}
-		}()
-		sys.RegisterClass(0, enoki.NewCFS(sys.Kernel()))
-	}()
-}
-
 // TestAttachVerifiedFault exercises the verified tier's fault road through
 // the public API: a program dividing by the task's nice value traps on the
 // first nice-0 enqueue, the class is killed, its tasks finish under the

@@ -180,21 +180,8 @@ func NewRand(seed uint64) *Rand { return ktime.NewRand(seed) }
 type Engine = sim.Engine
 
 // Class is a native scheduler class slot in the kernel's pick order; CFS
-// and RT implement it, and System.RegisterClass accepts it.
+// and RT implement it, and Attach accepts it as a BuiltinClass source.
 type Class = kernel.Class
-
-// NewEngine creates a fresh event engine.
-//
-// Deprecated: use NewSystem, which owns the engine; reach it with
-// System.Engine when an experiment needs direct event access.
-func NewEngine() *Engine { return sim.New() }
-
-// NewKernel builds a simulated kernel on eng.
-//
-// Deprecated: use NewSystem(WithMachine(m), WithCosts(c)) and
-// System.Kernel. NewSystem wires the kernel, engine, and any recorder or
-// tracer together in the order their registration contracts require.
-func NewKernel(eng *Engine, m Machine, c Costs) *Kernel { return kernel.New(eng, m, c) }
 
 // MachineNUMA builds a custom sockets×llcPerSocket×coresPerLLC machine.
 func MachineNUMA(name string, sockets, llcPerSocket, coresPerLLC int) Machine {
@@ -288,12 +275,11 @@ var (
 	ErrModuleKilled = enokic.ErrModuleKilled
 )
 
-// Load constructs a scheduler module via factory and registers it with the
-// kernel under the given policy number, panicking on failure.
-//
-// Deprecated: use System.Attach with a GoModule source, which returns typed
-// errors (ErrDuplicatePolicy, ErrPolicyMismatch) and installs the System's
-// recorder and tracer on the new module.
+// Load constructs a scheduler module via factory and registers it with one
+// kernel under the given policy number, panicking on failure. It is how a
+// WithMachineModules setup builds the per-shard adapters it must return;
+// everywhere a System exists, Attach with a GoModule source is the front
+// door (typed errors, and the System's recorder and tracer installed).
 func Load(k *Kernel, policy int, cfg Config, factory func(Env) Scheduler) *Adapter {
 	return enokic.Load(k, policy, cfg, factory)
 }

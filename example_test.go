@@ -11,10 +11,11 @@ import (
 // Example demonstrates loading a shipped scheduler and running a task on
 // it — the smallest complete use of the public API.
 func Example() {
-	k := enoki.NewKernel(enoki.NewEngine(), enoki.Machine8(), enoki.DefaultCosts())
-	ad := enoki.Load(k, 1, enoki.DefaultConfig(),
-		func(env enoki.Env) enoki.Scheduler { return enoki.NewWFQScheduler(env, 1) })
-	k.RegisterClass(0, enoki.NewCFS(k))
+	sys := enoki.NewSystem()
+	ad := sys.MustAttach(1, enoki.GoModule(
+		func(env enoki.Env) enoki.Scheduler { return enoki.NewWFQScheduler(env, 1) }))
+	sys.RegisterCFS(0)
+	k := sys.Kernel()
 
 	done := false
 	remaining := 5 * time.Millisecond
@@ -38,11 +39,11 @@ func Example() {
 // ExampleAdapter_Upgrade shows a live upgrade: the module is replaced under
 // load with a µs-scale blackout and no lost tasks.
 func ExampleAdapter_Upgrade() {
-	eng := enoki.NewEngine()
-	k := enoki.NewKernel(eng, enoki.Machine8(), enoki.DefaultCosts())
-	ad := enoki.Load(k, 1, enoki.DefaultConfig(),
-		func(env enoki.Env) enoki.Scheduler { return enoki.NewWFQScheduler(env, 1) })
-	k.RegisterClass(0, enoki.NewCFS(k))
+	sys := enoki.NewSystem()
+	ad := sys.MustAttach(1, enoki.GoModule(
+		func(env enoki.Env) enoki.Scheduler { return enoki.NewWFQScheduler(env, 1) }))
+	sys.RegisterCFS(0)
+	k, eng := sys.Kernel(), sys.Engine()
 
 	finished := 0
 	for i := 0; i < 4; i++ {
@@ -75,10 +76,11 @@ func ExampleAdapter_Upgrade() {
 // ExampleReplay records a short run and replays the same scheduler code at
 // userspace, validating every decision.
 func ExampleReplay() {
-	k := enoki.NewKernel(enoki.NewEngine(), enoki.Machine8(), enoki.DefaultCosts())
-	ad := enoki.Load(k, 1, enoki.DefaultConfig(),
-		func(env enoki.Env) enoki.Scheduler { return enoki.NewWFQScheduler(env, 1) })
-	k.RegisterClass(0, enoki.NewCFS(k))
+	sys := enoki.NewSystem()
+	ad := sys.MustAttach(1, enoki.GoModule(
+		func(env enoki.Env) enoki.Scheduler { return enoki.NewWFQScheduler(env, 1) }))
+	sys.RegisterCFS(0)
+	k := sys.Kernel()
 
 	var log bytes.Buffer
 	rec := enoki.NewRecorder(k, &log, 0)
@@ -109,10 +111,11 @@ func ExampleReplay() {
 // ExampleAdapter_CreateHintQueue sends a userspace hint to the locality
 // scheduler, co-locating two tasks.
 func ExampleAdapter_CreateHintQueue() {
-	k := enoki.NewKernel(enoki.NewEngine(), enoki.Machine8(), enoki.DefaultCosts())
-	ad := enoki.Load(k, 1, enoki.DefaultConfig(),
-		func(env enoki.Env) enoki.Scheduler { return enoki.NewLocalityScheduler(env, 1) })
-	k.RegisterClass(0, enoki.NewCFS(k))
+	sys := enoki.NewSystem()
+	ad := sys.MustAttach(1, enoki.GoModule(
+		func(env enoki.Env) enoki.Scheduler { return enoki.NewLocalityScheduler(env, 1) }))
+	sys.RegisterCFS(0)
+	k := sys.Kernel()
 
 	mk := func() enoki.Behavior {
 		n := 0

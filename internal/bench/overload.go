@@ -179,13 +179,13 @@ func overloadDrive(m kernel.Machine, sc traffic.Scenario, parallel bool) (traffi
 // planted, shrink, pass clean.
 func overloadReplayVerdict() OverloadReplay {
 	rep := OverloadReplay{Spec: overloadReplaySpec}
-	s, err := chaos.ParseTrafficSpec(overloadReplaySpec)
+	s, err := chaos.Traffic.Parse(overloadReplaySpec)
 	if err != nil {
 		rep.Violation = fmt.Sprintf("pinned spec does not parse: %v", err)
 		return rep
 	}
 	rc := chaos.TrafficRunConfig{LeakShed: true}
-	res := chaos.RunTraffic(s, rc)
+	res := chaos.Traffic.Run(s, rc)
 	for _, v := range res.Violations {
 		if strings.Contains(v, "conservation") {
 			rep.Caught = true
@@ -196,11 +196,11 @@ func overloadReplayVerdict() OverloadReplay {
 	if !rep.Caught {
 		return rep
 	}
-	min, _ := chaos.MinimizeTraffic(s, rc)
+	min, _ := chaos.Traffic.Minimize(s, rc)
 	rep.Minimized = min.Spec()
 	rep.EventsBefore = s.EnabledCount()
 	rep.EventsAfter = min.EnabledCount()
-	clean := chaos.RunTraffic(min, chaos.TrafficRunConfig{})
+	clean := chaos.Traffic.Run(min, chaos.TrafficRunConfig{})
 	rep.CleanPass = !clean.Failed()
 	return rep
 }

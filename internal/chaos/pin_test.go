@@ -33,10 +33,10 @@ func TestSpecsPinned(t *testing.T) {
 		}
 		return out
 	}
-	v1 := func(seed uint64, class string) string { return Generate(seed, class).Spec() }
-	f1 := func(seed uint64, class string) string { return GenerateFleet(seed, class).Spec() }
-	r1 := func(seed uint64, class string) string { return GenerateRollout(seed, class).Spec() }
-	t1 := func(seed uint64, class string) string { return GenerateTraffic(seed, class).Spec() }
+	v1 := func(seed uint64, class string) string { return Single.Generate(seed, class).Spec() }
+	f1 := func(seed uint64, class string) string { return Fleet.Generate(seed, class).Spec() }
+	r1 := func(seed uint64, class string) string { return Rollout.Generate(seed, class).Spec() }
+	t1 := func(seed uint64, class string) string { return Traffic.Generate(seed, class).Spec() }
 
 	v1Corpus := []string{v1(7, "wfq"), v1(3, "fifo")}
 	for _, c := range classes {
@@ -104,11 +104,11 @@ func pinMin(t *testing.T, h hash.Hash64, spec, min, wantMin string, violations [
 
 func pinV1(t *testing.T, rc RunConfig, wantMin string) func(hash.Hash64, string) {
 	return func(h hash.Hash64, spec string) {
-		s, err := ParseSpec(spec)
+		s, err := Single.Parse(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := Run(s, rc)
+		r := Single.Run(s, rc)
 		fmt.Fprintf(h, "%v %q %d/%d killed=%v %+v sched=%d hints=%d vk=%v vpicks=%d\n",
 			s.Enabled(), r.Violations, r.Completed, r.Tasks, r.Killed, r.Stats,
 			r.UpgradesScheduled, r.HintAttempts, r.VerifiedKilled, r.VerifiedPicks)
@@ -126,7 +126,7 @@ func pinV1(t *testing.T, rc RunConfig, wantMin string) func(hash.Hash64, string)
 		}
 		h.Write(r.RecordLog)
 		if rc.NoRollback {
-			min, mr := Minimize(s, rc)
+			min, mr := Single.Minimize(s, rc)
 			pinMin(t, h, spec, min.Spec(), wantMin, mr.Violations)
 		}
 	}
@@ -143,11 +143,11 @@ func pinLogs(h hash.Hash64, logs [][][]byte) {
 
 func pinF1(t *testing.T, parallel bool) func(hash.Hash64, string) {
 	return func(h hash.Hash64, spec string) {
-		s, err := ParseFleetSpec(spec)
+		s, err := Fleet.Parse(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := FleetCampaign(s, parallel)
+		r := Fleet.Run(s, parallel)
 		fmt.Fprintf(h, "%v %q %+v %+v\n", s.Enabled(), r.Violations, r.Stats, r.Jobs)
 		pinLogs(h, r.Logs)
 	}
@@ -155,16 +155,16 @@ func pinF1(t *testing.T, parallel bool) func(hash.Hash64, string) {
 
 func pinR1(t *testing.T, rc RolloutRunConfig, wantMin string) func(hash.Hash64, string) {
 	return func(h hash.Hash64, spec string) {
-		s, err := ParseRolloutSpec(spec)
+		s, err := Rollout.Parse(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := RolloutCampaign(s, rc)
+		r := Rollout.Run(s, rc)
 		fmt.Fprintf(h, "%v %q %+v %+v resolved=%v %+v %+v\n", s.Enabled(), r.Violations,
 			r.Stats, r.Jobs, r.Resolved, r.Report, r.Slots)
 		pinLogs(h, r.Logs)
 		if rc.NoDeathResolve {
-			min, mr := MinimizeRollout(s, rc)
+			min, mr := Rollout.Minimize(s, rc)
 			pinMin(t, h, spec, min.Spec(), wantMin, mr.Violations)
 		}
 	}
@@ -172,18 +172,18 @@ func pinR1(t *testing.T, rc RolloutRunConfig, wantMin string) func(hash.Hash64, 
 
 func pinT1(t *testing.T, rc TrafficRunConfig, wantMin string) func(hash.Hash64, string) {
 	return func(h hash.Hash64, spec string) {
-		s, err := ParseTrafficSpec(spec)
+		s, err := Traffic.Parse(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := RunTraffic(s, rc)
+		r := Traffic.Run(s, rc)
 		fmt.Fprintf(h, "%v %q killed=%v fp=%x %+v\n", s.Enabled(), r.Violations, r.Killed,
 			r.Report.Fingerprint(), r.Report)
 		if f := r.Failure; f != nil {
 			fmt.Fprintf(h, "failure %s at=%v moved=%d down=%v\n", f.Fault, f.At, f.TasksMigrated, f.Downtime)
 		}
 		if rc.LeakShed {
-			min, mr := MinimizeTraffic(s, rc)
+			min, mr := Traffic.Minimize(s, rc)
 			pinMin(t, h, spec, min.Spec(), wantMin, mr.Violations)
 			if spec == trafficSpec && (s.EnabledCount() != 2 || min.EnabledCount() != 1) {
 				t.Errorf("%s shrinks %d→%d events, pinned 2→1", spec, s.EnabledCount(), min.EnabledCount())

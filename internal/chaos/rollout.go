@@ -13,24 +13,19 @@
 package chaos
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
 	"enoki/internal/cluster"
 	"enoki/internal/core"
 	"enoki/internal/enokic"
-	"enoki/internal/kernel"
 	"enoki/internal/ktime"
-	"enoki/internal/record"
-	"enoki/internal/schedtest"
-	"enoki/internal/schedtest/conformance"
 )
 
-// Rollout campaign shape: the ten-machine recorded cluster of the fleet
-// plane, with a canary rollout started at t=0 whose waves (canary 1, widen
-// 2, 1ms soak) span the first handful of milliseconds — the window the
-// fault draws target.
+// Rollout campaign shape: the fleet family's ten-machine recorded cluster
+// (fleetRig), with a canary rollout started at t=0 whose waves (canary 1,
+// widen 2, 1ms soak) span the first handful of milliseconds — the window
+// the fault draws target.
 const (
 	rolloutCanary  = 0.1
 	rolloutWiden   = 2
@@ -42,112 +37,21 @@ const (
 // that shares the campaign seed.
 const rolloutSalt uint64 = 0x94d049bb133111eb
 
-// RolloutEvent is one rollout-plane fault. Field meaning is plane-specific:
-// RolloutKill fail-stops Machine at At; RolloutFaulty makes the new
-// generation panic in init on machines >= Threshold; RolloutDelayDetect
-// adds Delay to the cluster's failure-detection bound.
-type RolloutEvent struct {
-	Plane     Plane
-	Machine   int
-	At        int64
-	Threshold int
-	Delay     int64
-}
-
-func (e RolloutEvent) String() string {
-	switch e.Plane {
-	case PlaneRolloutKill:
-		return fmt.Sprintf("%v[m%d@%v]", e.Plane, e.Machine, time.Duration(e.At))
-	case PlaneRolloutFaulty:
-		return fmt.Sprintf("%v[m>=%d]", e.Plane, e.Threshold)
-	case PlaneRolloutDelayDetect:
-		return fmt.Sprintf("%v[+%v]", e.Plane, time.Duration(e.Delay))
-	default:
-		return e.Plane.String()
-	}
-}
-
-// RolloutSchedule is one rollout run's fault plan: a class, the seed every
-// draw derives from, the generated events, and the enable mask a minimizer
-// clears bits in.
-type RolloutSchedule struct {
-	Seed   uint64
-	Class  string
-	Events []RolloutEvent
-	Mask   uint64
-}
-
-// EnabledAt reports whether event i survives the mask.
-func (s RolloutSchedule) EnabledAt(i int) bool { return s.Mask>>uint(i)&1 == 1 }
-
-// Enabled returns the surviving events, for reporting.
-func (s RolloutSchedule) Enabled() []RolloutEvent {
-	out := make([]RolloutEvent, 0, len(s.Events))
-	for i, ev := range s.Events {
-		if s.EnabledAt(i) {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
-// EnabledCount returns how many events survive the mask.
-func (s RolloutSchedule) EnabledCount() int { return len(s.Enabled()) }
-
-// Spec renders the schedule as its replay string. GenerateRollout is a pure
-// function of (seed, class), so seed + mask reconstructs the exact fault
-// plan: the spec is the whole reproducer.
-func (s RolloutSchedule) Spec() string {
-	return fmt.Sprintf("r1:%s:%x:%x", s.Class, s.Seed, s.Mask)
-}
-
-// ParseRolloutSpec reconstructs a rollout schedule from a replay spec
-// (r1:<class>:<seed hex>:<mask hex>), regenerating the events from the
-// seed and applying the mask.
-func ParseRolloutSpec(spec string) (RolloutSchedule, error) {
-	class, seed, mask, err := splitSpec(spec, "r1", "r1:<class>:<seed>:<mask>")
-	if err != nil {
-		return RolloutSchedule{}, err
-	}
-	c, ok := caseByName(class)
-	if !ok {
-		return RolloutSchedule{}, &SpecError{Spec: spec, Field: "class",
-			Msg: fmt.Sprintf("unknown class %q", class)}
-	}
-	if c.NewModule == nil {
-		return RolloutSchedule{}, fmt.Errorf("chaos: class %q has no upgradable module", class)
-	}
-	s := GenerateRollout(seed, class)
-	if err := checkMask(spec, mask, s.Mask, len(s.Events)); err != nil {
-		return RolloutSchedule{}, err
-	}
-	s.Mask = mask
-	return s, nil
-}
-
-// GenerateRollout derives a rollout fault plan from a seed for one
-// scheduler class — a pure function, so the seed alone reproduces the
-// plan. The first draw is always a machine kill timed inside the rollout's
-// wave window; up to two more draws add a faulty new generation above a
-// threshold, a detection delay, or a second kill (never more than two
-// kills, so the survivors keep the capacity to finish the workload).
-func GenerateRollout(seed uint64, class string) RolloutSchedule {
+// generateRollout derives the r1: fault plan from a seed (the class does not
+// shape it). The first draw is always a machine kill timed inside the
+// rollout's wave window; up to two more draws add a faulty new generation
+// above a threshold, a detection delay, or a second kill (never more than
+// two kills, so the survivors keep the capacity to finish the workload).
+func generateRollout(seed uint64, _ string) []FleetEvent {
 	rng := ktime.NewRand(seed ^ rolloutSalt)
 	n := 1 + rng.Intn(3)
-	evs := make([]RolloutEvent, 0, n)
+	evs := make([]FleetEvent, 0, n)
 	kills := map[int]bool{}
-	drawKill := func() RolloutEvent {
-		for {
-			m := rng.Intn(fleetMachines)
-			if kills[m] {
-				continue
-			}
-			kills[m] = true
-			return RolloutEvent{
-				Plane:   PlaneRolloutKill,
-				Machine: m,
-				At:      int64(300*time.Microsecond) + int64(rng.Intn(3000))*int64(time.Microsecond),
-			}
+	drawKill := func() FleetEvent {
+		return FleetEvent{
+			Plane:   PlaneRolloutKill,
+			Machine: drawVictim(rng, kills),
+			At:      int64(300*time.Microsecond) + int64(rng.Intn(3000))*int64(time.Microsecond),
 		}
 	}
 	evs = append(evs, drawKill())
@@ -159,18 +63,18 @@ func GenerateRollout(seed uint64, class string) RolloutSchedule {
 			}
 			evs = append(evs, drawKill())
 		case 1:
-			evs = append(evs, RolloutEvent{
+			evs = append(evs, FleetEvent{
 				Plane:     PlaneRolloutFaulty,
 				Threshold: 1 + rng.Intn(fleetMachines-1),
 			})
 		case 2:
-			evs = append(evs, RolloutEvent{
+			evs = append(evs, FleetEvent{
 				Plane: PlaneRolloutDelayDetect,
 				Delay: int64(1+rng.Intn(3)) * int64(500*time.Microsecond),
 			})
 		}
 	}
-	return RolloutSchedule{Seed: seed, Class: class, Events: evs, Mask: 1<<uint(len(evs)) - 1}
+	return evs
 }
 
 // RolloutRunConfig tunes one rollout campaign run.
@@ -187,42 +91,41 @@ type RolloutRunConfig struct {
 // RolloutOutcome is one rollout campaign's observable result plus the
 // oracle's verdict.
 type RolloutOutcome struct {
-	Schedule RolloutSchedule
-	Stats    cluster.Stats
-	Jobs     []cluster.Job
-	Logs     [][][]byte
+	Verdict
+	FleetRun
+	Schedule Schedule[FleetEvent]
 	// Resolved reports whether the rollout finished within the budget;
 	// Report is only meaningful when it did (an unresolved rollout is
 	// itself a violation).
 	Resolved bool
 	Report   cluster.RolloutReport
 	Slots    []cluster.SlotStatus
-	// Violations is the oracle's verdict: empty means the rollout
-	// machinery upheld every invariant under the fault plan.
-	Violations []string
 }
 
-// Failed reports whether the oracle found any invariant breach.
-func (r *RolloutOutcome) Failed() bool { return len(r.Violations) > 0 }
+// Rollout is the `r1:` family: the recorded fleet sabotaged while a canary
+// rollout of a new module generation is in flight. It only admits classes
+// with an upgradable module.
+var Rollout = &Family[FleetEvent, RolloutRunConfig, RolloutOutcome]{
+	Prefix:      "r1",
+	needsModule: true,
+	events:      generateRollout,
+	Run:         runRollout,
+}
 
-// RolloutCampaign runs one rollout fault plan against a ten-machine
-// recorded cluster of the schedule's class: every machine loads the
-// class's module above CFS on each shard, a seeded job mix is submitted up
-// front, a canary rollout of a fresh generation starts at t=0, and the
-// enabled faults land while its waves are in flight. Deterministic end to
-// end: same schedule + same config → same RolloutOutcome.
-func RolloutCampaign(s RolloutSchedule, rc RolloutRunConfig) RolloutOutcome {
+// runRollout runs one rollout fault plan against the recorded fleet of the
+// schedule's class: a canary rollout of a fresh generation starts at t=0 and
+// the enabled faults land while its waves are in flight.
+func runRollout(s Schedule[FleetEvent], rc RolloutRunConfig) RolloutOutcome {
+	res := RolloutOutcome{Schedule: s}
 	c, ok := caseByName(s.Class)
 	if !ok || c.NewModule == nil {
-		return RolloutOutcome{Schedule: s, Violations: []string{fmt.Sprintf("class %q has no upgradable module", s.Class)}}
+		res.Violations = []string{fmt.Sprintf("class %q has no upgradable module", s.Class)}
+		return res
 	}
 
 	detect := fleetDetectDelay
 	faultyThreshold := fleetMachines // above every machine: no faults
-	for i, ev := range s.Events {
-		if !s.EnabledAt(i) {
-			continue
-		}
+	for _, ev := range s.Enabled() {
 		switch ev.Plane {
 		case PlaneRolloutDelayDetect:
 			detect += time.Duration(ev.Delay)
@@ -233,84 +136,23 @@ func RolloutCampaign(s RolloutSchedule, rc RolloutRunConfig) RolloutOutcome {
 		}
 	}
 
-	bufs := make([][]*bytes.Buffer, fleetMachines)
-	recs := make([][]*record.Recorder, fleetMachines)
-	cl := cluster.New(cluster.Config{
-		Machines:        fleetMachines,
-		Machine:         kernel.Machine8(),
-		Parallel:        rc.Parallel,
-		Policy:          conformance.PolicyTest,
-		Placer:          &cluster.Pack{PerCPU: 2},
-		RebalanceSpread: 3,
-		NetLatency:      fleetNetLatency,
-		DetectDelay:     detect,
-		SetupModules: func(mi int, sk *kernel.ShardedKernel) []*enokic.Adapter {
-			bufs[mi] = make([]*bytes.Buffer, sk.NumShards())
-			recs[mi] = make([]*record.Recorder, sk.NumShards())
-			ads := make([]*enokic.Adapter, sk.NumShards())
-			for sh := 0; sh < sk.NumShards(); sh++ {
-				k := sk.ShardKernel(sh)
-				ads[sh] = enokic.Load(k, conformance.PolicyTest, enokic.DefaultConfig(),
-					func(env core.Env) core.Scheduler { return c.NewModule(env, k.NumCPUs()) })
-				k.RegisterClass(conformance.PolicyCFS, kernel.NewCFS(k))
-				bufs[mi][sh] = &bytes.Buffer{}
-				recs[mi][sh] = record.New(k, bufs[mi][sh], conformance.PolicyCFS, record.DefaultCosts())
-				ads[sh].SetRecorder(recs[mi][sh])
-			}
-			return ads
+	rig := newFleetRig(c, s.Seed, rc.Parallel, detect, enokic.DefaultConfig())
+	defer rig.cl.Close()
+	ro, err := rig.cl.StartRollout(cluster.RolloutConfig{
+		Version: rolloutVersion,
+		Factory: func(mi int, env core.Env) core.Scheduler {
+			return newGeneration(c, env, env.NumCPUs(), mi >= faultyThreshold)
 		},
-	})
-	defer cl.Close()
-
-	rng := ktime.NewRand(s.Seed ^ workloadSalt)
-	for i := 0; i < fleetJobs; i++ {
-		cl.Submit(cluster.JobSpec{
-			Cycles: 2 + rng.Intn(5),
-			Run:    time.Duration(80+rng.Intn(250)) * time.Microsecond,
-			Sleep:  time.Duration(rng.Intn(2)) * 150 * time.Microsecond,
-		})
-	}
-	factory := func(mi int, env core.Env) core.Scheduler {
-		sched := c.NewModule(env, env.NumCPUs())
-		if mi >= faultyThreshold {
-			return &schedtest.Injector{Scheduler: sched, PanicInInit: true}
-		}
-		return sched
-	}
-	ro, err := cl.StartRollout(cluster.RolloutConfig{
-		Version: rolloutVersion, Factory: factory,
 		Canary: rolloutCanary, Widen: rolloutWiden, Observe: rolloutObserve,
 		NoDeathResolve: rc.NoDeathResolve,
 	})
 	if err != nil {
-		return RolloutOutcome{Schedule: s, Violations: []string{fmt.Sprintf("StartRollout: %v", err)}}
+		res.Violations = []string{fmt.Sprintf("StartRollout: %v", err)}
+		return res
 	}
-	for i, ev := range s.Events {
-		if s.EnabledAt(i) && ev.Plane == PlaneRolloutKill {
-			cl.FailMachine(ev.Machine, time.Duration(ev.At))
-		}
-	}
-	// A fixed virtual budget, not RunUntilIdle: the record drain tasks
-	// tick forever — and an unresolved rollout (the seeded bug this
-	// campaign hunts) would hold RunUntilIdle open forever anyway.
-	cl.Run(fleetBudget)
-
-	res := RolloutOutcome{
-		Schedule: s, Stats: cl.Stats(),
-		Resolved: ro.Done(), Report: ro.Report(), Slots: ro.Slots(),
-		Logs: make([][][]byte, fleetMachines),
-	}
-	for mi := 0; mi < fleetMachines; mi++ {
-		res.Logs[mi] = make([][]byte, len(bufs[mi]))
-		for sh := range bufs[mi] {
-			recs[mi][sh].Close()
-			res.Logs[mi][sh] = bufs[mi][sh].Bytes()
-		}
-	}
-	for i := 0; i < cl.NumJobs(); i++ {
-		res.Jobs = append(res.Jobs, cl.Job(i))
-	}
-	res.Violations = rolloutOracle(&res, cl)
+	res.FleetRun = rig.drive(s.Enabled())
+	res.Resolved, res.Report, res.Slots = ro.Done(), ro.Report(), ro.Slots()
+	res.Violations = rolloutOracle(&res, rig.cl)
 	return res
 }
 
@@ -417,42 +259,5 @@ func rolloutOracle(r *RolloutOutcome, cl *cluster.Cluster) []string {
 	if r.Stats.Done != r.Stats.Submitted {
 		add("lost jobs: %d of %d completed within budget", r.Stats.Done, r.Stats.Submitted)
 	}
-	// The record logs survive whatever the faults did to the fleet.
-	for mi, perShard := range r.Logs {
-		for sh, l := range perShard {
-			if l == nil {
-				continue
-			}
-			if _, err := record.Load(bytes.NewReader(l)); err != nil {
-				add("machine %d shard %d record log not decodable: %v", mi, sh, err)
-			}
-		}
-	}
-	return v
-}
-
-// MinimizeRollout shrinks a failing rollout schedule to a minimal
-// reproducer: greedy ddmin over the event mask, exactly as Minimize does
-// for single-machine schedules. The surviving spec string is the whole
-// reproducer.
-func MinimizeRollout(s RolloutSchedule, rc RolloutRunConfig) (RolloutSchedule, RolloutOutcome) {
-	res := RolloutCampaign(s, rc)
-	if !res.Failed() {
-		return s, res
-	}
-	for changed := true; changed; {
-		changed = false
-		for i := range s.Events {
-			if !s.EnabledAt(i) || s.EnabledCount() == 1 {
-				continue
-			}
-			trial := s
-			trial.Mask &^= 1 << uint(i)
-			if tr := RolloutCampaign(trial, rc); tr.Failed() {
-				s, res = trial, tr
-				changed = true
-			}
-		}
-	}
-	return s, res
+	return append(v, r.logViolations()...)
 }

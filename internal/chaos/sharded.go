@@ -21,6 +21,7 @@ const shardSalt uint64 = 0x94d049bb133111eb
 // per-shard record bytes; a serial and a parallel run of the same seed must
 // match field for field, Logs byte for byte.
 type ShardedResult struct {
+	Verdict
 	Logs          [][]byte
 	WorkloadDone  int
 	WorkloadTasks int
@@ -29,11 +30,7 @@ type ShardedResult struct {
 	MsgsDelivered uint64
 	EventsFired   uint64
 	CtxSwitches   uint64
-	Violations    []string
 }
-
-// Failed reports whether the campaign breached any invariant.
-func (r *ShardedResult) Failed() bool { return len(r.Violations) > 0 }
 
 // armShardFaults derives one shard's kernel fault windows from the campaign
 // seed — a pure function of (seed, shard), so serial and parallel runs arm
@@ -72,7 +69,7 @@ func armShardFaults(seed uint64, shard int, k *kernel.Kernel, budget time.Durati
 func ShardedCampaign(seed uint64, class string, budget time.Duration, tasksPerShard int, parallel bool) ShardedResult {
 	c, ok := caseByName(class)
 	if !ok {
-		return ShardedResult{Violations: []string{fmt.Sprintf("unknown class %q", class)}}
+		return ShardedResult{Verdict: Verdict{[]string{fmt.Sprintf("unknown class %q", class)}}}
 	}
 	m := kernel.Machine80()
 	r := conformance.NewShardedRig(c, m, enokic.DefaultConfig())

@@ -12,14 +12,10 @@ import (
 	"fmt"
 	"time"
 
-	"enoki/internal/core"
 	"enoki/internal/enokic"
-	"enoki/internal/kernel"
 	"enoki/internal/ktime"
 	"enoki/internal/overload"
-	"enoki/internal/schedtest"
 	"enoki/internal/schedtest/conformance"
-	"enoki/internal/sim"
 	"enoki/internal/workload/traffic"
 )
 
@@ -27,75 +23,14 @@ import (
 // arrival draws (which use the same seed through the traffic package).
 const trafficSalt uint64 = 0xd6e8feb86659fd93
 
-// TrafficSchedule is one traffic-plane run's plan: traffic shapes plus
-// fault events, all derived from the seed, minimizable through the mask.
-type TrafficSchedule struct {
-	Seed   uint64
-	Class  string
-	Events []Event
-	Mask   uint64
-}
-
-// EnabledAt reports whether event i survives the mask.
-func (s TrafficSchedule) EnabledAt(i int) bool { return s.Mask>>uint(i)&1 == 1 }
-
-// EnabledCount counts surviving events.
-func (s TrafficSchedule) EnabledCount() int {
-	n := 0
-	for i := range s.Events {
-		if s.EnabledAt(i) {
-			n++
-		}
-	}
-	return n
-}
-
-// Enabled returns the surviving events, for reporting.
-func (s TrafficSchedule) Enabled() []Event {
-	out := make([]Event, 0, len(s.Events))
-	for i, ev := range s.Events {
-		if s.EnabledAt(i) {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
-// Spec renders the schedule's replay string.
-func (s TrafficSchedule) Spec() string {
-	return fmt.Sprintf("t1:%s:%x:%x", s.Class, s.Seed, s.Mask)
-}
-
-// ParseTrafficSpec reconstructs a traffic schedule from its replay spec
-// (t1:<class>:<seed hex>:<mask hex>).
-func ParseTrafficSpec(spec string) (TrafficSchedule, error) {
-	class, seed, mask, err := splitSpec(spec, "t1", "t1:<class>:<seed>:<mask>")
-	if err != nil {
-		return TrafficSchedule{}, err
-	}
-	if _, ok := caseByName(class); !ok {
-		return TrafficSchedule{}, &SpecError{Spec: spec, Field: "class",
-			Msg: fmt.Sprintf("unknown class %q", class)}
-	}
-	s := GenerateTraffic(seed, class)
-	if err := checkMask(spec, mask, s.Mask, len(s.Events)); err != nil {
-		return TrafficSchedule{}, err
-	}
-	s.Mask = mask
-	return s, nil
-}
-
-// trafficShapes are the planes GenerateTraffic always leads with.
-var trafficShapes = []Plane{PlaneTrafficFlash, PlaneTrafficAntag, PlaneTrafficChurn}
-
-// GenerateTraffic derives a traffic-plane schedule from a seed — pure, so
-// the seed alone reproduces the plan. The first event is always a traffic
-// shape (a traffic run without traffic tests nothing); the rest mix more
-// shapes with the class's fault planes, so campaigns sweep the cross
-// product of overload and sabotage.
-func GenerateTraffic(seed uint64, class string) TrafficSchedule {
+// generateTraffic derives the t1: plan from a seed. The first event is
+// always a traffic shape (a traffic run without traffic tests nothing); the
+// rest mix more shapes with the class's fault planes, so campaigns sweep the
+// cross product of overload and sabotage.
+func generateTraffic(seed uint64, class string) []Event {
 	rng := ktime.NewRand(seed ^ trafficSalt)
 	c, _ := caseByName(class)
+	const shapes = 3 // pool[:shapes] are the traffic shapes
 	pool := []Plane{PlaneTrafficFlash, PlaneTrafficAntag, PlaneTrafficChurn,
 		PlaneIPIDrop, PlaneIPIDelay, PlaneTimerSkew}
 	if c.NewModule != nil {
@@ -103,10 +38,10 @@ func GenerateTraffic(seed uint64, class string) TrafficSchedule {
 	}
 	n := 2 + int(rng.Intn(3))
 	evs := make([]Event, 0, n)
-	evs = append(evs, trafficEventFor(trafficShapes[rng.Intn(len(trafficShapes))], rng))
+	evs = append(evs, trafficEventFor(pool[rng.Intn(shapes)], rng))
 	for j := 1; j < n; j++ {
-		p := pool[rng.Intn(len(pool))]
-		if p == PlaneTrafficFlash || p == PlaneTrafficAntag || p == PlaneTrafficChurn {
+		i := rng.Intn(len(pool))
+		if p := pool[i]; i < shapes {
 			evs = append(evs, trafficEventFor(p, rng))
 		} else {
 			ev := eventFor(p, rng)
@@ -125,7 +60,7 @@ func GenerateTraffic(seed uint64, class string) TrafficSchedule {
 			evs = append(evs, ev)
 		}
 	}
-	return TrafficSchedule{Seed: seed, Class: class, Events: evs, Mask: 1<<uint(n) - 1}
+	return evs
 }
 
 // trafficEventFor draws one traffic shape's window and multiplier, inside
@@ -145,41 +80,41 @@ func trafficEventFor(p Plane, rng *ktime.Rand) Event {
 	return ev
 }
 
-// TrafficRunConfig tunes one traffic-plane run.
+// trafficBudget bounds a run's virtual time: the 8ms scenario plus generous
+// drain for retry backoff chains under faults.
+const trafficBudget = 60 * time.Millisecond
+
+// TrafficRunConfig selects the t1: configuration under test.
 type TrafficRunConfig struct {
-	// Budget bounds virtual run time (default 60ms: the 8ms scenario plus
-	// generous drain for retry backoff chains under faults).
-	Budget time.Duration
 	// LeakShed plants the seeded overload bug: the controller drops
 	// final-attempt sheds without counting them, so conservation breaks —
 	// the bug the oracle must catch and ddmin must shrink.
 	LeakShed bool
 }
 
-func (rc TrafficRunConfig) withDefaults() TrafficRunConfig {
-	if rc.Budget == 0 {
-		rc.Budget = 60 * time.Millisecond
-	}
-	return rc
-}
-
 // TrafficResult is one traffic run's outcome plus the oracle's verdict.
 type TrafficResult struct {
-	Schedule   TrafficSchedule
-	Report     traffic.Report
-	Killed     bool
-	Failure    *enokic.FailureReport
-	Violations []string
+	Verdict
+	Schedule Schedule[Event]
+	Report   traffic.Report
+	Killed   bool
+	Failure  *enokic.FailureReport
 }
 
-// Failed reports whether the oracle found any invariant breach.
-func (r *TrafficResult) Failed() bool { return len(r.Violations) > 0 }
+// Traffic is the `t1:` family: adversarial traffic shapes mixed with module
+// and kernel faults, driven through the overload-control front door.
+var Traffic = &Family[Event, TrafficRunConfig, TrafficResult]{
+	Prefix: "t1",
+	events: generateTraffic,
+	Run:    runTraffic,
+	flags:  func(rc TrafficRunConfig) string { return flagIf(rc.LeakShed, " -leakshed") },
+}
 
 // trafficScenario builds the fixed two-class scenario a traffic run
 // drives: a fanout service class on the module under test (or CFS for
 // module-less classes) and a CFS background class, two regions, diurnal
 // curve on. The schedule's enabled traffic shapes graft onto it.
-func trafficScenario(s TrafficSchedule, policy int) traffic.Scenario {
+func trafficScenario(s Schedule[Event], policy int) traffic.Scenario {
 	sc := traffic.Scenario{
 		Seed:     s.Seed,
 		Rate:     140_000,
@@ -195,10 +130,7 @@ func trafficScenario(s TrafficSchedule, policy int) traffic.Scenario {
 			{Name: "west", Share: 0.5, Offset: 4 * time.Millisecond},
 		},
 	}
-	for i, ev := range s.Events {
-		if !s.EnabledAt(i) {
-			continue
-		}
+	for _, ev := range s.Enabled() {
 		switch ev.Plane {
 		case PlaneTrafficFlash:
 			sc.Shapes = append(sc.Shapes, traffic.Shape{Kind: traffic.Flash, Class: 0,
@@ -228,104 +160,38 @@ func trafficAdmission(policy int, leak bool) overload.Config {
 	}
 }
 
-// RunTraffic executes one traffic schedule: the scenario's arrivals pass
-// through admission into a single 8-CPU kernel running the class under
-// test, while the schedule's fault events sabotage the module and the
-// machine. Deterministic end to end.
-func RunTraffic(s TrafficSchedule, rc TrafficRunConfig) TrafficResult {
-	rc = rc.withDefaults()
+// runTraffic executes one t1: schedule: the scenario's arrivals pass through
+// admission into a single 8-CPU kernel running the class under test, while
+// the schedule's fault events sabotage the module and the machine.
+func runTraffic(s Schedule[Event], rc TrafficRunConfig) TrafficResult {
 	c, ok := caseByName(s.Class)
 	if !ok {
-		return TrafficResult{Schedule: s, Violations: []string{fmt.Sprintf("unknown class %q", s.Class)}}
+		return TrafficResult{Schedule: s, Verdict: Verdict{[]string{fmt.Sprintf("unknown class %q", s.Class)}}}
 	}
-
-	eng := sim.New()
-	m := kernel.Machine8()
-	k := kernel.New(eng, m, kernel.CostsFor(m))
-	res := TrafficResult{Schedule: s}
-
-	policy := conformance.PolicyCFS
-	inj := &schedtest.Injector{Clock: func() int64 { return int64(k.Now()) }}
-	var adapter *enokic.Adapter
-	if c.NewModule != nil {
-		policy = conformance.PolicyTest
-		adapter = enokic.Load(k, policy, enokic.DefaultConfig(), func(env core.Env) core.Scheduler {
-			inj.Scheduler = c.NewModule(env, k.NumCPUs())
-			return inj
-		})
-	}
-	k.RegisterClass(conformance.PolicyCFS, kernel.NewCFS(k))
-
-	kf := &kernelFaults{clock: inj.Clock, rng: ktime.NewRand(s.Seed ^ kernelSalt)}
-	armedKernel := false
-	for i, ev := range s.Events {
-		if !s.EnabledAt(i) {
-			continue
-		}
-		switch ev.Plane {
-		case PlanePanic:
-			if adapter != nil {
-				inj.PanicSite, inj.PanicAt = ev.Site, ev.Count
-			}
-		case PlaneStall:
-			if adapter != nil {
-				inj.StallFrom = ev.At
-				inj.StallUntil = 0
-				if ev.Dur > 0 {
-					inj.StallUntil = ev.At + ev.Dur
-				}
-			}
-		case PlaneIPIDrop:
-			kf.dropFrom, kf.dropUntil, kf.dropMag = ev.At, ev.At+ev.Dur, ev.Mag
-			armedKernel = true
-		case PlaneIPIDelay:
-			kf.delayFrom, kf.delayUntil, kf.delayMag = ev.At, ev.At+ev.Dur, ev.Mag
-			armedKernel = true
-		case PlaneTimerSkew:
-			kf.skewFrom, kf.skewUntil, kf.skewMag = ev.At, ev.At+ev.Dur, ev.Mag
-			armedKernel = true
-		}
-	}
-	if armedKernel {
-		k.SetFaultInjector(kf)
-	}
-
-	sc := trafficScenario(s, policy)
+	// Traffic shapes fall through the rig's arming; trafficScenario grafts
+	// them onto the scenario.
+	rig := sabotagedRig(c, enokic.DefaultConfig(), s)
+	k := rig.K
+	sc := trafficScenario(s, rig.Policy)
 	ads := map[int]*enokic.Adapter{}
-	if adapter != nil {
-		ads[policy] = adapter
+	if rig.Adapter != nil {
+		ads[rig.Policy] = rig.Adapter
 	}
 	d := traffic.NewDriver(k, sc, traffic.DriverConfig{
-		Controller:  overload.New(trafficAdmission(policy, rc.LeakShed)),
+		Controller:  overload.New(trafficAdmission(rig.Policy, rc.LeakShed)),
 		Adapters:    ads,
 		SampleEvery: 250 * time.Microsecond,
 	})
 	d.Start()
-	k.RunFor(rc.Budget)
+	k.RunFor(trafficBudget)
 
-	if adapter != nil {
-		res.Killed = adapter.Killed()
-		res.Failure = adapter.Failure()
+	res := TrafficResult{Schedule: s, Report: traffic.Collect(d)}
+	if rig.Adapter != nil {
+		res.Killed = rig.Adapter.Killed()
+		res.Failure = rig.Adapter.Failure()
 	}
-	res.Report = traffic.Collect(d)
 	res.Violations = trafficOracle(&res)
 	return res
-}
-
-// trafficKillJustified mirrors killJustified for traffic schedules: only
-// module-sabotage planes earn a kill; traffic shapes never do — overload
-// must shed, not destroy.
-func trafficKillJustified(s TrafficSchedule) bool {
-	for i, ev := range s.Events {
-		if !s.EnabledAt(i) {
-			continue
-		}
-		switch ev.Plane {
-		case PlanePanic, PlaneStall, PlaneForge:
-			return true
-		}
-	}
-	return false
 }
 
 // trafficOracle judges one traffic run. Every rule holds for any correct
@@ -355,9 +221,10 @@ func trafficOracle(r *TrafficResult) []string {
 	if n := r.Report.Admission[1]; n.Shed != 0 {
 		add("unlimited background class shed %d requests", n.Shed)
 	}
-	// Kills must be earned by a module-sabotage plane; a flash crowd that
-	// kills the module means overload reached the trait boundary.
-	if r.Killed && !trafficKillJustified(r.Schedule) {
+	// Kills must be earned by a module-sabotage plane (traffic shapes never
+	// are — overload must shed, not destroy); a flash crowd that kills the
+	// module means overload reached the trait boundary.
+	if r.Killed && !killJustified(r.Schedule) {
 		cause := "unknown"
 		if r.Failure != nil {
 			cause = r.Failure.Fault.String()
@@ -369,117 +236,4 @@ func trafficOracle(r *TrafficResult) []string {
 		add("brownout entered but never recovered within budget")
 	}
 	return v
-}
-
-// MinimizeTraffic shrinks a failing traffic schedule to a minimal
-// reproducer, the same greedy ddmin over the event mask Minimize uses.
-func MinimizeTraffic(s TrafficSchedule, rc TrafficRunConfig) (TrafficSchedule, TrafficResult) {
-	res := RunTraffic(s, rc)
-	if !res.Failed() {
-		return s, res
-	}
-	for changed := true; changed; {
-		changed = false
-		for i := range s.Events {
-			if !s.EnabledAt(i) || s.EnabledCount() == 1 {
-				continue
-			}
-			trial := s
-			trial.Mask &^= 1 << uint(i)
-			if tr := RunTraffic(trial, rc); tr.Failed() {
-				s, res = trial, tr
-				changed = true
-			}
-		}
-	}
-	return s, res
-}
-
-// ReplayTrafficCommand renders the one-liner reproducing a failing
-// traffic schedule with the enoki-chaos CLI.
-func ReplayTrafficCommand(s TrafficSchedule, rc TrafficRunConfig) string {
-	cmd := fmt.Sprintf("enoki-chaos -replay %s", s.Spec())
-	if rc.LeakShed {
-		cmd += " -leakshed"
-	}
-	return cmd
-}
-
-// TrafficFailure is one failing traffic campaign run, minimized.
-type TrafficFailure struct {
-	Result    TrafficResult
-	Minimized TrafficSchedule
-	MinResult TrafficResult
-	Replay    string
-}
-
-// TrafficCampaignConfig drives a traffic-plane campaign.
-type TrafficCampaignConfig struct {
-	// Runs is how many seeded schedules to execute (default 30).
-	Runs int
-	// Seed roots the campaign.
-	Seed uint64
-	// Classes restricts the classes exercised (default: all, round-robin).
-	Classes []string
-	// MaxFailures stops the campaign after minimizing this many failures
-	// (default 3).
-	MaxFailures int
-	// Run tunes the individual runs.
-	Run TrafficRunConfig
-	// Progress, when set, receives one line per completed run.
-	Progress func(string)
-}
-
-// TrafficCampaignResult summarises a traffic campaign.
-type TrafficCampaignResult struct {
-	Runs     int
-	Failures []TrafficFailure
-}
-
-// OK reports a clean campaign.
-func (c *TrafficCampaignResult) OK() bool { return len(c.Failures) == 0 }
-
-// TrafficCampaign sweeps seeded traffic × fault schedules round-robin
-// across the target classes, minimizing every failure. Deterministic: the
-// master seed fixes every run.
-func TrafficCampaign(cfg TrafficCampaignConfig) TrafficCampaignResult {
-	if cfg.Runs == 0 {
-		cfg.Runs = 30
-	}
-	if cfg.MaxFailures == 0 {
-		cfg.MaxFailures = 3
-	}
-	classes := cfg.Classes
-	if len(classes) == 0 {
-		classes = ClassNames()
-	}
-	master := ktime.NewRand(cfg.Seed)
-	out := TrafficCampaignResult{}
-	for i := 0; i < cfg.Runs; i++ {
-		class := classes[i%len(classes)]
-		sch := GenerateTraffic(master.Uint64(), class)
-		res := RunTraffic(sch, cfg.Run)
-		out.Runs++
-		if cfg.Progress != nil {
-			status := "ok"
-			if res.Failed() {
-				status = fmt.Sprintf("FAIL (%d violations)", len(res.Violations))
-			}
-			cfg.Progress(fmt.Sprintf("run %3d %-10s %-26s %s", i, class, sch.Spec(), status))
-		}
-		if !res.Failed() {
-			continue
-		}
-		min, minRes := MinimizeTraffic(sch, cfg.Run)
-		out.Failures = append(out.Failures, TrafficFailure{
-			Result:    res,
-			Minimized: min,
-			MinResult: minRes,
-			Replay:    ReplayTrafficCommand(min, cfg.Run),
-		})
-		if len(out.Failures) >= cfg.MaxFailures {
-			break
-		}
-	}
-	return out
 }

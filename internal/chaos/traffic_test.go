@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"errors"
 	"strings"
 	"testing"
 )
@@ -11,7 +10,7 @@ import (
 const trafficSpec = "t1:shinjuku:2a:3"
 
 func TestParseTrafficSpecRoundTrip(t *testing.T) {
-	s, err := ParseTrafficSpec(trafficSpec)
+	s, err := Traffic.Parse(trafficSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,30 +26,9 @@ func TestParseTrafficSpecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseTrafficSpecTypedErrors(t *testing.T) {
-	for _, spec := range []string{
-		"v1:shinjuku:2a:3",      // wrong prefix
-		"t1:shinjuku:2a",        // truncated
-		"t1::2a:3",              // empty class
-		"t1:nosuch:2a:3",        // unknown class
-		"t1:shinjuku:zz:3",      // bad seed
-		"t1:shinjuku:2a:zz",     // bad mask
-		"t1:shinjuku:2a:ffffff", // mask beyond events
-	} {
-		_, err := ParseTrafficSpec(spec)
-		if err == nil {
-			t.Fatalf("spec %q parsed", spec)
-		}
-		var se *SpecError
-		if !errors.As(err, &se) {
-			t.Fatalf("spec %q: error %v is not a *SpecError", spec, err)
-		}
-	}
-}
-
 func TestGenerateTrafficPure(t *testing.T) {
-	a := GenerateTraffic(99, "shinjuku")
-	b := GenerateTraffic(99, "shinjuku")
+	a := Traffic.Generate(99, "shinjuku")
+	b := Traffic.Generate(99, "shinjuku")
 	if a.Spec() != b.Spec() || len(a.Events) != len(b.Events) {
 		t.Fatal("GenerateTraffic is not pure")
 	}
@@ -64,7 +42,7 @@ func TestGenerateTrafficPure(t *testing.T) {
 // TestTrafficCampaignSmoke is the CI campaign: 30 seeded traffic × fault
 // schedules across every class must uphold every invariant.
 func TestTrafficCampaignSmoke(t *testing.T) {
-	res := TrafficCampaign(TrafficCampaignConfig{Runs: 30, Seed: 1})
+	res := Traffic.Campaign(CampaignConfig[TrafficRunConfig]{Runs: 30, Seed: 1})
 	if !res.OK() {
 		f := res.Failures[0]
 		t.Fatalf("campaign found %d failures; first: %v (replay: %s)",
@@ -81,7 +59,7 @@ func TestTrafficCampaignSmoke(t *testing.T) {
 // reproduces — the full find→shrink→replay loop on the traffic plane.
 func TestTrafficLeakShedCaughtAndMinimized(t *testing.T) {
 	rc := TrafficRunConfig{LeakShed: true}
-	res := TrafficCampaign(TrafficCampaignConfig{
+	res := Traffic.Campaign(CampaignConfig[TrafficRunConfig]{
 		Runs: 12, Seed: 1, MaxFailures: 1, Run: rc,
 		Classes: []string{"shinjuku"},
 	})
@@ -102,18 +80,18 @@ func TestTrafficLeakShedCaughtAndMinimized(t *testing.T) {
 		t.Fatal("ddmin grew the schedule")
 	}
 	// The minimized spec replays to the same failure.
-	s, err := ParseTrafficSpec(f.Minimized.Spec())
+	s, err := Traffic.Parse(f.Minimized.Spec())
 	if err != nil {
 		t.Fatalf("minimized spec does not parse: %v", err)
 	}
 	s.Mask = f.Minimized.Mask
-	again := RunTraffic(s, rc)
+	again := Traffic.Run(s, rc)
 	if !again.Failed() {
 		t.Fatalf("replay of %s passed", f.Replay)
 	}
 	// Without the planted bug the same schedule is clean: the failure is
 	// the seeded bug, not the schedule.
-	clean := RunTraffic(f.Minimized, TrafficRunConfig{})
+	clean := Traffic.Run(f.Minimized, TrafficRunConfig{})
 	if clean.Failed() {
 		t.Fatalf("schedule fails even without LeakShed: %v", clean.Violations)
 	}
@@ -122,9 +100,9 @@ func TestTrafficLeakShedCaughtAndMinimized(t *testing.T) {
 // TestRunTrafficDeterministic pins that a run is a pure function of its
 // schedule: same spec, same totals, fingerprint included.
 func TestRunTrafficDeterministic(t *testing.T) {
-	s := GenerateTraffic(7, "shinjuku")
-	a := RunTraffic(s, TrafficRunConfig{})
-	b := RunTraffic(s, TrafficRunConfig{})
+	s := Traffic.Generate(7, "shinjuku")
+	a := Traffic.Run(s, TrafficRunConfig{})
+	b := Traffic.Run(s, TrafficRunConfig{})
 	if a.Report.Fingerprint() != b.Report.Fingerprint() {
 		t.Fatalf("fingerprints differ: %x vs %x", a.Report.Fingerprint(), b.Report.Fingerprint())
 	}

@@ -15,7 +15,7 @@ func TestCampaignVerifiedTierSmoke(t *testing.T) {
 	if testing.Short() {
 		runs = 7
 	}
-	res := Campaign(CampaignConfig{
+	res := Single.Campaign(CampaignConfig[RunConfig]{
 		Runs: runs,
 		Seed: 0x7e81f1ed,
 		Run:  RunConfig{VerifiedTier: true},
@@ -33,11 +33,9 @@ func TestCampaignVerifiedTierSmoke(t *testing.T) {
 // with the verified tier mounted reports picks and no kill, and the replay
 // command carries the -verified flag.
 func TestRunVerifiedTierReported(t *testing.T) {
-	s := Generate(42, "wfq")
-	for i := range s.Events {
-		s.Mask &^= 1 << uint(i) // disable every fault plane
-	}
-	res := Run(s, RunConfig{VerifiedTier: true})
+	s := Single.Generate(42, "wfq")
+	s.Mask = 0 // disable every fault plane
+	res := Single.Run(s, RunConfig{VerifiedTier: true})
 	if res.Failed() {
 		t.Fatalf("quiet verified run failed: %v", res.Violations)
 	}
@@ -47,7 +45,7 @@ func TestRunVerifiedTierReported(t *testing.T) {
 	if res.VerifiedPicks == 0 {
 		t.Fatal("verified tier reported zero picks")
 	}
-	if cmd := ReplayCommand(s, RunConfig{VerifiedTier: true}); !strings.HasSuffix(cmd, " -verified") {
+	if cmd := Single.ReplayCommand(s, RunConfig{VerifiedTier: true}); !strings.HasSuffix(cmd, " -verified") {
 		t.Fatalf("replay command missing -verified: %q", cmd)
 	}
 }

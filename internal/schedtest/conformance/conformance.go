@@ -112,8 +112,13 @@ func NewRig(c Case, cfg enokic.Config, wrap func(core.Scheduler) core.Scheduler)
 // NewRigOn is NewRig on an explicit machine, for conformance runs that need
 // real topology (the NUMA suite uses Machine80's two sockets).
 func NewRigOn(c Case, m kernel.Machine, cfg enokic.Config, wrap func(core.Scheduler) core.Scheduler) *Rig {
-	eng := sim.New()
-	k := kernel.New(eng, m, kernel.CostsFor(m))
+	return Mount(c, kernel.New(sim.New(), m, kernel.CostsFor(m)), cfg, wrap)
+}
+
+// Mount loads c's class above CFS on an existing kernel — the per-kernel
+// step every rig shares: the single-machine rigs, each shard of a sharded
+// rig, each shard of every machine in the chaos fleet.
+func Mount(c Case, k *kernel.Kernel, cfg enokic.Config, wrap func(core.Scheduler) core.Scheduler) *Rig {
 	r := &Rig{K: k, Policy: PolicyCFS}
 	if c.Verified != nil {
 		vc, err := vpol.Load(k, PolicyVerified, c.Verified, vpol.Config{Fallback: PolicyCFS})

@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"time"
 
-	"enoki/internal/core"
 	"enoki/internal/enokic"
 	"enoki/internal/kernel"
 	"enoki/internal/record"
-	"enoki/internal/vpol"
 )
 
 // ShardedRig is one conformance machine partitioned per NUMA node: every
@@ -30,23 +28,7 @@ func NewShardedRig(c Case, m kernel.Machine, cfg enokic.Config) *ShardedRig {
 	sk := kernel.NewShardedKernel(m, kernel.CostsFor(m), 0)
 	r := &ShardedRig{SK: sk}
 	for i := 0; i < sk.NumShards(); i++ {
-		k := sk.ShardKernel(i)
-		sub := &Rig{K: k, Policy: PolicyCFS}
-		if c.Verified != nil {
-			vc, err := vpol.Load(k, PolicyVerified, c.Verified, vpol.Config{Fallback: PolicyCFS})
-			if err != nil {
-				panic(fmt.Sprintf("conformance: verified load: %v", err))
-			}
-			sub.Verified = vc
-		}
-		if c.NewModule != nil {
-			sub.Adapter = enokic.Load(k, PolicyTest, cfg, func(env core.Env) core.Scheduler {
-				return c.NewModule(env, k.NumCPUs())
-			})
-			sub.Policy = PolicyTest
-		}
-		k.RegisterClass(PolicyCFS, kernel.NewCFS(k))
-		r.Shards = append(r.Shards, sub)
+		r.Shards = append(r.Shards, Mount(c, sk.ShardKernel(i), cfg, nil))
 	}
 	return r
 }

@@ -69,7 +69,7 @@ type System struct {
 }
 
 // ErrSystemClosed is the sentinel wrapped by operations on a closed System:
-// a second Close, or Load after Close.
+// a second Close, or Attach after Close.
 var ErrSystemClosed = errors.New("system closed")
 
 // options collects the functional-option state for NewSystem.
@@ -109,7 +109,7 @@ func WithCosts(c Costs) Option {
 	return func(o *options) { o.costs, o.hasCosts = c, true }
 }
 
-// WithConfig sets the framework Config handed to every Load (default
+// WithConfig sets the framework Config handed to every module (default
 // DefaultConfig).
 func WithConfig(cfg Config) Option {
 	return func(o *options) { o.cfg = cfg }
@@ -139,7 +139,7 @@ func WithTraceSink(t *Tracer) Option {
 // CPUs, run queues, and timers, and the only cross-shard interaction is the
 // remote wake (see ShardedKernel.RemoteWake). n must equal the machine's
 // node count, or be 0 to accept whatever the machine has. Sharding changes
-// the execution strategy, not the model: Load and RegisterCFS apply per
+// the execution strategy, not the model: Attach and RegisterCFS apply per
 // shard, and the simulation stays deterministic in both drive modes.
 //
 // In sharded mode Kernel and Engine return nil — use NumShards and
@@ -246,8 +246,8 @@ func (s *System) SetParallel(on bool) {
 // Close retires the System: on a sharded System it stops the executor's
 // worker goroutines; on an unsharded one it only latches the closed state.
 // The first Close returns nil; closing again returns an error wrapping
-// ErrSystemClosed, and a closed System rejects Load (error) and panics on
-// RegisterClass/RegisterCFS/Run — mirroring the UserQueue double-Close
+// ErrSystemClosed, and a closed System rejects Attach (error) and panics on
+// RegisterCFS/Run — mirroring the UserQueue double-Close
 // hardening, so lifecycle bugs surface as clean failures instead of
 // use-after-close corruption.
 func (s *System) Close() error {
@@ -261,42 +261,8 @@ func (s *System) Close() error {
 	return nil
 }
 
-// Config returns the framework Config used for Load.
+// Config returns the framework Config handed to every attached module.
 func (s *System) Config() Config { return s.cfg }
-
-// Load constructs a scheduler module via factory and registers it under
-// policy.
-//
-// Deprecated: use Attach with a GoModule source — Load is a thin shim over
-// it and keeps its exact error semantics (ErrDuplicatePolicy,
-// ErrPolicyMismatch, ErrSystemClosed; per-shard loads in sharded mode).
-func (s *System) Load(policy int, factory func(Env) Scheduler) (*Adapter, error) {
-	return s.Attach(policy, GoModule(factory))
-}
-
-// MustLoad is Load panicking on error.
-//
-// Deprecated: use MustAttach with a GoModule source.
-func (s *System) MustLoad(policy int, factory func(Env) Scheduler) *Adapter {
-	return s.MustAttach(policy, GoModule(factory))
-}
-
-// RegisterClass registers a native (non-module) scheduler class under
-// policy, panicking on misuse (closed System, sharded mode, duplicate id).
-//
-// Deprecated: use Attach with a BuiltinClass source, which reports the same
-// conditions as typed errors instead of panics.
-func (s *System) RegisterClass(policy int, c Class) {
-	if s.closed {
-		panic("enoki: RegisterClass on a closed System")
-	}
-	if s.sk != nil {
-		panic("enoki: RegisterClass binds one Class to one kernel; in sharded mode register per ShardKernel (or use RegisterCFS)")
-	}
-	if _, err := s.Attach(policy, BuiltinClass(c)); err != nil {
-		panic(fmt.Sprintf("enoki: %v", err))
-	}
-}
 
 // RegisterCFS builds the native CFS baseline, registers it under policy,
 // and returns it. Register it after every Enoki module so the modules sit
@@ -319,7 +285,7 @@ func (s *System) RegisterCFS(policy int) *kernel.CFS {
 		return first
 	}
 	c := kernel.NewCFS(s.k)
-	s.RegisterClass(policy, c)
+	s.MustAttach(policy, BuiltinClass(c))
 	return c
 }
 

@@ -32,12 +32,12 @@ func TestNewSystemDefaults(t *testing.T) {
 func TestNewSystemNUMA(t *testing.T) {
 	sys := enoki.NewSystem(enoki.WithMachine(enoki.Machine80()))
 	var topo *enoki.Topology
-	ad, err := sys.Load(1, func(env enoki.Env) enoki.Scheduler {
+	ad, err := sys.Attach(1, enoki.GoModule(func(env enoki.Env) enoki.Scheduler {
 		topo = env.Topology()
 		return enoki.NewFIFOScheduler(env, 1)
-	})
+	}))
 	if err != nil || ad == nil {
-		t.Fatalf("Load failed: %v", err)
+		t.Fatalf("Attach failed: %v", err)
 	}
 	sys.RegisterCFS(0)
 	if topo == nil || topo.NumNodes() != 2 || topo.NumCPUs() != 80 {
@@ -48,23 +48,23 @@ func TestNewSystemNUMA(t *testing.T) {
 	}
 }
 
-// TestSystemLoadErrors: Load surfaces the enokic sentinels unchanged.
+// TestSystemLoadErrors: Attach surfaces the enokic sentinels unchanged.
 func TestSystemLoadErrors(t *testing.T) {
 	sys := enoki.NewSystem()
-	if _, err := sys.Load(1, func(env enoki.Env) enoki.Scheduler {
+	if _, err := sys.Attach(1, enoki.GoModule(func(env enoki.Env) enoki.Scheduler {
 		return enoki.NewFIFOScheduler(env, 1)
-	}); err != nil {
+	})); err != nil {
 		t.Fatalf("first load failed: %v", err)
 	}
-	_, err := sys.Load(1, func(env enoki.Env) enoki.Scheduler {
+	_, err := sys.Attach(1, enoki.GoModule(func(env enoki.Env) enoki.Scheduler {
 		return enoki.NewFIFOScheduler(env, 1)
-	})
+	}))
 	if !errors.Is(err, enoki.ErrDuplicatePolicy) {
 		t.Fatalf("err = %v, want ErrDuplicatePolicy", err)
 	}
-	_, err = sys.Load(2, func(env enoki.Env) enoki.Scheduler {
+	_, err = sys.Attach(2, enoki.GoModule(func(env enoki.Env) enoki.Scheduler {
 		return enoki.NewFIFOScheduler(env, 3) // mismatched policy
-	})
+	}))
 	if !errors.Is(err, enoki.ErrPolicyMismatch) {
 		t.Fatalf("err = %v, want ErrPolicyMismatch", err)
 	}
@@ -79,9 +79,9 @@ func TestSystemRecorderDeferred(t *testing.T) {
 	if sys.Recorder() != nil {
 		t.Fatal("recorder exists before its drain class is registered")
 	}
-	sys.MustLoad(1, func(env enoki.Env) enoki.Scheduler {
+	sys.MustAttach(1, enoki.GoModule(func(env enoki.Env) enoki.Scheduler {
 		return enoki.NewFIFOScheduler(env, 1)
-	})
+	}))
 	sys.RegisterCFS(0)
 	rec := sys.Recorder()
 	if rec == nil {
@@ -98,7 +98,7 @@ func TestSystemRecorderDeferred(t *testing.T) {
 	}
 }
 
-// TestSystemSharded: WithShards partitions the two-socket machine, Load and
+// TestSystemSharded: WithShards partitions the two-socket machine, Attach and
 // RegisterCFS apply per shard, tasks run on both shards, and the serial and
 // parallel drives complete the same work.
 func TestSystemSharded(t *testing.T) {
@@ -114,13 +114,13 @@ func TestSystemSharded(t *testing.T) {
 		if sys.Kernel() != nil || sys.Engine() != nil {
 			t.Fatal("sharded System must not expose a single kernel/engine")
 		}
-		if _, err := sys.Load(1, func(env enoki.Env) enoki.Scheduler {
+		if _, err := sys.Attach(1, enoki.GoModule(func(env enoki.Env) enoki.Scheduler {
 			return enoki.NewFIFOScheduler(env, 1)
-		}); err != nil {
-			t.Fatalf("sharded Load failed: %v", err)
+		})); err != nil {
+			t.Fatalf("sharded Attach failed: %v", err)
 		}
 		if got := len(sys.Adapters()); got != 2 {
-			t.Fatalf("sharded Load made %d adapters, want one per shard", got)
+			t.Fatalf("sharded Attach made %d adapters, want one per shard", got)
 		}
 		sys.RegisterCFS(0)
 		done := make([]int, sys.NumShards())
@@ -165,15 +165,15 @@ func TestSystemShardedRejects(t *testing.T) {
 		enoki.NewSystem(enoki.WithMachine(enoki.Machine80()), enoki.WithShards(0),
 			enoki.WithRecorder(&bytes.Buffer{}, 0))
 	})
-	mustPanic("RegisterClass sharded", func() {
+	mustPanic("BuiltinClass sharded", func() {
 		sys := enoki.NewSystem(enoki.WithMachine(enoki.Machine80()), enoki.WithShards(0))
-		sys.RegisterClass(0, enoki.NewCFS(sys.ShardKernel(0)))
+		sys.MustAttach(0, enoki.BuiltinClass(enoki.NewCFS(sys.ShardKernel(0))))
 	})
 }
 
 // TestSystemCloseIdempotence: Close is safe on both system flavors — the
 // first call succeeds, the second reports ErrSystemClosed, and a closed
-// System rejects Load with a typed error instead of corrupting state.
+// System rejects Attach with a typed error instead of corrupting state.
 func TestSystemCloseIdempotence(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -195,9 +195,9 @@ func TestSystemCloseIdempotence(t *testing.T) {
 			if err := sys.Close(); !errors.Is(err, enoki.ErrSystemClosed) {
 				t.Fatalf("second Close = %v, want ErrSystemClosed", err)
 			}
-			_, err := sys.Load(1, func(env enoki.Env) enoki.Scheduler { return nil })
+			_, err := sys.Attach(1, enoki.GoModule(func(env enoki.Env) enoki.Scheduler { return nil }))
 			if !errors.Is(err, enoki.ErrSystemClosed) {
-				t.Fatalf("Load after Close = %v, want ErrSystemClosed", err)
+				t.Fatalf("Attach after Close = %v, want ErrSystemClosed", err)
 			}
 			func() {
 				defer func() {
