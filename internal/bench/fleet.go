@@ -63,13 +63,8 @@ type FleetResult struct {
 // the wall-clock cost. killAt is when the sacrificial machine fails; it
 // must land while jobs are still in flight for the failover verdict to mean
 // anything.
-func fleetDrive(machines int, m kernel.Machine, jobs int, killAt time.Duration, parallel bool) (cluster.Stats, uint64, ktime.Time, time.Duration) {
-	cl := cluster.New(cluster.Config{
-		Machines: machines,
-		Machine:  m,
-		Parallel: parallel,
-		Placer:   cluster.LeastLoaded{},
-	})
+func fleetDrive(cfg cluster.Config, jobs int, killAt time.Duration) (cluster.Stats, uint64, ktime.Time, time.Duration) {
+	cl := cluster.New(cfg)
 	defer cl.Close()
 	rng := ktime.NewRand(0xf1ee7b47)
 	for i := 0; i < jobs; i++ {
@@ -81,7 +76,7 @@ func fleetDrive(machines int, m kernel.Machine, jobs int, killAt time.Duration, 
 	}
 	// One machine dies mid-run; the detector fires and its jobs restart
 	// elsewhere from their checkpoints.
-	cl.FailMachine(machines/3, killAt)
+	cl.FailMachine(cfg.Machines/3, killAt)
 	start := time.Now()
 	cl.RunUntilIdle()
 	wall := time.Since(start)
@@ -133,8 +128,10 @@ func fleetScale(m kernel.Machine) (machines, jobs int) {
 // serial and parallel, and assembles the verdicts.
 func RunFleet(m kernel.Machine) *FleetResult {
 	machines, jobs := fleetScale(m)
-	serial, fpSerial, virt, wallSerial := fleetDrive(machines, m, jobs, 5*time.Millisecond, false)
-	_, fpPar, _, wallPar := fleetDrive(machines, m, jobs, 5*time.Millisecond, true)
+	cfg := cluster.Config{Machines: machines, Machine: m, Placer: cluster.LeastLoaded{}}
+	serial, fpSerial, virt, wallSerial := fleetDrive(cfg, jobs, 5*time.Millisecond)
+	cfg.Parallel = true
+	_, fpPar, _, wallPar := fleetDrive(cfg, jobs, 5*time.Millisecond)
 
 	r := &FleetResult{
 		Machines: machines, MachineCPUs: m.NumCPUs, Shards: m.NumNodes, Jobs: jobs,

@@ -2,10 +2,13 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"enoki/internal/kernel"
+	"enoki/internal/ktime"
 )
 
 // TestClusterLifecycle walks the happy path: jobs are placed, run, and
@@ -215,5 +218,62 @@ func TestPlacerByName(t *testing.T) {
 	}
 	if PlacerByName("nope") != nil {
 		t.Fatal("unknown placer name must map to nil")
+	}
+}
+
+// migrationTrace drives c to idle one network latency at a time and records
+// every rebalance decision as "job:from>to@tick" — a stop stays in flight for
+// at least a round trip, so polling at the one-way latency sees each one
+// while the job is still Stopping with its source and target in the record.
+func migrationTrace(c *Cluster) string {
+	var sb strings.Builder
+	seen := map[int]int{} // job id → migrations already traced
+	step := c.cfg.NetLatency
+	for at := time.Duration(0); c.sched.live > 0 && c.sched.anyAlive(); at += step {
+		c.Run(step)
+		for id := 0; id < c.NumJobs(); id++ {
+			j := c.Job(id)
+			if j.State == JobStopping && seen[id] == j.Migrations {
+				seen[id]++
+				fmt.Fprintf(&sb, "%d:%d>%d@%d ", id, j.Machine, j.Desired, (at+step)/c.cfg.ReconcileEvery)
+			}
+		}
+	}
+	return strings.TrimSpace(sb.String())
+}
+
+// TestRebalanceMigrationSequencePinned pins which job the rebalancer picks,
+// from where, to where and on which reconcile tick — "lowest-id Running job
+// on the most loaded machine" — for TestClusterRebalanceMigrates's cluster
+// and for the bench package's pinned pack-rebalance fleet drive (kill
+// included). Captured at 101d1ac.
+func TestRebalanceMigrationSequencePinned(t *testing.T) {
+	a := New(Config{Machines: 2, Placer: &Pack{PerCPU: 8}, RebalanceSpread: 1})
+	defer a.Close()
+	for i := 0; i < 12; i++ {
+		a.Submit(JobSpec{Cycles: 40, Run: 100 * time.Microsecond})
+	}
+	if got, want := migrationTrace(a),
+		"0:0>1@2 1:0>1@3 2:0>1@4 3:0>1@5 4:0>1@6 5:0>1@7 0:1>0@22 9:0>1@23 10:0>1@24"; got != want {
+		t.Errorf("two-machine pack: migrations\n got  %s\n want %s", got, want)
+	}
+
+	b := New(Config{Machines: 6, Machine: kernel.Machine8(), Placer: &Pack{PerCPU: 2}, RebalanceSpread: 3})
+	defer b.Close()
+	rng := ktime.NewRand(0xf1ee7b47)
+	for i := 0; i < 120; i++ {
+		b.Submit(JobSpec{
+			Cycles: 2 + rng.Intn(3),
+			Run:    time.Duration(100+rng.Intn(200)) * time.Microsecond,
+			Sleep:  time.Duration(rng.Intn(2)) * 200 * time.Microsecond,
+		})
+	}
+	b.FailMachine(2, time.Millisecond)
+	if got, want := migrationTrace(b),
+		"48:3>1@5 33:2>4@6 34:2>5@7 16:1>4@8 2:0>4@9 44:3>5@10 24:1>5@11 26:1>5@12 45:3>4@13 35:0>4@14"; got != want {
+		t.Errorf("pinned pack-rebalance drive: migrations\n got  %s\n want %s", got, want)
+	}
+	if st := b.Stats(); st.Migrations != 10 || st.Done != 120 {
+		t.Errorf("pack-rebalance drive: %d migrations, %d done; the bench pin has 10 and 120", st.Migrations, st.Done)
 	}
 }
