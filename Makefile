@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build test race vet bench bench-cluster bench-fleet bench-rollout bench-overload fleet rollout overload sharded verified quick cover fuzz trace apicheck chaos
+.PHONY: check build test race vet bench bench-cluster bench-fleet bench-rollout bench-overload fleet rollout overload sharded verified quick cover fuzz trace apicheck chaos ledger-smoke
 
 check: vet build race apicheck
 
@@ -52,10 +52,20 @@ bench-rollout:
 bench-overload:
 	$(GO) run ./cmd/enokibench -overload BENCH_cluster.json
 
+# Correctness smoke of the performance ledger (benchmark/): all six
+# workloads at smoke size, about seven seconds. It exits non-zero when any
+# workload's output check fails (fail_ratio), two runs of one input disagree
+# (sim_nondet) or a named metric goes missing — so the workloads every
+# performance claim is measured on are checked on every PR. The numbers it
+# prints are not a measurement; `go run ./benchmark run` is.
+ledger-smoke:
+	$(GO) run ./benchmark run -size smoke -seconds 1
+
 # Fleet gate mirroring the CI job: the whole cluster control plane under the
-# race detector — placement, migration, failover, Close lifecycle — plus the
-# fleet executor's serial-vs-parallel identity, the machine-kill chaos
-# replay, and the scaled-down fleet benchmark's fingerprint check.
+# race detector — placement, migration, failover, Close lifecycle, and the
+# job path's allocation ratchet (TestClusterJobAllocs) — plus the fleet
+# executor's serial-vs-parallel identity, the machine-kill chaos replay, and
+# the scaled-down fleet benchmark's pinned fingerprints and stats.
 fleet:
 	$(GO) test -race -count=1 ./internal/cluster
 	$(GO) test -race -run 'TestFleet|FuzzParseSpec' -count=1 ./internal/sim ./internal/chaos ./internal/bench
@@ -84,10 +94,12 @@ overload:
 
 # Sharded-executor gate mirroring the CI job: serial-vs-parallel record-log
 # identity and conformance for every scheduler class under the race detector,
-# plus the sharded allocation ratchet.
+# plus the allocation ratchets of what the executor stands on: the sharded
+# steady state at 0 allocs/op, a cold engine's timer wheel, and one
+# allocation per kernel task from spawn to exit.
 sharded:
-	$(GO) test -race -run 'TestSharded' -count=1 ./internal/sim ./internal/schedtest/conformance ./internal/chaos
-	$(GO) test -race -run 'TestRemoteWake|TestScheduleOpShardedZeroAlloc' -count=1 ./internal/kernel
+	$(GO) test -race -run 'TestSharded|TestEngineColdWheelAllocs' -count=1 ./internal/sim ./internal/schedtest/conformance ./internal/chaos
+	$(GO) test -race -run 'TestRemoteWake|TestScheduleOpShardedZeroAlloc|TestSpawnExitAllocs' -count=1 ./internal/kernel
 
 # Verified-tier gate mirroring the CI job: the bytecode verifier, interpreter
 # and fault road under the race detector; the verified class through the

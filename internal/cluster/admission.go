@@ -53,7 +53,7 @@ func (c *Cluster) offer(class int, spec JobSpec, attempt int) overload.Verdict {
 	switch v {
 	case overload.Admitted:
 		id := c.Submit(spec)
-		c.jobClass[id] = class
+		c.sched.jobs.at(id).class = int32(class) + 1
 	case overload.Retry:
 		c.ctrl.Post(ktime.Duration(c.adm.Backoff(class, attempt)), func() {
 			c.offer(class, spec, attempt+1)
@@ -68,7 +68,7 @@ func (c *Cluster) jobDone(id int) {
 	if c.adm == nil {
 		return
 	}
-	if class, ok := c.jobClass[id]; ok {
-		c.adm.Done(class)
+	if class := c.sched.jobs.at(id).class; class > 0 {
+		c.adm.Done(int(class) - 1)
 	}
 }

@@ -15,6 +15,29 @@ func admCluster(t *testing.T, machines int, classes []overload.ClassConfig) *Clu
 	return c
 }
 
+// checkAdmissionState asserts what replaced the never-pruned job→class map:
+// per-job admission state is one field of the job's own slab record, so it
+// is bounded by the job count by construction, exactly the admitted jobs
+// carry a class, and there is nothing that could be left to prune.
+func checkAdmissionState(t *testing.T, c *Cluster) {
+	t.Helper()
+	records, classed := 0, 0
+	for _, chunk := range c.sched.jobs.chunks {
+		records += len(chunk)
+		for i := range chunk {
+			if chunk[i].class > 0 {
+				classed++
+			}
+		}
+	}
+	if records != c.NumJobs() {
+		t.Fatalf("%d per-job records for %d jobs", records, c.NumJobs())
+	}
+	if admitted := int(c.Overload().Total().Admitted); classed != admitted {
+		t.Fatalf("%d jobs carry an admission class, %d were admitted", classed, admitted)
+	}
+}
+
 func TestOfferAdmitShedRetryConservation(t *testing.T) {
 	c := admCluster(t, 2, []overload.ClassConfig{
 		// Backoff outlives a job (reconcile 200µs + net latency + 100µs
@@ -53,6 +76,7 @@ func TestOfferAdmitShedRetryConservation(t *testing.T) {
 	if c.Backlog() != 0 {
 		t.Fatalf("drained cluster backlog %d", c.Backlog())
 	}
+	checkAdmissionState(t, c)
 }
 
 func TestSubmitBypassesAdmission(t *testing.T) {
@@ -102,4 +126,5 @@ func TestOfferConservationAcrossMachineFailure(t *testing.T) {
 	if v := c.Overload().CheckConservation(true); len(v) != 0 {
 		t.Fatalf("conservation across failure: %v", v)
 	}
+	checkAdmissionState(t, c)
 }

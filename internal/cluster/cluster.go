@@ -15,6 +15,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"enoki/internal/enokic"
@@ -107,8 +108,62 @@ type Cluster struct {
 	sched    *jobScheduler
 	rollout  *Rollout
 	adm      *overload.Controller
-	jobClass map[int]int // job id → admission class, for jobs that entered via Offer
 	closed   bool
+}
+
+// ctrlPlane is fleet node 0: the control-plane engine as a sim.MsgSink. A
+// committed lifecycle report waits in inbox until its instant and is handled
+// by one engine event of its own — the event the closure road posted, so the
+// control plane's event count and order are unchanged. The fleet commits in
+// nondecreasing time order and the engine fires ties in posting order, so
+// the k-th report event to fire belongs to the k-th report committed: a FIFO
+// is all the bookkeeping it takes (next panics if the instants ever differ).
+type ctrlPlane struct {
+	*sim.Engine
+	c     *Cluster
+	inbox []report
+	head  int
+	fire  func() // next, built once
+}
+
+// report is a lifecycle sim.Msg cut down to the operands reports use.
+type report struct {
+	at     ktime.Time
+	left   int64 // msgStopped: cycles left at the checkpoint
+	id, mi int32
+	kind   uint8
+}
+
+// AcceptMsg implements sim.MsgSink.
+func (p *ctrlPlane) AcceptMsg(at ktime.Time, m *sim.Msg) {
+	if len(p.inbox) == cap(p.inbox) { // double, like the fleet's queues: acks come in bursts
+		p.inbox = slices.Grow(p.inbox, max(len(p.inbox), 8))
+	}
+	p.inbox = append(p.inbox, report{at: at, left: m.X, id: m.A, mi: m.B, kind: m.Kind})
+	p.PostAt(at, p.fire)
+}
+
+// next handles the oldest waiting report.
+func (p *ctrlPlane) next() {
+	r := &p.inbox[p.head]
+	if r.at != p.Now() {
+		panic(fmt.Sprintf("cluster: report due at %v handled at %v", r.at, p.Now()))
+	}
+	p.head++
+	s, id, mi := p.c.sched, int(r.id), int(r.mi)
+	switch r.kind {
+	case msgStarted:
+		s.onStarted(id, mi)
+	case msgStopped:
+		s.onStopped(id, mi, int(r.left))
+	case msgDone:
+		s.onDone(id, mi)
+	default:
+		panic(fmt.Sprintf("cluster: control plane got message kind %d", r.kind))
+	}
+	if p.head == len(p.inbox) { // commits happen between epochs: nothing arrived meanwhile
+		p.inbox, p.head = p.inbox[:0], 0
+	}
 }
 
 // New builds a cluster: fleet node 0 is the control-plane engine, nodes
@@ -121,9 +176,10 @@ func New(cfg Config) *Cluster {
 	c := &Cluster{cfg: cfg, fl: sim.NewFleet(ktime.Duration(cfg.NetLatency)), ctrl: sim.New()}
 	if len(cfg.Admission) > 0 {
 		c.adm = overload.New(overload.Config{Classes: cfg.Admission})
-		c.jobClass = make(map[int]int)
 	}
-	c.ctrlNode = c.fl.AddNode(c.ctrl)
+	plane := &ctrlPlane{Engine: c.ctrl, c: c}
+	plane.fire = plane.next
+	c.ctrlNode = c.fl.AddNode(plane)
 	c.ctrlSrc = c.fl.AddSource(c.ctrlNode)
 	for i := 0; i < cfg.Machines; i++ {
 		c.machines = append(c.machines, newMachine(c, i))
@@ -140,13 +196,13 @@ func (c *Cluster) Submit(spec JobSpec) int {
 		panic("cluster: Submit on a closed cluster")
 	}
 	spec = spec.withDefaults()
-	id := len(c.sched.jobs)
-	c.sched.jobs = append(c.sched.jobs, &Job{
+	id := c.sched.jobs.n
+	c.sched.jobs.add().Job = Job{
 		ID: id, Spec: spec, State: JobPending,
 		Machine: -1, Desired: -1,
 		CyclesLeft:  spec.Cycles,
 		SubmittedAt: c.ctrl.Now(),
-	})
+	}
 	c.sched.queue = append(c.sched.queue, id)
 	c.sched.live++
 	c.sched.arm()
@@ -206,10 +262,10 @@ func (c *Cluster) Machine(i int) *Machine { return c.machines[i] }
 func (c *Cluster) Fleet() *sim.Fleet { return c.fl }
 
 // Job returns a copy of job id's control-plane record.
-func (c *Cluster) Job(id int) Job { return *c.sched.jobs[id] }
+func (c *Cluster) Job(id int) Job { return c.sched.jobs.at(id).Job }
 
 // NumJobs returns how many jobs have been submitted.
-func (c *Cluster) NumJobs() int { return len(c.sched.jobs) }
+func (c *Cluster) NumJobs() int { return c.sched.jobs.n }
 
 // Views returns a copy of the control plane's machine views.
 func (c *Cluster) Views() []MachineView {
@@ -246,7 +302,7 @@ type Stats struct {
 func (c *Cluster) Stats() Stats {
 	s := c.sched
 	st := Stats{
-		Submitted: len(s.jobs), Done: s.done, Lost: s.lost,
+		Submitted: s.jobs.n, Done: s.done, Lost: s.lost,
 		Migrations: s.migrations, StartsSent: s.starts, StopsSent: s.stops,
 		PlaceP50: time.Duration(s.placeHist.Quantile(0.50)),
 		PlaceP99: time.Duration(s.placeHist.Quantile(0.99)),

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -275,5 +276,43 @@ func TestRebalanceMigrationSequencePinned(t *testing.T) {
 	}
 	if st := b.Stats(); st.Migrations != 10 || st.Done != 120 {
 		t.Errorf("pack-rebalance drive: %d migrations, %d done; the bench pin has 10 and 120", st.Migrations, st.Done)
+	}
+}
+
+// TestClusterJobAllocs is the job-path allocation ratchet, counted the way
+// the benchmark ledger counts (runtime.MemStats.Mallocs over the run region,
+// set-up and Submit excluded): a job's whole life — place, start message,
+// spawn, two to four segments, exit, done report — with a machine failure
+// and its restarts included, stays under five allocations. One is the
+// kernel task; the rest of the budget is what slabs, chunks and queues
+// spend growing to the run's high-water mark, amortized. It was 22 when
+// every message, job record, timer and tree node was an allocation of its
+// own.
+func TestClusterJobAllocs(t *testing.T) {
+	const machines, jobs = 20, 4000
+	c := New(Config{Machines: machines, Machine: kernel.Machine8()})
+	defer c.Close()
+	rng := ktime.NewRand(0xa110c5)
+	for i := 0; i < jobs; i++ {
+		c.Submit(JobSpec{
+			Cycles: 2 + rng.Intn(3),
+			Run:    time.Duration(100+rng.Intn(200)) * time.Microsecond,
+			Sleep:  time.Duration(rng.Intn(2)) * 200 * time.Microsecond,
+		})
+	}
+	c.FailMachine(machines/3, 5*time.Millisecond)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c.RunUntilIdle()
+	runtime.ReadMemStats(&after)
+	st := c.Stats()
+	if st.Done != jobs || st.Lost == 0 {
+		t.Fatalf("run region incomplete: %d of %d done, %d lost", st.Done, jobs, st.Lost)
+	}
+	per := float64(after.Mallocs-before.Mallocs) / jobs
+	t.Logf("%.2f allocs/job (%d tasks spawned)", per, st.TasksSpawned)
+	if per > 5.0 {
+		t.Fatalf("job path costs %.2f allocs/job, want <= 5.0", per)
 	}
 }

@@ -1,9 +1,26 @@
 package cluster
 
 import (
+	"fmt"
+	"time"
+
 	"enoki/internal/enokic"
 	"enoki/internal/kernel"
 	"enoki/internal/ktime"
+	"enoki/internal/sim"
+)
+
+// The job-lifecycle vocabulary: the sim.Msg kinds the control plane and the
+// machine agents exchange, one value message per start, stop and report.
+// A is always the job id.
+const (
+	// Control plane → machine (Shard is the job's shard).
+	msgStart uint8 = iota + 1 // B cycles left, X run, Y sleep, S task name
+	msgStop
+	// Machine → control plane (B is the reporting machine).
+	msgStarted
+	msgStopped // X cycles left at the checkpoint
+	msgDone
 )
 
 // Machine is the agent side of the control loop: one simulated machine — a
@@ -27,10 +44,12 @@ type Machine struct {
 	// race.
 	node int
 	src  []int
-	// jobs is the agent's running-set, keyed by job id. Only shard contexts
-	// of this machine touch it, and the machine drive is serial, so no
-	// locking.
-	jobs    map[int]*jobRun
+	// runs is the agent's running-set: jobRun records in a slab (a record's
+	// address is stable while its task holds it as a Behavior), finished
+	// ones chained on free for the next start. Only shard contexts of this
+	// machine touch either, and the machine drive is serial, so no locking.
+	runs    slab[jobRun]
+	free    *jobRun
 	spawned uint64
 	// ads are the per-shard upgradable modules (index = shard, nil where
 	// Config.SetupModules registered none). Each adapter is mutated only by
@@ -39,18 +58,49 @@ type Machine struct {
 	ads []*enokic.Adapter
 }
 
-// jobRun is the on-machine state of one placed job.
+// jobRun is the on-machine state of one placed job and, with no closure per
+// job, its task's kernel.Behavior and kernel.Exiter: the task runs cyclesLeft
+// compute segments, parking between them per the spec, and honors the
+// cooperative stop flag at every cycle boundary.
 type jobRun struct {
-	id         int
-	shard      int
+	m          *Machine
+	next       *jobRun // free-list link
+	id         int32   // -1 while the record is free
+	shard      int32
 	cyclesLeft int
 	stop       bool // cooperative stop flag, checked at cycle boundaries
-	spec       JobSpec
+	run, sleep time.Duration
+}
+
+// Next implements kernel.Behavior.
+func (jr *jobRun) Next(*kernel.Kernel, *kernel.Task) kernel.Action {
+	if jr.stop || jr.cyclesLeft <= 0 {
+		return kernel.Action{Op: kernel.OpExit}
+	}
+	jr.cyclesLeft--
+	if jr.sleep > 0 {
+		return kernel.Action{Run: jr.run, Op: kernel.OpSleep, SleepFor: jr.sleep}
+	}
+	return kernel.Action{Run: jr.run, Op: kernel.OpYield}
+}
+
+// Exited implements kernel.Exiter on the owning shard: report the completion
+// or the migration checkpoint, and free the record.
+func (jr *jobRun) Exited(*kernel.Task) {
+	m := jr.m
+	if jr.stop && jr.cyclesLeft > 0 {
+		m.reportMsg(int(jr.shard), sim.Msg{Kind: msgStopped, A: jr.id, X: int64(jr.cyclesLeft)})
+	} else {
+		m.reportMsg(int(jr.shard), sim.Msg{Kind: msgDone, A: jr.id})
+	}
+	jr.id = -1
+	jr.next, m.free = m.free, jr
 }
 
 func newMachine(c *Cluster, id int) *Machine {
 	sk := kernel.NewShardedKernel(c.cfg.Machine, kernel.CostsFor(c.cfg.Machine), 0)
-	m := &Machine{c: c, id: id, sk: sk, jobs: make(map[int]*jobRun)}
+	m := &Machine{c: c, id: id, sk: sk}
+	sk.Executor().SetMsgHandler(m.handle)
 	m.node = c.fl.AddNode(sk)
 	for s := 0; s < sk.NumShards(); s++ {
 		m.src = append(m.src, c.fl.AddSource(m.node))
@@ -85,8 +135,8 @@ func (m *Machine) TasksSpawned() uint64 { return m.spawned }
 // only — mid-run the shards own it.
 func (m *Machine) Adapters() []*enokic.Adapter { return m.ads }
 
-// report sends a lifecycle report from shard context back to the control
-// plane, one network latency away.
+// report sends a closure from shard context back to the control plane, one
+// network latency away: the rollout acks' road. Job reports take reportMsg.
 func (m *Machine) report(shard int, fn func(s *jobScheduler)) {
 	c := m.c
 	at := m.sk.ShardKernel(shard).Now().Add(ktime.Duration(c.cfg.NetLatency))
@@ -95,48 +145,64 @@ func (m *Machine) report(shard int, fn func(s *jobScheduler)) {
 	})
 }
 
+// reportMsg sends a job lifecycle report, stamped with this machine's id,
+// from shard context back to the control plane one network latency away.
+func (m *Machine) reportMsg(shard int, msg sim.Msg) {
+	c := m.c
+	msg.B = int32(m.id)
+	at := m.sk.ShardKernel(shard).Now().Add(ktime.Duration(c.cfg.NetLatency))
+	c.fl.SendMsg(m.src[shard], c.ctrlNode, at, msg)
+}
+
+// handle executes one control-plane operation in the target shard's context.
+func (m *Machine) handle(shard int, msg *sim.Msg) {
+	switch msg.Kind {
+	case msgStart:
+		m.applyStart(shard, msg)
+	case msgStop:
+		m.applyStop(msg.A)
+	default:
+		panic(fmt.Sprintf("cluster: machine %d got message kind %d", m.id, msg.Kind))
+	}
+}
+
+// newRun takes a record off the free list, or a new one from the slab.
+func (m *Machine) newRun() *jobRun {
+	jr := m.free
+	if jr == nil {
+		jr = m.runs.add()
+		jr.m = m
+		return jr
+	}
+	m.free, jr.next = jr.next, nil
+	return jr
+}
+
 // applyStart executes a start operation inside shard context: spawn the
-// job's task into the configured policy class and ack the placement. The
-// task runs cyclesLeft compute segments, parking between them per the spec,
-// and honors the cooperative stop flag at every cycle boundary.
-func (m *Machine) applyStart(id, shard, cycles int, spec JobSpec) {
-	k := m.sk.ShardKernel(shard)
-	jr := &jobRun{id: id, shard: shard, cyclesLeft: cycles, spec: spec}
-	m.jobs[id] = jr
+// job's task into the configured policy class and ack the placement.
+func (m *Machine) applyStart(shard int, msg *sim.Msg) {
+	jr := m.newRun()
+	jr.id, jr.shard = msg.A, int32(shard)
+	jr.cyclesLeft, jr.stop = int(msg.B), false
+	jr.run, jr.sleep = time.Duration(msg.X), time.Duration(msg.Y)
 	m.spawned++
-	k.Spawn(spec.Name, m.c.cfg.Policy, kernel.BehaviorFunc(
-		func(*kernel.Kernel, *kernel.Task) kernel.Action {
-			if jr.stop || jr.cyclesLeft <= 0 {
-				return kernel.Action{Op: kernel.OpExit}
-			}
-			jr.cyclesLeft--
-			if spec.Sleep > 0 {
-				return kernel.Action{Run: spec.Run, Op: kernel.OpSleep, SleepFor: spec.Sleep}
-			}
-			return kernel.Action{Run: spec.Run, Op: kernel.OpYield}
-		}), kernel.WithExitObserver(func() { m.onExit(jr) }))
-	m.report(shard, func(s *jobScheduler) { s.onStarted(id, m.id) })
+	m.sk.ShardKernel(shard).Spawn(msg.S, m.c.cfg.Policy, jr)
+	m.reportMsg(shard, sim.Msg{Kind: msgStarted, A: msg.A})
 }
 
 // applyStop executes a stop operation: raise the cooperative flag so the
 // task exits at its next cycle boundary with its progress checkpointed. A
 // job that already finished (its done report is in flight) is a no-op — the
-// control plane resolves the race from the reports.
-func (m *Machine) applyStop(id int) {
-	if jr, ok := m.jobs[id]; ok {
-		jr.stop = true
+// control plane resolves the race from the reports. Stops are rare (one
+// migration per reconcile tick at most), so the record is found by scanning
+// the slab, not through an index kept on every start and exit.
+func (m *Machine) applyStop(id int32) {
+	for _, chunk := range m.runs.chunks {
+		for i := range chunk {
+			if chunk[i].id == id {
+				chunk[i].stop = true
+				return
+			}
+		}
 	}
-}
-
-// onExit runs on the owning shard when a job task dies: report either the
-// completion or the migration checkpoint.
-func (m *Machine) onExit(jr *jobRun) {
-	delete(m.jobs, jr.id)
-	id := jr.id
-	if jr.stop && jr.cyclesLeft > 0 {
-		left := jr.cyclesLeft
-		m.report(jr.shard, func(s *jobScheduler) { s.onStopped(id, m.id, left) })
-		return
-	}
-	m.report(jr.shard, func(s *jobScheduler) { s.onDone(id, m.id) })
 }

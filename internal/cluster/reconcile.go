@@ -10,9 +10,11 @@
 package cluster
 
 import (
+	"slices"
 	"time"
 
 	"enoki/internal/ktime"
+	"enoki/internal/sim"
 	"enoki/internal/stats"
 )
 
@@ -99,6 +101,45 @@ type Job struct {
 	startSent   ktime.Time // when the latest start op left the control plane
 }
 
+// jobRec is one slot of the job slab: the public record and, beside it —
+// never in it: the chaos pins hash Job's exact rendering — the control
+// plane's private state for the job.
+type jobRec struct {
+	Job
+	// class is the admission class the job entered through Offer, plus one;
+	// zero for jobs submitted directly, which never entered admission.
+	class int32
+	// slot is the job's position in assigned[Job.Machine] while it is
+	// Starting, Running or Stopping.
+	slot int32
+}
+
+// slab holds records by value, index == order of arrival, in fixed-size
+// chunks: growth never copies or moves a record, so adding stays O(1) at a
+// million records, a *T stays valid for good, and nothing is sized in
+// advance. The job slab (job id == index) and each agent's jobRun records
+// live in one.
+type slab[T any] struct {
+	chunks [][]T
+	n      int
+}
+
+const slabChunk = 256
+
+func (s *slab[T]) at(i int) *T { return &s.chunks[i/slabChunk][i%slabChunk] }
+
+// add appends a zero record and returns it; its index is the previous n.
+func (s *slab[T]) add() *T {
+	if s.n%slabChunk == 0 {
+		s.chunks = append(s.chunks, make([]T, 0, slabChunk))
+	}
+	c := &s.chunks[len(s.chunks)-1]
+	var zero T
+	*c = append(*c, zero)
+	s.n++
+	return &(*c)[len(*c)-1]
+}
+
 // MachineView is the control plane's model of one machine: liveness as
 // detected (not ground truth — a dead machine stays Alive until the failure
 // detector fires) and the assigned-job count the placers balance on.
@@ -114,10 +155,14 @@ type MachineView struct {
 type jobScheduler struct {
 	c      *Cluster
 	placer Placer
-	jobs   []*Job // job id == index
+	jobs   slab[jobRec] // job id == index
 	view   []MachineView
-	queue  []int // Pending job ids awaiting placement, FIFO
-	live   int   // jobs not yet Done
+	// assigned[m] lists the jobs placed on machine m (Starting, Running or
+	// Stopping there), unordered; len(assigned[m]) == view[m].Assigned.
+	// Failover and rebalancing walk it instead of every job ever submitted.
+	assigned [][]int
+	queue    []int // Pending job ids awaiting placement, FIFO
+	live     int   // jobs not yet Done
 	// ticking is true while a reconcile tick is armed; ticks re-arm only
 	// while there is schedulable work, so an idle cluster goes quiescent
 	// and RunUntilIdle terminates.
@@ -139,6 +184,7 @@ func newJobScheduler(c *Cluster) *jobScheduler {
 		s.view = append(s.view, MachineView{ID: i, Alive: true, CPUs: m.sk.Machine().NumCPUs})
 	}
 	s.doneByMachine = make([]int, len(c.machines))
+	s.assigned = make([][]int, len(c.machines))
 	return s
 }
 
@@ -149,6 +195,23 @@ func (s *jobScheduler) anyAlive() bool {
 		}
 	}
 	return false
+}
+
+// assign records job id as placed on machine mi; unassign removes it
+// (swap-with-last, so both are O(1)).
+func (s *jobScheduler) assign(id, mi int) {
+	s.jobs.at(id).slot = int32(len(s.assigned[mi]))
+	s.assigned[mi] = append(s.assigned[mi], id)
+	s.view[mi].Assigned++
+}
+
+func (s *jobScheduler) unassign(id, mi int) {
+	list := s.assigned[mi]
+	slot, last := s.jobs.at(id).slot, list[len(list)-1]
+	list[slot] = last
+	s.jobs.at(last).slot = slot
+	s.assigned[mi] = list[:len(list)-1]
+	s.view[mi].Assigned--
 }
 
 // arm schedules a reconcile tick if none is pending.
@@ -181,8 +244,9 @@ func (s *jobScheduler) reconcile() {
 	}
 	q := s.queue
 	s.queue = s.queue[:0]
+	s.c.fl.Reserve(s.c.ctrlSrc, len(q)) // at most one start each
 	for _, id := range q {
-		j := s.jobs[id]
+		j := &s.jobs.at(id).Job
 		if j.State != JobPending {
 			continue // stale queue entry; the state machine moved on
 		}
@@ -225,13 +289,17 @@ func (s *jobScheduler) maybeRebalance() {
 		return
 	}
 	// Lowest-id Running job on the overloaded machine migrates.
-	for _, j := range s.jobs {
-		if j.State == JobRunning && j.Machine == hi {
-			j.Desired = lo
-			s.migrations++
-			s.stop(j)
-			return
+	pick := -1
+	for _, id := range s.assigned[hi] {
+		if s.jobs.at(id).State == JobRunning && (pick == -1 || id < pick) {
+			pick = id
 		}
+	}
+	if pick >= 0 {
+		j := &s.jobs.at(pick).Job
+		j.Desired = lo
+		s.migrations++
+		s.stop(j)
 	}
 }
 
@@ -244,13 +312,16 @@ func (s *jobScheduler) start(j *Job, mi int) {
 	j.State = JobStarting
 	j.Machine = mi
 	j.Shard = j.ID % m.sk.NumShards()
-	s.view[mi].Assigned++
+	s.assign(j.ID, mi)
 	s.starts++
-	id, shard, cycles, spec := j.ID, j.Shard, j.CyclesLeft, j.Spec
 	j.startSent = c.ctrl.Now()
+	// Everything the agent needs travels by value: machine workers never
+	// read the job slab, which a Submit from a control-plane event may be
+	// growing while they run.
 	at := c.ctrl.Now().Add(ktime.Duration(c.cfg.NetLatency))
-	c.fl.SendHandoff(c.ctrlSrc, m.node, at, func() {
-		m.sk.Inject(shard, at, func() { m.applyStart(id, shard, cycles, spec) })
+	c.fl.SendMsg(c.ctrlSrc, m.node, at, sim.Msg{
+		Kind: msgStart, Shard: int32(j.Shard), A: int32(j.ID), B: int32(j.CyclesLeft),
+		X: int64(j.Spec.Run), Y: int64(j.Spec.Sleep), S: j.Spec.Name,
 	})
 }
 
@@ -262,18 +333,15 @@ func (s *jobScheduler) stop(j *Job) {
 	m := c.machines[j.Machine]
 	j.State = JobStopping
 	s.stops++
-	id, shard := j.ID, j.Shard
 	at := c.ctrl.Now().Add(ktime.Duration(c.cfg.NetLatency))
-	c.fl.SendHandoff(c.ctrlSrc, m.node, at, func() {
-		m.sk.Inject(shard, at, func() { m.applyStop(id) })
-	})
+	c.fl.SendMsg(c.ctrlSrc, m.node, at, sim.Msg{Kind: msgStop, Shard: int32(j.Shard), A: int32(j.ID)})
 }
 
 // onStarted handles a machine's spawn acknowledgement. Guards drop stale
 // acks: a machine that died after acking (job already requeued elsewhere)
 // must not resurrect the old placement.
 func (s *jobScheduler) onStarted(id, mi int) {
-	j := s.jobs[id]
+	j := &s.jobs.at(id).Job
 	if j.State != JobStarting || j.Machine != mi {
 		return
 	}
@@ -292,11 +360,11 @@ func (s *jobScheduler) onStarted(id, mi int) {
 // migration raced with the final cycle and the job won; that counts as done,
 // not as a migration.
 func (s *jobScheduler) onDone(id, mi int) {
-	j := s.jobs[id]
+	j := &s.jobs.at(id).Job
 	if j.State == JobDone || j.Machine != mi {
 		return
 	}
-	s.view[mi].Assigned--
+	s.unassign(id, mi)
 	s.doneByMachine[mi]++
 	j.State = JobDone
 	j.CyclesLeft = 0
@@ -310,11 +378,11 @@ func (s *jobScheduler) onDone(id, mi int) {
 // onStopped handles a migration checkpoint: the job left machine mi with
 // cyclesLeft cycles to go and is requeued toward its Desired machine.
 func (s *jobScheduler) onStopped(id, mi, cyclesLeft int) {
-	j := s.jobs[id]
+	j := &s.jobs.at(id).Job
 	if j.State != JobStopping || j.Machine != mi {
 		return
 	}
-	s.view[mi].Assigned--
+	s.unassign(id, mi)
 	j.CyclesLeft = cyclesLeft
 	j.State = JobPending
 	j.Machine = -1
@@ -334,24 +402,23 @@ func (s *jobScheduler) machineDead(mi int) {
 	}
 	s.view[mi].Alive = false
 	s.view[mi].Assigned = 0
-	for _, j := range s.jobs {
-		switch j.State {
-		case JobStarting, JobRunning, JobStopping:
-			if j.Machine != mi {
-				continue
-			}
-			j.State = JobPending
-			j.Machine = -1
-			if j.Desired == mi {
-				j.Desired = -1
-			}
-			j.Restarts++
-			s.lost++
-			s.queue = append(s.queue, j.ID)
-		case JobPending:
-			if j.Desired == mi {
-				j.Desired = -1
-			}
+	// Every placement on the machine goes back to the queue in ascending
+	// job-id order; after that every Pending job is in the queue, which is
+	// where to find the ones still aimed at the dead machine.
+	lost := s.assigned[mi]
+	s.assigned[mi] = nil
+	slices.Sort(lost)
+	for _, id := range lost {
+		j := &s.jobs.at(id).Job
+		j.State = JobPending
+		j.Machine = -1
+		j.Restarts++
+		s.lost++
+		s.queue = append(s.queue, id)
+	}
+	for _, id := range s.queue {
+		if j := s.jobs.at(id); j.State == JobPending && j.Desired == mi {
+			j.Desired = -1
 		}
 	}
 	s.arm()

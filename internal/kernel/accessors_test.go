@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestAccessorsAndSetScheduler(t *testing.T) {
@@ -75,5 +76,27 @@ func TestAccessorsAndSetScheduler(t *testing.T) {
 
 	if k.cpus[0].ID() != 0 {
 		t.Fatal("CPU ID")
+	}
+}
+
+// TestTaskLayout pins the two placements the one-record Task is laid out
+// for: the completion event and the kernel back-pointer share the record's
+// first cache line (the timer wheel's liveness check on the event is the
+// first touch of a firing task, and the handler's t.k the second), and the
+// CFS run-queue node sits inside one line of its own, so walking a run
+// queue costs one line per task passed.
+func TestTaskLayout(t *testing.T) {
+	const line = 64
+	var task Task
+	if off := unsafe.Offsetof(task.runEvent); off != 0 {
+		t.Errorf("runEvent at offset %d, want 0", off)
+	}
+	if end := unsafe.Offsetof(task.k) + unsafe.Sizeof(task.k); end > line {
+		t.Errorf("k ends at offset %d, outside the first cache line", end)
+	}
+	node := unsafe.Offsetof(task.cfs) + unsafe.Offsetof(task.cfs.node)
+	if node%line != 0 || unsafe.Sizeof(task.cfs.node) > line {
+		t.Errorf("cfs.node at offset %d, size %d: want line-aligned and within one %d-byte line",
+			node, unsafe.Sizeof(task.cfs.node), line)
 	}
 }

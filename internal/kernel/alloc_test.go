@@ -1,9 +1,13 @@
 package kernel_test
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"enoki/internal/bench"
+	"enoki/internal/kernel"
+	"enoki/internal/sim"
 )
 
 // TestScheduleOpTracedZeroAlloc is the allocation ratchet for the
@@ -95,5 +99,68 @@ func TestWakeBurstZeroAlloc(t *testing.T) {
 	r := testing.Benchmark(bench.WakeBurst)
 	if allocs := r.AllocsPerOp(); allocs != 0 {
 		t.Errorf("batched WakeBurst: %d allocs/op, want 0", allocs)
+	}
+}
+
+// threeSegments is a task body kept in a caller-owned record, like the
+// cluster agent's: two compute segments with a sleep between them, a third,
+// then exit — and it counts its own death through kernel.Exiter, so the
+// task needs no BehaviorFunc or observer closure.
+type threeSegments struct {
+	step   int
+	exited *int
+}
+
+func (b *threeSegments) Next(*kernel.Kernel, *kernel.Task) kernel.Action {
+	b.step++
+	switch b.step {
+	case 1:
+		return kernel.Action{Run: 50 * time.Microsecond, Op: kernel.OpSleep, SleepFor: 100 * time.Microsecond}
+	case 2:
+		return kernel.Action{Run: 50 * time.Microsecond, Op: kernel.OpYield}
+	case 3:
+		return kernel.Action{Run: 50 * time.Microsecond, Op: kernel.OpContinue}
+	}
+	return kernel.Action{Op: kernel.OpExit}
+}
+
+func (b *threeSegments) Exited(*kernel.Task) { *b.exited++ }
+
+// TestSpawnExitAllocs is the task-lifecycle allocation ratchet, counted the
+// way the benchmark ledger counts (runtime.MemStats.Mallocs over the run
+// region): under builtin CFS a task's whole life — spawn, three segments
+// with a sleep, exit — costs the Task record and nothing else, because its
+// completion event, CFS entity and run-queue node are embedded in it and it
+// handles its own timers. The hundredth allowed is the pid table and the
+// event free list growing as the kernel ages.
+func TestSpawnExitAllocs(t *testing.T) {
+	const warm, tasks = 600, 2000
+	eng := sim.New()
+	k := kernel.New(eng, kernel.Machine8(), kernel.DefaultCosts())
+	k.RegisterClass(0, kernel.NewCFS(k))
+	exited := 0
+	recs := make([]threeSegments, warm+tasks)
+	life := func(b *threeSegments) {
+		b.exited = &exited
+		k.Spawn("t", 0, b)
+		k.RunUntilIdle()
+	}
+	for i := range recs[:warm] {
+		life(&recs[i])
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range recs[warm:] {
+		life(&recs[warm+i])
+	}
+	runtime.ReadMemStats(&after)
+	if exited != warm+tasks || k.NumTasks() != 0 {
+		t.Fatalf("%d of %d tasks exited, %d still live", exited, warm+tasks, k.NumTasks())
+	}
+	per := float64(after.Mallocs-before.Mallocs) / tasks
+	t.Logf("%.4f allocs/task", per)
+	if per > 1.01 {
+		t.Fatalf("spawn→exit costs %.3f allocs/task, want <= 1 (+0.01 for table growth)", per)
 	}
 }

@@ -51,15 +51,17 @@ const (
 	cfsNUMAImbalance = 2
 )
 
-// cfsEntity is the per-task CFS state (struct sched_entity analogue).
+// cfsEntity is the per-task CFS state (struct sched_entity analogue),
+// embedded in the Task with its run-queue node embedded in turn, so queueing
+// allocates nothing. The entity is queued exactly while node.Linked().
 type cfsEntity struct {
 	t           *Task
 	weight      int64
 	vruntime    int64 // weighted virtual runtime, ns
 	prevSum     time.Duration
 	lastPickSum time.Duration
-	node        *rbtree.Node[int64, *cfsEntity]
 	everRan     bool
+	node        rbtree.Node[int64, *cfsEntity]
 }
 
 // cfsRq is the per-CPU CFS run queue.
@@ -165,18 +167,18 @@ func (c *CFS) Name() string { return "CFS" }
 // OverheadPerCall implements Class: CFS is native, no framework overhead.
 func (c *CFS) OverheadPerCall() time.Duration { return 0 }
 
-func (c *CFS) ent(t *Task) *cfsEntity { return t.classData.(*cfsEntity) }
+func (c *CFS) ent(t *Task) *cfsEntity { return &t.cfs }
 
-// TaskNew implements Class.
+// TaskNew implements Class: a task entering CFS starts from a fresh entity.
 func (c *CFS) TaskNew(t *Task) {
-	t.classData = &cfsEntity{t: t, weight: WeightOf(t.Nice())}
+	t.cfs = cfsEntity{t: t, weight: WeightOf(t.Nice())}
 }
 
-// TaskDead implements Class.
-func (c *CFS) TaskDead(t *Task) { t.classData = nil }
+// TaskDead implements Class: the kernel dequeued the task first.
+func (c *CFS) TaskDead(t *Task) {}
 
 // Detach implements Class.
-func (c *CFS) Detach(t *Task) { t.classData = nil }
+func (c *CFS) Detach(t *Task) {}
 
 // updateCurr charges the running entity's execution since the last update to
 // its vruntime.
@@ -212,7 +214,7 @@ func (c *CFS) Enqueue(cpu int, t *Task, wakeup bool) {
 		e.everRan = true
 		e.vruntime = rq.minV + c.vslice(rq, e)
 	}
-	e.node = rq.tree.Insert(e.vruntime, e)
+	rq.tree.InsertNode(&e.node, e.vruntime, e)
 	rq.totalWeight += e.weight
 	rq.updateMinV()
 }
@@ -228,11 +230,8 @@ func (c *CFS) Dequeue(cpu int, t *Task, sleep bool) {
 		rq.updateMinV()
 		return
 	}
-	if e.node != nil {
-		n := e.node
-		rq.tree.Delete(n)
-		rq.tree.Free(n)
-		e.node = nil
+	if e.node.Linked() {
+		rq.tree.Delete(&e.node)
 		rq.totalWeight -= e.weight
 		rq.updateMinV()
 	}
@@ -256,7 +255,7 @@ func (c *CFS) putBack(cpu int, t *Task) {
 	}
 	c.updateCurr(cpu)
 	rq.curr = nil
-	e.node = rq.tree.Insert(e.vruntime, e)
+	rq.tree.InsertNode(&e.node, e.vruntime, e)
 }
 
 // PickNext implements Class: run the leftmost (lowest vruntime) entity.
@@ -272,8 +271,6 @@ func (c *CFS) PickNext(cpu int) *Task {
 	}
 	e := n.Value()
 	rq.tree.Delete(n)
-	rq.tree.Free(n)
-	e.node = nil
 	rq.curr = e
 	e.prevSum = e.t.SumExec()
 	e.lastPickSum = e.t.SumExec()
@@ -477,7 +474,7 @@ func (c *CFS) PrioChanged(t *Task) {
 	e := c.ent(t)
 	old := e.weight
 	e.weight = WeightOf(t.Nice())
-	if e.node != nil || c.rqs[t.CPU()].curr == e {
+	if e.node.Linked() || c.rqs[t.CPU()].curr == e {
 		c.rqs[t.CPU()].totalWeight += e.weight - old
 	}
 }

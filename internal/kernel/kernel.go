@@ -12,7 +12,6 @@ package kernel
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"enoki/internal/core"
@@ -71,8 +70,12 @@ type Kernel struct {
 	classes []classSlot
 	byID    map[int]Class
 	idOf    map[Class]int
-	tasks   map[int]*Task
-	nextPID int
+	// tasks is the pid-indexed task table: pids are dense from 1 and never
+	// reused, so tasks[pid] is the live task, or nil once it died (and at
+	// 0). The next pid is len(tasks); ntasks counts the live entries.
+	tasks   []*Task
+	ntasks  int
+	allCPUs CPUMask // every CPU of the machine: a new task's default affinity
 
 	rand *ktime.Rand
 
@@ -129,8 +132,8 @@ func New(eng *sim.Engine, m Machine, costs Costs) *Kernel {
 		costs:      costs,
 		byID:       make(map[int]Class),
 		idOf:       make(map[Class]int),
-		tasks:      make(map[int]*Task),
-		nextPID:    1,
+		tasks:      []*Task{nil},
+		allCPUs:    AllCPUs(m.NumCPUs),
 		rand:       ktime.NewRand(0x1d1e),
 		ipiEnabled: true,
 		ipiPend:    make([]bool, m.NumCPUs),
@@ -227,7 +230,7 @@ func (k *Kernel) DeregisterClass(id, fallbackID int) {
 		panic(fmt.Sprintf("kernel: DeregisterClass %d onto itself", id))
 	}
 	for _, t := range k.tasks {
-		if t.class == dead {
+		if t != nil && t.class == dead {
 			panic(fmt.Sprintf("kernel: DeregisterClass %d still owns task %s", id, t))
 		}
 	}
@@ -246,17 +249,14 @@ func (k *Kernel) DeregisterClass(id, fallbackID int) {
 // This is the mass-migration half of killing a faulty module: the caller
 // rehomes, then deregisters the empty class.
 func (k *Kernel) RehomeTasks(from Class, toID int) int {
-	pids := make([]int, 0, len(k.tasks))
-	for pid, t := range k.tasks {
-		if t.class == from {
-			pids = append(pids, pid)
+	moved := 0
+	for _, t := range k.tasks { // ascending pid: the table is the order
+		if t != nil && t.class == from {
+			k.SetScheduler(t, toID)
+			moved++
 		}
 	}
-	sort.Ints(pids)
-	for _, pid := range pids {
-		k.SetScheduler(k.tasks[pid], toID)
-	}
-	return len(pids)
+	return moved
 }
 
 func (k *Kernel) classPrio(c Class) int {
@@ -278,17 +278,22 @@ func (k *Kernel) CPUBusy(cpu int) time.Duration { return k.cpus[cpu].busy }
 // CPUSwitches returns the context-switch count of cpu.
 func (k *Kernel) CPUSwitches(cpu int) uint64 { return k.cpus[cpu].switches }
 
-// TaskByPID looks up a live task.
-func (k *Kernel) TaskByPID(pid int) *Task { return k.tasks[pid] }
+// TaskByPID looks up a live task; unknown and dead pids return nil.
+func (k *Kernel) TaskByPID(pid int) *Task {
+	if pid <= 0 || pid >= len(k.tasks) {
+		return nil
+	}
+	return k.tasks[pid]
+}
 
 // NumTasks returns the number of live tasks.
-func (k *Kernel) NumTasks() int { return len(k.tasks) }
+func (k *Kernel) NumTasks() int { return k.ntasks }
 
 // SpawnOption customises Spawn.
 type SpawnOption func(*Task)
 
 // WithAffinity restricts the task to the given CPUs.
-func WithAffinity(m CPUMask) SpawnOption { return func(t *Task) { t.allowed = m } }
+func WithAffinity(m CPUMask) SpawnOption { return func(t *Task) { t.allowed = &m } }
 
 // WithNice sets the task's nice value.
 func WithNice(n int) SpawnOption { return func(t *Task) { t.nice = n } }
@@ -312,18 +317,21 @@ func (k *Kernel) Spawn(name string, classID int, b Behavior, opts ...SpawnOption
 		panic(fmt.Sprintf("kernel: Spawn into unregistered class %d", classID))
 	}
 	t := &Task{
-		pid:      k.nextPID,
+		k:        k,
+		pid:      len(k.tasks),
 		name:     name,
 		class:    class,
 		behavior: b,
 		state:    StateNew,
-		allowed:  AllCPUs(k.machine.NumCPUs),
+		allowed:  &k.allCPUs,
 	}
-	k.nextPID++
+	t.exiter, _ = b.(Exiter)
+	k.eng.Bind(&t.runEvent, (*taskRun)(t))
 	for _, o := range opts {
 		o(t)
 	}
-	k.tasks[t.pid] = t
+	k.tasks = append(k.tasks, t)
+	k.ntasks++
 	class.TaskNew(t)
 	target := class.SelectRQ(t, t.cpu, false)
 	target = k.clampToAffinity(t, target)
@@ -707,10 +715,7 @@ func (k *Kernel) startSegment(c *CPU, t *Task, delay time.Duration) {
 			t.OnWake(lat)
 		}
 	}
-	if t.runEvent == nil {
-		t.runEvent = k.eng.NewEvent(func() { k.segmentDone(k.cpus[t.cpu], t) })
-	}
-	k.eng.Reschedule(t.runEvent, t.execStart.Add(t.segLeft))
+	k.eng.Reschedule(&t.runEvent, t.execStart.Add(t.segLeft))
 }
 
 // segmentDone completes the task's current segment: perform its wakes, then
@@ -773,10 +778,7 @@ func (k *Kernel) segmentDone(c *CPU, t *Task) {
 		c.pendingCost += extra + t.class.OverheadPerCall()
 		t.class.Dequeue(c.id, t, true)
 		if act.Op == OpSleep {
-			if t.wakeFn == nil {
-				t.wakeFn = func() { k.Wake(t) }
-			}
-			k.eng.Post(act.SleepFor, t.wakeFn)
+			k.eng.PostTo(act.SleepFor, (*taskWake)(t))
 		}
 		k.schedule(c.id)
 	case OpExit:
@@ -786,10 +788,14 @@ func (k *Kernel) segmentDone(c *CPU, t *Task) {
 		c.pendingCost += extra + 2*t.class.OverheadPerCall()
 		t.class.Dequeue(c.id, t, false)
 		t.class.TaskDead(t)
-		delete(k.tasks, t.pid)
+		k.tasks[t.pid] = nil
+		k.ntasks--
 		k.traceTask(trace.KindExit, c.id, t, 0)
 		if t.OnExit != nil {
 			t.OnExit()
+		}
+		if t.exiter != nil {
+			t.exiter.Exited(t)
 		}
 		k.schedule(c.id)
 	default:
@@ -905,7 +911,7 @@ func (k *Kernel) SetAffinity(t *Task, m CPUMask) {
 	if m.Count() == 0 {
 		panic("kernel: SetAffinity with empty mask")
 	}
-	t.allowed = m
+	t.allowed = &m
 	t.class.AffinityChanged(t)
 	if t.state == StateDead || m.Has(t.cpu) {
 		return

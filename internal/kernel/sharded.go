@@ -207,6 +207,12 @@ func (sk *ShardedKernel) NextEventTime() (ktime.Time, bool) { return sk.ex.NextE
 // stops, control messages — enter a machine deterministically.
 func (sk *ShardedKernel) Inject(to int, at ktime.Time, fn func()) { sk.ex.Inject(to, at, fn) }
 
+// AcceptMsg is Inject for a value message (see sim.Sharded.AcceptMsg): it
+// makes a ShardedKernel a sim.MsgSink, so a fleet can address job starts and
+// stops to a machine without a closure per message. The payload runs on
+// shard m.Shard through the executor's SetMsgHandler function.
+func (sk *ShardedKernel) AcceptMsg(at ktime.Time, m *sim.Msg) { sk.ex.AcceptMsg(at, m) }
+
 // RunUntilIdle runs until every shard's event queue drains and no message is
 // in flight.
 func (sk *ShardedKernel) RunUntilIdle() { sk.ex.RunUntilIdle() }

@@ -81,6 +81,14 @@ type Behavior interface {
 	Next(k *Kernel, t *Task) Action
 }
 
+// Exiter is an optional Behavior method, asserted once at Spawn: a workload
+// whose per-task record is the Behavior learns of the task's death through
+// it and needs neither a BehaviorFunc nor a WithExitObserver closure. It
+// runs where an OnExit observer would, after it when both are set.
+type Exiter interface {
+	Exited(t *Task)
+}
+
 // BehaviorFunc adapts a function to the Behavior interface.
 type BehaviorFunc func(k *Kernel, t *Task) Action
 
@@ -165,42 +173,54 @@ func (m CPUMask) Count() int {
 
 // Task is the simulated task_struct. Fields are mutated only by the kernel
 // (single-threaded over virtual time); workloads read public accessors.
+//
+// Like task_struct it is one record (DESIGN §4): the segment-completion
+// event, the CFS entity and its run-queue node are embedded, and the task is
+// its own event handler (taskRun, taskWake), so a task costs one allocation.
+// Records are not recycled: a dead task's *Task stays that task. Fields run
+// hot first — what every completion, wake and pick reads leads, roughly in
+// the order the event path touches it.
 type Task struct {
-	pid  int
-	name string
-	nice int
+	// runEvent is the task's persistent segment-completion event, bound to
+	// the task (taskRun) at Spawn and re-armed in place for every segment.
+	runEvent sim.Event
 
-	class Class
+	k     *Kernel
 	cpu   int // cpu whose run queue holds (or last held) the task
+	class Class
 	state State
-
-	behavior Behavior
 	// pending is an inline action slot, valid only while hasPending is set;
 	// storing the Action by value keeps the segment hot path free of the
 	// per-segment box the old *Action field required.
-	pending    Action
-	hasPending bool
-	segLeft    time.Duration
-
-	sumExec   time.Duration
-	execStart ktime.Time // start of the currently running stretch
-
-	lastWake    ktime.Time
+	hasPending  bool
 	wakePending bool
+	segLeft     time.Duration
+	sumExec     time.Duration
+	execStart   ktime.Time // start of the currently running stretch
+	pending     Action
+	behavior    Behavior
+	lastWake    ktime.Time
 	// queuedAt is when the task last became queued-waiting (enqueue, yield,
 	// put-prev); the metrics layer derives pick-wait latency from it.
 	queuedAt ktime.Time
 
-	allowed CPUMask
+	// cfs is the task's CFS entity, live while a CFS class owns the task.
+	// The fields above place its run-queue node at the start of a cache
+	// line, so a tree walk reads one line per task passed (TestTaskLayout).
+	cfs cfsEntity
 
-	// runEvent is the task's persistent segment-completion event, re-armed
-	// in place (sim.Reschedule) for every compute segment. wakeFn is the
-	// lazily built OpSleep self-wake closure, posted fire-and-forget.
-	runEvent *sim.Event
-	wakeFn   func()
+	// allowed is never nil: the kernel's shared all-CPUs mask until the task
+	// is given an affinity of its own, so unpinned tasks carry no mask.
+	allowed *CPUMask
 
-	// classData is private per-class state (e.g. the CFS entity).
+	// classData is private per-class state for classes whose entity is not
+	// embedded above (RT, the verified tier, enokic's adapter).
 	classData any
+
+	pid    int
+	name   string
+	nice   int
+	exiter Exiter // behavior's Exited hook, when it has one
 
 	// OnWake, if set, observes each wakeup-to-running latency.
 	OnWake func(lat time.Duration)
@@ -209,6 +229,28 @@ type Task struct {
 
 	// UserData is free space for workload models.
 	UserData any
+}
+
+// taskRun and taskWake are a *Task seen as the sim.Handler of one of its two
+// timers: the embedded segment-completion event, and the fire-and-forget
+// self-wake an OpSleep posts. A sleep cut short and followed by another
+// leaves two wakes outstanding; both fire, and Wake ignores the one that
+// finds the task not blocked.
+type (
+	taskRun  Task
+	taskWake Task
+)
+
+// Fire completes the task's current compute segment.
+func (h *taskRun) Fire() {
+	t := (*Task)(h)
+	t.k.segmentDone(t.k.cpus[t.cpu], t)
+}
+
+// Fire ends an OpSleep.
+func (h *taskWake) Fire() {
+	t := (*Task)(h)
+	t.k.Wake(t)
 }
 
 // PID returns the task's process ID.
@@ -232,7 +274,7 @@ func (t *Task) CPU() int { return t.cpu }
 func (t *Task) SumExec() time.Duration { return t.sumExec }
 
 // Allowed returns the task's CPU affinity mask.
-func (t *Task) Allowed() CPUMask { return t.allowed }
+func (t *Task) Allowed() CPUMask { return *t.allowed }
 
 // AllowedOn reports whether cpu is in the task's affinity mask without
 // copying the mask, for per-candidate checks on hot paths (the verified-tier

@@ -36,6 +36,10 @@ func (n *Node[K, V]) Value() V { return n.val }
 // SetValue replaces the node's value without reordering.
 func (n *Node[K, V]) SetValue(v V) { n.val = v }
 
+// Linked reports whether the node is currently in a tree (the zero Node is
+// not), so an element that embeds its node needs no separate queued flag.
+func (n *Node[K, V]) Linked() bool { return n.tree != nil }
+
 // Tree is a red-black tree ordered by a strict-weak less function. Equal keys
 // are allowed; among equal keys, later insertions land to the right, so
 // iteration is stable in insertion order within a key (this matches CFS,
@@ -74,22 +78,31 @@ func (t *Tree[K, V]) Min() *Node[K, V] {
 	return t.leftmost
 }
 
-// Insert adds (key, val) and returns the node handle.
+// Insert adds (key, val) on a node of the tree's own — recycled from Free
+// when one is pooled, allocated otherwise — and returns the node handle.
 func (t *Tree[K, V]) Insert(key K, val V) *Node[K, V] {
 	n := t.pool
 	if n != nil {
 		t.pool = n.right
-		n.key, n.val = key, val
-		n.left, n.right, n.parent = t.nilNode, t.nilNode, t.nilNode
-		n.color = red
-		n.tree = t
 	} else {
-		n = &Node[K, V]{
-			key: key, val: val,
-			left: t.nilNode, right: t.nilNode, parent: t.nilNode,
-			color: red, tree: t,
-		}
+		n = new(Node[K, V])
 	}
+	t.InsertNode(n, key, val)
+	return n
+}
+
+// InsertNode adds (key, val) on a caller-owned node — typically embedded in
+// the element, the way sched_entity embeds its rb_node — so insertion
+// allocates nothing. The node must not be in a tree (that panics) and must
+// never be handed to Free.
+func (t *Tree[K, V]) InsertNode(n *Node[K, V], key K, val V) {
+	if n.tree != nil {
+		panic("rbtree: InsertNode of a node already in a tree")
+	}
+	n.key, n.val = key, val
+	n.left, n.right, n.parent = t.nilNode, t.nilNode, t.nilNode
+	n.color = red
+	n.tree = t
 	y := t.nilNode
 	x := t.root
 	isLeftmost := true
@@ -116,7 +129,6 @@ func (t *Tree[K, V]) Insert(key K, val V) *Node[K, V] {
 	}
 	t.size++
 	t.insertFixup(n)
-	return n
 }
 
 // Delete removes the node from the tree. Deleting a node twice, or a node

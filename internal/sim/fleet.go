@@ -23,7 +23,11 @@
 // is quiescent at the global floor. The closure's job is to hand the payload
 // to the destination node's own deterministic executor (Sharded.Inject,
 // Engine.PostAt) for execution at the delivery instant inside that node's
-// context — the fleet commits, the node executes.
+// context — the fleet commits, the node executes. A value message (SendMsg)
+// is the same handoff without the closure: the fleet commits it by passing
+// the Msg to the destination's MsgSink, in the same merge order, under the
+// same early-commit rule, and drops and counts it the same way when the
+// destination is dead.
 //
 // Fail-stop machine failure is part of the protocol: Kill freezes a node at
 // the current floor. A dead node no longer advances, its pending events
@@ -36,6 +40,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"enoki/internal/ktime"
 )
@@ -53,16 +58,15 @@ type FleetNode interface {
 // Fleet runs N FleetNodes under the epoch-merge protocol.
 type Fleet struct {
 	nodes     []FleetNode
+	sinks     []MsgSink // nodes[i] as a MsgSink, nil when it is none
 	dead      []bool
 	lookahead ktime.Duration
 	parallel  bool
 	now       ktime.Time // global floor: every live node clock sits here between epochs
 
-	pending   []smsg   // undelivered messages, sorted by (at, to, from, seq)
-	floorMsgs int      // pending non-handoff messages (each chops an epoch window)
-	out       [][]smsg // per-source outboxes, owned by the source's node during an epoch
-	sendSeq   []uint64 // per-source monotonic counters — never reset (ordering audit)
-	srcNode   []int    // source id → owning node
+	mailroom        // one outbox per source, owned by the source's node during an epoch
+	floorMsgs int   // pending non-handoff messages (each chops an epoch window)
+	srcNode   []int // source id → owning node
 
 	// Worker goroutines for the parallel drive, started lazily.
 	started bool
@@ -91,6 +95,8 @@ func (f *Fleet) AddNode(n FleetNode) int {
 		panic("sim: Fleet.AddNode after the fleet started running")
 	}
 	f.nodes = append(f.nodes, n)
+	sink, _ := n.(MsgSink)
+	f.sinks = append(f.sinks, sink)
 	f.dead = append(f.dead, false)
 	return len(f.nodes) - 1
 }
@@ -100,10 +106,8 @@ func (f *Fleet) AddNode(n FleetNode) int {
 // context — e.g. one per internal shard of a machine); distinct sources are
 // independent and may send concurrently.
 func (f *Fleet) AddSource(node int) int {
-	f.out = append(f.out, nil)
-	f.sendSeq = append(f.sendSeq, 0)
 	f.srcNode = append(f.srcNode, node)
-	return len(f.out) - 1
+	return f.addSource()
 }
 
 // NumNodes returns the member count.
@@ -123,13 +127,7 @@ func (f *Fleet) Epochs() uint64 { return f.epochs }
 
 // MsgsSent returns how many cross-node messages were submitted. Read it
 // between runs.
-func (f *Fleet) MsgsSent() uint64 {
-	var n uint64
-	for _, sq := range f.sendSeq {
-		n += sq
-	}
-	return n
-}
+func (f *Fleet) MsgsSent() uint64 { return f.sent() }
 
 // MsgsDelivered returns how many cross-node messages were committed.
 func (f *Fleet) MsgsDelivered() uint64 { return f.delivered }
@@ -163,7 +161,7 @@ func (f *Fleet) SetParallel(on bool) { f.parallel = on }
 // epoch window; high-rate traffic whose closures are pure handoffs should
 // use SendHandoff instead, which commits early and keeps the windows wide.
 func (f *Fleet) Send(src, to int, at ktime.Time, fn func()) {
-	f.send(src, to, at, fn, false)
+	f.submit(src, smsg{mkey: mkey{at: at, to: int32(to)}, fn: fn})
 }
 
 // SendHandoff is Send for pure-handoff commitments: fn must confine itself
@@ -175,17 +173,35 @@ func (f *Fleet) Send(src, to int, at ktime.Time, fn func()) {
 // scan) per message instant. This is the hot path for cluster-scale
 // traffic; anything whose closure observes the floor stays on Send.
 func (f *Fleet) SendHandoff(src, to int, at ktime.Time, fn func()) {
-	f.send(src, to, at, fn, true)
+	f.submit(src, smsg{mkey: mkey{at: at, to: int32(to)}, fn: fn, msg: Msg{handoff: true}})
 }
 
-func (f *Fleet) send(src, to int, at ktime.Time, fn func(), handoff bool) {
-	nd := f.srcNode[src]
-	if min := f.nodes[nd].Now().Add(f.lookahead); at < min {
-		panic(fmt.Sprintf("sim: fleet send at %v under lookahead floor %v (source %d on node %d → %d)",
-			at, min, src, nd, to))
+// SendMsg is SendHandoff without the closure: m is copied to node `to`,
+// which must be a MsgSink, and committed by handing it to that sink. This is
+// the lane for traffic with a fixed vocabulary and a high rate — a cluster's
+// job starts, stops and lifecycle reports — where a closure per message is
+// the dominant allocation; closures remain for everything that must observe
+// the floor (Send) or is too rare and irregular to deserve a kind.
+func (f *Fleet) SendMsg(src, to int, at ktime.Time, m Msg) {
+	if f.sinks[to] == nil {
+		panic(fmt.Sprintf("sim: value message to node %d, which is not a MsgSink", to))
 	}
-	f.sendSeq[src]++
-	f.out[src] = append(f.out[src], smsg{at: at, to: to, from: src, seq: f.sendSeq[src], fn: fn, handoff: handoff})
+	m.handoff = true
+	f.submit(src, smsg{mkey: mkey{at: at, to: int32(to)}, msg: m})
+}
+
+// Reserve tells the fleet that source src is about to send n messages, so
+// its outbox grows once, to fit, instead of by doubling through the burst.
+// Purely a sizing hint: sending more or fewer is fine.
+func (f *Fleet) Reserve(src, n int) { f.out[src] = slices.Grow(f.out[src], n) }
+
+func (f *Fleet) submit(src int, m smsg) {
+	nd := f.srcNode[src]
+	if min := f.nodes[nd].Now().Add(f.lookahead); m.at < min {
+		panic(fmt.Sprintf("sim: fleet send at %v under lookahead floor %v (source %d on node %d → %d)",
+			m.at, min, src, nd, m.to))
+	}
+	f.send(src, m)
 }
 
 // deliver commits every pending message due at or before upTo, in merge
@@ -193,14 +209,10 @@ func (f *Fleet) send(src, to int, at ktime.Time, fn func(), handoff bool) {
 // a commitment may itself Kill a node, affecting later messages in the same
 // batch (the order is fixed, so this too is deterministic).
 func (f *Fleet) deliver(upTo ktime.Time) {
-	n := 0
-	for n < len(f.pending) && f.pending[n].at <= upTo {
-		n++
-	}
+	n := f.due(upTo)
 	for j := 0; j < n; j++ {
-		m := f.pending[j]
-		f.pending[j].fn = nil
-		if !m.handoff {
+		m := &f.pending[j]
+		if !m.msg.handoff {
 			f.floorMsgs--
 		}
 		if f.dead[m.to] {
@@ -208,39 +220,18 @@ func (f *Fleet) deliver(upTo ktime.Time) {
 			continue
 		}
 		f.delivered++
-		m.fn()
-	}
-	if n > 0 {
-		rest := copy(f.pending, f.pending[n:])
-		for j := rest; j < len(f.pending); j++ {
-			f.pending[j] = smsg{}
+		if m.fn != nil {
+			m.fn()
+		} else {
+			f.sinks[m.to].AcceptMsg(m.at, &m.msg)
 		}
-		f.pending = f.pending[:rest]
 	}
+	f.drop(n)
 }
 
-// collect merges every outbox into the pending set and restores the merge
-// order.
-func (f *Fleet) collect() {
-	sorted := len(f.pending)
-	for i := range f.out {
-		if len(f.out[i]) > 0 {
-			for _, m := range f.out[i] {
-				if !m.handoff {
-					f.floorMsgs++
-				}
-			}
-			f.pending = append(f.pending, f.out[i]...)
-			for j := range f.out[i] {
-				f.out[i][j] = smsg{}
-			}
-			f.out[i] = f.out[i][:0]
-		}
-	}
-	if len(f.pending) > sorted {
-		mergeNewSmsgs(f.pending, sorted)
-	}
-}
+// collect merges every outbox into the pending set, counting the
+// floor-observing messages on the way in.
+func (f *Fleet) collect() { f.floorMsgs += f.mailroom.collect() }
 
 // nextFloorMsg returns the due time of the earliest pending non-handoff
 // message, or maxTime when none exists. On the cluster hot path nearly all
@@ -250,7 +241,7 @@ func (f *Fleet) nextFloorMsg() ktime.Time {
 		return maxTime
 	}
 	for i := range f.pending {
-		if !f.pending[i].handoff {
+		if !f.pending[i].msg.handoff {
 			return f.pending[i].at
 		}
 	}

@@ -153,10 +153,10 @@ func TestFleetKill(t *testing.T) {
 		defer f.Close()
 		f.SetParallel(parallel)
 		engs := [2]*Engine{New(), New()}
-		f.AddNode(engs[0])
-		f.AddNode(engs[1])
-		src0 := f.AddSource(0)
 		var sLog, vLog []string
+		f.AddNode(engs[0])
+		f.AddNode(sinkNode{Engine: engs[1], got: func(Msg) { vLog = append(vLog, "ghost") }})
+		src0 := f.AddSource(0)
 		for i, log := range []*[]string{&sLog, &vLog} {
 			i, log := i, log
 			eng := engs[i]
@@ -175,6 +175,10 @@ func TestFleetKill(t *testing.T) {
 		// corpse: those sends must be dropped.
 		killAt := ktime.Time(0).Add(ktime.Duration(50 * time.Microsecond))
 		f.Send(src0, 1, killAt, func() { f.Kill(1) })
+		// A value message due at the kill instant itself, sent after the
+		// kill: it commits in the same batch, right behind it, and must be
+		// dropped and counted like any closure to the corpse.
+		f.SendMsg(src0, 1, killAt, Msg{Kind: 1})
 		for i := 1; i <= 5; i++ {
 			at := killAt.Add(ktime.Duration(i) * ktime.Duration(10*time.Microsecond))
 			f.Send(src0, 1, at, func() { engs[1].PostAt(at, func() { vLog = append(vLog, "ghost") }) })
@@ -184,8 +188,8 @@ func TestFleetKill(t *testing.T) {
 	}
 	s1, v1, d1, n1 := run(false)
 	s2, v2, d2, n2 := run(true)
-	if d1 != 5 || d2 != 5 {
-		t.Fatalf("dropped = %d serial / %d parallel, want 5", d1, d2)
+	if d1 != 6 || d2 != 6 {
+		t.Fatalf("dropped = %d serial / %d parallel, want 6", d1, d2)
 	}
 	if len(s1) != 40 {
 		t.Fatalf("survivor ran %d ticks, want all 40", len(s1))

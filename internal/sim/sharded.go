@@ -21,11 +21,18 @@
 // engine event bracketed by the batch hooks, so one merge round covers a
 // whole shard's deliveries (the kernel points the hooks at its IPI batch
 // window: one flush per shard per epoch instead of one kick per message).
+//
+// A message is a closure or a value. Closures suit rare, arbitrary work
+// (remote wakes, control operations); high-rate traffic with a fixed
+// vocabulary travels as a Msg — a kind and a few operands, through the same
+// outboxes, merge and drain events — so sending one allocates nothing.
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"enoki/internal/ktime"
 )
@@ -33,47 +40,216 @@ import (
 // maxTime is the largest representable virtual instant.
 const maxTime = ktime.Time(math.MaxInt64)
 
-// smsg is one cross-shard message. The (at, to, from, seq) tuple is the
-// total delivery order: seq is monotonic per source for the life of the
-// executor — never wrapped, never reset between epochs or runs — so two
-// distinct messages can never compare equal. A per-epoch or per-run seq
-// reset would silently break the byte-identity guarantee: two same-instant
-// messages from one source would tie, and the sort (which is not stable
-// across heapsort/insertion regimes) could order them differently between
-// the serial and parallel drives. TestSmsgOrderTotal pins the totality;
-// TestShardedSeqMonotonicAcrossEpochs pins the no-reset property.
-type smsg struct {
-	at       ktime.Time
-	to, from int
-	seq      uint64
-	fn       func()
-	// handoff marks a fleet-level commitment as a pure handoff
-	// (Fleet.SendHandoff): the closure only schedules work on the
-	// destination executor at the message instant, so the fleet may commit
-	// it a whole epoch window early. Unset, the commitment runs at the
-	// first productive point at or after its instant (Fleet.Send).
-	// Shard-level messages never set it.
+// Msg is the payload of a value message: the destination dispatches on Kind
+// and reads the operands its protocol assigns to that kind; the executors
+// look only at Shard, the second-level route (which shard of a Sharded
+// destination runs it). Everything travels by value — the receiver must not
+// need the sender's memory to act on it.
+type Msg struct {
+	Kind uint8
+	// handoff belongs to the carrying smsg (see there); Kind's padding holds
+	// it for free, and a message is copied through three queues.
 	handoff bool
+	Shard   int32
+	A, B    int32
+	X, Y    int64
+	S       string
 }
 
-func (a smsg) less(b smsg) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.to != b.to {
-		return a.to < b.to
-	}
-	if a.from != b.from {
-		return a.from < b.from
-	}
-	return a.seq < b.seq
+// MsgSink is the optional FleetNode side of value messages: the fleet
+// commits a Msg by handing it to its destination's sink, on the coordinator,
+// and the sink queues a copy on the node's own executor for execution at
+// `at`. Sharded implements it.
+type MsgSink interface {
+	AcceptMsg(at ktime.Time, m *Msg)
 }
 
-// inbox is one shard's delivery ring: messages the coordinator has committed
-// for delivery, drained FIFO by the shard's drain event.
-type inbox struct {
-	q    []smsg
-	head int
+// mkey is the (at, to, from, seq) total delivery order: seq is monotonic per
+// source for the life of the executor — never wrapped, never reset between
+// epochs or runs — so two distinct messages can never compare equal. A
+// per-epoch or per-run seq reset would silently break the byte-identity
+// guarantee: two same-instant messages from one source would tie, and the
+// sort (which is not stable) could order them differently between the
+// serial and parallel drives. TestSmsgOrderTotal pins the totality;
+// TestShardedSeqMonotonicAcrossEpochs pins the no-reset property.
+type mkey struct {
+	at       ktime.Time
+	seq      uint64
+	to, from int32
+}
+
+func (a mkey) cmp(b mkey) int {
+	switch {
+	case a.at != b.at:
+		return cmp.Compare(a.at, b.at)
+	case a.to != b.to:
+		return cmp.Compare(a.to, b.to)
+	case a.from != b.from:
+		return cmp.Compare(a.from, b.from)
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
+// smsg is one cross-shard message: a closure, or — fn nil — the value msg.
+// Both share one seq space per source, so a closure and a value sent back to
+// back at one instant deliver in send order.
+//
+// msg.handoff marks a fleet-level commitment as a pure handoff
+// (Fleet.SendHandoff, and every value message): it only schedules work on
+// the destination executor at the message instant, so the fleet may commit
+// it a whole epoch window early. Unset, the commitment runs at the first
+// productive point at or after its instant (Fleet.Send). Shard-level
+// messages never set it.
+type smsg struct {
+	mkey
+	fn  func()
+	msg Msg
+}
+
+// skey is a message's key plus its position in out[from]: collect sorts
+// these 32-byte pointer-free records, not the messages.
+type skey struct {
+	mkey
+	idx int32
+}
+
+// push appends m to q, doubling a full q. The built-in append grows a large
+// slice by a quarter at a time, which over one burst — a cluster's first
+// reconcile tick starts every submitted job at once — allocates five times
+// the final size.
+func push[T any](q []T, m T) []T {
+	if len(q) == cap(q) {
+		q = slices.Grow(q, max(len(q), 8))
+	}
+	return append(q, m)
+}
+
+// mailroom is the message plumbing Sharded and Fleet share: per-source
+// outboxes, each owned by its source's execution context during an epoch,
+// and the pending set they are merged into at every epoch boundary, kept in
+// (at, to, from, seq) order.
+type mailroom struct {
+	pending []smsg   // undelivered messages, sorted
+	out     [][]smsg // per-source outboxes
+	sendSeq []uint64 // per-source monotonic counters — never reset (ordering audit)
+	keys    []skey   // collect's scratch
+	// pending[:committed] is frozen — committed messages an executor still
+	// reads in place (Sharded; always 0 in a Fleet, which commits by
+	// running). Merges order what follows and never reach into it.
+	committed int
+}
+
+// addSource allocates an outbox and returns its id.
+func (r *mailroom) addSource() int {
+	r.out = append(r.out, nil)
+	r.sendSeq = append(r.sendSeq, 0)
+	return len(r.out) - 1
+}
+
+// send stamps m with src's next sequence number and leaves it in src's
+// outbox. Only src's execution context may call it during an epoch.
+func (r *mailroom) send(src int, m smsg) {
+	r.sendSeq[src]++
+	m.from, m.seq = int32(src), r.sendSeq[src]
+	r.out[src] = push(r.out[src], m)
+}
+
+// sent returns how many messages were submitted: the per-source sequences
+// are the counters, so the sum is race-free to maintain. Read it between
+// runs.
+func (r *mailroom) sent() uint64 {
+	var n uint64
+	for _, sq := range r.sendSeq {
+		n += sq
+	}
+	return n
+}
+
+// collect merges every outbox into the pending set and restores the merge
+// order: sort the new messages' keys, append the messages in key order, and
+// fold that sorted run into the older prefix. It returns how many of the new
+// messages are not handoffs (the fleet counts those).
+func (r *mailroom) collect() (floor int) {
+	n := 0
+	for src := range r.out {
+		n += len(r.out[src])
+	}
+	if n == 0 {
+		return 0
+	}
+	keys := slices.Grow(r.keys[:0], n)
+	for src := range r.out {
+		for i := range r.out[src] {
+			m := &r.out[src][i]
+			keys = append(keys, skey{m.mkey, int32(i)})
+			if !m.msg.handoff {
+				floor++
+			}
+		}
+	}
+	r.keys = keys
+	slices.SortFunc(keys, func(a, b skey) int { return a.cmp(b.mkey) })
+	sorted := len(r.pending)
+	if cap(r.pending)-sorted < n {
+		r.pending = slices.Grow(r.pending, max(n, sorted))
+	}
+	for _, k := range keys {
+		r.pending = append(r.pending, r.out[k.from][k.idx])
+	}
+	for src := range r.out {
+		clear(r.out[src]) // drop closure and string references
+		r.out[src] = r.out[src][:0]
+	}
+	foldSmsgs(r.pending[r.committed:], sorted-r.committed)
+	return floor
+}
+
+// insert adds one message straight to the pending set (Sharded.Inject).
+func (r *mailroom) insert(m smsg) {
+	r.pending = push(r.pending, m)
+	foldSmsgs(r.pending[r.committed:], len(r.pending)-1-r.committed)
+}
+
+// due returns how many pending messages are due at or before upTo; they are
+// pending[:due], in delivery order.
+func (r *mailroom) due(upTo ktime.Time) int {
+	n := 0
+	for n < len(r.pending) && r.pending[n].at <= upTo {
+		n++
+	}
+	return n
+}
+
+// drop removes the first n pending messages once they are delivered.
+func (r *mailroom) drop(n int) {
+	if n == 0 {
+		return
+	}
+	rest := copy(r.pending, r.pending[n:])
+	clear(r.pending[rest:])
+	r.pending = r.pending[:rest]
+}
+
+// foldSmsgs restores full order when m[:mid] and m[mid:] are each sorted, by
+// inserting tail elements into the prefix from the back. New messages are
+// due at or after now+lookahead while the prefix holds older traffic, so
+// they usually belong at the end and the fold moves almost nothing — the win
+// over re-sorting the whole pending set on every merge (or every Inject),
+// which turned large fleets quadratic. The order is total, so the result is
+// identical to a full sort.
+func foldSmsgs(m []smsg, mid int) {
+	for i := mid; i < len(m); i++ {
+		if i == 0 || m[i].cmp(m[i-1].mkey) > 0 {
+			continue
+		}
+		v := m[i]
+		j := i - 1
+		for j >= 0 && v.cmp(m[j].mkey) < 0 {
+			m[j+1] = m[j]
+			j--
+		}
+		m[j+1] = v
+	}
 }
 
 // Sharded runs n Engines under the epoch-merge protocol.
@@ -83,14 +259,17 @@ type Sharded struct {
 	parallel  bool
 	now       ktime.Time // global floor: every shard clock sits here between epochs
 
-	pending []smsg   // undelivered messages, sorted by (at, to, from, seq)
-	out     [][]smsg // per-shard outboxes, owned by the shard during an epoch
-	sendSeq []uint64
-	extSeq  uint64 // Inject sequence (source -1) — monotonic, never reset
-	in      []inbox
+	mailroom        // one outbox per shard, owned by the shard during an epoch
+	extSeq   uint64 // Inject sequence (source -1) — monotonic, never reset
+	// Every (shard, instant) group in pending[:committed] has a drain event
+	// posted and runs in the coming epoch, read in place by its shard from
+	// cur[shard] on — no per-shard copy — and the whole prefix is dropped
+	// when the epoch ends.
+	cur     []int
 	drainFn []func()
 
 	beginHook, endHook func(shard int)
+	onMsg              func(shard int, m *Msg)
 
 	// Worker goroutines for the parallel drive, started lazily.
 	started bool
@@ -116,12 +295,11 @@ func NewSharded(n int, lookahead ktime.Duration) *Sharded {
 	s := &Sharded{
 		lookahead: lookahead,
 		shards:    make([]*Engine, n),
-		out:       make([][]smsg, n),
-		sendSeq:   make([]uint64, n),
-		in:        make([]inbox, n),
+		cur:       make([]int, n),
 		drainFn:   make([]func(), n),
 	}
 	for i := 0; i < n; i++ {
+		s.addSource()
 		s.shards[i] = New()
 		i := i
 		s.drainFn[i] = func() { s.drain(i) }
@@ -146,16 +324,9 @@ func (s *Sharded) Now() ktime.Time { return s.now }
 // Epochs returns how many merge rounds have run.
 func (s *Sharded) Epochs() uint64 { return s.epochs }
 
-// MsgsSent returns how many cross-shard messages were submitted. (The
-// per-shard send sequences are the counters, so the sum is race-free to
-// maintain; read it between runs.)
-func (s *Sharded) MsgsSent() uint64 {
-	var n uint64
-	for _, sq := range s.sendSeq {
-		n += sq
-	}
-	return n
-}
+// MsgsSent returns how many cross-shard messages were submitted. Read it
+// between runs.
+func (s *Sharded) MsgsSent() uint64 { return s.sent() }
 
 // MsgsDelivered returns how many cross-shard messages were delivered.
 func (s *Sharded) MsgsDelivered() uint64 { return s.delivered }
@@ -182,6 +353,11 @@ func (s *Sharded) SetBatchHooks(begin, end func(shard int)) {
 	s.beginHook, s.endHook = begin, end
 }
 
+// SetMsgHandler installs the function value messages are delivered to: it
+// runs in the destination shard's execution context at the message instant,
+// inside the same batch bracket as closure messages, and must not retain m.
+func (s *Sharded) SetMsgHandler(fn func(shard int, m *Msg)) { s.onMsg = fn }
+
 // Send submits fn for execution on shard `to` at absolute virtual time
 // `at`. It must be called from shard `from`'s execution context (or between
 // runs), and `at` must be at least the sender's now plus the lookahead —
@@ -192,8 +368,7 @@ func (s *Sharded) Send(from, to int, at ktime.Time, fn func()) {
 		panic(fmt.Sprintf("sim: cross-shard send at %v under lookahead floor %v (shard %d → %d)",
 			at, min, from, to))
 	}
-	s.sendSeq[from]++
-	s.out[from] = append(s.out[from], smsg{at: at, to: to, from: from, seq: s.sendSeq[from], fn: fn})
+	s.send(from, smsg{mkey: mkey{at: at, to: int32(to)}, fn: fn})
 }
 
 // Inject commits fn for execution on shard `to` at absolute virtual time
@@ -203,7 +378,7 @@ func (s *Sharded) Send(from, to int, at ktime.Time, fn func()) {
 // order with the reserved source -1, so at one instant they deliver before
 // any shard's own traffic, in injection order (extSeq is monotonic for the
 // executor's life, like every other sequence counter — see the smsg audit
-// note). They drain through the same inbox/batch-hook machinery as
+// note). They drain through the same drain-event/batch-hook machinery as
 // cross-shard sends, so a burst of injected wakes coalesces IPIs exactly
 // like a remote-wake burst.
 //
@@ -212,12 +387,22 @@ func (s *Sharded) Send(from, to int, at ktime.Time, fn func()) {
 // from the caller itself being deterministic. Injecting into the past of
 // the executor floor panics.
 func (s *Sharded) Inject(to int, at ktime.Time, fn func()) {
-	if at < s.now {
-		panic(fmt.Sprintf("sim: Inject at %v before executor floor %v (shard %d)", at, s.now, to))
+	s.inject(smsg{mkey: mkey{at: at, to: int32(to)}, fn: fn})
+}
+
+// AcceptMsg is Inject for a value message, routed to shard m.Shard and
+// delivered to the SetMsgHandler function; it makes a Sharded a MsgSink.
+func (s *Sharded) AcceptMsg(at ktime.Time, m *Msg) {
+	s.inject(smsg{mkey: mkey{at: at, to: m.Shard}, msg: *m})
+}
+
+func (s *Sharded) inject(m smsg) {
+	if m.at < s.now {
+		panic(fmt.Sprintf("sim: Inject at %v before executor floor %v (shard %d)", m.at, s.now, m.to))
 	}
 	s.extSeq++
-	s.pending = append(s.pending, smsg{at: at, to: to, from: -1, seq: s.extSeq, fn: fn})
-	mergeNewSmsgs(s.pending, len(s.pending)-1)
+	m.from, m.seq = -1, s.extSeq
+	s.insert(m)
 }
 
 // NextEventTime returns the earliest pending work across the whole sharded
@@ -227,85 +412,68 @@ func (s *Sharded) Inject(to int, at ktime.Time, fn func()) {
 func (s *Sharded) NextEventTime() (ktime.Time, bool) {
 	s.collect()
 	best, ok := s.minNextEvent()
-	if len(s.pending) > 0 && (!ok || s.pending[0].at < best) {
-		best, ok = s.pending[0].at, true
+	if rest := s.unsent(); len(rest) > 0 && (!ok || rest[0].at < best) {
+		best, ok = rest[0].at, true
 	}
 	return best, ok
 }
 
-// drain is shard i's delivery event: it runs every inbox message due at the
-// shard's current instant inside one batch-hook bracket.
+// drain is shard i's delivery event: it runs every committed message due on
+// the shard at its current instant inside one batch-hook bracket. Committed
+// messages are in merge order, so everything between the shard's cursor and
+// its group belongs to other shards, and the group itself is contiguous.
+// During a parallel epoch several shards walk the committed prefix at once;
+// each writes only its own cursor and its own messages.
 func (s *Sharded) drain(i int) {
-	ib := &s.in[i]
 	now := s.shards[i].Now()
-	if ib.head >= len(ib.q) || ib.q[ib.head].at != now {
+	mine := func(c int) bool {
+		m := &s.pending[c]
+		return m.at == now && int(m.to) == i
+	}
+	c := s.cur[i]
+	for c < s.committed && s.pending[c].at <= now && !mine(c) {
+		c++
+	}
+	s.cur[i] = c
+	if c >= s.committed || !mine(c) {
 		return // already drained by an earlier event at this instant
 	}
 	if s.beginHook != nil {
 		s.beginHook(i)
 	}
-	for ib.head < len(ib.q) && ib.q[ib.head].at == now {
-		fn := ib.q[ib.head].fn
-		ib.q[ib.head].fn = nil
-		ib.head++
-		fn()
+	for ; c < s.committed && mine(c); c++ {
+		m := &s.pending[c]
+		if fn := m.fn; fn != nil {
+			m.fn = nil
+			fn()
+		} else {
+			s.onMsg(i, &m.msg)
+		}
 	}
+	s.cur[i] = c
 	if s.endHook != nil {
 		s.endHook(i)
 	}
-	if ib.head >= len(ib.q) {
-		ib.q = ib.q[:0]
-		ib.head = 0
-	}
 }
 
-// deliver commits every pending message due at or before upTo: append to
-// the destination inbox in merge order and post one drain event per
-// (shard, instant) group.
+// deliver commits every pending message due at or before upTo, in merge
+// order, posting one drain event per (shard, instant) group.
 func (s *Sharded) deliver(upTo ktime.Time) {
-	n := 0
-	for n < len(s.pending) && s.pending[n].at <= upTo {
-		n++
-	}
-	for j := 0; j < n; j++ {
-		m := s.pending[j]
-		ib := &s.in[m.to]
-		// One drain event per (to, at) group: the group is contiguous in
-		// merge order, so a new group starts whenever the inbox tail
-		// changes instant (or was empty).
-		if len(ib.q) == 0 || ib.q[len(ib.q)-1].at != m.at {
+	n := s.due(upTo)
+	for j := s.committed; j < n; j++ {
+		m := &s.pending[j]
+		// A group is contiguous in merge order, so it starts wherever the
+		// previous committed message has another instant or shard.
+		if j == 0 || s.pending[j-1].at != m.at || s.pending[j-1].to != m.to {
 			s.shards[m.to].PostAt(m.at, s.drainFn[m.to])
 		}
-		ib.q = append(ib.q, m)
-		s.pending[j].fn = nil
-		s.delivered++
 	}
-	if n > 0 {
-		rest := copy(s.pending, s.pending[n:])
-		for j := rest; j < len(s.pending); j++ {
-			s.pending[j] = smsg{}
-		}
-		s.pending = s.pending[:rest]
-	}
+	s.delivered += uint64(n - s.committed)
+	s.committed = n
 }
 
-// collect merges every outbox into the pending set and restores the merge
-// order.
-func (s *Sharded) collect() {
-	sorted := len(s.pending)
-	for i := range s.out {
-		if len(s.out[i]) > 0 {
-			s.pending = append(s.pending, s.out[i]...)
-			for j := range s.out[i] {
-				s.out[i][j] = smsg{}
-			}
-			s.out[i] = s.out[i][:0]
-		}
-	}
-	if len(s.pending) > sorted {
-		mergeNewSmsgs(s.pending, sorted)
-	}
-}
+// unsent is the part of the pending set not yet committed.
+func (s *Sharded) unsent() []smsg { return s.pending[s.committed:] }
 
 // minNextEvent returns the earliest live event time across all shards.
 func (s *Sharded) minNextEvent() (ktime.Time, bool) {
@@ -318,6 +486,29 @@ func (s *Sharded) minNextEvent() (ktime.Time, bool) {
 	return best, ok
 }
 
+// runLone is runEpoch for a one-shard executor given a window longer than
+// the lookahead (run grants one when the bound is finite): with no peer
+// whose message could land inside it, the window only has to stop at the
+// first message the shard sends to itself — due no sooner than a lookahead
+// after the send, so never in the shard's past. It returns where the window
+// ended. The events fired, their order, and the engine state every delivery
+// is posted into are exactly those of lookahead-sized windows; a fleet
+// machine just stops paying an epoch turn per event.
+func (s *Sharded) runLone(end ktime.Time) ktime.Time {
+	s.epochs++
+	e := s.shards[0]
+	for seen := 0; e.stepBounded(end); {
+		for ; seen < len(s.out[0]); seen++ {
+			end = min(end, s.out[0][seen].at)
+		}
+	}
+	if e.now < end {
+		e.now = end
+	}
+	s.retire()
+	return end
+}
+
 // runEpoch advances every shard to end, in parallel or serially.
 func (s *Sharded) runEpoch(end ktime.Time) {
 	s.epochs++
@@ -325,6 +516,7 @@ func (s *Sharded) runEpoch(end ktime.Time) {
 		for _, e := range s.shards {
 			e.RunUntil(end)
 		}
+		s.retire()
 		return
 	}
 	if !s.started {
@@ -348,6 +540,14 @@ func (s *Sharded) runEpoch(end ktime.Time) {
 	for range s.cmds {
 		<-s.ack
 	}
+	s.retire()
+}
+
+// retire drops the committed prefix once the epoch that ran it is over.
+func (s *Sharded) retire() {
+	s.drop(s.committed)
+	s.committed = 0
+	clear(s.cur)
 }
 
 // run is the epoch loop: deliver due messages, pick the next productive
@@ -357,13 +557,13 @@ func (s *Sharded) run(t ktime.Time, advance bool) {
 	// Pick up messages submitted between runs (setup-time Sends).
 	s.collect()
 	for {
-		if len(s.pending) > 0 && s.pending[0].at <= s.now {
+		nextMsg := maxTime
+		if rest := s.unsent(); len(rest) > 0 {
+			nextMsg = rest[0].at
+		}
+		if nextMsg <= s.now {
 			s.deliver(s.now)
 			continue
-		}
-		nextMsg := maxTime
-		if len(s.pending) > 0 {
-			nextMsg = s.pending[0].at
 		}
 		nextEv, hasEv := s.minNextEvent()
 		next := nextMsg
@@ -385,14 +585,13 @@ func (s *Sharded) run(t ktime.Time, advance bool) {
 			s.deliver(start)
 			continue
 		}
-		end := start.Add(s.lookahead)
-		if end > t {
-			end = t
+		var end ktime.Time
+		if len(s.shards) == 1 && t != maxTime {
+			end = s.runLone(min(t, nextMsg))
+		} else {
+			end = min(t, nextMsg, start.Add(s.lookahead))
+			s.runEpoch(end)
 		}
-		if nextMsg < end {
-			end = nextMsg
-		}
-		s.runEpoch(end)
 		s.collect()
 		s.now = end
 	}
@@ -422,75 +621,4 @@ func (s *Sharded) Close() {
 	}
 	s.started = false
 	s.cmds = nil
-}
-
-// sortSmsgs sorts messages by (at, to, from, seq) without allocating:
-// insertion sort for the short, nearly sorted common case, heapsort beyond.
-func sortSmsgs(m []smsg) {
-	if len(m) > 48 {
-		heapsortSmsgs(m)
-		return
-	}
-	insertionSortSmsgs(m)
-}
-
-func insertionSortSmsgs(m []smsg) {
-	for i := 1; i < len(m); i++ {
-		v := m[i]
-		j := i - 1
-		for j >= 0 && v.less(m[j]) {
-			m[j+1] = m[j]
-			j--
-		}
-		m[j+1] = v
-	}
-}
-
-// mergeNewSmsgs restores full order when m[:mid] is already sorted and
-// [mid:] is a freshly appended tail: sort the tail alone, then fold it into
-// the prefix by insertion. New messages are due at or after now+lookahead
-// while the sorted prefix holds older traffic, so tail elements usually
-// belong near the end and the fold moves almost nothing — the win over
-// re-sorting the whole pending set on every merge (or every Inject), which
-// turned large fleets quadratic. The (at, to, from, seq) order is total, so
-// the result is identical to a full sort.
-func mergeNewSmsgs(m []smsg, mid int) {
-	sortSmsgs(m[mid:])
-	for i := mid; i < len(m); i++ {
-		v := m[i]
-		j := i - 1
-		for j >= 0 && v.less(m[j]) {
-			m[j+1] = m[j]
-			j--
-		}
-		m[j+1] = v
-	}
-}
-
-func heapsortSmsgs(m []smsg) {
-	n := len(m)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftSmsgs(m, i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		m[0], m[i] = m[i], m[0]
-		siftSmsgs(m, 0, i)
-	}
-}
-
-func siftSmsgs(m []smsg, root, n int) {
-	for {
-		c := 2*root + 1
-		if c >= n {
-			return
-		}
-		if c+1 < n && m[c].less(m[c+1]) {
-			c++
-		}
-		if !m[root].less(m[c]) {
-			return
-		}
-		m[root], m[c] = m[c], m[root]
-		root = c
-	}
 }

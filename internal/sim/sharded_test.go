@@ -207,3 +207,56 @@ func TestShardedZeroAllocSteadyState(t *testing.T) {
 		t.Fatalf("sharded steady state allocates %.1f/run, want 0", allocs)
 	}
 }
+
+// TestShardedLoneShardWindows: a one-shard executor driven to a finite bound
+// runs windows longer than its lookahead. That may change nothing but the
+// epoch count — in particular a shard that sends to itself must still get
+// the message at its instant, after the events due by then and before the
+// later ones. The reference is the same scenario under RunUntilIdle, which
+// keeps lookahead-sized windows.
+func TestShardedLoneShardWindows(t *testing.T) {
+	la := 2 * time.Microsecond
+	build := func() (*Sharded, *[]string) {
+		s := NewSharded(1, la)
+		eng := s.Shard(0)
+		log := new([]string)
+		note := func(what string) { *log = append(*log, fmt.Sprintf("%s @%d", what, eng.Now())) }
+		s.SetBatchHooks(func(int) { note("begin") }, func(int) { note("end") })
+		s.SetMsgHandler(func(_ int, m *Msg) { note(fmt.Sprintf("value %d", m.A)) })
+		n := 0
+		var tick func()
+		tick = func() {
+			n++
+			note(fmt.Sprintf("tick %d", n))
+			if n%3 == 0 { // a self-send due exactly on a later tick's instant
+				k := n
+				s.Send(0, 0, eng.Now().Add(ktime.Duration(3*time.Microsecond)), func() { note(fmt.Sprintf("self %d", k)) })
+			}
+			if n < 30 {
+				eng.Post(time.Microsecond, tick)
+			}
+		}
+		eng.Post(time.Microsecond, tick)
+		// Injected traffic due mid-run, value and closure at one instant.
+		at := ktime.Time(0).Add(ktime.Duration(10 * time.Microsecond))
+		s.AcceptMsg(at, &Msg{Kind: 1, A: 7})
+		s.Inject(0, at, func() { note("injected") })
+		return s, log
+	}
+	ref, refLog := build()
+	ref.RunUntilIdle()
+	lone, loneLog := build()
+	lone.RunUntil(ktime.Time(0).Add(ktime.Duration(time.Millisecond)))
+	if fmt.Sprint(*refLog) != fmt.Sprint(*loneLog) {
+		t.Fatalf("long windows changed the run:\nlookahead windows %v\nlong windows      %v", *refLog, *loneLog)
+	}
+	if len(*refLog) < 30+10*3+4 {
+		t.Fatalf("scenario too small: %v", *refLog)
+	}
+	if lone.Epochs() >= ref.Epochs() {
+		t.Fatalf("long windows took %d epochs, lookahead windows %d", lone.Epochs(), ref.Epochs())
+	}
+	if lone.MsgsDelivered() != ref.MsgsDelivered() {
+		t.Fatalf("delivered %d vs %d", lone.MsgsDelivered(), ref.MsgsDelivered())
+	}
+}

@@ -6,7 +6,8 @@
 // fully deterministic.
 //
 // The engine is deliberately tiny: the kernel package layers CPUs, run
-// queues, and timers on top of it. Events are plain closures. An event can be
+// queues, and timers on top of it. Events are plain closures, or — for
+// objects that embed their own timers — a Handler. An event can be
 // cancelled by its handle; cancellation is O(1) (the event is tombstoned and
 // skipped when popped), which matters because the kernel cancels and re-arms
 // per-CPU completion events on every preemption. Arming is O(1) too: the
@@ -20,9 +21,12 @@
 //     free list; because no handle escapes, the Event is recycled the moment
 //     it fires.
 //   - NewEvent + Reschedule give timer owners (the kernel's per-CPU tick and
-//     reschedule timers, per-task completion events) one persistent Event
-//     that is re-armed in place instead of allocating a closure + Event per
-//     arm.
+//     reschedule timers) one persistent Event that is re-armed in place
+//     instead of allocating a closure + Event per arm.
+//   - Bind + Reschedule do the same for an Event embedded in its owner (the
+//     kernel's per-task completion event lives inside the Task), and PostTo
+//     posts a fire-and-forget event at a Handler: no closure either way, so
+//     an object with timers costs one allocation, not one per timer.
 //
 // Tombstones and stale re-arm entries do not accumulate: the engine tracks
 // the live count, and when dead entries dominate the queue it compacts every
@@ -35,12 +39,20 @@ import (
 	"enoki/internal/ktime"
 )
 
-// Event is a scheduled closure. The zero value is invalid; events are created
-// through Engine.At / Engine.After / Engine.NewEvent.
+// Handler is the closure-free event target: Fire runs when an event bound or
+// posted to it comes due. A type with several timers gives each a Handler
+// view of itself (a named pointer type per timer), so events carry no tag.
+type Handler interface{ Fire() }
+
+// Event is a scheduled closure or Handler call. The zero value is invalid;
+// events are created through Engine.At / Engine.After / Engine.NewEvent, or
+// embedded in their owner and initialised with Engine.Bind.
 type Event struct {
-	at        ktime.Time
-	seq       uint64 // sequence of the current arming; older queue entries are stale
+	at  ktime.Time
+	seq uint64 // sequence of the current arming; older queue entries are stale
+	// Exactly one of fn and h is set while the event can fire.
 	fn        func()
+	h         Handler
 	cancelled bool
 	// recycle marks a fire-and-forget event (Post/PostAt): no handle
 	// escaped, so the engine returns it to the free list once it fires.
@@ -93,7 +105,6 @@ const compactSlack = 128
 type Engine struct {
 	now     ktime.Time
 	seq     uint64
-	wq      wheelQueue
 	live    int // queued events that are neither tombstoned nor stale
 	free    []*Event
 	stopped bool
@@ -110,6 +121,10 @@ type Engine struct {
 	nextAt    ktime.Time
 	nextOK    bool
 	nextValid bool
+
+	// wq goes last: its slot array is tens of kilobytes, and everything
+	// above is touched on every event.
+	wq wheelQueue
 }
 
 // New returns an engine with the clock at T+0 and an empty queue.
@@ -156,15 +171,24 @@ func (e *Engine) NextEventTime() (ktime.Time, bool) {
 	return en.at, true
 }
 
+// eventChunk is how many Events one free-list refill allocates, so a cold
+// engine's first burst of posts is not one allocation per event.
+const eventChunk = 32
+
 // alloc produces an Event, reusing a recycled one when available.
 func (e *Engine) alloc() *Event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		return ev
+	if len(e.free) == 0 {
+		chunk := make([]Event, eventChunk)
+		for i := range chunk {
+			chunk[i].eng = e
+			e.free = append(e.free, &chunk[i])
+		}
 	}
-	return &Event{eng: e}
+	n := len(e.free)
+	ev := e.free[n-1]
+	e.free[n-1] = nil
+	e.free = e.free[:n-1]
+	return ev
 }
 
 // release returns a fire-and-forget event to the free list once it has left
@@ -174,7 +198,7 @@ func (e *Engine) release(ev *Event) {
 	if !ev.recycle || ev.armed {
 		return
 	}
-	ev.fn = nil
+	ev.fn, ev.h = nil, nil
 	ev.cancelled = false
 	e.recycled++
 	e.free = append(e.free, ev)
@@ -227,10 +251,12 @@ func (e *Engine) After(d ktime.Duration, fn func()) *Event {
 // handle is returned, so the Event object is drawn from and returned to the
 // engine's free list — the steady-state cost is zero allocations. Use it for
 // one-shot work that is never cancelled (kicks, self-wakes).
-func (e *Engine) PostAt(t ktime.Time, fn func()) {
+func (e *Engine) PostAt(t ktime.Time, fn func()) { e.post(t, fn, nil) }
+
+func (e *Engine) post(t ktime.Time, fn func(), h Handler) {
 	e.checkFuture(t)
 	ev := e.alloc()
-	ev.fn = fn
+	ev.fn, ev.h = fn, h
 	ev.recycle = true
 	e.push(ev, t)
 }
@@ -239,6 +265,9 @@ func (e *Engine) PostAt(t ktime.Time, fn func()) {
 func (e *Engine) Post(d ktime.Duration, fn func()) {
 	e.PostAt(e.now.Add(d), fn)
 }
+
+// PostTo is Post at a Handler: h.Fire runs d from now, no closure built.
+func (e *Engine) PostTo(d ktime.Duration, h Handler) { e.post(e.now.Add(d), nil, h) }
 
 // NewEvent returns an unarmed event bound to fn, intended to be armed (and
 // re-armed, and cancelled) many times via Reschedule: one Event object per
@@ -250,6 +279,16 @@ func (e *Engine) NewEvent(fn func()) *Event {
 	return &Event{eng: e, fn: fn}
 }
 
+// Bind initialises ev — an Event embedded in its owner rather than allocated
+// by NewEvent — as an unarmed persistent event firing h, armed through
+// Reschedule like a NewEvent handle. Bind it once, before first use.
+func (e *Engine) Bind(ev *Event, h Handler) {
+	if h == nil {
+		panic("sim: Bind with nil handler")
+	}
+	*ev = Event{eng: e, h: h}
+}
+
 // Reschedule (re-)arms ev at absolute time t, keeping its function. It
 // accepts an event in any state: queued (the old entry goes stale), tombstoned
 // (revived), or fired/unarmed (pushed again) — including the event currently
@@ -257,7 +296,7 @@ func (e *Engine) NewEvent(fn func()) *Event {
 // sequence number is assigned, so ordering is exactly as if a new event had
 // been scheduled.
 func (e *Engine) Reschedule(ev *Event, t ktime.Time) {
-	if ev == nil || ev.fn == nil {
+	if ev == nil || (ev.fn == nil && ev.h == nil) {
 		panic("sim: Reschedule of an event without a function")
 	}
 	if ev.recycle {
@@ -314,17 +353,20 @@ func (e *Engine) maybeCompact() {
 }
 
 // peekLive returns the earliest live entry without consuming it, discarding
-// dead entries along the way.
+// dead entries along the way. On success the entry heads the wheel's front
+// slot, so the caller consumes it with wq.popFront: the minimum is located
+// once, not once to look and once to take.
 func (e *Engine) peekLive() (entry, bool) {
 	for {
-		en, ok := e.wq.next(false)
-		if !ok {
+		sl := e.wq.front()
+		if sl == nil {
 			return entry{}, false
 		}
+		en := sl.peek()
 		if !entryDead(en) {
 			return en, true
 		}
-		e.wq.next(true) // discard the dead minimum
+		e.wq.popFront() // discard the dead minimum
 		e.release(en.ev)
 	}
 }
@@ -337,7 +379,11 @@ func (e *Engine) fire(en entry) {
 	e.nextValid = false // the minimum is being consumed
 	e.now = en.at
 	e.fired++
-	ev.fn()
+	if ev.fn != nil {
+		ev.fn()
+	} else {
+		ev.h.Fire()
+	}
 	// The closure may have re-armed ev (recurring timers); only a
 	// still-unqueued fire-and-forget event is recyclable.
 	e.release(ev)
@@ -346,11 +392,15 @@ func (e *Engine) fire(en entry) {
 // stepBounded fires the earliest live event if its time is at or before
 // bound, reporting whether an event ran.
 func (e *Engine) stepBounded(bound ktime.Time) bool {
+	if e.nextValid && (!e.nextOK || e.nextAt > bound) {
+		return false // a coordinator's peek already found nothing due
+	}
 	en, ok := e.peekLive()
 	if !ok || en.at > bound {
+		e.nextAt, e.nextOK, e.nextValid = en.at, ok, true // the coordinator asks next
 		return false
 	}
-	e.wq.next(true)
+	e.wq.popFront()
 	e.fire(en)
 	return true
 }

@@ -12,9 +12,23 @@
 // fresh entry and letting the stale one (seq mismatch) be skipped on pop,
 // which is what keeps arm/cancel O(1) without index maintenance. Stale and
 // tombstoned entries are dropped lazily on pop and in bulk by maybeCompact.
+//
+// Slot storage is sized for cold engines too — a fleet builds hundreds per
+// run, and a slot growing a slice of its own on first touch made wheel
+// pushes the largest allocation site of every workload. A slot's first
+// buffer is carved from a per-engine chunk and kept for the engine's life;
+// only a slot that outgrows it pays an append. An occupancy bitmap finds the
+// earliest non-empty slot a word at a time. Neither can affect firing order,
+// which is the (at, seq) total order whatever holds the entries.
 package sim
 
-import "enoki/internal/ktime"
+import (
+	"cmp"
+	"math/bits"
+	"slices"
+
+	"enoki/internal/ktime"
+)
 
 const (
 	// slotShift/slotGrain: each near-wheel slot covers 2^11 ns ≈ 2 µs.
@@ -24,6 +38,12 @@ const (
 	// that tick timers (1 ms) and typical sleeps stay out of the overflow
 	// heap.
 	numSlots = 1024
+	// slotCarve is the capacity of a slot's first buffer, chunkSlots how
+	// many of them one chunk allocation yields. On a fleet machine 97% of
+	// touched slots never hold more than two entries at once; 128 per chunk
+	// puts a fully touched wheel at 8 allocations of 6 KB.
+	slotCarve  = 2
+	chunkSlots = 128
 )
 
 // entry is one queued occurrence of an event. The (at, seq) pair is the
@@ -43,6 +63,13 @@ func (a entry) less(b entry) bool {
 	return a.seq < b.seq
 }
 
+func cmpEntry(a, b entry) int {
+	if a.at != b.at {
+		return cmp.Compare(a.at, b.at)
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
 // slot is one near-wheel bucket. Entries [idx:sorted) are in firing order;
 // [sorted:] is the unsorted tail appended since the last sort (same-slot
 // pushes while the slot is draining — zero-delay kicks). The tail is folded
@@ -60,10 +87,11 @@ func (s *slot) reset() {
 
 func (s *slot) empty() bool { return s.idx >= len(s.ents) }
 
-// normalize folds the unsorted tail into the sorted region. Ticks and wake
-// bursts push same-time entries in seq order, so the tail is usually already
-// sorted and the insertion pass is near-linear; a large disordered tail
-// falls back to heapsort.
+// normalize folds the unsorted tail into the sorted region by insertion.
+// Ticks and wake bursts push same-time entries in seq order, so the tail is
+// usually already sorted and the pass is near-linear; a large tail is sorted
+// first (pattern-defeating quicksort: a burst filed in firing order, like a
+// control plane's same-instant acks, costs one pass).
 func (s *slot) normalize() {
 	if s.sorted >= len(s.ents) {
 		return
@@ -75,15 +103,10 @@ func (s *slot) normalize() {
 		s.sorted -= s.idx
 		s.idx = 0
 	}
-	if tail := len(s.ents) - s.sorted; tail > 48 {
-		heapsortEntries(s.ents[s.sorted:])
-	} else {
-		insertionSortEntries(s.ents[s.sorted:])
+	if tail := s.ents[s.sorted:]; len(tail) > 48 {
+		slices.SortFunc(tail, cmpEntry)
 	}
-	// Merge the (now sorted) tail with the sorted head in place: standard
-	// binary-insertion of the tail block, cheap because the tail is short
-	// or the head is exhausted.
-	mergeSortedEntries(s.ents, s.sorted)
+	insertEntries(s.ents, s.sorted)
 	s.sorted = len(s.ents)
 }
 
@@ -105,54 +128,11 @@ func (s *slot) pop() entry {
 	return e
 }
 
-// insertionSortEntries sorts a short or nearly sorted run in place.
-func insertionSortEntries(e []entry) {
-	for i := 1; i < len(e); i++ {
-		v := e[i]
-		j := i - 1
-		for j >= 0 && v.less(e[j]) {
-			e[j+1] = e[j]
-			j--
-		}
-		e[j+1] = v
-	}
-}
-
-// heapsortEntries is the allocation-free O(n log n) fallback for large
-// disordered tails (sort.Slice would allocate its closure on the hot path).
-func heapsortEntries(e []entry) {
-	n := len(e)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftEntries(e, i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		e[0], e[i] = e[i], e[0]
-		siftEntries(e, 0, i)
-	}
-}
-
-func siftEntries(e []entry, root, n int) {
-	for {
-		c := 2*root + 1
-		if c >= n {
-			return
-		}
-		if c+1 < n && e[c].less(e[c+1]) {
-			c++
-		}
-		if !e[root].less(e[c]) {
-			return
-		}
-		e[root], e[c] = e[c], e[root]
-		root = c
-	}
-}
-
-// mergeSortedEntries merges e[:mid] and e[mid:], both sorted, into one
-// sorted slice in place by repeated insertion of tail elements. The tail is
-// short in steady state, so this beats an allocating merge buffer.
-func mergeSortedEntries(e []entry, mid int) {
-	for i := mid; i < len(e); i++ {
+// insertEntries sorts e in place given that e[:mid] already is: each later
+// element is inserted among everything before it. The tail is short or
+// presorted in steady state, so this beats an allocating merge buffer.
+func insertEntries(e []entry, mid int) {
+	for i := max(mid, 1); i < len(e); i++ {
 		v := e[i]
 		j := i - 1
 		for j >= 0 && v.less(e[j]) {
@@ -218,11 +198,15 @@ func (o *overflow) siftDown(i int) {
 // level. base is the absolute slot number (at >> slotShift) of the window
 // start; the window covers slot numbers [base, base+numSlots).
 type wheelQueue struct {
-	slots    [numSlots]slot
 	base     int64 // absolute slot number of window start
 	nearCnt  int   // entries in the near wheel
-	over     overflow
-	nentries int // total entries, live + stale + tombstoned
+	nentries int   // total entries, live + stale + tombstoned
+	// occ has bit i set while slots[i] is non-empty.
+	occ [numSlots / 64]uint64
+	// chunk is the unused remainder of the latest first-buffer allocation.
+	chunk []entry
+	over  overflow
+	slots [numSlots]slot
 }
 
 func slotOf(t ktime.Time) int64 { return int64(t) >> slotShift }
@@ -230,6 +214,17 @@ func slotOf(t ktime.Time) int64 { return int64(t) >> slotShift }
 // windowEnd returns the first absolute time beyond the near window.
 func (w *wheelQueue) windowEnd() ktime.Time {
 	return ktime.Time((w.base + numSlots) << slotShift)
+}
+
+// carve returns an empty first buffer for a slot, its capacity capped so an
+// append past it reallocates instead of running into a neighbour.
+func (w *wheelQueue) carve() []entry {
+	if len(w.chunk) < slotCarve {
+		w.chunk = make([]entry, slotCarve*chunkSlots)
+	}
+	buf := w.chunk[:0:slotCarve]
+	w.chunk = w.chunk[slotCarve:]
+	return buf
 }
 
 // push files an entry into the near wheel or the overflow level.
@@ -243,7 +238,13 @@ func (w *wheelQueue) push(e entry) {
 		s = w.base
 	}
 	if s < w.base+numSlots {
-		w.slots[s%numSlots].ents = append(w.slots[s%numSlots].ents, e)
+		i := s % numSlots
+		sl := &w.slots[i]
+		if sl.ents == nil {
+			sl.ents = w.carve()
+		}
+		sl.ents = push(sl.ents, e)
+		w.occ[i>>6] |= 1 << uint(i&63)
 		w.nearCnt++
 		return
 	}
@@ -266,54 +267,54 @@ func (w *wheelQueue) advanceTo(s int64) {
 	}
 }
 
-// next locates the earliest entry. When extract is true the entry is
-// consumed; otherwise it is left in place. The second result is false when
-// the queue holds no entries at all.
-func (w *wheelQueue) next(extract bool) (entry, bool) {
-	if w.nentries == 0 {
-		return entry{}, false
+// firstOccupied returns how many slots past the window start the earliest
+// non-empty slot sits, scanning the bitmap a word at a time (the start word
+// twice: from start up, then after a full lap its low bits, which are the
+// window's last slots). The near wheel must hold at least one entry.
+func (w *wheelQueue) firstOccupied() int64 {
+	start := int(w.base % numSlots)
+	for off := 0; off < numSlots; {
+		i := (start + off) % numSlots
+		if word := w.occ[i>>6] >> uint(i&63); word != 0 {
+			return int64(off + bits.TrailingZeros64(word))
+		}
+		off += 64 - i&63
 	}
-	for {
-		if w.nearCnt > 0 {
-			// Scan forward from the window start to the first non-empty
-			// slot. The scan is amortized: base only moves forward, and
-			// each slot is visited once per window traversal.
-			for i := int64(0); i < numSlots; i++ {
-				sl := &w.slots[(w.base+i)%numSlots]
-				if sl.empty() {
-					continue
-				}
-				if i > 0 {
-					w.advanceTo(w.base + i)
-					// Promotion may have refilled earlier slots — the
-					// promoted entries land at or after the new base, so
-					// restart the scan from it.
-					sl = &w.slots[w.base%numSlots]
-					if sl.empty() {
-						break // rescan from the top
-					}
-				}
-				if extract {
-					e := sl.pop()
-					w.nearCnt--
-					w.nentries--
-					return e, true
-				}
-				return sl.peek(), true
-			}
-			continue
-		}
-		if w.over.empty() {
-			return entry{}, false
-		}
-		// Near wheel empty: jump the window to the overflow root, which
-		// promotes it (and any peers) into the wheel.
+	panic("sim: near wheel count and occupancy bitmap disagree")
+}
+
+// front moves the window start to the earliest non-empty slot — jumping to
+// the overflow root when the near wheel is empty, promoting what the move
+// uncovers — and returns it, or nil when the queue holds no entries at all.
+// The queue's minimum is the slot's peek; popFront consumes it.
+func (w *wheelQueue) front() *slot {
+	if w.nentries == 0 {
+		return nil
+	}
+	if w.nearCnt == 0 {
+		// Promotion moves the root (and any peers) into the wheel.
 		w.advanceTo(slotOf(w.over.ents[0].at))
 		if w.nearCnt == 0 {
-			// Defensive: promotion must have moved the root in.
 			panic("sim: overflow promotion moved no entries")
 		}
 	}
+	// Promoted entries land at or after the new base, so the slot found
+	// here stays the earliest after the advance.
+	w.advanceTo(w.base + w.firstOccupied())
+	return &w.slots[w.base%numSlots]
+}
+
+// popFront consumes the entry front's slot peeked.
+func (w *wheelQueue) popFront() entry {
+	i := w.base % numSlots
+	sl := &w.slots[i]
+	e := sl.pop()
+	if sl.empty() {
+		w.occ[i>>6] &^= 1 << uint(i&63)
+	}
+	w.nearCnt--
+	w.nentries--
+	return e
 }
 
 // compact rebuilds every slot and the overflow without stale or tombstoned
@@ -336,6 +337,9 @@ func (w *wheelQueue) compact(liveEntry func(entry) bool) {
 		}
 		sl.ents = kept
 		sl.idx, sl.sorted = 0, 0
+		if len(kept) == 0 {
+			w.occ[i>>6] &^= 1 << uint(i&63)
+		}
 		total += len(kept)
 	}
 	w.nearCnt = total

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -11,11 +13,42 @@ import (
 // take the overflow path.
 const wheelHorizon = numSlots * slotGrain * time.Nanosecond
 
+// onWheels runs body against the wheel's two storage states: a cold engine,
+// whose slots have no buffers yet and get them carved from fresh chunks as
+// the test pushes, and a warm one that has already turned the wheel past
+// its horizon with enough same-slot traffic that every slot holds a buffer
+// and many have outgrown the carved one. Firing order is the (at, seq)
+// order either way; the rows exist so a storage change cannot make that
+// depend on which buffer an entry happens to sit in.
+func onWheels(t *testing.T, body func(t *testing.T, e *Engine)) {
+	t.Run("cold", func(t *testing.T) { body(t, New()) })
+	t.Run("warm", func(t *testing.T) {
+		e := New()
+		nop := func() {}
+		for i := 0; i < 3*numSlots; i++ {
+			at := ktime.Time(i * slotGrain / 2)
+			for j := 0; j <= i%(2*slotCarve); j++ {
+				e.PostAt(at, nop)
+			}
+		}
+		e.Run()
+		for i := range e.wq.slots {
+			if e.wq.slots[i].ents == nil {
+				t.Fatalf("warm-up left slot %d without a buffer", i)
+			}
+		}
+		body(t, e)
+	})
+}
+
 // TestFarFutureOverflowPromotion schedules events far beyond the near-wheel
 // horizon and checks they are promoted and fire in exact (time, seq) order,
 // interleaved with near events.
 func TestFarFutureOverflowPromotion(t *testing.T) {
-	e := New()
+	onWheels(t, testFarFutureOverflowPromotion)
+}
+
+func testFarFutureOverflowPromotion(t *testing.T, e *Engine) {
 	var order []int
 	// Far events, out of order, several wheel rotations out.
 	e.After(5*wheelHorizon, func() { order = append(order, 5) })
@@ -45,9 +78,12 @@ func TestFarFutureOverflowPromotion(t *testing.T) {
 // TestOverflowPromotionPreservesTies: far-future events at the same instant
 // must fire in insertion order after promotion, exactly like near ties.
 func TestOverflowPromotionPreservesTies(t *testing.T) {
-	e := New()
+	onWheels(t, testOverflowPromotionPreservesTies)
+}
+
+func testOverflowPromotionPreservesTies(t *testing.T, e *Engine) {
 	var order []int
-	at := ktime.Time(0).Add(4 * wheelHorizon)
+	at := e.Now().Add(4 * wheelHorizon)
 	for i := 0; i < 20; i++ {
 		i := i
 		e.At(at, func() { order = append(order, i) })
@@ -227,16 +263,19 @@ func TestCompactionMidDrainWithRetainedHandle(t *testing.T) {
 // TestCompactionReleasesNothingLive: the compaction sweep must never free or
 // reorder live entries even when interleaved with the overflow level.
 func TestCompactionReleasesNothingLive(t *testing.T) {
-	e := New()
+	onWheels(t, testCompactionReleasesNothingLive)
+}
+
+func testCompactionReleasesNothingLive(t *testing.T, e *Engine) {
 	var fired []int
 	var evs []*Event
 	for i := 0; i < 900; i++ {
 		i := i
 		var at ktime.Time
 		if i%3 != 0 {
-			at = ktime.Time(1000 + i) // near
+			at = e.Now().Add(ktime.Duration(1000 + i)) // near
 		} else {
-			at = ktime.Time(0).Add(3 * wheelHorizon).Add(ktime.Duration(i)) // far
+			at = e.Now().Add(3 * wheelHorizon).Add(ktime.Duration(i)) // far
 		}
 		evs = append(evs, e.At(at, func() { fired = append(fired, i) }))
 	}
@@ -259,5 +298,109 @@ func TestCompactionReleasesNothingLive(t *testing.T) {
 		if fired[j] < fired[j-1] {
 			t.Fatalf("overflow order broken at %d: %v...", j, fired[:j+1])
 		}
+	}
+}
+
+// TestSlotRefilledWhileDraining is the storage edge the carved buffers add:
+// a slot outgrows its carved first buffer (append moves it to a buffer of
+// its own and the carved one is abandoned in the chunk), starts draining,
+// and is refilled from inside its own firing closures — same-instant posts
+// and later-in-slot arms that land in the tail behind the drain position
+// and grow the buffer again. The neighbouring slots' carved buffers sit
+// right after the abandoned one in the chunk and must come through
+// untouched. Everything fires exactly once, in (at, seq) order.
+func TestSlotRefilledWhileDraining(t *testing.T) {
+	onWheels(t, func(t *testing.T, e *Engine) {
+		// slot is the start of a fresh slot a little ahead of now; the
+		// neighbours are the slots either side of it.
+		slot := ktime.Time((slotOf(e.Now()) + 8) << slotShift)
+		type firing struct {
+			at ktime.Time
+			id int
+		}
+		var got, want []firing
+		id := 0
+		var arm func(at ktime.Time, refill int)
+		arm = func(at ktime.Time, refill int) {
+			me := id
+			id++
+			e.PostAt(at, func() {
+				got = append(got, firing{e.Now(), me})
+				for i := 0; i < refill; i++ {
+					arm(e.Now(), 0)                          // same instant: behind everything already queued here
+					arm(e.Now().Add(ktime.Duration(i+1)), 0) // later in the same slot
+				}
+			})
+		}
+		for _, nb := range []ktime.Time{slot - slotGrain, slot + slotGrain} {
+			arm(nb, 0)
+			arm(nb.Add(1), 0)
+		}
+		// 3×slotCarve entries: past the carved buffer before draining starts.
+		for i := 0; i < 3*slotCarve; i++ {
+			arm(slot.Add(ktime.Duration(10*i)), 2)
+		}
+		e.Run()
+		if len(got) != id {
+			t.Fatalf("fired %d of %d events", len(got), id)
+		}
+		// Ids are handed out in arming order, which is seq order: the
+		// expected sequence is the stable sort of ids by time.
+		want = append(want, got...)
+		sort.SliceStable(want, func(i, j int) bool {
+			if want[i].at != want[j].at {
+				return want[i].at < want[j].at
+			}
+			return want[i].id < want[j].id
+		})
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("firing %d was event %d @%v, want event %d @%v", i, got[i].id, got[i].at, want[i].id, want[i].at)
+			}
+		}
+		if e.QueueLen() != 0 {
+			t.Fatalf("%d entries left behind", e.QueueLen())
+		}
+	})
+}
+
+// TestEngineColdWheelAllocs is the cold-engine allocation ratchet, counted
+// the way the benchmark ledger counts (runtime.MemStats.Mallocs over the
+// run region, set-up excluded): 64 persistent timers re-armed 2,000 times
+// between them across one wheel horizon touch nearly every slot of a fresh
+// engine. Carved from per-engine chunks that is 8 allocations; when every
+// touched slot grew a slice of its own it was ~1,000, and that — times the
+// hundreds of engines a fleet builds per run — was the largest allocation
+// site of every benchmark workload.
+func TestEngineColdWheelAllocs(t *testing.T) {
+	const timers, rearms = 64, 2000
+	e := New()
+	period := wheelHorizon * timers / rearms
+	left := rearms
+	evs := make([]*Event, timers)
+	for i := range evs {
+		ev := &evs[i]
+		*ev = e.NewEvent(func() {
+			if left > 0 {
+				left--
+				e.RescheduleAfter(*ev, period)
+			}
+		})
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i, ev := range evs {
+		e.RescheduleAfter(ev, period*time.Duration(i+1)/timers)
+	}
+	e.Run()
+	runtime.ReadMemStats(&after)
+	if left != 0 || e.Now() < ktime.Time(0).Add(wheelHorizon*9/10) {
+		t.Fatalf("run region too small: %d re-arms left, clock %v", left, e.Now())
+	}
+	n := after.Mallocs - before.Mallocs
+	t.Logf("%d allocations over %d re-arms", n, rearms)
+	if n > 40 {
+		t.Fatalf("cold engine allocated %d times over %d re-arms, want <= 40", n, rearms)
 	}
 }
