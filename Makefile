@@ -1,10 +1,12 @@
-# Development entry points. `make check` is the tier-1 gate; `make bench`
-# regenerates the hot-path benchmark snapshot committed as
-# BENCH_hotpath.json (compare runs with benchstat on `go test -bench` output).
+# Development entry points. `make check` is the tier-1 gate. Host-time
+# performance lives in benchmark/ — `bash benchmark/run.sh` measures,
+# `make ledger-smoke` checks, `make profile W=<workload>` says where the time
+# and the allocations go; `make bench` only regenerates BENCH_hotpath.json,
+# a snapshot of `go test -bench` micro-benchmarks that gates nothing.
 
 GO ?= go
 
-.PHONY: check build test race vet bench bench-cluster bench-fleet bench-rollout bench-overload fleet rollout overload sharded verified quick cover fuzz trace apicheck chaos ledger-smoke
+.PHONY: check build test race vet bench bench-cluster bench-fleet bench-rollout bench-overload fleet rollout overload sharded verified quick cover fuzz trace apicheck chaos ledger-smoke profile
 
 check: vet build race apicheck
 
@@ -61,6 +63,21 @@ bench-overload:
 ledger-smoke:
 	$(GO) run ./benchmark run -size smoke -seconds 1
 
+# Where one ledger workload spends its time and its allocations: an 8 s run
+# with CPU and heap profiles written beside the result under OUT (kept out of
+# the checkout), then the cumulative CPU table and the heap by bytes and by
+# object count. `go tool pprof -list <func> $(OUT)/benchmark $(OUT)/$(W).cpu.pprof`
+# goes line by line from there.
+W ?= traffic_overload
+OUT ?= /tmp/enoki-profile
+profile:
+	mkdir -p $(OUT)
+	$(GO) build -o $(OUT)/benchmark ./benchmark
+	$(OUT)/benchmark run -workload $(W) -seconds 8 -cpuprofile $(OUT) -memprofile $(OUT) -out $(OUT)/$(W).json
+	$(GO) tool pprof -top -cum -nodecount 50 $(OUT)/benchmark $(OUT)/$(W).cpu.pprof
+	$(GO) tool pprof -top -sample_index=alloc_space -nodecount 20 $(OUT)/benchmark $(OUT)/$(W).mem.pprof
+	$(GO) tool pprof -top -sample_index=alloc_objects -nodecount 20 $(OUT)/benchmark $(OUT)/$(W).mem.pprof
+
 # Fleet gate mirroring the CI job: the whole cluster control plane under the
 # race detector — placement, migration, failover, Close lifecycle, and the
 # job path's allocation ratchet (TestClusterJobAllocs) — plus the fleet
@@ -82,7 +99,9 @@ rollout:
 # under the race detector — per-class shedding, bounded retry backoff,
 # brownout hysteresis, and the 0 allocs/op Admit ratchet — the traffic
 # plane's flash-crowd, churn, antagonist, module-kill and serial-vs-parallel
-# tests, the 30-run t1: traffic chaos campaign with the LeakShed
+# tests, the request path's allocation ratchet (TestTrafficRequestAllocs:
+# about one allocation per request) and its task-record recycling-on-vs-off
+# identity, the 30-run t1: traffic chaos campaign with the LeakShed
 # find→shrink→replay loop, the cluster Offer front door, the public
 # DriveTraffic/WithAdmission API, and the overload artifact smoke.
 overload:
@@ -94,12 +113,13 @@ overload:
 
 # Sharded-executor gate mirroring the CI job: serial-vs-parallel record-log
 # identity and conformance for every scheduler class under the race detector,
-# plus the allocation ratchets of what the executor stands on: the sharded
-# steady state at 0 allocs/op, a cold engine's timer wheel, and one
-# allocation per kernel task from spawn to exit.
+# plus the ratchets of what the executor stands on: the sharded steady state
+# at 0 allocs/op, a cold engine's timer wheel, a burst slot that drains in
+# linear time, one allocation per kernel task from spawn to exit and none per
+# transient one.
 sharded:
-	$(GO) test -race -run 'TestSharded|TestEngineColdWheelAllocs' -count=1 ./internal/sim ./internal/schedtest/conformance ./internal/chaos
-	$(GO) test -race -run 'TestRemoteWake|TestScheduleOpShardedZeroAlloc|TestSpawnExitAllocs' -count=1 ./internal/kernel
+	$(GO) test -race -run 'TestSharded|TestEngineColdWheelAllocs|TestSlotDrainRefillLinear' -count=1 ./internal/sim ./internal/schedtest/conformance ./internal/chaos
+	$(GO) test -race -run 'TestRemoteWake|TestScheduleOpShardedZeroAlloc|TestSpawnExitAllocs|TestTransientSpawnExitAllocs' -count=1 ./internal/kernel
 
 # Verified-tier gate mirroring the CI job: the bytecode verifier, interpreter
 # and fault road under the race detector; the verified class through the

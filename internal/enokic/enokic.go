@@ -447,6 +447,7 @@ func (a *Adapter) forget(ti *taskInfo) {
 	a.unmarkQueued(ti)
 	ti.origin.Record = nil
 	ti.t.SetClassData(nil)
+	ti.t = nil // the record may be another task's by the time a kept token finds ti
 }
 
 func (a *Adapter) markQueued(ti *taskInfo, cpu int) {

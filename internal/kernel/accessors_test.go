@@ -84,10 +84,20 @@ func TestAccessorsAndSetScheduler(t *testing.T) {
 // first cache line (the timer wheel's liveness check on the event is the
 // first touch of a firing task, and the handler's t.k the second), and the
 // CFS run-queue node sits inside one line of its own, so walking a run
-// queue costs one line per task passed.
+// queue costs one line per task passed. The recycling state (transient,
+// wakesOut) rides in the padding after the state bools, so the record is
+// the 416 bytes it was without it — a malloc size class of its own.
 func TestTaskLayout(t *testing.T) {
 	const line = 64
 	var task Task
+	if size := unsafe.Sizeof(task); size != 416 {
+		t.Errorf("Task is %d bytes, want 416", size)
+	}
+	word := unsafe.Offsetof(task.state) / 8
+	if end := unsafe.Offsetof(task.wakesOut) + unsafe.Sizeof(task.wakesOut); unsafe.Offsetof(task.transient)/8 != word || (end-1)/8 != word {
+		t.Errorf("transient at %d and wakesOut ending at %d left the state word at %d",
+			unsafe.Offsetof(task.transient), end, unsafe.Offsetof(task.state))
+	}
 	if off := unsafe.Offsetof(task.runEvent); off != 0 {
 		t.Errorf("runEvent at offset %d, want 0", off)
 	}

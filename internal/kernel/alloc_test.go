@@ -6,7 +6,10 @@ import (
 	"time"
 
 	"enoki/internal/bench"
+	"enoki/internal/core"
+	"enoki/internal/enokic"
 	"enoki/internal/kernel"
+	"enoki/internal/sched/fifo"
 	"enoki/internal/sim"
 )
 
@@ -162,5 +165,58 @@ func TestSpawnExitAllocs(t *testing.T) {
 	t.Logf("%.4f allocs/task", per)
 	if per > 1.01 {
 		t.Fatalf("spawn→exit costs %.3f allocs/task, want <= 1 (+0.01 for table growth)", per)
+	}
+}
+
+// TestTransientSpawnExitAllocs is TestSpawnExitAllocs for SpawnTransient,
+// counted the same way: with the free list warm a task's whole life under
+// builtin CFS allocates nothing — the record is the last tenant's, the pid
+// table slides instead of growing — and under the FIFO Go module it costs
+// the one thing that is never reused, enokic's per-task record (a kept token
+// reaches it through core.Origin), plus the task's share of a 256-token
+// arena chunk per enqueue.
+func TestTransientSpawnExitAllocs(t *testing.T) {
+	const warm, tasks = 600, 2000
+	for _, tc := range []struct {
+		name   string
+		policy int
+		max    float64
+	}{
+		{"builtin-cfs", 0, 0.001},
+		{"module-fifo", 1, 1.02},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.New()
+			k := kernel.New(eng, kernel.Machine8(), kernel.DefaultCosts())
+			enokic.Load(k, 1, enokic.DefaultConfig(), func(env core.Env) core.Scheduler {
+				return fifo.New(env, 1)
+			})
+			k.RegisterClass(0, kernel.NewCFS(k))
+			exited := 0
+			recs := make([]threeSegments, warm+tasks)
+			life := func(b *threeSegments) {
+				b.exited = &exited
+				k.SpawnTransient("t", tc.policy, b)
+				k.RunUntilIdle()
+			}
+			for i := range recs[:warm] {
+				life(&recs[i])
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for i := range recs[warm:] {
+				life(&recs[warm+i])
+			}
+			runtime.ReadMemStats(&after)
+			if exited != warm+tasks || k.NumTasks() != 0 {
+				t.Fatalf("%d of %d tasks exited, %d still live", exited, warm+tasks, k.NumTasks())
+			}
+			per := float64(after.Mallocs-before.Mallocs) / tasks
+			t.Logf("%.4f allocs/task", per)
+			if per > tc.max {
+				t.Fatalf("transient spawn→exit costs %.4f allocs/task, want <= %v", per, tc.max)
+			}
+		})
 	}
 }

@@ -70,11 +70,18 @@ type Kernel struct {
 	classes []classSlot
 	byID    map[int]Class
 	idOf    map[Class]int
-	// tasks is the pid-indexed task table: pids are dense from 1 and never
-	// reused, so tasks[pid] is the live task, or nil once it died (and at
-	// 0). The next pid is len(tasks); ntasks counts the live entries.
-	tasks   []*Task
-	ntasks  int
+	// tasks is the pid-indexed task table, a window over the pids: they are
+	// dense from 1 and never reused, tasks[pid-pidBase] is the live task or
+	// nil once it died, and every pid below pidBase is dead. The next pid is
+	// pidBase+len(tasks); ntasks counts the live entries. tasks[:deadPrefix]
+	// is all nil, and retire slides the window past it, so the table spans
+	// the oldest live pid to the newest, not every task ever spawned.
+	tasks      []*Task
+	pidBase    int
+	deadPrefix int
+	ntasks     int
+	// free is the LIFO of dead SpawnTransient records awaiting reuse.
+	free    []*Task
 	allCPUs CPUMask // every CPU of the machine: a new task's default affinity
 
 	rand *ktime.Rand
@@ -132,7 +139,7 @@ func New(eng *sim.Engine, m Machine, costs Costs) *Kernel {
 		costs:      costs,
 		byID:       make(map[int]Class),
 		idOf:       make(map[Class]int),
-		tasks:      []*Task{nil},
+		pidBase:    1,
 		allCPUs:    AllCPUs(m.NumCPUs),
 		rand:       ktime.NewRand(0x1d1e),
 		ipiEnabled: true,
@@ -280,10 +287,33 @@ func (k *Kernel) CPUSwitches(cpu int) uint64 { return k.cpus[cpu].switches }
 
 // TaskByPID looks up a live task; unknown and dead pids return nil.
 func (k *Kernel) TaskByPID(pid int) *Task {
-	if pid <= 0 || pid >= len(k.tasks) {
+	i := pid - k.pidBase
+	if i < 0 || i >= len(k.tasks) {
 		return nil
 	}
-	return k.tasks[pid]
+	return k.tasks[i]
+}
+
+// retire empties a dying task's slot in the pid table and, once the dead
+// prefix is at least half of it, slides the window past: a slot is scanned
+// once and copied once per halving, so an exit's cost is amortised constant.
+func (k *Kernel) retire(t *Task) {
+	i := t.pid - k.pidBase
+	k.tasks[i] = nil
+	k.ntasks--
+	if i != k.deadPrefix {
+		return
+	}
+	for k.deadPrefix < len(k.tasks) && k.tasks[k.deadPrefix] == nil {
+		k.deadPrefix++
+	}
+	if 2*k.deadPrefix >= len(k.tasks) {
+		n := copy(k.tasks, k.tasks[k.deadPrefix:])
+		clear(k.tasks[n:])
+		k.tasks = k.tasks[:n]
+		k.pidBase += k.deadPrefix
+		k.deadPrefix = 0
+	}
 }
 
 // NumTasks returns the number of live tasks.
@@ -310,23 +340,54 @@ func WithExitObserver(f func()) SpawnOption { return func(t *Task) { t.OnExit = 
 func WithUserData(v any) SpawnOption { return func(t *Task) { t.UserData = v } }
 
 // Spawn creates a task in the class registered under classID and makes it
-// runnable. It panics on an unknown class; that is always a harness bug.
+// runnable. It panics on an unknown class; that is always a harness bug. The
+// returned *Task is that task for good — its record is never reused — so it
+// may be read (SumExec, State) long after the task has exited.
 func (k *Kernel) Spawn(name string, classID int, b Behavior, opts ...SpawnOption) *Task {
+	return k.spawn(name, classID, b, false, opts)
+}
+
+// SpawnTransient is Spawn for a task nobody keeps a handle on (one short-
+// lived task per request), and so returns none: the Behavior and Exiter see
+// the task only as an argument and must not retain it past Exited, after
+// which the record goes on the kernel's free list for the next
+// SpawnTransient to overwrite. The task is as distinct as any other — fresh
+// pid, nothing of the last tenant reachable — so traces, record logs and
+// modules cannot tell the two entry points apart.
+func (k *Kernel) SpawnTransient(name string, classID int, b Behavior) {
+	k.spawn(name, classID, b, true, nil)
+}
+
+// spawn is the body both entry points share; they differ only in where the
+// record comes from and, at exit, whether it goes back.
+func (k *Kernel) spawn(name string, classID int, b Behavior, transient bool, opts []SpawnOption) *Task {
 	class, ok := k.byID[classID]
 	if !ok {
 		panic(fmt.Sprintf("kernel: Spawn into unregistered class %d", classID))
 	}
-	t := &Task{
-		k:        k,
-		pid:      len(k.tasks),
-		name:     name,
-		class:    class,
-		behavior: b,
-		state:    StateNew,
-		allowed:  &k.allCPUs,
+	var t *Task
+	if n := len(k.free); transient && n > 0 {
+		t = k.free[n-1]
+		k.free = k.free[:n-1]
+		// Everything of the last tenant goes but the completion event:
+		// entries of its old armings may still sit in the timer wheel, known
+		// stale only by sequence number, so it keeps its sequence and is
+		// never re-bound (Bind rewinds it to 0, the engine's first arming).
+		ev := t.runEvent
+		*t = Task{}
+		t.runEvent = ev
+	} else {
+		t = &Task{}
+		k.eng.Bind(&t.runEvent, (*taskRun)(t))
 	}
+	t.k = k
+	t.pid = k.pidBase + len(k.tasks)
+	t.name = name
+	t.class = class
+	t.behavior = b
+	t.transient = transient
+	t.allowed = &k.allCPUs
 	t.exiter, _ = b.(Exiter)
-	k.eng.Bind(&t.runEvent, (*taskRun)(t))
 	for _, o := range opts {
 		o(t)
 	}
@@ -778,6 +839,7 @@ func (k *Kernel) segmentDone(c *CPU, t *Task) {
 		c.pendingCost += extra + t.class.OverheadPerCall()
 		t.class.Dequeue(c.id, t, true)
 		if act.Op == OpSleep {
+			t.wakesOut++
 			k.eng.PostTo(act.SleepFor, (*taskWake)(t))
 		}
 		k.schedule(c.id)
@@ -788,14 +850,24 @@ func (k *Kernel) segmentDone(c *CPU, t *Task) {
 		c.pendingCost += extra + 2*t.class.OverheadPerCall()
 		t.class.Dequeue(c.id, t, false)
 		t.class.TaskDead(t)
-		k.tasks[t.pid] = nil
-		k.ntasks--
+		k.retire(t)
 		k.traceTask(trace.KindExit, c.id, t, 0)
 		if t.OnExit != nil {
 			t.OnExit()
 		}
 		if t.exiter != nil {
 			t.exiter.Exited(t)
+		}
+		// A transient record goes back for reuse — unless a sleep cut short
+		// left a self-wake posted at it, which must find this task dead, not
+		// a later tenant blocked: that record is left to the collector. The
+		// completion event has just fired (it is how a task exits), so it is
+		// idle, or an arming could outlive the tenant.
+		if t.transient && t.wakesOut == 0 {
+			if t.runEvent.Queued() || t.runEvent.Cancelled() {
+				panic(fmt.Sprintf("kernel: %s exited with its completion event armed", t))
+			}
+			k.free = append(k.free, t)
 		}
 		k.schedule(c.id)
 	default:

@@ -177,9 +177,11 @@ func (m CPUMask) Count() int {
 // Like task_struct it is one record (DESIGN §4): the segment-completion
 // event, the CFS entity and its run-queue node are embedded, and the task is
 // its own event handler (taskRun, taskWake), so a task costs one allocation.
-// Records are not recycled: a dead task's *Task stays that task. Fields run
-// hot first — what every completion, wake and pick reads leads, roughly in
-// the order the event path touches it.
+// A *Task Spawn returned stays that task, dead or alive; the record of a
+// SpawnTransient task, which returns none, is reused once its exit hooks
+// have run (DESIGN §4 has the contract). Fields run hot first — what every
+// completion, wake and pick reads leads, roughly in the order the event path
+// touches it.
 type Task struct {
 	// runEvent is the task's persistent segment-completion event, bound to
 	// the task (taskRun) at Spawn and re-armed in place for every segment.
@@ -194,12 +196,17 @@ type Task struct {
 	// per-segment box the old *Action field required.
 	hasPending  bool
 	wakePending bool
-	segLeft     time.Duration
-	sumExec     time.Duration
-	execStart   ktime.Time // start of the currently running stretch
-	pending     Action
-	behavior    Behavior
-	lastWake    ktime.Time
+	// transient marks a SpawnTransient task; wakesOut counts the OpSleep
+	// self-wakes posted at the record and yet to fire, which a record put up
+	// for reuse must have none of.
+	transient bool
+	wakesOut  uint32
+	segLeft   time.Duration
+	sumExec   time.Duration
+	execStart ktime.Time // start of the currently running stretch
+	pending   Action
+	behavior  Behavior
+	lastWake  ktime.Time
 	// queuedAt is when the task last became queued-waiting (enqueue, yield,
 	// put-prev); the metrics layer derives pick-wait latency from it.
 	queuedAt ktime.Time
@@ -250,6 +257,7 @@ func (h *taskRun) Fire() {
 // Fire ends an OpSleep.
 func (h *taskWake) Fire() {
 	t := (*Task)(h)
+	t.wakesOut--
 	t.k.Wake(t)
 }
 

@@ -24,9 +24,9 @@
 //     reschedule timers) one persistent Event that is re-armed in place
 //     instead of allocating a closure + Event per arm.
 //   - Bind + Reschedule do the same for an Event embedded in its owner (the
-//     kernel's per-task completion event lives inside the Task), and PostTo
-//     posts a fire-and-forget event at a Handler: no closure either way, so
-//     an object with timers costs one allocation, not one per timer.
+//     kernel's per-task completion event lives inside the Task), and PostTo /
+//     PostToAt post a fire-and-forget event at a Handler: no closure either
+//     way, so an object with timers costs one allocation, not one per timer.
 //
 // Tombstones and stale re-arm entries do not accumulate: the engine tracks
 // the live count, and when dead entries dominate the queue it compacts every
@@ -268,6 +268,9 @@ func (e *Engine) Post(d ktime.Duration, fn func()) {
 
 // PostTo is Post at a Handler: h.Fire runs d from now, no closure built.
 func (e *Engine) PostTo(d ktime.Duration, h Handler) { e.post(e.now.Add(d), nil, h) }
+
+// PostToAt is PostTo at absolute time t.
+func (e *Engine) PostToAt(t ktime.Time, h Handler) { e.post(t, nil, h) }
 
 // NewEvent returns an unarmed event bound to fn, intended to be armed (and
 // re-armed, and cancelled) many times via Reschedule: one Event object per

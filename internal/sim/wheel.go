@@ -16,10 +16,13 @@
 // Slot storage is sized for cold engines too — a fleet builds hundreds per
 // run, and a slot growing a slice of its own on first touch made wheel
 // pushes the largest allocation site of every workload. A slot's first
-// buffer is carved from a per-engine chunk and kept for the engine's life;
-// only a slot that outgrows it pays an append. An occupancy bitmap finds the
-// earliest non-empty slot a word at a time. Neither can affect firing order,
-// which is the (at, seq) total order whatever holds the entries.
+// buffer is carved from a per-engine chunk. A slot that outgrows it moves to
+// a bigger one and hands that on when it drains: grown buffers are parked on
+// the wheel by size class for the next slot that needs one, so a burst that
+// lands on a different slot every tick grows a handful of buffers per
+// engine, not one per slot. An occupancy bitmap finds the earliest non-empty
+// slot a word at a time. None of this can affect firing order, which is the
+// (at, seq) total order whatever holds the entries.
 package sim
 
 import (
@@ -70,60 +73,46 @@ func cmpEntry(a, b entry) int {
 	return cmp.Compare(a.seq, b.seq)
 }
 
-// slot is one near-wheel bucket. Entries [idx:sorted) are in firing order;
-// [sorted:] is the unsorted tail appended since the last sort (same-slot
-// pushes while the slot is draining — zero-delay kicks). The tail is folded
-// in lazily by slotMin/slotPop.
+// slot is one near-wheel bucket. Entries [:idx) are consumed (and zeroed),
+// [idx:sorted) are in firing order; [sorted:] is the unsorted tail appended
+// since the last sort (same-slot pushes while the slot is draining — zero-
+// delay kicks). The tail is folded in lazily, when the slot is at the front.
 type slot struct {
 	ents   []entry
 	idx    int
 	sorted int
 }
 
-func (s *slot) reset() {
-	s.ents = s.ents[:0]
-	s.idx, s.sorted = 0, 0
-}
-
 func (s *slot) empty() bool { return s.idx >= len(s.ents) }
 
-// normalize folds the unsorted tail into the sorted region by insertion.
-// Ticks and wake bursts push same-time entries in seq order, so the tail is
-// usually already sorted and the pass is near-linear; a large tail is sorted
-// first (pattern-defeating quicksort: a burst filed in firing order, like a
+// normalize folds the unsorted tail into the sorted region by insertion; the
+// consumed prefix stays where it is (makeRoom takes it back). Ticks and wake
+// bursts push same-time entries in seq order, so the tail is usually already
+// sorted and the pass is near-linear; a large tail is sorted first
+// (pattern-defeating quicksort: a burst filed in firing order, like a
 // control plane's same-instant acks, costs one pass).
 func (s *slot) normalize() {
 	if s.sorted >= len(s.ents) {
 		return
 	}
-	// Drop the consumed prefix so the sort works on live entries only.
-	if s.idx > 0 {
-		n := copy(s.ents, s.ents[s.idx:])
-		s.ents = s.ents[:n]
-		s.sorted -= s.idx
-		s.idx = 0
-	}
 	if tail := s.ents[s.sorted:]; len(tail) > 48 {
 		slices.SortFunc(tail, cmpEntry)
 	}
-	insertEntries(s.ents, s.sorted)
+	insertEntries(s.ents[s.idx:], s.sorted-s.idx)
 	s.sorted = len(s.ents)
 }
 
-// peek returns the slot's earliest live-ordered entry without consuming it.
-func (s *slot) peek() entry {
-	s.normalize()
-	return s.ents[s.idx]
-}
+// peek returns the earliest entry of a normalized slot without consuming it.
+func (s *slot) peek() entry { return s.ents[s.idx] }
 
-// pop consumes and returns the slot's earliest entry.
+// pop consumes and returns the earliest entry of a normalized slot.
 func (s *slot) pop() entry {
-	s.normalize()
 	e := s.ents[s.idx]
 	s.ents[s.idx] = entry{}
 	s.idx++
 	if s.idx >= len(s.ents) {
-		s.reset()
+		s.ents = s.ents[:0]
+		s.idx, s.sorted = 0, 0
 	}
 	return e
 }
@@ -205,6 +194,11 @@ type wheelQueue struct {
 	occ [numSlots / 64]uint64
 	// chunk is the unused remainder of the latest first-buffer allocation.
 	chunk []entry
+	// parked[c] holds the grown buffers of capacity [2^c, 2^(c+1)) that slots
+	// are done with.
+	parked [32][][]entry
+	// moved counts entries makeRoom copied, within or between buffers (tests).
+	moved uint64
 	over  overflow
 	slots [numSlots]slot
 }
@@ -216,7 +210,28 @@ func (w *wheelQueue) windowEnd() ktime.Time {
 	return ktime.Time((w.base + numSlots) << slotShift)
 }
 
-// carve returns an empty first buffer for a slot, its capacity capped so an
+// park puts a grown buffer its slot is done with — drained, or outgrown —
+// on the pile of its size class. Callers keep first buffers out: the pipes'
+// two-entry slots have nothing else, and parking those too (or so much as a
+// call per drained slot to find out) measured 3% off their throughput.
+func (w *wheelQueue) park(buf []entry) {
+	c := bits.Len(uint(cap(buf))) - 1
+	w.parked[c] = append(w.parked[c], buf[:0])
+}
+
+// take returns a parked buffer with room for n entries, from the smallest
+// size class that guarantees it, or nil.
+func (w *wheelQueue) take(n int) []entry {
+	for c := bits.Len(uint(n - 1)); c < len(w.parked); c++ {
+		if p := w.parked[c]; len(p) > 0 {
+			w.parked[c] = p[:len(p)-1]
+			return p[len(p)-1]
+		}
+	}
+	return nil
+}
+
+// carve returns a first buffer off the chunk, its capacity capped so an
 // append past it reallocates instead of running into a neighbour.
 func (w *wheelQueue) carve() []entry {
 	if len(w.chunk) < slotCarve {
@@ -225,6 +240,39 @@ func (w *wheelQueue) carve() []entry {
 	buf := w.chunk[:0:slotCarve]
 	w.chunk = w.chunk[slotCarve:]
 	return buf
+}
+
+// makeRoom gives a slot whose buffer is full or missing room for one more
+// entry. A draining slot takes back its consumed prefix once that is a
+// quarter of the buffer: at most three moves per place won, so a burst slot
+// whose every event kicks a CPU through the same slot drains in linear time
+// (reclaiming at every peek copied the whole remainder down once per kick).
+// Otherwise the slot moves to a buffer twice the size, parked or new.
+func (w *wheelQueue) makeRoom(sl *slot) {
+	old := sl.ents
+	n := len(old)
+	switch {
+	case old == nil:
+		if sl.ents = w.take(slotCarve + 1); sl.ents == nil {
+			sl.ents = w.carve()
+		}
+	case 4*sl.idx >= n:
+		live := copy(old, old[sl.idx:])
+		clear(old[live:])
+		sl.ents = old[:live]
+		sl.sorted -= sl.idx
+		sl.idx = 0
+		w.moved += uint64(live)
+	default:
+		if sl.ents = w.take(2 * n); sl.ents == nil {
+			sl.ents = slices.Grow(old[:0:0], n+max(n, 8))
+		}
+		sl.ents = append(sl.ents, old...)
+		clear(old)
+		if w.moved += uint64(n); n > slotCarve {
+			w.park(old)
+		}
+	}
 }
 
 // push files an entry into the near wheel or the overflow level.
@@ -240,10 +288,10 @@ func (w *wheelQueue) push(e entry) {
 	if s < w.base+numSlots {
 		i := s % numSlots
 		sl := &w.slots[i]
-		if sl.ents == nil {
-			sl.ents = w.carve()
+		if len(sl.ents) == cap(sl.ents) {
+			w.makeRoom(sl)
 		}
-		sl.ents = push(sl.ents, e)
+		sl.ents = append(sl.ents, e)
 		w.occ[i>>6] |= 1 << uint(i&63)
 		w.nearCnt++
 		return
@@ -285,8 +333,9 @@ func (w *wheelQueue) firstOccupied() int64 {
 
 // front moves the window start to the earliest non-empty slot — jumping to
 // the overflow root when the near wheel is empty, promoting what the move
-// uncovers — and returns it, or nil when the queue holds no entries at all.
-// The queue's minimum is the slot's peek; popFront consumes it.
+// uncovers — and returns it normalized, or nil when the queue holds no
+// entries at all. The queue's minimum is the slot's peek; popFront consumes
+// it.
 func (w *wheelQueue) front() *slot {
 	if w.nentries == 0 {
 		return nil
@@ -301,7 +350,9 @@ func (w *wheelQueue) front() *slot {
 	// Promoted entries land at or after the new base, so the slot found
 	// here stays the earliest after the advance.
 	w.advanceTo(w.base + w.firstOccupied())
-	return &w.slots[w.base%numSlots]
+	sl := &w.slots[w.base%numSlots]
+	sl.normalize()
+	return sl
 }
 
 // popFront consumes the entry front's slot peeked.
@@ -311,6 +362,10 @@ func (w *wheelQueue) popFront() entry {
 	e := sl.pop()
 	if sl.empty() {
 		w.occ[i>>6] &^= 1 << uint(i&63)
+		if cap(sl.ents) > slotCarve {
+			w.park(sl.ents)
+			sl.ents = nil
+		}
 	}
 	w.nearCnt--
 	w.nentries--

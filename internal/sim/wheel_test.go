@@ -16,10 +16,11 @@ const wheelHorizon = numSlots * slotGrain * time.Nanosecond
 // onWheels runs body against the wheel's two storage states: a cold engine,
 // whose slots have no buffers yet and get them carved from fresh chunks as
 // the test pushes, and a warm one that has already turned the wheel past
-// its horizon with enough same-slot traffic that every slot holds a buffer
-// and many have outgrown the carved one. Firing order is the (at, seq)
-// order either way; the rows exist so a storage change cannot make that
-// depend on which buffer an entry happens to sit in.
+// its horizon with enough same-slot traffic that every slot has outgrown
+// its carved buffer — and, drained, has handed the grown one on to the
+// wheel, where the test's pushes pick them up again. Firing order is the
+// (at, seq) order either way; the rows exist so a storage change cannot
+// make that depend on which buffer an entry happens to sit in.
 func onWheels(t *testing.T, body func(t *testing.T, e *Engine)) {
 	t.Run("cold", func(t *testing.T) { body(t, New()) })
 	t.Run("warm", func(t *testing.T) {
@@ -32,9 +33,13 @@ func onWheels(t *testing.T, body func(t *testing.T, e *Engine)) {
 			}
 		}
 		e.Run()
+		parked := 0
+		for _, pile := range e.wq.parked {
+			parked += len(pile)
+		}
 		for i := range e.wq.slots {
-			if e.wq.slots[i].ents == nil {
-				t.Fatalf("warm-up left slot %d without a buffer", i)
+			if e.wq.slots[i].ents == nil && parked == 0 {
+				t.Fatalf("warm-up left slot %d without a buffer and parked none", i)
 			}
 		}
 		body(t, e)
@@ -402,5 +407,34 @@ func TestEngineColdWheelAllocs(t *testing.T) {
 	t.Logf("%d allocations over %d re-arms", n, rearms)
 	if n > 40 {
 		t.Fatalf("cold engine allocated %d times over %d re-arms, want <= 40", n, rearms)
+	}
+}
+
+// TestSlotDrainRefillLinear is the burst-slot ratchet: 1,000 events filed at
+// one instant, each of which — like a wake kicking its CPU — posts one
+// zero-delay event into the slot being drained. The wheel's own work, counted
+// as entries moved from one place in a slot to another, must stay a small
+// constant per event. When every peek that found a new tail first copied the
+// whole unconsumed remainder down over the consumed prefix it was ~500.
+func TestSlotDrainRefillLinear(t *testing.T) {
+	const burst = 1000
+	e := New()
+	at := ktime.Time(8 * slotGrain)
+	fired := 0
+	kick := func() { fired++ }
+	for i := 0; i < burst; i++ {
+		e.PostAt(at, func() {
+			fired++
+			e.Post(0, kick)
+		})
+	}
+	e.Run()
+	if fired != 2*burst {
+		t.Fatalf("fired %d events, want %d", fired, 2*burst)
+	}
+	per := float64(e.wq.moved) / float64(fired)
+	t.Logf("%d entry moves over %d events: %.2f per event", e.wq.moved, fired, per)
+	if per > 4 {
+		t.Fatalf("draining a refilled slot moved %.1f entries per event, want <= 4", per)
 	}
 }

@@ -54,6 +54,69 @@ type Driver struct {
 
 	conns uint64
 	cs    []classStats
+
+	// chunk is the unused remainder of the latest slab chunk of request
+	// records, free the chain of finished ones; both grow on demand.
+	chunk []reqRec
+	free  *reqRec
+	// spawnTask is (*kernel.Kernel).SpawnTransient, except in the recycling-
+	// identity test, which runs the same drive over never-reused records.
+	spawnTask func(k *kernel.Kernel, name string, classID int, b kernel.Behavior)
+}
+
+// reqRec is one request from first offer to closed books and, with no
+// closure anywhere on that road, each thing the request needs in turn: the
+// sim.Handler of its pending offer (a connection's follow-up request, a shed
+// request's retry), then the request task's kernel.Behavior and
+// kernel.Exiter. A fan-out request's further subrequest tasks get a record
+// each, pointing at it. Records come from 256-record slab chunks and go back
+// on the driver's free list when the request is dropped or completes.
+type reqRec struct {
+	d *Driver
+	// next links free records; parent is set on a fan-out subrequest.
+	next, parent *reqRec
+	arrival      time.Duration
+	work         time.Duration // the task's service burst
+	ci           int32
+	attempt      int32
+	remaining    int32 // fan-out subrequests still running
+}
+
+func (d *Driver) newRec(ci int, arrival time.Duration) *reqRec {
+	r := d.free
+	if r != nil {
+		d.free = r.next
+	} else {
+		if len(d.chunk) == 0 {
+			d.chunk = make([]reqRec, 256)
+		}
+		r, d.chunk = &d.chunk[0], d.chunk[1:]
+	}
+	*r = reqRec{d: d, ci: int32(ci), arrival: arrival}
+	return r
+}
+
+func (d *Driver) freeRec(r *reqRec) { r.next, d.free = d.free, r }
+
+// Fire implements sim.Handler: the pending offer comes due.
+func (r *reqRec) Fire() { r.d.offer(r) }
+
+// Next implements kernel.Behavior: one service burst, then exit.
+func (r *reqRec) Next(*kernel.Kernel, *kernel.Task) kernel.Action {
+	return kernel.Action{Run: r.work, Op: kernel.OpExit}
+}
+
+// Exited implements kernel.Exiter: the last of a request's tasks to exit
+// closes its books.
+func (r *reqRec) Exited(*kernel.Task) {
+	p := r
+	if r.parent != nil {
+		p = r.parent
+		r.d.freeRec(r)
+	}
+	if p.remaining--; p.remaining == 0 {
+		p.d.complete(p)
+	}
 }
 
 // NewDriver builds a driver for its shard's slice of the scenario.
@@ -67,13 +130,14 @@ func NewDriver(k *kernel.Kernel, sc Scenario, dc DriverConfig) *Driver {
 		shards = 1
 	}
 	d := &Driver{
-		sc:     sc,
-		k:      k,
-		ctl:    dc.Controller,
-		ads:    dc.Adapters,
-		rng:    ktime.NewRand(sc.Seed ^ (uint64(dc.Shard)+1)*shardSalt),
-		sample: dc.SampleEvery,
-		cs:     make([]classStats, len(sc.Classes)),
+		sc:        sc,
+		k:         k,
+		ctl:       dc.Controller,
+		ads:       dc.Adapters,
+		rng:       ktime.NewRand(sc.Seed ^ (uint64(dc.Shard)+1)*shardSalt),
+		sample:    dc.SampleEvery,
+		cs:        make([]classStats, len(sc.Classes)),
+		spawnTask: (*kernel.Kernel).SpawnTransient,
 	}
 	for ri := range sc.Regions {
 		if ri%shards == dc.Shard%shards {
@@ -140,11 +204,10 @@ func (d *Driver) arrivals(ci, ri int, now time.Duration) {
 		if churn {
 			reqs = 1
 		}
-		d.offer(ci, 0, now)
+		d.offer(d.newRec(ci, now))
 		for j := 1; j < reqs; j++ {
 			at := now + time.Duration(j)*c.Think
-			ci := ci
-			d.k.Engine().PostAt(ktime.Time(at), func() { d.offer(ci, 0, at) })
+			d.k.Engine().PostToAt(ktime.Time(at), d.newRec(ci, at))
 		}
 	}
 }
@@ -152,47 +215,45 @@ func (d *Driver) arrivals(ci, ri int, now time.Duration) {
 // offer runs one request attempt through admission. Shed requests cost
 // no kernel events: a Retry re-offers after backoff, a Drop vanishes
 // (the controller keeps the books either way).
-func (d *Driver) offer(ci, attempt int, arrival time.Duration) {
-	ac := d.sc.Classes[ci].Admission
-	switch d.ctl.Admit(ac, attempt) {
+func (d *Driver) offer(r *reqRec) {
+	ac := d.sc.Classes[r.ci].Admission
+	switch d.ctl.Admit(ac, int(r.attempt)) {
 	case overload.Admitted:
-		d.spawn(ci, arrival)
+		d.spawn(r)
 	case overload.Retry:
-		d.k.Engine().Post(d.ctl.Backoff(ac, attempt), func() {
-			d.offer(ci, attempt+1, arrival)
-		})
+		d.k.Engine().PostTo(d.ctl.Backoff(ac, int(r.attempt)), r)
+		r.attempt++
 	case overload.Dropped:
+		d.freeRec(r)
 	}
 }
 
 // spawn runs one admitted request: a single service task, or Fanout
 // backend subrequests that complete the request when the last one exits
 // (the nginx model — one frontend request fans to upstream workers and
-// responds at the slowest one).
-func (d *Driver) spawn(ci int, arrival time.Duration) {
-	c := &d.sc.Classes[ci]
-	d.cs[ci].requests++
-	if c.Fanout <= 1 {
-		work := d.rng.ExpDuration(c.Work)
-		d.k.Spawn(c.Name, c.Policy, oneShot(work),
-			kernel.WithExitObserver(func() { d.complete(ci, arrival) }))
-		return
-	}
-	remaining := c.Fanout
-	share := c.Work / time.Duration(c.Fanout)
-	for i := 0; i < c.Fanout; i++ {
-		work := d.rng.ExpDuration(share)
-		d.k.Spawn(c.Name, c.Policy, oneShot(work),
-			kernel.WithExitObserver(func() {
-				if remaining--; remaining == 0 {
-					d.complete(ci, arrival)
-				}
-			}))
+// responds at the slowest one). The request's record runs the first task,
+// and each service time is drawn just before its task is spawned.
+func (d *Driver) spawn(r *reqRec) {
+	c := &d.sc.Classes[r.ci]
+	d.cs[r.ci].requests++
+	n := max(c.Fanout, 1)
+	r.remaining = int32(n)
+	for i := 0; i < n; i++ {
+		sub := r
+		if i > 0 {
+			sub = d.newRec(int(r.ci), r.arrival)
+			sub.parent = r
+		}
+		sub.work = d.rng.ExpDuration(c.Work / time.Duration(n))
+		d.spawnTask(d.k, c.Name, c.Policy, sub)
 	}
 }
 
-// complete closes one admitted request's books and records its latency.
-func (d *Driver) complete(ci int, arrival time.Duration) {
+// complete closes one admitted request's books, records its latency and
+// frees its record.
+func (d *Driver) complete(r *reqRec) {
+	ci, arrival := int(r.ci), r.arrival
+	d.freeRec(r)
 	d.ctl.Done(d.sc.Classes[ci].Admission)
 	lat := d.now() - arrival
 	cs := &d.cs[ci]
@@ -205,13 +266,6 @@ func (d *Driver) complete(ci int, arrival time.Duration) {
 	if d.sc.antagonistActive(arrival) {
 		cs.antagDone++
 	}
-}
-
-// oneShot is a request task: one service burst, then exit.
-func oneShot(run time.Duration) kernel.Behavior {
-	return kernel.BehaviorFunc(func(*kernel.Kernel, *kernel.Task) kernel.Action {
-		return kernel.Action{Run: run, Op: kernel.OpExit}
-	})
 }
 
 // brownoutSample feeds per-admission-class queue depths into the

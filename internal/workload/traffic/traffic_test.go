@@ -50,16 +50,47 @@ func scenario() traffic.Scenario {
 	}
 }
 
-// shardedDrive runs the scenario on the two-socket machine, one driver,
-// controller, and record log per NUMA shard. panicAt > 0 arms a
-// deterministic module panic on shard 0 after that many picks (the
-// module-kill-mid-flash case); killed reports whether it tripped.
-func shardedDrive(t *testing.T, sc traffic.Scenario, parallel bool, panicAt int) (traffic.Report, [][]byte, bool) {
+// rig is one sharded drive's configuration. The zero value of every switch
+// is what the plane's own tests want: the small scenario's admission plan, a
+// serial drive, no fault, a record log per shard, recycled task records.
+type rig struct {
+	sc  traffic.Scenario
+	adm func() overload.Config // nil: admission()
+	// parallel drives the shards on goroutines.
+	parallel bool
+	// panicAt > 0 arms a deterministic module panic on shard 0 after that
+	// many picks (the module-kill-mid-flash case).
+	panicAt int
+	// noRecord leaves the recorders out, and with them the userspace drain
+	// task that would pin each shard's pid table at pid 1.
+	noRecord bool
+	// plainSpawn runs the request tasks over Kernel.Spawn's never-reused
+	// records (Driver.SpawnPlain).
+	plainSpawn bool
+}
+
+// drove is what one drive leaves behind, per shard where it says so.
+type drove struct {
+	rep    traffic.Report
+	logs   [][]byte
+	killed bool
+	fired  []uint64 // engine events
+	ctx    []uint64 // context switches
+	stats  []enokic.Stats
+}
+
+// drive runs r on the two-socket machine: one driver, controller and module
+// per NUMA shard.
+func (r rig) drive(t *testing.T) drove {
 	t.Helper()
 	m := kernel.Machine80()
 	sk := kernel.NewShardedKernel(m, kernel.CostsFor(m), 0)
 	defer sk.Close()
-	sk.SetParallel(parallel)
+	sk.SetParallel(r.parallel)
+	adm := r.adm
+	if adm == nil {
+		adm = admission
+	}
 
 	n := sk.NumShards()
 	drivers := make([]*traffic.Driver, n)
@@ -69,42 +100,61 @@ func shardedDrive(t *testing.T, sc traffic.Scenario, parallel bool, panicAt int)
 	for i := 0; i < n; i++ {
 		k := sk.ShardKernel(i)
 		inj := &schedtest.Injector{}
-		if i == 0 && panicAt > 0 {
+		if i == 0 && r.panicAt > 0 {
 			inj.PanicSite = core.MsgPickNextTask
-			inj.PanicAt = panicAt
+			inj.PanicAt = r.panicAt
 		}
 		adapters[i] = enokic.Load(k, policyTest, enokic.DefaultConfig(), func(env core.Env) core.Scheduler {
 			inj.Scheduler = shinjuku.New(env, policyTest, 0)
 			return inj
 		})
 		k.RegisterClass(policyCFS, kernel.NewCFS(k))
-		bufs[i] = &bytes.Buffer{}
-		recs[i] = record.New(k, bufs[i], policyCFS, record.DefaultCosts())
-		adapters[i].SetRecorder(recs[i])
-		drivers[i] = traffic.NewDriver(k, sc, traffic.DriverConfig{
-			Controller:  overload.New(admission()),
+		if !r.noRecord {
+			bufs[i] = &bytes.Buffer{}
+			recs[i] = record.New(k, bufs[i], policyCFS, record.DefaultCosts())
+			adapters[i].SetRecorder(recs[i])
+		}
+		drivers[i] = traffic.NewDriver(k, r.sc, traffic.DriverConfig{
+			Controller:  overload.New(adm()),
 			Adapters:    map[int]*enokic.Adapter{policyTest: adapters[i]},
 			Shard:       i,
 			Shards:      n,
 			SampleEvery: 250 * time.Microsecond,
 		})
+		if r.plainSpawn {
+			drivers[i].SpawnPlain()
+		}
 		drivers[i].Start()
 	}
 	// The recorder's userspace drain task sleeps and wakes forever until
 	// Close, so the rig never goes event-idle: drive to a fixed virtual
 	// deadline with drain slack instead (the chaos campaigns' idiom),
 	// which is also what keeps serial and parallel drives comparable.
-	sk.RunFor(sc.Duration + 40*time.Millisecond)
-	logs := make([][]byte, n)
-	killed := false
+	sk.RunFor(r.sc.Duration + 40*time.Millisecond)
+	out := drove{logs: make([][]byte, n)}
 	for i := 0; i < n; i++ {
-		recs[i].Close()
-		logs[i] = bufs[i].Bytes()
-		if adapters[i].Killed() {
-			killed = true
+		if !r.noRecord {
+			recs[i].Close()
+			out.logs[i] = bufs[i].Bytes()
 		}
+		if adapters[i].Killed() {
+			out.killed = true
+		}
+		k := sk.ShardKernel(i)
+		out.fired = append(out.fired, k.Engine().Fired())
+		out.ctx = append(out.ctx, k.CtxSwitches)
+		out.stats = append(out.stats, adapters[i].Stats())
 	}
-	return traffic.Collect(drivers...), logs, killed
+	out.rep = traffic.Collect(drivers...)
+	return out
+}
+
+// shardedDrive runs the small scenario with a record log per shard; killed
+// reports whether an armed panic tripped.
+func shardedDrive(t *testing.T, sc traffic.Scenario, parallel bool, panicAt int) (traffic.Report, [][]byte, bool) {
+	t.Helper()
+	d := rig{sc: sc, parallel: parallel, panicAt: panicAt}.drive(t)
+	return d.rep, d.logs, d.killed
 }
 
 func TestFlashCrowdShedsAndRecovers(t *testing.T) {
