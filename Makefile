@@ -1,12 +1,11 @@
 # Development entry points. `make check` is the tier-1 gate. Host-time
 # performance lives in benchmark/ — `bash benchmark/run.sh` measures,
 # `make ledger-smoke` checks, `make profile W=<workload>` says where the time
-# and the allocations go; `make bench` only regenerates BENCH_hotpath.json,
-# a snapshot of `go test -bench` micro-benchmarks that gates nothing.
+# and the allocations go.
 
 GO ?= go
 
-.PHONY: check build test race vet bench bench-cluster bench-fleet bench-rollout bench-overload fleet rollout overload sharded verified quick cover fuzz trace apicheck chaos ledger-smoke profile
+.PHONY: check build test race vet bench-cluster bench-fleet bench-rollout bench-overload fleet rollout overload sharded verified quick cover fuzz trace apicheck chaos ledger-smoke profile
 
 check: vet build race apicheck
 
@@ -21,9 +20,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-bench:
-	$(GO) run ./cmd/enokibench -benchjson BENCH_hotpath.json
 
 # Cluster-scale throughput snapshot: single-kernel vs sharded simulation at
 # 80 and 1,000 CPUs, committed as BENCH_cluster.json.
@@ -116,10 +112,12 @@ overload:
 # plus the ratchets of what the executor stands on: the sharded steady state
 # at 0 allocs/op, a cold engine's timer wheel, a burst slot that drains in
 # linear time, one allocation per kernel task from spawn to exit and none per
-# transient one.
+# transient one, the saturated tick at 0 allocs per simulated ms — and the
+# kernel's idle set: saturated and partly idle runs pinned across commits, and
+# the NOHZ target and CFS placement matched against the old machine scans.
 sharded:
 	$(GO) test -race -run 'TestSharded|TestEngineColdWheelAllocs|TestSlotDrainRefillLinear' -count=1 ./internal/sim ./internal/schedtest/conformance ./internal/chaos
-	$(GO) test -race -run 'TestRemoteWake|TestScheduleOpShardedZeroAlloc|TestSpawnExitAllocs|TestTransientSpawnExitAllocs' -count=1 ./internal/kernel
+	$(GO) test -race -run 'TestRemoteWake|TestScheduleOpShardedZeroAlloc|TestSpawnExitAllocs|TestTransientSpawnExitAllocs|TestSaturatedTickZeroAlloc|TestSaturatedKernelPinned|TestNearestIdleMatchesScan|TestSelectRQMatchesScan' -count=1 ./internal/kernel
 
 # Verified-tier gate mirroring the CI job: the bytecode verifier, interpreter
 # and fault road under the race detector; the verified class through the

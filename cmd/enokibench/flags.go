@@ -11,14 +11,13 @@ import (
 // *Set booleans record whether the user typed the flag (flag.Visit), so
 // defaults never trip mode-specific rejections.
 type benchFlags struct {
-	Quick     bool
-	Parallel  int
-	BenchJSON bool
-	Cluster   bool
-	Fleet     bool
-	Rollout   bool
-	Overload  bool
-	List      bool
+	Quick    bool
+	Parallel int
+	Cluster  bool
+	Fleet    bool
+	Rollout  bool
+	Overload bool
+	List     bool
 	// MachineCPUs selects the per-machine topology of the fleet benchmark:
 	// 8, 80, or 1000 CPUs.
 	MachineCPUs int
@@ -45,8 +44,8 @@ func machineFor(cpus int) (kernel.Machine, bool) {
 }
 
 // validate rejects incoherent flag combinations with a usage error before
-// anything runs. The artifact modes (-benchjson, -cluster, -fleet,
-// -rollout, -overload) are mutually exclusive, take at most one argument
+// anything runs. The artifact modes (-cluster, -fleet, -rollout,
+// -overload) are mutually exclusive, take at most one argument
 // (the output path), and do not compose with the experiment-runner flags;
 // -machine and -shards only parameterize -fleet, -rollout, and -overload,
 // and a shard count can never exceed the machine's NUMA node count.
@@ -56,7 +55,7 @@ func validate(f benchFlags) error {
 	for _, m := range []struct {
 		on   bool
 		name string
-	}{{f.BenchJSON, "-benchjson"}, {f.Cluster, "-cluster"}, {f.Fleet, "-fleet"},
+	}{{f.Cluster, "-cluster"}, {f.Fleet, "-fleet"},
 		{f.Rollout, "-rollout"}, {f.Overload, "-overload"}} {
 		if m.on {
 			mode = m.name
@@ -64,7 +63,7 @@ func validate(f benchFlags) error {
 		}
 	}
 	if modes > 1 {
-		return errors.New("-benchjson, -cluster, -fleet, -rollout, and -overload are mutually exclusive")
+		return errors.New("-cluster, -fleet, -rollout, and -overload are mutually exclusive")
 	}
 	if modes == 1 {
 		if f.Quick {

@@ -26,7 +26,6 @@ func TestValidateFlags(t *testing.T) {
 	}{
 		{"defaults", ok(benchFlags{}), ""},
 		{"experiments with parallel", ok(benchFlags{Parallel: 4, Args: []string{"upgrade"}}), ""},
-		{"benchjson", ok(benchFlags{BenchJSON: true, Args: []string{"out.json"}}), ""},
 		{"cluster", ok(benchFlags{Cluster: true}), ""},
 		{"fleet", ok(benchFlags{Fleet: true}), ""},
 		{"fleet 80-cpu machines", ok(benchFlags{Fleet: true, MachineCPUs: 80, MachineSet: true}), ""},
@@ -41,7 +40,6 @@ func TestValidateFlags(t *testing.T) {
 		{"cluster+fleet", ok(benchFlags{Cluster: true, Fleet: true}), "mutually exclusive"},
 		{"overload+fleet", ok(benchFlags{Overload: true, Fleet: true}), "mutually exclusive"},
 		{"overload+rollout", ok(benchFlags{Overload: true, Rollout: true}), "mutually exclusive"},
-		{"overload+benchjson", ok(benchFlags{Overload: true, BenchJSON: true}), "mutually exclusive"},
 		{"overload with quick", ok(benchFlags{Overload: true, Quick: true}), "-quick applies to experiment runs"},
 		{"overload with parallel", ok(benchFlags{Overload: true, Parallel: 4}), "-parallel applies to experiment runs"},
 		{"overload with list", ok(benchFlags{Overload: true, List: true}), "-list does not compose"},
@@ -51,7 +49,6 @@ func TestValidateFlags(t *testing.T) {
 		{"overload shards mismatch nodes", ok(benchFlags{Overload: true, MachineCPUs: 1000, MachineSet: true, Shards: 2, ShardsSet: true}), "does not match"},
 		{"fleet+rollout", ok(benchFlags{Fleet: true, Rollout: true}), "mutually exclusive"},
 		{"rollout with quick", ok(benchFlags{Rollout: true, Quick: true}), "-quick applies to experiment runs"},
-		{"benchjson+cluster", ok(benchFlags{BenchJSON: true, Cluster: true}), "mutually exclusive"},
 		{"cluster with parallel", ok(benchFlags{Cluster: true, Parallel: 4}), "-parallel applies to experiment runs"},
 		{"fleet with quick", ok(benchFlags{Fleet: true, Quick: true}), "-quick applies to experiment runs"},
 		{"cluster with list", ok(benchFlags{Cluster: true, List: true}), "-list does not compose"},

@@ -6,7 +6,6 @@
 // Usage:
 //
 //	enokibench [-quick] [-parallel N] [-list] [experiment ...]
-//	enokibench -benchjson [file]
 //	enokibench -cluster [file]
 //	enokibench -fleet [-machine 8|80|1000] [-shards N] [file]
 //	enokibench -rollout [-machine 8|80|1000] [-shards N] [file]
@@ -16,11 +15,9 @@
 // message counts and durations so the full suite finishes in well under a
 // minute; without it, runs use paper-scale durations. -parallel N runs up
 // to N independent experiment cells concurrently, each on its own simulated
-// machine — results are byte-identical to a serial run. -benchjson runs the
-// hot-path micro-benchmarks instead and writes ns/op + allocs/op to
-// BENCH_hotpath.json (or the given file). -cluster measures single-kernel vs
-// sharded simulation throughput at 80 and 1,000 CPUs and writes
-// BENCH_cluster.json (or the given file). -fleet additionally runs the
+// machine — results are byte-identical to a serial run. -cluster measures
+// single-kernel vs sharded simulation throughput at 80 and 1,000 CPUs and
+// writes BENCH_cluster.json (or the given file). -fleet additionally runs the
 // cluster-of-machines benchmark — 1,000 simulated machines under the fleet
 // executor with a machine failure mid-run, serial and parallel — and writes
 // its SLO verdicts into the same document. -rollout is a superset of -fleet:
@@ -49,7 +46,6 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "shrink durations/message counts for a fast pass")
 	parallel := flag.Int("parallel", 1, "run up to N experiment cells concurrently (same output as serial)")
-	benchjson := flag.Bool("benchjson", false, "run hot-path micro-benchmarks, write BENCH_hotpath.json, and exit")
 	clusterMode := flag.Bool("cluster", false, "run cluster-scale sharded-vs-single throughput sweep, write BENCH_cluster.json, and exit")
 	fleet := flag.Bool("fleet", false, "run the cluster sweep plus the 1,000-machine fleet benchmark, write BENCH_cluster.json, and exit")
 	rollout := flag.Bool("rollout", false, "run the cluster sweep, fleet benchmark, and canary-rollout benchmark, write BENCH_cluster.json, and exit")
@@ -59,7 +55,6 @@ func main() {
 	list := flag.Bool("list", false, "list available experiments and exit")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: enokibench [-quick] [-parallel N] [-list] [experiment ...]\n"+
-			"       enokibench -benchjson [file]\n"+
 			"       enokibench -cluster [file]\n"+
 			"       enokibench -fleet [-machine 8|80|1000] [-shards N] [file]\n"+
 			"       enokibench -rollout [-machine 8|80|1000] [-shards N] [file]\n"+
@@ -71,7 +66,7 @@ func main() {
 	flag.Parse()
 
 	f := benchFlags{
-		Quick: *quick, Parallel: *parallel, BenchJSON: *benchjson,
+		Quick: *quick, Parallel: *parallel,
 		Cluster: *clusterMode, Fleet: *fleet, Rollout: *rollout,
 		Overload: *overloadMode, List: *list,
 		MachineCPUs: *machine, Shards: *shards, Args: flag.Args(),
@@ -88,36 +83,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "enokibench: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
-	}
-
-	if *benchjson {
-		path := "BENCH_hotpath.json"
-		if flag.NArg() > 0 {
-			path = flag.Arg(0)
-		}
-		out, err := bench.WriteJSON(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "enokibench: %v\n", err)
-			os.Exit(1)
-		}
-		for _, r := range out.Benchmarks {
-			fmt.Printf("%-28s %12.1f ns/op %8d B/op %6d allocs/op\n",
-				r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
-		}
-		ab := out.CrossingAblation
-		fmt.Printf("\ncrossing ablation (FIFO ping-pong): module %.1f ns/op (%d allocs) vs verified %.1f ns/op (%d allocs) — %.2fx\n",
-			ab.ModuleNsPerOp, ab.ModuleAllocsPerOp, ab.VerifiedNsPerOp, ab.VerifiedAllocsPerOp, ab.ModuleOverVerified)
-		fmt.Printf("\ntraced run: %d events (%d dropped)\n", out.Trace.Events, out.Trace.Dropped)
-		for _, cs := range out.TraceHistograms {
-			fmt.Printf("%-12s crossings=%d picks=%d faults=%d dispatch p50/p99=%d/%dns pickwait p50/p99=%d/%dns wake2run p50/p99=%d/%dns depth p90=%d\n",
-				cs.Name, cs.Crossings, cs.Picks, cs.Faults,
-				cs.DispatchLat.P50, cs.DispatchLat.P99,
-				cs.PickWait.P50, cs.PickWait.P99,
-				cs.WakeToRun.P50, cs.WakeToRun.P99,
-				cs.QueueDepth.P90)
-		}
-		fmt.Printf("wrote %s\n", path)
-		return
 	}
 
 	if *clusterMode || *fleet || *rollout || *overloadMode {

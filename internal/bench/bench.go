@@ -1,8 +1,8 @@
-// Package bench holds the hot-path micro-benchmarks in plain functions so
-// they can run two ways: as ordinary `go test -bench` benchmarks (thin
-// delegates in each package's _test.go) and from `enokibench -benchjson`,
-// which drives them through testing.Benchmark and writes ns/op + allocs/op
-// to a JSON file for benchstat-style tracking.
+// Package bench holds the hot-path micro-benchmarks in plain functions, run
+// as ordinary `go test -bench` benchmarks through thin delegates in each
+// package's _test.go and through testing.Benchmark by the zero-allocation
+// ratchet tests, and the cluster, fleet, rollout and overload artifact
+// sections `enokibench` writes.
 //
 // These benchmarks pin the zero-allocation invariant of the simulation hot
 // path (DESIGN.md "Performance model"): the steady-state schedule loop —
@@ -12,59 +12,16 @@
 package bench
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
 	"testing"
 	"time"
 
 	"enoki/internal/chaos"
 	"enoki/internal/core"
-	"enoki/internal/enokic"
 	"enoki/internal/kernel"
 	"enoki/internal/metrics"
-	"enoki/internal/sched/fifo"
 	"enoki/internal/sim"
 	"enoki/internal/trace"
 )
-
-// --- sim ---
-
-// SimPostStep measures the fire-and-forget event path: Post draws from the
-// engine free list, Step fires and recycles. Steady state allocates nothing.
-func SimPostStep(b *testing.B) {
-	eng := sim.New()
-	var fn func()
-	n := 0
-	fn = func() {
-		n++
-		eng.Post(time.Microsecond, fn)
-	}
-	eng.Post(time.Microsecond, fn)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !eng.Step() {
-			b.Fatal("engine drained")
-		}
-	}
-}
-
-// SimReschedule measures the persistent-event re-arm path used by per-CPU
-// tick and preemption timers: one Event, re-armed every firing.
-func SimReschedule(b *testing.B) {
-	eng := sim.New()
-	var ev *sim.Event
-	ev = eng.NewEvent(func() { eng.RescheduleAfter(ev, time.Microsecond) })
-	eng.RescheduleAfter(ev, time.Microsecond)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !eng.Step() {
-			b.Fatal("engine drained")
-		}
-	}
-}
 
 // --- kernel ---
 
@@ -321,133 +278,4 @@ func DispatchTraced(b *testing.B) {
 			}
 		}
 	}
-}
-
-// --- registry + JSON output ---
-
-// Entry names one benchmark.
-type Entry struct {
-	Name string
-	Fn   func(*testing.B)
-}
-
-// All lists every hot-path benchmark under its `go test -bench` name.
-func All() []Entry {
-	return []Entry{
-		{"BenchmarkSimPostStep", SimPostStep},
-		{"BenchmarkSimReschedule", SimReschedule},
-		{"BenchmarkScheduleOp", ScheduleOp},
-		{"BenchmarkScheduleOpTraced", ScheduleOpTraced},
-		{"BenchmarkScheduleOpChaosIdle", ScheduleOpChaosIdle},
-		{"BenchmarkWakeBurst", WakeBurst},
-		{"BenchmarkSpawnExit", SpawnExit},
-		{"BenchmarkTickPath", TickPath},
-		{"BenchmarkDispatch", Dispatch},
-		{"BenchmarkDispatchWakeup", DispatchWakeup},
-		{"BenchmarkDispatchAll", DispatchAll},
-		{"BenchmarkDispatchTraced", DispatchTraced},
-		{"BenchmarkScheduleOpModuleFIFO", ScheduleOpModuleFIFO},
-		{"BenchmarkScheduleOpVerifiedFIFO", ScheduleOpVerifiedFIFO},
-	}
-}
-
-// --- fixed-seed traced run ---------------------------------------------------
-
-// TraceStats describes the tracer's view of the fixed-seed run.
-type TraceStats struct {
-	Events  int    `json:"events"`
-	Dropped uint64 `json:"dropped"`
-}
-
-// TraceRun executes a small fixed-seed workload (an Enoki FIFO module above
-// CFS, spinners + sleepers on 8 CPUs, 20 ms of virtual time) with the full
-// observability layer enabled and returns the per-class histogram summaries
-// plus the tracer stats. Everything is virtual-time-driven, so the result is
-// identical on every host and run.
-func TraceRun() ([]metrics.ClassSummary, TraceStats) {
-	eng := sim.New()
-	k := kernel.New(eng, kernel.Machine8(), kernel.DefaultCosts())
-	const policyEnoki = 1
-	a := enokic.Load(k, policyEnoki, enokic.DefaultConfig(), func(env core.Env) core.Scheduler {
-		return fifo.New(env, policyEnoki)
-	})
-	k.RegisterClass(0, kernel.NewCFS(k))
-
-	tr := trace.New(1 << 16)
-	ms := metrics.NewSet(k.NumCPUs())
-	k.SetTracer(tr)
-	k.SetMetrics(ms)
-	a.SetTracer(tr)
-	a.SetMetrics(ms)
-
-	mkLoop := func(rounds int, run, sleep time.Duration) kernel.Behavior {
-		n := 0
-		return kernel.BehaviorFunc(func(*kernel.Kernel, *kernel.Task) kernel.Action {
-			n++
-			if n > rounds {
-				return kernel.Action{Op: kernel.OpExit}
-			}
-			return kernel.Action{Run: run, Op: kernel.OpSleep, SleepFor: sleep}
-		})
-	}
-	for i := 0; i < 6; i++ {
-		k.Spawn("enoki-worker", policyEnoki, mkLoop(60, 150*time.Microsecond, 50*time.Microsecond))
-	}
-	for i := 0; i < 2; i++ {
-		k.Spawn("cfs-batch", 0, mkLoop(30, 400*time.Microsecond, 100*time.Microsecond))
-	}
-	k.RunFor(20 * time.Millisecond)
-
-	return ms.Summaries(), TraceStats{Events: tr.Len(), Dropped: tr.Dropped()}
-}
-
-// Result is one benchmark's measurement, JSON-ready.
-type Result struct {
-	Name        string  `json:"name"`
-	Iterations  int     `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-}
-
-// Run measures every benchmark via testing.Benchmark.
-func Run() []Result {
-	var out []Result
-	for _, e := range All() {
-		r := testing.Benchmark(e.Fn)
-		out = append(out, Result{
-			Name:        e.Name,
-			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-		})
-	}
-	return out
-}
-
-// Output is the full -benchjson document: micro-benchmark measurements plus
-// the histogram summaries of the fixed-seed traced run.
-type Output struct {
-	Benchmarks       []Result               `json:"benchmarks"`
-	CrossingAblation CrossingAblation       `json:"crossing_ablation"`
-	TraceHistograms  []metrics.ClassSummary `json:"trace_histograms"`
-	Trace            TraceStats             `json:"trace"`
-}
-
-// WriteJSON runs every benchmark and the fixed-seed traced workload, writes
-// the combined document to path, and returns it.
-func WriteJSON(path string) (*Output, error) {
-	out := &Output{Benchmarks: Run()}
-	out.CrossingAblation = MeasureCrossingAblation()
-	out.TraceHistograms, out.Trace = TraceRun()
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return nil, fmt.Errorf("bench: writing %s: %w", path, err)
-	}
-	return out, nil
 }

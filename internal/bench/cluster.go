@@ -6,9 +6,10 @@
 // events per wall-clock second for each mode.
 //
 // The sharded win on a single-core host is algorithmic, not parallel: every
-// O(machine) pass in the single-kernel model — most visibly the NOHZ idle
-// scan each busy tick performs — becomes O(node), and each shard's timer
-// wheel holds a node's worth of events instead of the whole machine's. The
+// O(machine) pass in the single-kernel model — most visibly CFS's periodic
+// balance sweeping every remote socket's queues — becomes O(node), and each
+// shard's timer wheel holds a node's worth of events instead of the whole
+// machine's. The
 // parallel drive adds goroutine fan-out on top when real cores exist;
 // GOMAXPROCS is recorded so the artifact is honest about which effect it
 // measured.
@@ -28,8 +29,8 @@ import (
 
 // clusterSpawn loads one kernel with the saturating per-CPU mix used by
 // every cluster mode: two pinned spinners per CPU (one running, one queued —
-// so each tick sees a backlog and pays the idle-scan) and one pinned
-// sleeper per eight CPUs (wake-path traffic).
+// so each tick sees a backlog) and one pinned sleeper per eight CPUs
+// (wake-path traffic).
 func clusterSpawn(k *kernel.Kernel, policy int) {
 	n := k.NumCPUs()
 	for cpu := 0; cpu < n; cpu++ {

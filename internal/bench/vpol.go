@@ -83,32 +83,3 @@ func ScheduleOpVerifiedFIFO(b *testing.B) {
 	k.RegisterClass(0, kernel.NewCFS(k))
 	pingPong(b, eng, k, policy)
 }
-
-// CrossingAblation is the measured module-vs-verified comparison the hotpath
-// JSON carries: one schedule round trip per op, identical workload, only the
-// attachment tier changed.
-type CrossingAblation struct {
-	ModuleNsPerOp       float64 `json:"module_ns_per_op"`
-	VerifiedNsPerOp     float64 `json:"verified_ns_per_op"`
-	ModuleAllocsPerOp   int64   `json:"module_allocs_per_op"`
-	VerifiedAllocsPerOp int64   `json:"verified_allocs_per_op"`
-	// ModuleOverVerified is ModuleNsPerOp / VerifiedNsPerOp: how many times
-	// more a schedule op costs through the full crossing.
-	ModuleOverVerified float64 `json:"module_over_verified"`
-}
-
-// MeasureCrossingAblation runs both ablation arms via testing.Benchmark.
-func MeasureCrossingAblation() CrossingAblation {
-	mod := testing.Benchmark(ScheduleOpModuleFIFO)
-	ver := testing.Benchmark(ScheduleOpVerifiedFIFO)
-	out := CrossingAblation{
-		ModuleNsPerOp:       float64(mod.T.Nanoseconds()) / float64(mod.N),
-		VerifiedNsPerOp:     float64(ver.T.Nanoseconds()) / float64(ver.N),
-		ModuleAllocsPerOp:   mod.AllocsPerOp(),
-		VerifiedAllocsPerOp: ver.AllocsPerOp(),
-	}
-	if out.VerifiedNsPerOp > 0 {
-		out.ModuleOverVerified = out.ModuleNsPerOp / out.VerifiedNsPerOp
-	}
-	return out
-}

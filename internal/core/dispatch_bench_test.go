@@ -6,8 +6,8 @@ import (
 	"enoki/internal/bench"
 )
 
-// The benchmark bodies live in internal/bench so `enokibench -benchjson`
-// can run the same code and track ns/op + allocs/op in BENCH_hotpath.json.
+// The benchmark bodies live in internal/bench, beside the other hot-path
+// micro-benchmarks.
 
 // BenchmarkDispatch measures libEnoki's processing function: the per-message
 // parse + call + reply write that happens on every framework crossing.

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"math/bits"
 	"time"
 
 	"enoki/internal/core"
@@ -105,7 +106,8 @@ func (rq *cfsRq) updateMinV() {
 // fair queuing baseline every Enoki experiment compares against. Its
 // balancing is sharded by scheduling domain: each CPU holds precomputed
 // scan lists — LLC siblings, same-socket CPUs outside the LLC, and remote-
-// socket CPUs — and every idle search or pull walks them inside-out.
+// socket CPUs — and every pull walks them inside-out; the idle-sibling
+// search reads the same domains as masks against the kernel's idle set.
 type CFS struct {
 	k           *Kernel
 	topo        *core.Topology
@@ -121,6 +123,12 @@ type CFS struct {
 	llcPeers    [][]int
 	nodePeers   [][]int
 	remotePeers [][]int
+	// llcMask[d] is LLC domain d and nodeMask[n] socket n as CPU sets, which
+	// the idle-sibling search ANDs with the kernel's idle set over the words
+	// the machine occupies.
+	llcMask  []CPUMask
+	nodeMask []CPUMask
+	words    int
 }
 
 var _ Class = (*CFS)(nil)
@@ -144,11 +152,16 @@ func newCFS(k *Kernel, topo *core.Topology) *CFS {
 		c.nextBal = append(c.nextBal, 0)
 		c.tickCount = append(c.tickCount, 0)
 	}
+	c.llcMask = make([]CPUMask, topo.NumDomains())
+	c.nodeMask = make([]CPUMask, topo.NumNodes())
+	c.words = (n + 63) >> 6
 	c.llcPeers = make([][]int, n)
 	c.nodePeers = make([][]int, n)
 	c.remotePeers = make([][]int, n)
 	for cpu := 0; cpu < n; cpu++ {
 		c.llcPeers[cpu] = topo.Siblings(cpu)
+		c.llcMask[topo.DomainOf(cpu)].Set(cpu)
+		c.nodeMask[topo.NodeOf(cpu)].Set(cpu)
 		for i := 0; i < n; i++ {
 			switch topo.Distance(cpu, i) {
 			case core.DistSameNode:
@@ -349,14 +362,14 @@ func (c *CFS) SelectRQ(t *Task, prevCPU int, wakeup bool) int {
 	if wakeup && t.allowed.has(prevCPU) && c.idleCPU(prevCPU) {
 		return prevCPU
 	}
-	// Idle sibling in the LLC domain, then the rest of the socket.
-	for _, i := range c.llcPeers[prevCPU] {
-		if t.allowed.has(i) && c.idleCPU(i) {
+	// Idle sibling in the LLC domain, then the rest of the socket (searching
+	// the whole socket is the same: any LLC sibling it could return, the LLC
+	// search already has); with no CPU idle there is none to find.
+	if c.k.nidle > 0 {
+		if i := c.idleSibling(t, &c.llcMask[c.topo.DomainOf(prevCPU)]); i >= 0 {
 			return i
 		}
-	}
-	for _, i := range c.nodePeers[prevCPU] {
-		if t.allowed.has(i) && c.idleCPU(i) {
+		if i := c.idleSibling(t, &c.nodeMask[c.topo.NodeOf(prevCPU)]); i >= 0 {
 			return i
 		}
 	}
@@ -395,6 +408,21 @@ func (c *CFS) SelectRQ(t *Task, prevCPU int, wakeup bool) int {
 
 func (c *CFS) idleCPU(cpu int) bool {
 	return c.k.CurrentOn(cpu) == nil && c.rqs[cpu].tree.Len() == 0
+}
+
+// idleSibling returns the lowest CPU of dom that is idle, allowed for t and
+// has nothing queued — the first hit of an ascending scan of dom — or -1.
+// Only idle CPUs are visited.
+func (c *CFS) idleSibling(t *Task, dom *CPUMask) int {
+	idle := &c.k.idle
+	for w := 0; w < c.words; w++ {
+		for b := idle.bits[w] & dom.bits[w] & t.allowed.bits[w]; b != 0; b &= b - 1 {
+			if i := w<<6 | bits.TrailingZeros64(b); c.rqs[i].tree.Len() == 0 {
+				return i
+			}
+		}
+	}
+	return -1
 }
 
 // Balance implements Class: newidle balancing — when this CPU has no CFS

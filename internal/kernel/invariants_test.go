@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -74,7 +75,14 @@ func randomWorkload(seed uint64, m Machine) (fingerprint uint64, leaked int, pan
 	}
 	eng.After(time.Millisecond, chaos)
 
-	k.RunFor(2 * time.Second)
+	// Step the run event by event so the idle set is checked after each.
+	end := eng.Now().Add(2 * time.Second)
+	for at, ok := eng.NextEventTime(); ok && at <= end; at, ok = eng.NextEventTime() {
+		eng.Step()
+		if err := idleSetErr(k); err != nil {
+			panic(fmt.Sprintf("after event %d at %v: %v", eng.Fired(), eng.Now(), err))
+		}
+	}
 
 	// Fingerprint: total executed time + busy + switches.
 	var sumExec time.Duration
@@ -87,6 +95,21 @@ func randomWorkload(seed uint64, m Machine) (fingerprint uint64, leaked int, pan
 	}
 	fp := uint64(sumExec) ^ uint64(busy)<<1 ^ k.CtxSwitches<<2 ^ uint64(exited)<<3
 	return fp, k.NumTasks(), nil
+}
+
+// idleSetErr reports where the kernel's idle set disagrees with its CPUs: a
+// CPU's bit must be set exactly when it has no current task, and the count
+// must be the number of bits.
+func idleSetErr(k *Kernel) error {
+	for i := 0; i < k.NumCPUs(); i++ {
+		if k.idle.has(i) != (k.CurrentOn(i) == nil) {
+			return fmt.Errorf("cpu %d: idle bit %v, current task %v", i, k.idle.has(i), k.CurrentOn(i))
+		}
+	}
+	if k.nidle != k.idle.Count() {
+		return fmt.Errorf("idle count %d, %d bits set", k.nidle, k.idle.Count())
+	}
+	return nil
 }
 
 func TestQuickNoTaskLostCFS(t *testing.T) {
@@ -102,6 +125,22 @@ func TestQuickNoTaskLostCFS(t *testing.T) {
 		return leaked == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickIdleSetMachine80 runs the random workload on the two-socket,
+// two-mask-word Machine80, where affinity changes force running tasks across
+// sockets; randomWorkload checks the idle set after every event.
+func TestQuickIdleSetMachine80(t *testing.T) {
+	f := func(seed uint64) bool {
+		_, leaked, panicked := randomWorkload(seed, Machine80())
+		if panicked != nil {
+			t.Logf("seed %d panicked: %v", seed, panicked)
+		}
+		return panicked == nil && leaked == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
 	}
 }

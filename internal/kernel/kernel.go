@@ -83,6 +83,13 @@ type Kernel struct {
 	// free is the LIFO of dead SpawnTransient records awaiting reuse.
 	free    []*Task
 	allCPUs CPUMask // every CPU of the machine: a new task's default affinity
+	// idle holds exactly the CPUs with no current task and nidle counts them
+	// (Linux's nohz.idle_cpus_mask and nohz.nr_cpus). setCurr is their only
+	// writer, so they are exact at every instant, mid-schedule included, and
+	// a busy tick or a wake placement tests a count instead of walking the
+	// machine.
+	idle  CPUMask
+	nidle int
 
 	rand *ktime.Rand
 
@@ -141,6 +148,8 @@ func New(eng *sim.Engine, m Machine, costs Costs) *Kernel {
 		idOf:       make(map[Class]int),
 		pidBase:    1,
 		allCPUs:    AllCPUs(m.NumCPUs),
+		idle:       AllCPUs(m.NumCPUs),
+		nidle:      m.NumCPUs,
 		rand:       ktime.NewRand(0x1d1e),
 		ipiEnabled: true,
 		ipiPend:    make([]bool, m.NumCPUs),
@@ -277,6 +286,20 @@ func (k *Kernel) classPrio(c Class) int {
 
 // CurrentOn returns the task running on cpu, or nil when idle.
 func (k *Kernel) CurrentOn(cpu int) *Task { return k.cpus[cpu].curr }
+
+// setCurr makes t (nil: nobody) c's current task, keeping the idle set
+// exact. Every change of a CPU's current task goes through here.
+func (k *Kernel) setCurr(c *CPU, t *Task) {
+	switch {
+	case c.curr == nil && t != nil:
+		k.idle.Clear(c.id)
+		k.nidle--
+	case c.curr != nil && t == nil:
+		k.idle.Set(c.id)
+		k.nidle++
+	}
+	c.curr = t
+}
 
 // CPUBusy returns the accumulated busy time of cpu (task execution plus
 // kernel overheads charged to it).
@@ -696,7 +719,7 @@ func (k *Kernel) schedule(cpu int) {
 			prev.class.PutPrev(cpu, prev, true)
 			prev.queuedAt = k.eng.Now()
 		}
-		c.curr = nil
+		k.setCurr(c, nil)
 	}
 
 	var next *Task
@@ -740,7 +763,7 @@ func (k *Kernel) schedule(cpu int) {
 		// The quantum starts when the task does (execStart = now + oh).
 		k.eng.RescheduleAfter(c.reschedTimer, oh+c.pickTimer)
 	}
-	c.curr = next
+	k.setCurr(c, next)
 	next.state = StateRunning
 	next.cpu = cpu
 	if k.tracer != nil {
@@ -815,7 +838,7 @@ func (k *Kernel) segmentDone(c *CPU, t *Task) {
 	case OpYield:
 		t.hasPending = false
 		t.state = StateRunnable
-		c.curr = nil
+		k.setCurr(c, nil)
 		c.pendingCost += extra + t.class.OverheadPerCall()
 		t.class.Yield(c.id, t)
 		t.queuedAt = k.eng.Now()
@@ -835,7 +858,7 @@ func (k *Kernel) segmentDone(c *CPU, t *Task) {
 		}
 		t.hasPending = false
 		t.state = StateBlocked
-		c.curr = nil
+		k.setCurr(c, nil)
 		c.pendingCost += extra + t.class.OverheadPerCall()
 		t.class.Dequeue(c.id, t, true)
 		if act.Op == OpSleep {
@@ -846,7 +869,7 @@ func (k *Kernel) segmentDone(c *CPU, t *Task) {
 	case OpExit:
 		t.hasPending = false
 		t.state = StateDead
-		c.curr = nil
+		k.setCurr(c, nil)
 		c.pendingCost += extra + 2*t.class.OverheadPerCall()
 		t.class.Dequeue(c.id, t, false)
 		t.class.TaskDead(t)
@@ -903,10 +926,13 @@ func (k *Kernel) tickFire(c *CPU) {
 }
 
 // nohzKick is the NOHZ idle-balance analogue: a busy CPU with queued work
-// kicks the nearest idle CPU — LLC sibling first, then same socket, then
-// anywhere — so that CPU runs a schedule pass and its classes get a Balance
-// opportunity to pull the backlog with the least cache damage.
+// kicks the nearest idle CPU so that CPU runs a schedule pass and its classes
+// get a Balance opportunity to pull the backlog with the least cache damage.
+// A saturated machine costs one test of the idle count.
 func (k *Kernel) nohzKick(c *CPU) {
+	if k.nidle == 0 {
+		return
+	}
 	queued := 0
 	for _, s := range k.classes {
 		queued += s.class.NRunnable(c.id)
@@ -914,25 +940,34 @@ func (k *Kernel) nohzKick(c *CPU) {
 	if queued == 0 {
 		return
 	}
-	n := k.machine.NumCPUs
+	if cpu := k.nearestIdle(c.id); cpu >= 0 {
+		k.kick(cpu, k.costs.IPIDeliver)
+	}
+}
+
+// nearestIdle returns the idle CPU nearest to from — LLC sibling first, then
+// same socket, then anywhere — or -1 when no other CPU is idle. Only the idle
+// set is visited, in rotation order from from+1, and the first CPU met wins a
+// tie.
+func (k *Kernel) nearestIdle(from int) int {
 	best, bestDist := -1, 0
-	for i := 1; i < n; i++ {
-		cpu := (c.id + i) % n
-		if k.cpus[cpu].curr != nil {
+	cpu := from
+	for left := k.nidle; left > 0; left-- {
+		if cpu = k.idle.next(cpu + 1); cpu < 0 {
+			cpu = k.idle.next(0) // wrap past the last CPU
+		}
+		if cpu == from {
 			continue
 		}
-		d := k.topo.Distance(cpu, c.id)
+		d := k.topo.Distance(cpu, from)
 		if d == core.DistSameLLC {
-			best = cpu
-			break
+			return cpu
 		}
 		if best == -1 || d < bestDist {
 			best, bestDist = cpu, d
 		}
 	}
-	if best >= 0 {
-		k.kick(best, k.costs.IPIDeliver)
-	}
+	return best
 }
 
 // MoveTask migrates a runnable (not running) task to dst, honouring
@@ -1007,7 +1042,7 @@ func (k *Kernel) SetAffinity(t *Task, m CPUMask) {
 		t.cpu = dst
 		t.class.Enqueue(dst, t, false)
 		t.queuedAt = k.eng.Now()
-		c.curr = nil
+		k.setCurr(c, nil)
 		k.schedule(src)
 		k.kick(dst, 0)
 	}
@@ -1060,7 +1095,7 @@ func (k *Kernel) SetScheduler(t *Task, classID int) {
 		src := t.cpu
 		t.cpu = target
 		newClass.Enqueue(target, t, false)
-		c.curr = nil
+		k.setCurr(c, nil)
 		k.schedule(src)
 		k.afterEnqueue(t, target, false, 0)
 	}

@@ -8,7 +8,7 @@ import (
 
 // Micro-benchmarks of the hot simulator paths: these bound how much virtual
 // work the harness can push per host second. The bodies live in
-// internal/bench so `enokibench -benchjson` can run the same code.
+// internal/bench, where the zero-allocation ratchets run the same code.
 
 func BenchmarkScheduleOp(b *testing.B) { bench.ScheduleOp(b) }
 

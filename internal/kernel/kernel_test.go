@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -424,6 +425,31 @@ func TestCPUMask(t *testing.T) {
 	s := SingleCPU(65)
 	if !s.Has(65) || s.Count() != 1 {
 		t.Fatal("SingleCPU broken")
+	}
+
+	// next at the word boundaries, on an empty mask and from past the end.
+	var empty, b CPUMask
+	for _, cpu := range []int{0, 63, 64, 1023} {
+		b.Set(cpu)
+	}
+	for _, c := range []struct {
+		m        *CPUMask
+		from, to int
+	}{
+		{&empty, 0, -1}, {&empty, 500, -1},
+		{&b, 0, 0}, {&b, 1, 63}, {&b, 63, 63}, {&b, 64, 64}, {&b, 65, 1023},
+		{&b, 1023, 1023}, {&b, 1024, -1}, {&b, 5000, -1},
+	} {
+		if got := c.m.next(c.from); got != c.to {
+			t.Errorf("next(%d) = %d, want %d", c.from, got, c.to)
+		}
+	}
+	var got []int
+	for cpu := b.next(0); cpu >= 0; cpu = b.next(cpu + 1) {
+		got = append(got, cpu)
+	}
+	if !slices.Equal(got, b.List()) {
+		t.Errorf("walking next gives %v, List %v", got, b.List())
 	}
 }
 

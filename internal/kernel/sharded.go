@@ -7,10 +7,10 @@
 // the conservative epoch protocol loses nothing.
 //
 // The partition is also the performance story on large machines: every
-// kernel-side scan that is O(machine) in the single-kernel model — the NOHZ
-// idle-CPU search on each busy tick, affinity clamps, balancer sweeps — is
-// O(node) here, and each shard's event queue holds a node's worth of timers
-// instead of the whole machine's. The sharded run is deterministic: driving
+// kernel-side scan that is O(machine) in the single-kernel model — the
+// periodic balancer's sweep of remote sockets, affinity clamps — is O(node)
+// here, and each shard's event queue holds a node's worth of timers instead
+// of the whole machine's. The sharded run is deterministic: driving
 // the shards serially or on worker goroutines yields bit-identical per-shard
 // simulations (see sim.Sharded), which the conformance suite pins by
 // comparing per-shard record logs byte for byte.

@@ -143,6 +143,23 @@ func (m *CPUMask) has(cpu int) bool {
 	return m.bits[cpu>>6]&(1<<uint(cpu&63)) != 0
 }
 
+// next returns the lowest CPU in the mask at or above cpu (cpu >= 0), or -1
+// when there is none. Empty words are skipped whole.
+func (m *CPUMask) next(cpu int) int {
+	w := cpu >> 6
+	if w >= maskWords {
+		return -1
+	}
+	for b := m.bits[w] &^ (1<<uint(cpu&63) - 1); ; b = m.bits[w] {
+		if b != 0 {
+			return w<<6 | bits.TrailingZeros64(b)
+		}
+		if w++; w == maskWords {
+			return -1
+		}
+	}
+}
+
 // List returns the allowed CPUs in ascending order.
 func (m CPUMask) List() []int {
 	return m.AppendTo(make([]int, 0, m.Count()))

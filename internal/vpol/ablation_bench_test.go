@@ -7,8 +7,8 @@ import (
 )
 
 // Thin delegates so the crossing-cost ablation runs under `go test -bench`
-// here as well as from `enokibench -benchjson`. Same FIFO policy, same
-// ping-pong workload; only the attachment tier differs.
+// here. Same FIFO policy, same ping-pong workload; only the attachment tier
+// differs.
 
 func BenchmarkScheduleOpModuleFIFO(b *testing.B) { bench.ScheduleOpModuleFIFO(b) }
 
