@@ -4,7 +4,25 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"enoki/internal/schedtest/conformance"
 )
+
+// shardedCampaignPin is what a pinned sharded campaign must reproduce.
+type shardedCampaignPin struct {
+	Logs                      uint64
+	Msgs, Events, Ctx         uint64
+	WorkloadDone, PingersDone int
+}
+
+// shardedCampaignPins are ShardedCampaign(seed, "wfq", 120ms, 16) per seed,
+// captured at 85aa9b0, where its serial and parallel drives still agreed
+// byte for byte.
+var shardedCampaignPins = map[uint64]shardedCampaignPin{
+	1:          {0x3010837da24433b, 40, 5991, 1877, 32, 4},
+	0x5eed:     {0x81c4263054d9d536, 40, 5260, 1737, 32, 4},
+	0xbeefcafe: {0xdfb9250042ba62f2, 40, 5399, 1845, 32, 4},
+}
 
 // TestShardedCampaignIdentity is the chaos arm of the sharded determinism
 // gate: with kernel fault windows armed on every shard, the serial and
@@ -19,6 +37,11 @@ func TestShardedCampaignIdentity(t *testing.T) {
 
 		if serial.MsgsDelivered == 0 {
 			t.Fatalf("seed %#x: no cross-shard messages delivered", seed)
+		}
+		got := shardedCampaignPin{conformance.LogsHash(serial.Logs), serial.MsgsDelivered,
+			serial.EventsFired, serial.CtxSwitches, serial.WorkloadDone, serial.PingersDone}
+		if want := shardedCampaignPins[seed]; got != want {
+			t.Errorf("seed %#x: campaign moved:\n got    %#v\n pinned %#v", seed, got, want)
 		}
 		if serial.EventsFired != par.EventsFired || serial.CtxSwitches != par.CtxSwitches {
 			t.Fatalf("seed %#x: serial fired %d events / %d switches, parallel %d / %d",

@@ -3,6 +3,7 @@ package conformance
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"time"
 
 	"enoki/internal/enokic"
@@ -120,6 +121,18 @@ type ShardedRunResult struct {
 	EventsFired   uint64
 	CtxSwitches   uint64
 	Violations    []Violation
+}
+
+// LogsHash is the FNV-1a hash of a run's per-shard record logs, each behind
+// its length so no byte can move between shards unseen: the form in which
+// sharded runs are pinned across commits.
+func LogsHash(logs [][]byte) uint64 {
+	h := fnv.New64a()
+	for _, l := range logs {
+		fmt.Fprintf(h, "%d:", len(l))
+		h.Write(l)
+	}
+	return h.Sum64()
 }
 
 // RecordShardedRun drives one fully seeded sharded workload for c on m:

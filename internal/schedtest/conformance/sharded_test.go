@@ -10,6 +10,33 @@ import (
 	"enoki/internal/record"
 )
 
+// shardedPin is what a pinned sharded run must reproduce: its per-shard
+// record logs (LogsHash) and the counters beside them.
+type shardedPin struct {
+	Logs                  uint64
+	Events, Ctx           uint64
+	Workload, PingersDone int
+}
+
+func pinOf(r ShardedRunResult) shardedPin {
+	return shardedPin{LogsHash(r.Logs), r.EventsFired, r.CtxSwitches, r.WorkloadDone, r.PingersDone}
+}
+
+// shardedPins are RecordShardedRun(c, Machine80, DefaultConfig, 0x5eed, 24,
+// 120ms) per class, captured at 85aa9b0, where the serial and the parallel
+// drive of every class still agreed byte for byte. They are the sharded
+// executor's oracle across commits: a change that moves one has changed what
+// a sharded machine does.
+var shardedPins = map[string]shardedPin{
+	"cfs":      {0x6c0dc1f9bab41595, 4620, 1762, 48, 6},
+	"fifo":     {0xd1b7da1bf2b7712c, 7041, 2508, 48, 6},
+	"wfq":      {0xf6533f4cded69de3, 6951, 2481, 48, 6},
+	"shinjuku": {0x1fe332535edf842e, 7932, 2765, 48, 6},
+	"arbiter":  {0x620ea7bdac92ac6f, 5783, 2256, 48, 6},
+	"nest":     {0xf4c9ed289f6db821, 6782, 2569, 48, 6},
+	"locality": {0xcd7ac0fc1c303f53, 7277, 2599, 48, 6},
+}
+
 // TestShardedRecordIdentity is the tentpole's determinism gate: for every
 // scheduler class, the sharded run driven serially and the same run driven on
 // worker goroutines must produce byte-identical per-shard record logs (and
@@ -25,6 +52,9 @@ func TestShardedRecordIdentity(t *testing.T) {
 
 			if serial.MsgsDelivered == 0 {
 				t.Fatal("no cross-shard messages delivered — the epoch protocol was not exercised")
+			}
+			if got, want := pinOf(serial), shardedPins[c.Name]; got != want {
+				t.Errorf("sharded run moved:\n got    %#v\n pinned %#v", got, want)
 			}
 			if serial.EventsFired != par.EventsFired || serial.CtxSwitches != par.CtxSwitches {
 				t.Fatalf("serial fired %d events / %d switches, parallel %d / %d",

@@ -74,6 +74,10 @@ func TestVerifiedShardedIdentity(t *testing.T) {
 	serial := RecordShardedRun(c, m, cfg, seed, tasks, budget, false)
 	parallel := RecordShardedRun(c, m, cfg, seed, tasks, budget, true)
 
+	// Captured at 85aa9b0, like shardedPins.
+	if got, want := pinOf(serial), (shardedPin{0x6ebec2e23cf53fd6, 5340, 2229, 48, 6}); got != want {
+		t.Errorf("sharded verified run moved:\n got    %#v\n pinned %#v", got, want)
+	}
 	if len(serial.Violations) != 0 || len(parallel.Violations) != 0 {
 		t.Fatalf("violations: serial=%v parallel=%v", serial.Violations, parallel.Violations)
 	}

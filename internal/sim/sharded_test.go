@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
 	"time"
 
@@ -41,6 +42,23 @@ func shardedPingPong(parallel bool, shards, rounds int) [][]string {
 	}
 	s.RunUntilIdle()
 	return logs
+}
+
+// TestShardedPingPongPinned pins shardedPingPong(4, 60) across commits: the
+// FNV-1a hash of its per-shard logs, captured at 85aa9b0, where the serial
+// and the parallel drive still agreed entry for entry.
+func TestShardedPingPongPinned(t *testing.T) {
+	const pinned = 0xe87e528740aa596f
+	h := fnv.New64a()
+	for i, log := range shardedPingPong(false, 4, 60) {
+		fmt.Fprintf(h, "shard %d: %d\n", i, len(log))
+		for _, e := range log {
+			fmt.Fprintln(h, e)
+		}
+	}
+	if got := h.Sum64(); got != pinned {
+		t.Fatalf("logs hash to %#x, pinned %#x", got, uint64(pinned))
+	}
 }
 
 // TestShardedSerialParallelIdentity is the core determinism oracle: the

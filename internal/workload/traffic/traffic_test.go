@@ -12,6 +12,7 @@ import (
 	"enoki/internal/record"
 	"enoki/internal/sched/shinjuku"
 	"enoki/internal/schedtest"
+	"enoki/internal/schedtest/conformance"
 	"enoki/internal/sim"
 	"enoki/internal/workload/traffic"
 )
@@ -196,6 +197,25 @@ func TestFlashCrowdShedsAndRecovers(t *testing.T) {
 	}
 }
 
+// drivePin is what a pinned sharded drive must reproduce: the report's
+// fingerprint and the per-shard record logs (conformance.LogsHash).
+type drivePin struct{ Fingerprint, Logs uint64 }
+
+// Captured at 85aa9b0, where the serial and the parallel drive of each
+// still agreed byte for byte.
+var (
+	cleanDrivePin = drivePin{0x74f09d4a027297a8, 0x925b1168808ebb3d}
+	killDrivePin  = drivePin{0x7f464de72d10da47, 0x63b59fec012327b5}
+)
+
+// TestShardedDrivePinned pins the clean small-scenario drive across commits.
+func TestShardedDrivePinned(t *testing.T) {
+	rep, logs, _ := shardedDrive(t, scenario(), false, 0)
+	if got := (drivePin{rep.Fingerprint(), conformance.LogsHash(logs)}); got != cleanDrivePin {
+		t.Fatalf("drive moved: got %#v, pinned %#v", got, cleanDrivePin)
+	}
+}
+
 func TestShardedSerialParallelIdentical(t *testing.T) {
 	ser, serLogs, _ := shardedDrive(t, scenario(), false, 0)
 	par, parLogs, _ := shardedDrive(t, scenario(), true, 0)
@@ -229,6 +249,9 @@ func TestModuleKillMidFlashConservation(t *testing.T) {
 			t.Fatalf("class %d leaked requests across rehome: %d admitted, %d completed",
 				ci, c.Requests, c.Completed)
 		}
+	}
+	if got := (drivePin{ser.Fingerprint(), conformance.LogsHash(serLogs)}); got != killDrivePin {
+		t.Errorf("kill drive moved: got %#v, pinned %#v", got, killDrivePin)
 	}
 	par, parLogs, pkilled := shardedDrive(t, scenario(), true, panicAt)
 	if !pkilled {

@@ -101,6 +101,10 @@ func TestDriveTrafficShardedDeterministic(t *testing.T) {
 		return sys.DriveTraffic(trafficScenario(), 40*time.Millisecond)
 	}
 	ser, par := drive(false), drive(true)
+	// Captured at 85aa9b0, where both drives still agreed.
+	if got, want := ser.Fingerprint(), uint64(0xc4070f70381e28f4); got != want {
+		t.Errorf("fingerprint %#x, pinned %#x", got, want)
+	}
 	if ser.Fingerprint() != par.Fingerprint() {
 		t.Fatalf("fingerprints differ: %x vs %x", ser.Fingerprint(), par.Fingerprint())
 	}
