@@ -43,8 +43,8 @@ bench-rollout:
 # Full overload artifact: everything bench-rollout writes plus the
 # traffic-plane overload benchmark — an open-loop scenario (diurnal curve,
 # flash crowd, antagonist tenant, churn storm) through the
-# admission/shedding/brownout control plane, serial and parallel, with the
-# pinned `t1:` LeakShed chaos replay — appended to BENCH_cluster.json.
+# admission/shedding/brownout control plane, driven once, with the pinned
+# `t1:` LeakShed chaos replay — appended to BENCH_cluster.json.
 # This is the superset that regenerates the committed artifact; CI also
 # runs it at -machine 80, where the scenario offers 1.26M connections.
 bench-overload:
@@ -75,10 +75,12 @@ profile:
 	$(GO) tool pprof -top -sample_index=alloc_objects -nodecount 20 $(OUT)/benchmark $(OUT)/$(W).mem.pprof
 
 # Fleet gate mirroring the CI job: the whole cluster control plane under the
-# race detector — placement, migration, failover, Close lifecycle, and the
-# job path's allocation ratchet (TestClusterJobAllocs) — plus the fleet
-# executor's serial-vs-parallel identity, the machine-kill chaos replay, and
-# the scaled-down fleet benchmark's pinned fingerprints and stats.
+# race detector — placement, migration, failover, Close lifecycle, no
+# goroutine left behind by a dropped parallel cluster
+# (TestFleetDroppedUnclosedLeaksNothing), and the job path's allocation
+# ratchet (TestClusterJobAllocs) — plus the fleet executor's serial-vs-
+# fork-join identity, the machine-kill chaos replay, and the scaled-down
+# fleet benchmark's pinned fingerprints and stats.
 fleet:
 	$(GO) test -race -count=1 ./internal/cluster
 	$(GO) test -race -run 'TestFleet|FuzzParseSpec' -count=1 ./internal/sim ./internal/chaos ./internal/bench
@@ -94,8 +96,8 @@ rollout:
 # Overload gate mirroring the CI job: the admission/brownout control plane
 # under the race detector — per-class shedding, bounded retry backoff,
 # brownout hysteresis, and the 0 allocs/op Admit ratchet — the traffic
-# plane's flash-crowd, churn, antagonist, module-kill and serial-vs-parallel
-# tests, the request path's allocation ratchet (TestTrafficRequestAllocs:
+# plane's flash-crowd, churn, antagonist, module-kill and pinned-drive tests,
+# the request path's allocation ratchet (TestTrafficRequestAllocs:
 # about one allocation per request) and its task-record recycling-on-vs-off
 # identity, the 30-run t1: traffic chaos campaign with the LeakShed
 # find→shrink→replay loop, the cluster Offer front door, the public
@@ -107,9 +109,9 @@ overload:
 	$(GO) test -race -run 'TestOffer|TestSubmitBypassesAdmission' -count=1 ./internal/cluster
 	$(GO) test -race -run 'TestRunOverloadSmoke' -count=1 ./internal/bench
 
-# Sharded-executor gate mirroring the CI job: serial-vs-parallel record-log
-# identity and conformance for every scheduler class under the race detector,
-# plus the ratchets of what the executor stands on: the sharded steady state
+# Sharded-executor gate mirroring the CI job: pinned record logs and counters
+# and conformance for every scheduler class under the race detector, plus the
+# ratchets of what the executor stands on: the sharded steady state
 # at 0 allocs/op, a cold engine's timer wheel, a burst slot that drains in
 # linear time, one allocation per kernel task from spawn to exit and none per
 # transient one, the saturated tick at 0 allocs per simulated ms — and the
@@ -121,8 +123,8 @@ sharded:
 
 # Verified-tier gate mirroring the CI job: the bytecode verifier, interpreter
 # and fault road under the race detector; the verified class through the
-# 7-class conformance suite on Machine80 (including serial-vs-sharded record
-# identity); the verified chaos smoke; the three-tier Attach API; and both
+# 7-class conformance suite on Machine80 (including its pinned sharded record
+# logs); the verified chaos smoke; the three-tier Attach API; and both
 # arms of the crossing ablation at 0 allocs/op — the interpreted pick and
 # the module crossing — with what the module arm stands on: the ring deque,
 # the never-reused token chunks, the class-data slot's ownership rules, and

@@ -125,9 +125,9 @@ func WithJobPolicy(policy int) ClusterOption {
 	return func(c *cluster.Config) { c.Policy = policy }
 }
 
-// WithFleetParallel drives the fleet on one worker goroutine per machine.
-// Serial and parallel drives are byte-identical; parallel only changes
-// wall-clock speed.
+// WithFleetParallel runs each fleet epoch's machines on min(GOMAXPROCS,
+// machines) goroutines that exit when the epoch ends. Serial and parallel
+// drives are byte-identical; parallel only changes wall-clock speed.
 func WithFleetParallel(on bool) ClusterOption {
 	return func(c *cluster.Config) { c.Parallel = on }
 }

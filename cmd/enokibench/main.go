@@ -27,8 +27,8 @@
 // and appends those verdicts to the document. -overload is a superset of
 // -rollout: it also runs the internet-scale traffic-plane benchmark — an
 // open-loop scenario with a diurnal curve, flash crowd, antagonist tenant,
-// and churn storm against the admission/brownout control plane, serial and
-// parallel, plus a pinned t1: chaos replay of the seeded LeakShed bug —
+// and churn storm against the admission/brownout control plane, plus a
+// pinned t1: chaos replay of the seeded LeakShed bug —
 // and appends its SLO verdicts to the document.
 package main
 
@@ -143,9 +143,8 @@ func main() {
 			}
 		}
 		if ov := out.Overload; ov != nil {
-			fmt.Printf("\noverload: %d CPUs × %d shards, %d connections, %d requests, %.1f virtual ms — serial %.0f ms, parallel %.0f ms wall\n",
-				ov.MachineCPUs, ov.Shards, ov.Connections, ov.Requests,
-				ov.VirtualMS, ov.WallSerialMS, ov.WallParallelMS)
+			fmt.Printf("\noverload: %d CPUs × %d shards, %d connections, %d requests, %.1f virtual ms — %.0f ms wall\n",
+				ov.MachineCPUs, ov.Shards, ov.Connections, ov.Requests, ov.VirtualMS, ov.WallSerialMS)
 			fmt.Printf("  admission: offered=%d admitted=%d shed=%d retried=%d dropped=%d (brownout enters=%d)\n",
 				ov.Offered, ov.Admitted, ov.Shed, ov.Retried, ov.Dropped, ov.BrownoutEnters)
 			printSLOs(ov.SLOs)

@@ -1,18 +1,15 @@
 // Cluster-scale throughput measurement for the sharded executor: the same
-// saturated machine simulated three ways — one kernel over every CPU (the
-// pre-sharding model), one kernel per NUMA node driven serially, and the
-// same sharded machine driven on worker goroutines — at 80 and 1,000 CPUs.
-// The artifact (BENCH_cluster.json, `make bench-cluster`) records simulated
-// events per wall-clock second for each mode.
+// saturated machine simulated two ways — one kernel over every CPU (the
+// pre-sharding model) and one kernel per NUMA node under the epoch executor
+// — at 80 and 1,000 CPUs. The artifact (BENCH_cluster.json, `make
+// bench-cluster`) records simulated events per wall-clock second for each
+// mode.
 //
-// The sharded win on a single-core host is algorithmic, not parallel: every
-// O(machine) pass in the single-kernel model — most visibly CFS's periodic
-// balance sweeping every remote socket's queues — becomes O(node), and each
-// shard's timer wheel holds a node's worth of events instead of the whole
-// machine's. The
-// parallel drive adds goroutine fan-out on top when real cores exist;
-// GOMAXPROCS is recorded so the artifact is honest about which effect it
-// measured.
+// The sharded win is algorithmic, not parallel: every O(machine) pass in the
+// single-kernel model — most visibly CFS's periodic balance sweeping every
+// remote socket's queues — becomes O(node), and each shard's timer wheel
+// holds a node's worth of events instead of the whole machine's. GOMAXPROCS
+// is recorded all the same, since the host's cores change the wall times.
 package bench
 
 import (
@@ -53,7 +50,7 @@ func clusterSpawn(k *kernel.Kernel, policy int) {
 // ClusterResult is one (machine, mode) measurement.
 type ClusterResult struct {
 	CPUs         int     `json:"cpus"`
-	Mode         string  `json:"mode"` // single | sharded-serial | sharded-parallel
+	Mode         string  `json:"mode"` // single | sharded-serial
 	Shards       int     `json:"shards"`
 	VirtualMS    float64 `json:"virtual_ms"`
 	WallMS       float64 `json:"wall_ms"`
@@ -82,24 +79,18 @@ func clusterSingle(m kernel.Machine, d time.Duration) ClusterResult {
 }
 
 // clusterSharded simulates the same machine partitioned per NUMA node.
-func clusterSharded(m kernel.Machine, d time.Duration, parallel bool) ClusterResult {
+func clusterSharded(m kernel.Machine, d time.Duration) ClusterResult {
 	sk := kernel.NewShardedKernel(m, kernel.CostsFor(m), 0)
-	defer sk.Close()
-	sk.SetParallel(parallel)
 	for i := 0; i < sk.NumShards(); i++ {
 		k := sk.ShardKernel(i)
 		k.RegisterClass(0, kernel.NewCFS(k))
 		clusterSpawn(k, 0)
 	}
-	mode := "sharded-serial"
-	if parallel {
-		mode = "sharded-parallel"
-	}
 	start := time.Now()
 	sk.RunFor(d)
 	wall := time.Since(start)
 	return ClusterResult{
-		CPUs: m.NumCPUs, Mode: mode, Shards: sk.NumShards(),
+		CPUs: m.NumCPUs, Mode: "sharded-serial", Shards: sk.NumShards(),
 		VirtualMS: float64(d) / float64(time.Millisecond),
 		WallMS:    float64(wall) / float64(time.Millisecond),
 		Events:    sk.EventsFired(), CtxSwitches: sk.CtxSwitches(),
@@ -136,25 +127,22 @@ func RunCluster() *ClusterOutput {
 	out := &ClusterOutput{
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Note: "speedups are algorithmic (per-node event queues and O(node) scans); " +
-			"the parallel drive only adds on multi-core hosts",
+			"the sharded machine runs on one goroutine",
 	}
 	cells := []struct {
-		m kernel.Machine
-		d time.Duration
+		m       kernel.Machine
+		d       time.Duration
+		speedup *float64
 	}{
-		{kernel.Machine80(), 200 * time.Millisecond},
-		{kernel.Machine1000(), 50 * time.Millisecond},
+		{kernel.Machine80(), 200 * time.Millisecond, &out.SpeedupAt80},
+		{kernel.Machine1000(), 50 * time.Millisecond, &out.SpeedupAt1000},
 	}
-	bySpec := map[string]float64{}
 	for _, c := range cells {
 		single := clusterSingle(c.m, c.d)
-		serial := clusterSharded(c.m, c.d, false)
-		par := clusterSharded(c.m, c.d, true)
-		out.Results = append(out.Results, single, serial, par)
-		bySpec[fmt.Sprintf("%d", c.m.NumCPUs)] = serial.EventsPerSec / single.EventsPerSec
+		serial := clusterSharded(c.m, c.d)
+		out.Results = append(out.Results, single, serial)
+		*c.speedup = serial.EventsPerSec / single.EventsPerSec
 	}
-	out.SpeedupAt80 = bySpec["80"]
-	out.SpeedupAt1000 = bySpec["1000"]
 	return out
 }
 
@@ -186,7 +174,6 @@ func writeClusterDoc(path string, out *ClusterOutput) (*ClusterOutput, error) {
 func ScheduleOpSharded(b *testing.B) {
 	m := kernel.MachineNUMA("bench-2node", 2, 1, 4)
 	sk := kernel.NewShardedKernel(m, kernel.CostsFor(m), 0)
-	defer sk.Close()
 	counts := make([]int, sk.NumShards())
 	for i := 0; i < sk.NumShards(); i++ {
 		i := i

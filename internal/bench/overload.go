@@ -2,9 +2,9 @@
 // open-loop scenario fires 1M+ simulated connections — diurnal curve with
 // regional offsets, a flash crowd, an antagonist tenant, and a churn
 // storm — at one sharded machine running shinjuku behind the admission
-// plane, twice (serial and parallel drives, fingerprint-compared). The
-// artifact's SLO verdicts are the overload-control story: flash-crowd p99
-// stays bounded because shedding and brownout cap the backlog, victims
+// plane, once, fingerprinted. The artifact's SLO verdicts are the
+// overload-control story: flash-crowd p99 stays bounded because shedding
+// and brownout cap the backlog, victims
 // stay fair under the antagonist, the shed rate stays under its ceiling
 // with the conservation books balanced, and every brownout episode
 // recovers. A pinned `t1:` chaos replay with the LeakShed bug planted
@@ -63,9 +63,8 @@ type OverloadBenchResult struct {
 	Retried     uint64 `json:"retried"`
 	Dropped     uint64 `json:"dropped"`
 
-	VirtualMS      float64 `json:"virtual_ms"`
-	WallSerialMS   float64 `json:"wall_serial_ms"`
-	WallParallelMS float64 `json:"wall_parallel_ms"`
+	VirtualMS    float64 `json:"virtual_ms"`
+	WallSerialMS float64 `json:"wall_serial_ms"`
 
 	BaseP99US      float64 `json:"base_p99_us"`
 	FlashP99US     float64 `json:"flash_p99_us"`
@@ -74,9 +73,8 @@ type OverloadBenchResult struct {
 	BrownoutEnters uint64  `json:"brownout_enters"`
 	MaxRecoveryUS  float64 `json:"max_recovery_us"`
 
-	FingerprintSerial   string `json:"fingerprint_serial"`
-	FingerprintParallel string `json:"fingerprint_parallel"`
-	GOMAXPROCS          int    `json:"gomaxprocs"`
+	FingerprintSerial string `json:"fingerprint_serial"`
+	GOMAXPROCS        int    `json:"gomaxprocs"`
 
 	Replay OverloadReplay `json:"replay"`
 
@@ -148,10 +146,8 @@ func overloadAdmission(m kernel.Machine) overload.Config {
 
 // overloadDrive runs the scenario once on a sharded kernel, one driver and
 // controller per NUMA shard, shinjuku behind the admission plane.
-func overloadDrive(m kernel.Machine, sc traffic.Scenario, parallel bool) (traffic.Report, time.Duration) {
+func overloadDrive(m kernel.Machine, sc traffic.Scenario) (traffic.Report, time.Duration) {
 	sk := kernel.NewShardedKernel(m, kernel.CostsFor(m), 0)
-	defer sk.Close()
-	sk.SetParallel(parallel)
 	n := sk.NumShards()
 	drivers := make([]*traffic.Driver, n)
 	for i := 0; i < n; i++ {
@@ -205,12 +201,11 @@ func overloadReplayVerdict() OverloadReplay {
 	return rep
 }
 
-// RunOverload runs the overload benchmark on the given machine template,
-// serial and parallel, and assembles the verdicts.
+// RunOverload runs the overload benchmark on the given machine template and
+// assembles the verdicts.
 func RunOverload(m kernel.Machine) *OverloadBenchResult {
 	sc := overloadScenario(m)
-	serial, wallSerial := overloadDrive(m, sc, false)
-	par, wallPar := overloadDrive(m, sc, true)
+	serial, wallSerial := overloadDrive(m, sc)
 
 	api := serial.Classes[1]
 	total := serial.Total
@@ -219,19 +214,17 @@ func RunOverload(m kernel.Machine) *OverloadBenchResult {
 		Connections: serial.Connections, Requests: serial.Requests,
 		Offered: total.Offered, Admitted: total.Admitted, Shed: total.Shed,
 		Retried: total.Retried, Dropped: total.Dropped,
-		VirtualMS:           float64(sc.Duration+40*time.Millisecond) / float64(time.Millisecond),
-		WallSerialMS:        float64(wallSerial) / float64(time.Millisecond),
-		WallParallelMS:      float64(wallPar) / float64(time.Millisecond),
-		BaseP99US:           float64(api.P99) / float64(time.Microsecond),
-		FlashP99US:          float64(api.FlashP99) / float64(time.Microsecond),
-		Fairness:            serial.Fairness(sc.AntagonistClass()),
-		ShedRate:            serial.ShedRate(),
-		BrownoutEnters:      total.BrownoutEnters,
-		MaxRecoveryUS:       float64(serial.MaxRecovery) / float64(time.Microsecond),
-		FingerprintSerial:   fmt.Sprintf("%016x", serial.Fingerprint()),
-		FingerprintParallel: fmt.Sprintf("%016x", par.Fingerprint()),
-		GOMAXPROCS:          runtime.GOMAXPROCS(0),
-		Replay:              overloadReplayVerdict(),
+		VirtualMS:         float64(sc.Duration+40*time.Millisecond) / float64(time.Millisecond),
+		WallSerialMS:      float64(wallSerial) / float64(time.Millisecond),
+		BaseP99US:         float64(api.P99) / float64(time.Microsecond),
+		FlashP99US:        float64(api.FlashP99) / float64(time.Microsecond),
+		Fairness:          serial.Fairness(sc.AntagonistClass()),
+		ShedRate:          serial.ShedRate(),
+		BrownoutEnters:    total.BrownoutEnters,
+		MaxRecoveryUS:     float64(serial.MaxRecovery) / float64(time.Microsecond),
+		FingerprintSerial: fmt.Sprintf("%016x", serial.Fingerprint()),
+		GOMAXPROCS:        runtime.GOMAXPROCS(0),
+		Replay:            overloadReplayVerdict(),
 	}
 	slo := func(name, target, measured string, pass bool) {
 		r.SLOs = append(r.SLOs, FleetSLO{Name: name, Target: target, Measured: measured, Pass: pass})
@@ -262,9 +255,6 @@ func RunOverload(m kernel.Machine) *OverloadBenchResult {
 		fmt.Sprintf("%d enters, recovered=%v, slowest %.0fµs",
 			r.BrownoutEnters, serial.Recovered, r.MaxRecoveryUS),
 		r.BrownoutEnters > 0 && serial.Recovered && serial.MaxRecovery <= recoveryBound)
-	slo("determinism", "serial and parallel drives fingerprint identically",
-		fmt.Sprintf("%s vs %s", r.FingerprintSerial, r.FingerprintParallel),
-		serial.Fingerprint() == par.Fingerprint())
 	slo("replay", "pinned LeakShed replay caught by the conservation oracle, ddmin-shrunk, clean without the bug",
 		fmt.Sprintf("%s: caught=%v, %d→%d events, clean_pass=%v",
 			r.Replay.Spec, r.Replay.Caught, r.Replay.EventsBefore, r.Replay.EventsAfter, r.Replay.CleanPass),

@@ -228,13 +228,8 @@ func RunRollout(m kernel.Machine) *RolloutBenchResult {
 	faultS := rolloutDrive(m, machines, jobs, faultyFrom, false)
 	faultP := rolloutDrive(m, machines, jobs, faultyFrom, true)
 
-	shards := 0
-	if n := kernel.NewShardedKernel(m, kernel.CostsFor(m), 0); n != nil {
-		shards = n.NumShards()
-		n.Close()
-	}
 	r := &RolloutBenchResult{
-		Machines: machines, MachineCPUs: m.NumCPUs, Shards: shards, Jobs: jobs,
+		Machines: machines, MachineCPUs: m.NumCPUs, Shards: m.NumNodes, Jobs: jobs,
 		Class: rolloutClass, Version: rolloutVersion, Previous: cleanS.report.Previous,
 		FaultyFrom: faultyFrom,
 		Targets:    cleanS.report.Targets, Canary: cleanS.report.Canary,

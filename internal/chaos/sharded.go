@@ -18,8 +18,8 @@ import (
 const shardSalt uint64 = 0x94d049bb133111eb
 
 // ShardedResult is one sharded campaign's outcome. Logs holds the raw
-// per-shard record bytes; a serial and a parallel run of the same seed must
-// match field for field, Logs byte for byte.
+// per-shard record bytes; two runs of the same seed match field for field,
+// Logs byte for byte.
 type ShardedResult struct {
 	Verdict
 	Logs          [][]byte
@@ -33,7 +33,7 @@ type ShardedResult struct {
 }
 
 // armShardFaults derives one shard's kernel fault windows from the campaign
-// seed — a pure function of (seed, shard), so serial and parallel runs arm
+// seed — a pure function of (seed, shard), so every run of a seed arms
 // identical windows. All four kernel planes fire inside the first half of
 // the budget: IPI loss (modelled as recovery-bounded delay), IPI delay
 // jitter, IPI duplication, and timer skew.
@@ -62,20 +62,15 @@ func armShardFaults(seed uint64, shard int, k *kernel.Kernel, budget time.Durati
 // two-socket machine partitioned per NUMA node: per-shard seeded workloads,
 // cross-shard pinger traffic through the epoch-merge protocol, and per-shard
 // fault windows (IPI drop/delay/dup, timer skew) armed from the seed. The
-// campaign is deterministic end to end — with parallel false the shards run
-// in shard order on one goroutine, with parallel true on worker goroutines,
-// and both produce the same ShardedResult, record logs included. That
-// identity under armed fault windows is what the sharded chaos test pins.
-func ShardedCampaign(seed uint64, class string, budget time.Duration, tasksPerShard int, parallel bool) ShardedResult {
+// campaign is deterministic end to end, record logs included; the sharded
+// chaos test pins that under armed fault windows.
+func ShardedCampaign(seed uint64, class string, budget time.Duration, tasksPerShard int) ShardedResult {
 	c, ok := caseByName(class)
 	if !ok {
 		return ShardedResult{Verdict: Verdict{[]string{fmt.Sprintf("unknown class %q", class)}}}
 	}
 	m := kernel.Machine80()
 	r := conformance.NewShardedRig(c, m, enokic.DefaultConfig())
-	defer r.SK.Close()
-	r.SK.SetParallel(parallel)
-
 	n := r.SK.NumShards()
 	bufs := make([]*bytes.Buffer, n)
 	recs := make([]*record.Recorder, n)

@@ -25,48 +25,25 @@ var shardedCampaignPins = map[uint64]shardedCampaignPin{
 }
 
 // TestShardedCampaignIdentity is the chaos arm of the sharded determinism
-// gate: with kernel fault windows armed on every shard, the serial and
-// parallel drives of the same seeded campaign must agree on every counter
-// and produce byte-identical per-shard record logs. Fault draws happen
-// inside shard event closures, so this also proves the injectors stay
-// shard-owned under the parallel drive.
+// gate: with kernel fault windows armed on every shard, each seeded campaign
+// must reproduce its pinned counters and per-shard record logs, deliver
+// cross-shard traffic, leave no shard's log empty and trip no oracle.
 func TestShardedCampaignIdentity(t *testing.T) {
 	for _, seed := range []uint64{1, 0x5eed, 0xbeefcafe} {
-		serial := ShardedCampaign(seed, "wfq", 120*time.Millisecond, 16, false)
-		par := ShardedCampaign(seed, "wfq", 120*time.Millisecond, 16, true)
-
-		if serial.MsgsDelivered == 0 {
+		res := ShardedCampaign(seed, "wfq", 120*time.Millisecond, 16)
+		if res.MsgsDelivered == 0 {
 			t.Fatalf("seed %#x: no cross-shard messages delivered", seed)
 		}
-		got := shardedCampaignPin{conformance.LogsHash(serial.Logs), serial.MsgsDelivered,
-			serial.EventsFired, serial.CtxSwitches, serial.WorkloadDone, serial.PingersDone}
+		got := shardedCampaignPin{conformance.LogsHash(res.Logs), res.MsgsDelivered,
+			res.EventsFired, res.CtxSwitches, res.WorkloadDone, res.PingersDone}
 		if want := shardedCampaignPins[seed]; got != want {
 			t.Errorf("seed %#x: campaign moved:\n got    %#v\n pinned %#v", seed, got, want)
 		}
-		if serial.EventsFired != par.EventsFired || serial.CtxSwitches != par.CtxSwitches {
-			t.Fatalf("seed %#x: serial fired %d events / %d switches, parallel %d / %d",
-				seed, serial.EventsFired, serial.CtxSwitches, par.EventsFired, par.CtxSwitches)
+		for _, v := range res.Violations {
+			t.Errorf("seed %#x: %s", seed, v)
 		}
-		if serial.WorkloadDone != par.WorkloadDone || serial.PingersDone != par.PingersDone {
-			t.Fatalf("seed %#x: completion diverges: %d/%d workload, %d/%d pingers",
-				seed, serial.WorkloadDone, par.WorkloadDone, serial.PingersDone, par.PingersDone)
-		}
-		for _, v := range serial.Violations {
-			t.Errorf("seed %#x serial: %s", seed, v)
-		}
-		for _, v := range par.Violations {
-			t.Errorf("seed %#x parallel: %s", seed, v)
-		}
-		for i := range serial.Logs {
-			if !bytes.Equal(serial.Logs[i], par.Logs[i]) {
-				j := 0
-				for j < len(serial.Logs[i]) && j < len(par.Logs[i]) && serial.Logs[i][j] == par.Logs[i][j] {
-					j++
-				}
-				t.Fatalf("seed %#x shard %d: record logs diverge (%d vs %d bytes, first difference at byte %d)",
-					seed, i, len(serial.Logs[i]), len(par.Logs[i]), j)
-			}
-			if len(serial.Logs[i]) == 0 {
+		for i, log := range res.Logs {
+			if len(log) == 0 {
 				t.Errorf("seed %#x shard %d: empty record log", seed, i)
 			}
 		}
@@ -76,8 +53,8 @@ func TestShardedCampaignIdentity(t *testing.T) {
 // TestShardedCampaignSeedsDiffer guards against the campaign ignoring its
 // seed: two different seeds must not produce the same record bytes.
 func TestShardedCampaignSeedsDiffer(t *testing.T) {
-	a := ShardedCampaign(7, "wfq", 60*time.Millisecond, 12, false)
-	b := ShardedCampaign(8, "wfq", 60*time.Millisecond, 12, false)
+	a := ShardedCampaign(7, "wfq", 60*time.Millisecond, 12)
+	b := ShardedCampaign(8, "wfq", 60*time.Millisecond, 12)
 	same := true
 	for i := range a.Logs {
 		if !bytes.Equal(a.Logs[i], b.Logs[i]) {

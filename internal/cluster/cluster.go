@@ -56,8 +56,8 @@ type Config struct {
 	// Policy is the scheduler class id jobs spawn into (default 0, the CFS
 	// class the default setup registers).
 	Policy int
-	// Parallel drives the fleet on one worker goroutine per machine;
-	// serial and parallel drives are byte-identical.
+	// Parallel runs each fleet epoch's machines on min(GOMAXPROCS,
+	// machines) goroutines; serial and parallel drives are byte-identical.
 	Parallel bool
 	// Setup, when set, replaces the default per-shard CFS registration: it
 	// runs once per machine at construction and must register a class
@@ -324,16 +324,13 @@ func (c *Cluster) Stats() Stats {
 	return st
 }
 
-// Close shuts the cluster down: the fleet's workers and every machine's
-// executor stop. Closing twice returns an error wrapping ErrClosed.
+// Close retires the cluster: a closed cluster rejects new work, rollouts
+// and runs. It holds no goroutine between runs, so dropping an unclosed
+// cluster leaks nothing. Closing twice returns an error wrapping ErrClosed.
 func (c *Cluster) Close() error {
 	if c.closed {
 		return fmt.Errorf("cluster: double Close: %w", ErrClosed)
 	}
 	c.closed = true
-	c.fl.Close()
-	for _, m := range c.machines {
-		m.sk.Close()
-	}
 	return nil
 }

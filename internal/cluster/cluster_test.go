@@ -186,6 +186,32 @@ func TestClusterCloseIdempotence(t *testing.T) {
 	c.Submit(JobSpec{})
 }
 
+// TestFleetDroppedUnclosedLeaksNothing: a cluster driven in parallel (what
+// WithFleetParallel(true) sets) and dropped without Close leaves no
+// goroutine behind to keep the fleet reachable — the parallel drive forks
+// and joins inside every epoch.
+func TestFleetDroppedUnclosedLeaksNothing(t *testing.T) {
+	base := runtime.NumGoroutine()
+	func() {
+		c := New(Config{Machines: 8, Parallel: true})
+		for i := 0; i < 40; i++ {
+			c.Submit(JobSpec{Cycles: 2})
+		}
+		c.RunUntilIdle()
+		if done := c.Stats().Done; done != 40 {
+			t.Fatalf("%d of 40 jobs done", done)
+		}
+	}()
+	// A joined worker may still be on its way out: give it a moment.
+	for i := 0; runtime.NumGoroutine() > base; i++ {
+		if i == 200 {
+			t.Fatalf("%d goroutines after dropping the cluster, %d before building it", runtime.NumGoroutine(), base)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestClusterNUMAMachines runs two-node machines inside the fleet: jobs
 // spread across shards by id, exercising the nested (fleet-over-IPI)
 // executor stack.

@@ -31,10 +31,6 @@ const (
 // machine with no hidden concurrency: applyStart/applyStop run inside the
 // target shard's execution context, exit observers run on the owning shard,
 // and every cross-machine send goes through a per-shard fleet source.
-//
-// A machine's executor is always driven serially (the fleet's parallel mode
-// already gives each machine its own worker goroutine; nesting another
-// parallel drive inside it would oversubscribe without adding determinism).
 type Machine struct {
 	c  *Cluster
 	id int
@@ -47,7 +43,7 @@ type Machine struct {
 	// runs is the agent's running-set: jobRun records in a slab (a record's
 	// address is stable while its task holds it as a Behavior), finished
 	// ones chained on free for the next start. Only shard contexts of this
-	// machine touch either, and the machine drive is serial, so no locking.
+	// machine touch either, and they run one at a time, so no locking.
 	runs    slab[jobRun]
 	free    *jobRun
 	spawned uint64

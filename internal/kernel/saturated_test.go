@@ -55,7 +55,6 @@ func satRun(t testing.TB, m Machine, sharded, flat bool, load func(*Kernel) []*T
 	var run func()
 	if sharded {
 		sk := NewShardedKernel(m, CostsFor(m), 0)
-		t.Cleanup(sk.Close)
 		for i := 0; i < sk.NumShards(); i++ {
 			ks = append(ks, sk.ShardKernel(i))
 		}
@@ -193,7 +192,6 @@ func TestSaturatedKernelPinned(t *testing.T) {
 func TestSaturatedTickZeroAlloc(t *testing.T) {
 	m := Machine80()
 	sk := NewShardedKernel(m, CostsFor(m), 0)
-	defer sk.Close()
 	for i := 0; i < sk.NumShards(); i++ {
 		k := sk.ShardKernel(i)
 		k.RegisterClass(testPolicyCFS, NewCFS(k))

@@ -10,10 +10,9 @@
 // kernel-side scan that is O(machine) in the single-kernel model — the
 // periodic balancer's sweep of remote sockets, affinity clamps — is O(node)
 // here, and each shard's event queue holds a node's worth of timers instead
-// of the whole machine's. The sharded run is deterministic: driving
-// the shards serially or on worker goroutines yields bit-identical per-shard
-// simulations (see sim.Sharded), which the conformance suite pins by
-// comparing per-shard record logs byte for byte.
+// of the whole machine's. The sharded run is deterministic (see
+// sim.Sharded), which the conformance suite pins by hashing per-shard record
+// logs across commits.
 package kernel
 
 import (
@@ -32,10 +31,8 @@ type ShardedKernel struct {
 	kernels []*Kernel
 	// base[i] is the first global CPU id of shard i; shard i owns global
 	// CPUs [base[i], base[i]+kernels[i].NumCPUs()).
-	base []int
-	// crossWakes[i] counts remote wakes submitted by shard i; per-shard so
-	// the parallel drive updates it race-free.
-	crossWakes []uint64
+	base       []int
+	crossWakes uint64 // remote wakes submitted
 }
 
 // NewShardedKernel partitions m by NUMA node: one sub-kernel per node, each
@@ -56,12 +53,11 @@ func NewShardedKernel(m Machine, costs Costs, lookahead time.Duration) *ShardedK
 		lookahead = costs.IPIDeliver + costs.CrossNodeExtra
 	}
 	sk := &ShardedKernel{
-		ex:         sim.NewSharded(m.NumNodes, lookahead),
-		machine:    m,
-		costs:      costs,
-		kernels:    make([]*Kernel, m.NumNodes),
-		base:       make([]int, m.NumNodes),
-		crossWakes: make([]uint64, m.NumNodes),
+		ex:      sim.NewSharded(m.NumNodes, lookahead),
+		machine: m,
+		costs:   costs,
+		kernels: make([]*Kernel, m.NumNodes),
+		base:    make([]int, m.NumNodes),
 	}
 	for nd := 0; nd < m.NumNodes; nd++ {
 		lo, hi := nodeRange(m, nd)
@@ -154,35 +150,22 @@ func (sk *ShardedKernel) ShardOfCPU(cpu int) (int, int) {
 	return nd, cpu - sk.base[nd]
 }
 
-// SetParallel selects the drive mode of the executor: worker goroutines or
-// serial shard-order. Both produce bit-identical simulations.
-func (sk *ShardedKernel) SetParallel(on bool) { sk.ex.SetParallel(on) }
-
 // RemoteWake wakes a task owned by shard `to` from shard `from`'s execution
 // context: the cross-socket IPI of the sharded model. The wake lands one
 // lookahead later — the calibrated cross-node delivery latency — and drains
 // inside the target shard's IPI batch window, so a burst of remote wakes at
 // one instant flushes one kick per target CPU. Must be called from shard
-// `from`'s context (one of its event closures) or between runs.
+// `from`'s context (one of its event closures) or between runs; the task is
+// touched only on delivery, inside shard `to`'s context.
 func (sk *ShardedKernel) RemoteWake(from, to int, t *Task) {
-	sk.crossWakes[from]++
+	sk.crossWakes++
 	k := sk.kernels[to]
-	// The closure must not touch t here: the sender runs concurrently with
-	// the owning shard, so the task is only dereferenced on delivery, inside
-	// shard `to`'s execution context.
 	sk.ex.Send(from, to, sk.ex.Shard(from).Now().Add(ktime.Duration(sk.ex.Lookahead())),
 		func() { k.Wake(t) })
 }
 
-// CrossWakes returns how many remote wakes have been submitted. Read it
-// between runs.
-func (sk *ShardedKernel) CrossWakes() uint64 {
-	var n uint64
-	for _, c := range sk.crossWakes {
-		n += c
-	}
-	return n
-}
+// CrossWakes returns how many remote wakes have been submitted.
+func (sk *ShardedKernel) CrossWakes() uint64 { return sk.crossWakes }
 
 // Now returns the executor's global virtual-time floor.
 func (sk *ShardedKernel) Now() ktime.Time { return sk.ex.Now() }
@@ -216,9 +199,6 @@ func (sk *ShardedKernel) AcceptMsg(at ktime.Time, m *sim.Msg) { sk.ex.AcceptMsg(
 // RunUntilIdle runs until every shard's event queue drains and no message is
 // in flight.
 func (sk *ShardedKernel) RunUntilIdle() { sk.ex.RunUntilIdle() }
-
-// Close stops the executor's worker goroutines (parallel drive only).
-func (sk *ShardedKernel) Close() { sk.ex.Close() }
 
 // NumTasks sums the live-task counts of every shard.
 func (sk *ShardedKernel) NumTasks() int {

@@ -14,7 +14,6 @@ import (
 func TestRemoteWake(t *testing.T) {
 	m := MachineNUMA("2node", 2, 1, 4)
 	sk := NewShardedKernel(m, CostsFor(m), 0)
-	defer sk.Close()
 	for i := 0; i < sk.NumShards(); i++ {
 		k := sk.ShardKernel(i)
 		k.RegisterClass(testPolicyCFS, NewCFS(k))
@@ -61,7 +60,6 @@ func TestRemoteWake(t *testing.T) {
 func TestRemoteWakeBatched(t *testing.T) {
 	m := MachineNUMA("2node", 2, 1, 4)
 	sk := NewShardedKernel(m, CostsFor(m), 0)
-	defer sk.Close()
 	for i := 0; i < sk.NumShards(); i++ {
 		k := sk.ShardKernel(i)
 		k.RegisterClass(testPolicyCFS, NewCFS(k))

@@ -134,8 +134,8 @@ type classState struct {
 
 // Controller is one admission/brownout control plane. It is not
 // goroutine-safe: in sharded rigs each shard owns its own Controller
-// (merged with Counters.Add afterwards), which is also what keeps
-// serial and parallel drives byte-identical.
+// (merged with Counters.Add afterwards), which is also what keeps a
+// drive byte-identical whatever order its shards run in.
 type Controller struct {
 	classes     []classState
 	leak        bool

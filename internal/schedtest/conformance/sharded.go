@@ -47,9 +47,7 @@ func (r *ShardedRig) CrossTraffic(pingersPerShard, cycles int, period time.Durat
 	sk := r.SK
 	n := sk.NumShards()
 	la := sk.Executor().Lookahead()
-	// Exit observers fire on the owning shard's goroutine in parallel runs,
-	// so completion counts are per-shard and only summed between runs.
-	completed := make([]int, n)
+	completed := 0
 	for i := 0; i < n; i++ {
 		i := i
 		sub := r.Shards[i]
@@ -77,7 +75,7 @@ func (r *ShardedRig) CrossTraffic(pingersPerShard, cycles int, period time.Durat
 					}
 					return kernel.Action{Run: 40 * time.Microsecond, Op: kernel.OpBlock, Recheck: recheck}
 				}),
-				kernel.WithExitObserver(func() { completed[i]++ }))
+				kernel.WithExitObserver(func() { completed++ }))
 			deliver := func() {
 				if t.State() == kernel.StateBlocked {
 					k.Wake(t)
@@ -98,18 +96,12 @@ func (r *ShardedRig) CrossTraffic(pingersPerShard, cycles int, period time.Durat
 			wakerEng.Post(time.Duration(p+1)*10*time.Microsecond, fire)
 		}
 	}
-	return func() int {
-		total := 0
-		for _, c := range completed {
-			total += c
-		}
-		return total
-	}
+	return func() int { return completed }
 }
 
 // ShardedRunResult is one RecordShardedRun outcome: the raw per-shard record
 // logs (empty slices for module-less cases) and the completion counts the
-// identity and conformance tests assert on.
+// pin and conformance tests assert on.
 type ShardedRunResult struct {
 	Logs          [][]byte
 	WorkloadDone  int
@@ -138,15 +130,11 @@ func LogsHash(logs [][]byte) uint64 {
 // RecordShardedRun drives one fully seeded sharded workload for c on m:
 // every shard runs a per-shard seeded Workload plus the cross-shard pinger
 // traffic, with a record channel per shard (when the case has a module) and
-// an invariant checker per shard. parallel selects the executor drive mode;
-// serial and parallel runs of the same arguments must produce byte-identical
-// Logs — that is the tentpole's core determinism claim.
+// an invariant checker per shard. Runs of the same arguments produce
+// byte-identical Logs, on any commit that leaves the simulation alone.
 func RecordShardedRun(c Case, m kernel.Machine, cfg enokic.Config, seed uint64,
-	tasksPerShard int, budget time.Duration, parallel bool) ShardedRunResult {
+	tasksPerShard int, budget time.Duration) ShardedRunResult {
 	r := NewShardedRig(c, m, cfg)
-	defer r.SK.Close()
-	r.SK.SetParallel(parallel)
-
 	n := r.SK.NumShards()
 	bufs := make([]*bytes.Buffer, n)
 	recs := make([]*record.Recorder, n)

@@ -37,45 +37,23 @@ var shardedPins = map[string]shardedPin{
 	"locality": {0xcd7ac0fc1c303f53, 7277, 2599, 48, 6},
 }
 
-// TestShardedRecordIdentity is the tentpole's determinism gate: for every
-// scheduler class, the sharded run driven serially and the same run driven on
-// worker goroutines must produce byte-identical per-shard record logs (and
-// identical counters for the module-less CFS baseline). Under -race this also
-// proves the parallel drive shares no unsynchronized state.
+// TestShardedRecordIdentity is the sharded executor's determinism gate: for
+// every scheduler class, the sharded run must reproduce its pinned per-shard
+// record logs and counters byte for byte, with cross-shard traffic delivered
+// and, for module classes, every shard's log non-empty and decodable.
 func TestShardedRecordIdentity(t *testing.T) {
 	m := kernel.Machine80()
 	for _, c := range Cases() {
 		t.Run(c.Name, func(t *testing.T) {
-			cfg := enokic.DefaultConfig()
-			serial := RecordShardedRun(c, m, cfg, 0x5eed, 24, 120*time.Millisecond, false)
-			par := RecordShardedRun(c, m, cfg, 0x5eed, 24, 120*time.Millisecond, true)
-
-			if serial.MsgsDelivered == 0 {
+			res := RecordShardedRun(c, m, enokic.DefaultConfig(), 0x5eed, 24, 120*time.Millisecond)
+			if res.MsgsDelivered == 0 {
 				t.Fatal("no cross-shard messages delivered — the epoch protocol was not exercised")
 			}
-			if got, want := pinOf(serial), shardedPins[c.Name]; got != want {
+			if got, want := pinOf(res), shardedPins[c.Name]; got != want {
 				t.Errorf("sharded run moved:\n got    %#v\n pinned %#v", got, want)
 			}
-			if serial.EventsFired != par.EventsFired || serial.CtxSwitches != par.CtxSwitches {
-				t.Fatalf("serial fired %d events / %d switches, parallel %d / %d",
-					serial.EventsFired, serial.CtxSwitches, par.EventsFired, par.CtxSwitches)
-			}
-			if serial.WorkloadDone != par.WorkloadDone || serial.PingersDone != par.PingersDone {
-				t.Fatalf("completion diverges: %d/%d workload, %d/%d pingers",
-					serial.WorkloadDone, par.WorkloadDone, serial.PingersDone, par.PingersDone)
-			}
-			for i := range serial.Logs {
-				if !bytes.Equal(serial.Logs[i], par.Logs[i]) {
-					j := 0
-					for j < len(serial.Logs[i]) && j < len(par.Logs[i]) && serial.Logs[i][j] == par.Logs[i][j] {
-						j++
-					}
-					t.Fatalf("shard %d record logs diverge: %d vs %d bytes, first difference at byte %d",
-						i, len(serial.Logs[i]), len(par.Logs[i]), j)
-				}
-			}
 			if c.NewModule != nil {
-				for i, log := range serial.Logs {
+				for i, log := range res.Logs {
 					if len(log) == 0 {
 						t.Fatalf("shard %d produced an empty record log", i)
 					}
@@ -96,7 +74,7 @@ func TestShardedConformance(t *testing.T) {
 	m := kernel.Machine80()
 	for _, c := range Cases() {
 		t.Run(c.Name, func(t *testing.T) {
-			res := RecordShardedRun(c, m, enokic.DefaultConfig(), 0xC0, 30, 2*time.Second, true)
+			res := RecordShardedRun(c, m, enokic.DefaultConfig(), 0xC0, 30, 2*time.Second)
 			if res.WorkloadDone != res.WorkloadTasks {
 				t.Errorf("%d/%d workload tasks completed", res.WorkloadDone, res.WorkloadTasks)
 			}

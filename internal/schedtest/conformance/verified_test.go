@@ -1,7 +1,6 @@
 package conformance
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -60,43 +59,23 @@ func TestVerifiedConformanceMachine80(t *testing.T) {
 }
 
 // TestVerifiedShardedIdentity is the determinism claim with the verified
-// tier active: serial and parallel sharded runs of the same seed, each
-// shard carrying module + verified + CFS, must produce byte-identical
-// per-shard record logs and identical counters.
+// tier active: a sharded run with each shard carrying module + verified +
+// CFS must reproduce its pinned per-shard record logs and counters, with
+// every task done and no violation.
 func TestVerifiedShardedIdentity(t *testing.T) {
 	c := Cases()[2] // wfq
 	c.Verified = vpol.DualQueueProgram()
-	m := kernel.Machine80()
-	cfg := enokic.DefaultConfig()
-	const seed, tasks = 0x5eed, 24
-	budget := 60 * time.Millisecond
-
-	serial := RecordShardedRun(c, m, cfg, seed, tasks, budget, false)
-	parallel := RecordShardedRun(c, m, cfg, seed, tasks, budget, true)
+	res := RecordShardedRun(c, kernel.Machine80(), enokic.DefaultConfig(), 0x5eed, 24, 60*time.Millisecond)
 
 	// Captured at 85aa9b0, like shardedPins.
-	if got, want := pinOf(serial), (shardedPin{0x6ebec2e23cf53fd6, 5340, 2229, 48, 6}); got != want {
+	if got, want := pinOf(res), (shardedPin{0x6ebec2e23cf53fd6, 5340, 2229, 48, 6}); got != want {
 		t.Errorf("sharded verified run moved:\n got    %#v\n pinned %#v", got, want)
 	}
-	if len(serial.Violations) != 0 || len(parallel.Violations) != 0 {
-		t.Fatalf("violations: serial=%v parallel=%v", serial.Violations, parallel.Violations)
+	if len(res.Violations) != 0 {
+		t.Fatalf("violations: %v", res.Violations)
 	}
-	if serial.WorkloadDone != serial.WorkloadTasks {
-		t.Fatalf("serial: %d/%d tasks completed", serial.WorkloadDone, serial.WorkloadTasks)
-	}
-	if serial.WorkloadDone != parallel.WorkloadDone || serial.PingersDone != parallel.PingersDone {
-		t.Fatalf("completion drift: serial=(%d,%d) parallel=(%d,%d)",
-			serial.WorkloadDone, serial.PingersDone, parallel.WorkloadDone, parallel.PingersDone)
-	}
-	if serial.CtxSwitches != parallel.CtxSwitches || serial.EventsFired != parallel.EventsFired {
-		t.Fatalf("counter drift: serial=(%d,%d) parallel=(%d,%d)",
-			serial.CtxSwitches, serial.EventsFired, parallel.CtxSwitches, parallel.EventsFired)
-	}
-	for i := range serial.Logs {
-		if !bytes.Equal(serial.Logs[i], parallel.Logs[i]) {
-			t.Fatalf("shard %d record log differs between serial and parallel (%d vs %d bytes)",
-				i, len(serial.Logs[i]), len(parallel.Logs[i]))
-		}
+	if res.WorkloadDone != res.WorkloadTasks {
+		t.Fatalf("%d/%d tasks completed", res.WorkloadDone, res.WorkloadTasks)
 	}
 }
 

@@ -11,12 +11,14 @@
 // uses, with one generalization: message sources are registered explicitly
 // (AddSource) rather than being the node index, so one machine can expose
 // several independent send contexts — one per internal shard — and a send
-// from any of them is race-free under both the fleet's and the machine's
-// parallel drive. Ties at one instant break by destination node, then source
-// id, then per-source send sequence; every sequence counter is monotonic for
-// the life of the executor (never reset between epochs or runs), which is
-// what makes the order total and the serial and parallel fleet drives
-// byte-identical.
+// from any of them is race-free under the fleet's parallel drive. Ties at
+// one instant break by destination node, then source id, then per-source
+// send sequence; every sequence counter is monotonic for the life of the
+// executor (never reset between epochs or runs), which is what makes the
+// order total and the serial and parallel fleet drives byte-identical.
+//
+// The parallel drive forks and joins inside every epoch (runEpoch), so the
+// executor owns no goroutine between epochs and needs no Close.
 //
 // Delivery differs from Sharded in one way: a committed message's closure
 // runs on the coordinator goroutine at the epoch boundary, while every node
@@ -40,7 +42,10 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"enoki/internal/ktime"
 )
@@ -67,11 +72,6 @@ type Fleet struct {
 	mailroom        // one outbox per source, owned by the source's node during an epoch
 	floorMsgs int   // pending non-handoff messages (each chops an epoch window)
 	srcNode   []int // source id → owning node
-
-	// Worker goroutines for the parallel drive, started lazily.
-	started bool
-	cmds    []chan ktime.Time
-	ack     chan struct{}
 
 	epochs    uint64
 	delivered uint64
@@ -146,9 +146,9 @@ func (f *Fleet) Alive(i int) bool { return !f.dead[i] }
 // Kill) or between runs. Killing a dead node is a no-op.
 func (f *Fleet) Kill(i int) { f.dead[i] = true }
 
-// SetParallel selects the drive mode: true fans each epoch out to one worker
-// goroutine per node, false runs nodes in index order on the caller's
-// goroutine. Both produce bit-identical simulations.
+// SetParallel selects the drive mode: true runs each epoch's nodes on
+// min(GOMAXPROCS, nodes) goroutines, false runs them in index order on the
+// caller's goroutine. Both produce bit-identical simulations.
 func (f *Fleet) SetParallel(on bool) { f.parallel = on }
 
 // Send submits fn for commitment toward node `to` at absolute virtual time
@@ -264,7 +264,9 @@ func (f *Fleet) minNextEvent() (ktime.Time, bool) {
 	return best, ok
 }
 
-// runEpoch advances every live node to end, in parallel or serially.
+// runEpoch advances every live node to end: serially in index order, or as
+// a fork-join whose workers — the caller one of them — claim node indices
+// from one counter until none is left. The WaitGroup is the epoch barrier.
 func (f *Fleet) runEpoch(end ktime.Time) {
 	f.epochs++
 	if !f.parallel {
@@ -275,31 +277,24 @@ func (f *Fleet) runEpoch(end ktime.Time) {
 		}
 		return
 	}
-	if !f.started {
-		f.cmds = make([]chan ktime.Time, len(f.nodes))
-		f.ack = make(chan struct{}, len(f.nodes))
-		for i := range f.nodes {
-			f.cmds[i] = make(chan ktime.Time)
-			i := i
-			go func() {
-				for end := range f.cmds[i] {
-					f.nodes[i].RunUntil(end)
-					f.ack <- struct{}{}
-				}
-			}()
-		}
-		f.started = true
-	}
-	sent := 0
-	for i := range f.cmds {
-		if !f.dead[i] {
-			f.cmds[i] <- end
-			sent++
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < len(f.nodes); i = int(next.Add(1) - 1) {
+			if !f.dead[i] {
+				f.nodes[i].RunUntil(end)
+			}
 		}
 	}
-	for ; sent > 0; sent-- {
-		<-f.ack
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(f.nodes)); w > 1; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
 	}
+	work()
+	wg.Wait()
 }
 
 // run is the epoch loop, structurally identical to Sharded.run: deliver due
@@ -366,16 +361,3 @@ func (f *Fleet) RunUntil(t ktime.Time) { f.run(t, true) }
 // RunUntilIdle executes until no live node has a pending event and no
 // message is in flight.
 func (f *Fleet) RunUntilIdle() { f.run(maxTime, false) }
-
-// Close stops the worker goroutines of the parallel drive. The executor
-// remains usable in serial mode afterwards; Close is idempotent.
-func (f *Fleet) Close() {
-	if !f.started {
-		return
-	}
-	for i := range f.cmds {
-		close(f.cmds[i])
-	}
-	f.started = false
-	f.cmds = nil
-}

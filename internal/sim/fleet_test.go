@@ -15,7 +15,6 @@ import (
 func fleetPingPong(parallel bool, nodes, rounds int) [][]string {
 	la := 20 * time.Microsecond
 	f := NewFleet(la)
-	defer f.Close()
 	f.SetParallel(parallel)
 	engs := make([]*Engine, nodes)
 	srcs := make([]int, nodes)
@@ -55,8 +54,8 @@ func fleetPingPong(parallel bool, nodes, rounds int) [][]string {
 }
 
 // TestFleetSerialParallelIdentity is the fleet-level determinism oracle:
-// worker-goroutine and serial drives must produce byte-identical per-node
-// logs. Under -race this also proves the epoch barriers are sound.
+// fork-join and serial drives must produce byte-identical per-node logs.
+// Under -race this also proves the epoch barrier is sound.
 func TestFleetSerialParallelIdentity(t *testing.T) {
 	serial := fleetPingPong(false, 5, 40)
 	par := fleetPingPong(true, 5, 40)
@@ -74,22 +73,19 @@ func TestFleetSerialParallelIdentity(t *testing.T) {
 
 // TestFleetShardedNodes runs whole Sharded executors as fleet members: the
 // two-level protocol (fleet epochs over machine epochs over shard engines)
-// must stay deterministic across all four drive-mode combinations.
+// must stay deterministic in both fleet drive modes.
 func TestFleetShardedNodes(t *testing.T) {
-	run := func(fleetPar, machinePar bool) [][]string {
+	run := func(parallel bool) [][]string {
 		const machines, shardsPer = 3, 2
 		netLA := 50 * time.Microsecond
 		ipiLA := 2 * time.Microsecond
 		f := NewFleet(netLA)
-		defer f.Close()
-		f.SetParallel(fleetPar)
+		f.SetParallel(parallel)
 		sk := make([]*Sharded, machines)
 		srcs := make([]int, machines)
 		logs := make([][]string, machines)
 		for m := 0; m < machines; m++ {
 			sk[m] = NewSharded(shardsPer, ipiLA)
-			defer sk[m].Close()
-			sk[m].SetParallel(machinePar)
 			f.AddNode(sk[m])
 			// One fleet source per machine: all sends below originate from
 			// shard 0's context.
@@ -125,20 +121,14 @@ func TestFleetShardedNodes(t *testing.T) {
 		f.RunUntilIdle()
 		return logs
 	}
-	ref := run(false, false)
-	for _, mode := range []struct {
-		fleetPar, machinePar bool
-		name                 string
-	}{{true, false, "fleet-par"}, {false, true, "machine-par"}, {true, true, "both-par"}} {
-		got := run(mode.fleetPar, mode.machinePar)
-		for i := range ref {
-			if len(ref[i]) != len(got[i]) {
-				t.Fatalf("%s node %d: %d vs %d entries", mode.name, i, len(ref[i]), len(got[i]))
-			}
-			for j := range ref[i] {
-				if ref[i][j] != got[i][j] {
-					t.Fatalf("%s node %d diverges at %d: %q vs %q", mode.name, i, j, ref[i][j], got[i][j])
-				}
+	ref, got := run(false), run(true)
+	for i := range ref {
+		if len(ref[i]) != len(got[i]) {
+			t.Fatalf("node %d: %d serial vs %d parallel entries", i, len(ref[i]), len(got[i]))
+		}
+		for j := range ref[i] {
+			if ref[i][j] != got[i][j] {
+				t.Fatalf("node %d diverges at %d: %q vs %q", i, j, ref[i][j], got[i][j])
 			}
 		}
 	}
@@ -150,7 +140,6 @@ func TestFleetShardedNodes(t *testing.T) {
 func TestFleetKill(t *testing.T) {
 	run := func(parallel bool) (survivor []string, victim []string, dropped uint64, victimNow ktime.Time) {
 		f := NewFleet(10 * time.Microsecond)
-		defer f.Close()
 		f.SetParallel(parallel)
 		engs := [2]*Engine{New(), New()}
 		var sLog, vLog []string
@@ -250,29 +239,19 @@ func TestFleetRunUntilComposes(t *testing.T) {
 // deliver at their instant before same-instant shard traffic, in injection
 // order, through the normal drain machinery.
 func TestShardedInjectOrdering(t *testing.T) {
-	la := 5 * time.Microsecond
-	run := func(parallel bool) []string {
-		s := NewSharded(2, la)
-		defer s.Close()
-		s.SetParallel(parallel)
-		var log []string
-		at := ktime.Time(0).Add(ktime.Duration(20 * time.Microsecond))
-		// A shard-1 → shard-0 message at the same instant as two injections:
-		// the injections (source -1) must deliver first.
-		s.Shard(1).Post(10*time.Microsecond, func() {
-			s.Send(1, 0, at, func() { log = append(log, "from shard 1") })
-		})
-		s.Inject(0, at, func() { log = append(log, "inject A") })
-		s.Inject(0, at, func() { log = append(log, "inject B") })
-		s.RunUntilIdle()
-		return log
-	}
-	want := []string{"inject A", "inject B", "from shard 1"}
-	for _, par := range []bool{false, true} {
-		got := run(par)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("parallel=%v: delivery order %v, want %v", par, got, want)
-		}
+	s := NewSharded(2, 5*time.Microsecond)
+	var log []string
+	at := ktime.Time(0).Add(ktime.Duration(20 * time.Microsecond))
+	// A shard-1 → shard-0 message at the same instant as two injections:
+	// the injections (source -1) must deliver first.
+	s.Shard(1).Post(10*time.Microsecond, func() {
+		s.Send(1, 0, at, func() { log = append(log, "from shard 1") })
+	})
+	s.Inject(0, at, func() { log = append(log, "inject A") })
+	s.Inject(0, at, func() { log = append(log, "inject B") })
+	s.RunUntilIdle()
+	if want := "[inject A inject B from shard 1]"; fmt.Sprint(log) != want {
+		t.Fatalf("delivery order %v, want %s", log, want)
 	}
 }
 

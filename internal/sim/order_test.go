@@ -13,7 +13,7 @@ import (
 // and value messages mixed within one source), every arrival interleaving
 // must merge to the same sequence, and no two distinct messages may compare
 // equal under the (at, to, from, seq) order — totality is what makes the
-// serial and parallel drives byte-identical, and it holds only because
+// merge independent of arrival order, and it holds only because
 // per-source seq counters are unique for the executor's life. The merge
 // under test is the executors' own: mailroom.collect, with part of the
 // population already pending so the fold runs too.
@@ -127,7 +127,6 @@ func TestSmsgSeqResetWouldBreakTotality(t *testing.T) {
 func TestShardedSeqMonotonicAcrossEpochs(t *testing.T) {
 	la := 5 * time.Microsecond
 	s := NewSharded(2, la)
-	defer s.Close()
 	var log []string
 	target := ktime.Time(0).Add(ktime.Duration(100 * time.Microsecond))
 	// Epoch 1 (first run window): shard 1 sends "first" due at 100µs.
@@ -180,7 +179,6 @@ func (n sinkNode) AcceptMsg(at ktime.Time, m *Msg) {
 // fleet executor's per-source counters.
 func TestFleetSeqMonotonicAcrossRuns(t *testing.T) {
 	f := NewFleet(10 * time.Microsecond)
-	defer f.Close()
 	e0, e1 := New(), New()
 	f.AddNode(e0)
 	f.AddNode(e1)
@@ -206,7 +204,6 @@ func TestFleetSeqMonotonicAcrossRuns(t *testing.T) {
 // sink gets the payload intact, operands and string included.
 func TestFleetValueAndClosureShareSeq(t *testing.T) {
 	f := NewFleet(10 * time.Microsecond)
-	defer f.Close()
 	var log []string
 	dst := sinkNode{Engine: New(), got: func(m Msg) {
 		log = append(log, fmt.Sprintf("value %d/%d/%d/%d/%d/%s", m.Kind, m.Shard, m.A, m.B, m.X+m.Y, m.S))

@@ -1,21 +1,23 @@
-// Sharded is the parallel intra-machine executor: N independent Engines
+// Sharded is the intra-machine epoch executor: N independent Engines
 // (shards), each owning a disjoint slice of the simulated machine, advancing
-// concurrently between cross-shard interactions and synchronizing only at
-// message boundaries via a deterministic epoch-merge protocol.
+// independently between cross-shard interactions and synchronizing only at
+// message boundaries via a deterministic epoch-merge protocol. Every epoch
+// runs its shards in index order on the caller's goroutine: what sharding
+// buys is algorithmic — per-node event queues, O(node) kernel scans — and a
+// goroutine per shard cost more in hand-offs than it won, since an epoch one
+// cross-node IPI long holds only a few dozen events.
 //
 // The protocol is conservative (no rollback). Cross-shard messages carry a
 // minimum latency — the lookahead, physically the cross-domain IPI/wake
 // latency — so an epoch bounded by `lookahead` of virtual time can run every
 // shard to the epoch end with no shard observing another's state: any
 // message generated inside the epoch is due at or after the epoch boundary.
-// At each boundary the coordinator merges all outboxes and delivers due
+// At each boundary the executor merges all outboxes and delivers due
 // messages in a single deterministic order: lowest timestamp first, ties
 // broken by destination shard index, then source shard index, then send
-// sequence. Because shards share no mutable state inside an epoch and the
-// merge order is a pure function of the message set, the parallel run is
-// bit-identical to driving the same shards serially — SetParallel flips
-// goroutine fan-out on and off without changing a single event, which is
-// what the serial-vs-parallel record-log identity tests pin.
+// sequence. Shards share no mutable state inside an epoch and the merge
+// order is a pure function of the message set, so a whole Sharded is a
+// deterministic FleetNode that a Fleet may run beside others concurrently.
 //
 // Messages destined for one shard at one instant are drained by a single
 // engine event bracketed by the batch hooks, so one merge round covers a
@@ -69,8 +71,8 @@ type MsgSink interface {
 // epochs or runs — so two distinct messages can never compare equal. A
 // per-epoch or per-run seq reset would silently break the byte-identity
 // guarantee: two same-instant messages from one source would tie, and the
-// sort (which is not stable) could order them differently between the
-// serial and parallel drives. TestSmsgOrderTotal pins the totality;
+// sort (which is not stable) could order them differently from one arrival
+// order to the next. TestSmsgOrderTotal pins the totality;
 // TestShardedSeqMonotonicAcrossEpochs pins the no-reset property.
 type mkey struct {
 	at       ktime.Time
@@ -256,10 +258,9 @@ func foldSmsgs(m []smsg, mid int) {
 type Sharded struct {
 	shards    []*Engine
 	lookahead ktime.Duration
-	parallel  bool
 	now       ktime.Time // global floor: every shard clock sits here between epochs
 
-	mailroom        // one outbox per shard, owned by the shard during an epoch
+	mailroom        // one outbox per shard
 	extSeq   uint64 // Inject sequence (source -1) — monotonic, never reset
 	// Every (shard, instant) group in pending[:committed] has a drain event
 	// posted and runs in the coming epoch, read in place by its shard from
@@ -270,11 +271,6 @@ type Sharded struct {
 
 	beginHook, endHook func(shard int)
 	onMsg              func(shard int, m *Msg)
-
-	// Worker goroutines for the parallel drive, started lazily.
-	started bool
-	cmds    []chan ktime.Time
-	ack     chan struct{}
 
 	epochs    uint64
 	delivered uint64
@@ -311,8 +307,7 @@ func NewSharded(n int, lookahead ktime.Duration) *Sharded {
 func (s *Sharded) NumShards() int { return len(s.shards) }
 
 // Shard returns shard i's engine. Between runs it may be used freely
-// (setup, spawning); during a parallel run it belongs to its worker
-// goroutine.
+// (setup, spawning); during a run only shard i's own events touch it.
 func (s *Sharded) Shard(i int) *Engine { return s.shards[i] }
 
 // Lookahead returns the epoch length / minimum cross-shard latency.
@@ -339,12 +334,6 @@ func (s *Sharded) EventsFired() uint64 {
 	}
 	return n
 }
-
-// SetParallel selects the drive mode: true fans each epoch out to one
-// worker goroutine per shard, false runs shards in index order on the
-// caller's goroutine. Both produce bit-identical simulations; serial is the
-// reference the identity tests compare against.
-func (s *Sharded) SetParallel(on bool) { s.parallel = on }
 
 // SetBatchHooks installs the pair bracketing every per-shard delivery
 // drain: begin before the first message of a (shard, instant) batch, end
@@ -422,8 +411,6 @@ func (s *Sharded) NextEventTime() (ktime.Time, bool) {
 // the shard at its current instant inside one batch-hook bracket. Committed
 // messages are in merge order, so everything between the shard's cursor and
 // its group belongs to other shards, and the group itself is contiguous.
-// During a parallel epoch several shards walk the committed prefix at once;
-// each writes only its own cursor and its own messages.
 func (s *Sharded) drain(i int) {
 	now := s.shards[i].Now()
 	mine := func(c int) bool {
@@ -509,36 +496,11 @@ func (s *Sharded) runLone(end ktime.Time) ktime.Time {
 	return end
 }
 
-// runEpoch advances every shard to end, in parallel or serially.
+// runEpoch advances every shard to end, in shard order.
 func (s *Sharded) runEpoch(end ktime.Time) {
 	s.epochs++
-	if !s.parallel {
-		for _, e := range s.shards {
-			e.RunUntil(end)
-		}
-		s.retire()
-		return
-	}
-	if !s.started {
-		s.cmds = make([]chan ktime.Time, len(s.shards))
-		s.ack = make(chan struct{}, len(s.shards))
-		for i := range s.shards {
-			s.cmds[i] = make(chan ktime.Time)
-			i := i
-			go func() {
-				for end := range s.cmds[i] {
-					s.shards[i].RunUntil(end)
-					s.ack <- struct{}{}
-				}
-			}()
-		}
-		s.started = true
-	}
-	for i := range s.cmds {
-		s.cmds[i] <- end
-	}
-	for range s.cmds {
-		<-s.ack
+	for _, e := range s.shards {
+		e.RunUntil(end)
 	}
 	s.retire()
 }
@@ -609,16 +571,3 @@ func (s *Sharded) RunUntil(t ktime.Time) { s.run(t, true) }
 // RunUntilIdle executes until no shard has a pending event and no message is
 // in flight.
 func (s *Sharded) RunUntilIdle() { s.run(maxTime, false) }
-
-// Close stops the worker goroutines of the parallel drive. The executor
-// remains usable in serial mode afterwards.
-func (s *Sharded) Close() {
-	if !s.started {
-		return
-	}
-	for i := range s.cmds {
-		close(s.cmds[i])
-	}
-	s.started = false
-	s.cmds = nil
-}

@@ -100,8 +100,8 @@ const compactSlack = 128
 
 // Engine is a deterministic discrete-event executor. It is not safe for
 // concurrent use; all simulation state mutates from event closures running on
-// the caller's goroutine. For multi-goroutine simulations, see Sharded,
-// which runs one Engine per shard and merges at epoch boundaries.
+// the caller's goroutine. Sharded runs one Engine per shard and merges at
+// epoch boundaries; Fleet may run whole simulations on several goroutines.
 type Engine struct {
 	now     ktime.Time
 	seq     uint64

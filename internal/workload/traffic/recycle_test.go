@@ -63,7 +63,7 @@ func overloadAdmission() overload.Config {
 // on Kernel.Spawn, where no record is ever reused; reports, latency
 // histograms, engine event counts, context switches and module statistics
 // must be identical shard by shard — over the shortened overload scenario
-// for five seeds, serial and parallel, and over a module kill in the middle
+// for five seeds, and over a module kill in the middle
 // of a flash crowd, where the rehome walks a pid table that has slid and
 // moves tasks living in recycled records.
 func TestTrafficRecyclingIdentity(t *testing.T) {
@@ -78,38 +78,31 @@ func TestTrafficRecyclingIdentity(t *testing.T) {
 	}
 	arms = append(arms, arm{"module-kill", rig{sc: scenario(), panicAt: 1500, noRecord: true}})
 	for _, a := range arms {
-		for _, parallel := range []bool{false, true} {
-			name := a.name + "/serial"
-			if parallel {
-				name = a.name + "/parallel"
+		t.Run(a.name+"/serial", func(t *testing.T) {
+			r := a.rig
+			recycled := r.drive(t)
+			r.plainSpawn = true
+			plain := r.drive(t)
+			if len(recycled.rep.Violations) != 0 || recycled.rep.Requests == 0 {
+				t.Fatalf("%d requests, violations %v", recycled.rep.Requests, recycled.rep.Violations)
 			}
-			t.Run(name, func(t *testing.T) {
-				r := a.rig
-				r.parallel = parallel
-				recycled := r.drive(t)
-				r.plainSpawn = true
-				plain := r.drive(t)
-				if len(recycled.rep.Violations) != 0 || recycled.rep.Requests == 0 {
-					t.Fatalf("%d requests, violations %v", recycled.rep.Requests, recycled.rep.Violations)
-				}
-				if recycled.killed != (r.panicAt > 0) {
-					t.Fatalf("module killed = %v", recycled.killed)
-				}
-				if a, b := recycled.rep.Fingerprint(), plain.rep.Fingerprint(); a != b {
-					t.Errorf("fingerprint %x recycled, %x plain", a, b)
-				}
-				if !reflect.DeepEqual(recycled.rep, plain.rep) {
-					t.Errorf("reports differ:\nrecycled %+v\nplain    %+v", recycled.rep, plain.rep)
-				}
-				if !reflect.DeepEqual(recycled.fired, plain.fired) || !reflect.DeepEqual(recycled.ctx, plain.ctx) {
-					t.Errorf("events fired %v / %v, context switches %v / %v (recycled / plain)",
-						recycled.fired, plain.fired, recycled.ctx, plain.ctx)
-				}
-				if !reflect.DeepEqual(recycled.stats, plain.stats) {
-					t.Errorf("module stats differ:\nrecycled %+v\nplain    %+v", recycled.stats, plain.stats)
-				}
-			})
-		}
+			if recycled.killed != (r.panicAt > 0) {
+				t.Fatalf("module killed = %v", recycled.killed)
+			}
+			if a, b := recycled.rep.Fingerprint(), plain.rep.Fingerprint(); a != b {
+				t.Errorf("fingerprint %x recycled, %x plain", a, b)
+			}
+			if !reflect.DeepEqual(recycled.rep, plain.rep) {
+				t.Errorf("reports differ:\nrecycled %+v\nplain    %+v", recycled.rep, plain.rep)
+			}
+			if !reflect.DeepEqual(recycled.fired, plain.fired) || !reflect.DeepEqual(recycled.ctx, plain.ctx) {
+				t.Errorf("events fired %v / %v, context switches %v / %v (recycled / plain)",
+					recycled.fired, plain.fired, recycled.ctx, plain.ctx)
+			}
+			if !reflect.DeepEqual(recycled.stats, plain.stats) {
+				t.Errorf("module stats differ:\nrecycled %+v\nplain    %+v", recycled.stats, plain.stats)
+			}
+		})
 	}
 }
 
@@ -123,7 +116,6 @@ func TestTrafficRecyclingIdentity(t *testing.T) {
 func TestTrafficRequestAllocs(t *testing.T) {
 	m := kernel.Machine80()
 	sk := kernel.NewShardedKernel(m, kernel.CostsFor(m), 0)
-	defer sk.Close()
 	sc := overloadScenario(1, 10*time.Millisecond)
 	var drivers []*traffic.Driver
 	for i := 0; i < sk.NumShards(); i++ {

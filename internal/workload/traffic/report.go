@@ -140,8 +140,8 @@ func (r Report) ShedRate() float64 {
 }
 
 // Fingerprint folds every deterministic counter of the report into one
-// FNV-64a word: equal fingerprints mean serial and parallel drives (or
-// two machines) measured identical traffic.
+// FNV-64a word: equal fingerprints mean two drives (or two machines)
+// measured identical traffic.
 func (r Report) Fingerprint() uint64 {
 	h := uint64(1469598103934665603)
 	word := func(v uint64) {

@@ -14,9 +14,9 @@
 // controller's conservation accounting.
 //
 // Determinism: each Driver owns a seeded ktime.Rand and touches only its
-// own kernel shard, so a sharded drive is deterministic serial or
-// parallel, and per-shard reports merge into the same totals either way
-// (the bench fingerprints this).
+// own kernel shard, so a sharded drive is deterministic, and per-shard
+// reports merge into the same totals whatever the shard order (the bench
+// fingerprints this).
 package traffic
 
 import (

@@ -52,13 +52,11 @@ func scenario() traffic.Scenario {
 }
 
 // rig is one sharded drive's configuration. The zero value of every switch
-// is what the plane's own tests want: the small scenario's admission plan, a
-// serial drive, no fault, a record log per shard, recycled task records.
+// is what the plane's own tests want: the small scenario's admission plan,
+// no fault, a record log per shard, recycled task records.
 type rig struct {
 	sc  traffic.Scenario
 	adm func() overload.Config // nil: admission()
-	// parallel drives the shards on goroutines.
-	parallel bool
 	// panicAt > 0 arms a deterministic module panic on shard 0 after that
 	// many picks (the module-kill-mid-flash case).
 	panicAt int
@@ -86,8 +84,6 @@ func (r rig) drive(t *testing.T) drove {
 	t.Helper()
 	m := kernel.Machine80()
 	sk := kernel.NewShardedKernel(m, kernel.CostsFor(m), 0)
-	defer sk.Close()
-	sk.SetParallel(r.parallel)
 	adm := r.adm
 	if adm == nil {
 		adm = admission
@@ -129,8 +125,7 @@ func (r rig) drive(t *testing.T) drove {
 	}
 	// The recorder's userspace drain task sleeps and wakes forever until
 	// Close, so the rig never goes event-idle: drive to a fixed virtual
-	// deadline with drain slack instead (the chaos campaigns' idiom),
-	// which is also what keeps serial and parallel drives comparable.
+	// deadline with drain slack instead (the chaos campaigns' idiom).
 	sk.RunFor(r.sc.Duration + 40*time.Millisecond)
 	out := drove{logs: make([][]byte, n)}
 	for i := 0; i < n; i++ {
@@ -152,14 +147,14 @@ func (r rig) drive(t *testing.T) drove {
 
 // shardedDrive runs the small scenario with a record log per shard; killed
 // reports whether an armed panic tripped.
-func shardedDrive(t *testing.T, sc traffic.Scenario, parallel bool, panicAt int) (traffic.Report, [][]byte, bool) {
+func shardedDrive(t *testing.T, sc traffic.Scenario, panicAt int) (traffic.Report, [][]byte, bool) {
 	t.Helper()
-	d := rig{sc: sc, parallel: parallel, panicAt: panicAt}.drive(t)
+	d := rig{sc: sc, panicAt: panicAt}.drive(t)
 	return d.rep, d.logs, d.killed
 }
 
 func TestFlashCrowdShedsAndRecovers(t *testing.T) {
-	rep, _, killed := shardedDrive(t, scenario(), false, 0)
+	rep, _, killed := shardedDrive(t, scenario(), 0)
 	if killed {
 		t.Fatal("module killed in a fault-free drive")
 	}
@@ -210,60 +205,34 @@ var (
 
 // TestShardedDrivePinned pins the clean small-scenario drive across commits.
 func TestShardedDrivePinned(t *testing.T) {
-	rep, logs, _ := shardedDrive(t, scenario(), false, 0)
+	rep, logs, _ := shardedDrive(t, scenario(), 0)
 	if got := (drivePin{rep.Fingerprint(), conformance.LogsHash(logs)}); got != cleanDrivePin {
 		t.Fatalf("drive moved: got %#v, pinned %#v", got, cleanDrivePin)
-	}
-}
-
-func TestShardedSerialParallelIdentical(t *testing.T) {
-	ser, serLogs, _ := shardedDrive(t, scenario(), false, 0)
-	par, parLogs, _ := shardedDrive(t, scenario(), true, 0)
-	if ser.Fingerprint() != par.Fingerprint() {
-		t.Fatalf("fingerprint mismatch: serial %x parallel %x", ser.Fingerprint(), par.Fingerprint())
-	}
-	for i := range serLogs {
-		if !bytes.Equal(serLogs[i], parLogs[i]) {
-			t.Fatalf("shard %d record logs differ: serial %d bytes, parallel %d bytes",
-				i, len(serLogs[i]), len(parLogs[i]))
-		}
 	}
 }
 
 // TestModuleKillMidFlashConservation is the shed-accounting invariant
 // under the worst case: the module dies in the middle of the flash crowd
 // and every admitted in-flight request must be rehomed to CFS and still
-// complete — no leaked inflight slots, no double counts — with serial
-// and parallel drives byte-identical, kill included.
+// complete — no leaked inflight slots, no double counts — with the drive,
+// kill included, pinned byte for byte.
 func TestModuleKillMidFlashConservation(t *testing.T) {
 	const panicAt = 1500 // lands inside the flash window's backlog
-	ser, serLogs, killed := shardedDrive(t, scenario(), false, panicAt)
+	rep, logs, killed := shardedDrive(t, scenario(), panicAt)
 	if !killed {
 		t.Fatal("armed panic never tripped the module kill")
 	}
-	if len(ser.Violations) != 0 {
-		t.Fatalf("conservation broke across the kill/rehome: %v", ser.Violations)
+	if len(rep.Violations) != 0 {
+		t.Fatalf("conservation broke across the kill/rehome: %v", rep.Violations)
 	}
-	for ci, c := range ser.Classes {
+	for ci, c := range rep.Classes {
 		if c.Requests != c.Completed {
 			t.Fatalf("class %d leaked requests across rehome: %d admitted, %d completed",
 				ci, c.Requests, c.Completed)
 		}
 	}
-	if got := (drivePin{ser.Fingerprint(), conformance.LogsHash(serLogs)}); got != killDrivePin {
+	if got := (drivePin{rep.Fingerprint(), conformance.LogsHash(logs)}); got != killDrivePin {
 		t.Errorf("kill drive moved: got %#v, pinned %#v", got, killDrivePin)
-	}
-	par, parLogs, pkilled := shardedDrive(t, scenario(), true, panicAt)
-	if !pkilled {
-		t.Fatal("parallel drive missed the armed panic")
-	}
-	if ser.Fingerprint() != par.Fingerprint() {
-		t.Fatalf("kill drive fingerprints differ: %x vs %x", ser.Fingerprint(), par.Fingerprint())
-	}
-	for i := range serLogs {
-		if !bytes.Equal(serLogs[i], parLogs[i]) {
-			t.Fatalf("shard %d record logs differ under module kill", i)
-		}
 	}
 }
 

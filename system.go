@@ -89,9 +89,8 @@ type options struct {
 	admission []overload.ClassConfig
 	brownouts []brownoutOpt
 
-	sharded  bool
-	shards   int
-	parallel bool
+	sharded bool
+	shards  int
 }
 
 // Option configures NewSystem.
@@ -140,21 +139,13 @@ func WithTraceSink(t *Tracer) Option {
 // remote wake (see ShardedKernel.RemoteWake). n must equal the machine's
 // node count, or be 0 to accept whatever the machine has. Sharding changes
 // the execution strategy, not the model: Attach and RegisterCFS apply per
-// shard, and the simulation stays deterministic in both drive modes.
+// shard, and the simulation stays deterministic.
 //
 // In sharded mode Kernel and Engine return nil — use NumShards and
 // ShardKernel — and WithRecorder/WithTraceSink are rejected: recorders and
 // tracers are single-kernel taps, so attach one per shard by hand instead.
 func WithShards(n int) Option {
 	return func(o *options) { o.sharded, o.shards = true, n }
-}
-
-// WithParallelSim selects the sharded executor's drive mode: worker
-// goroutines (true) or serial shard order (false, the default). Both
-// produce bit-identical simulations; parallel only changes wall-clock
-// speed. Requires WithShards.
-func WithParallelSim(on bool) Option {
-	return func(o *options) { o.parallel = on }
 }
 
 // NewSystem builds an engine and a kernel behind one handle. With no
@@ -180,11 +171,7 @@ func NewSystem(opts ...Option) *System {
 			panic("enoki: WithTraceSink is a single-kernel tap; in sharded mode attach one tracer per ShardKernel")
 		}
 		sk := kernel.NewShardedKernel(o.machine, o.costs, 0)
-		sk.SetParallel(o.parallel)
 		return &System{sk: sk, cfg: o.cfg, adm: buildAdmission(&o, sk.NumShards())}
-	}
-	if o.parallel {
-		panic("enoki: WithParallelSim requires WithShards")
 	}
 	eng := sim.New()
 	k := kernel.New(eng, o.machine, o.costs)
@@ -235,19 +222,10 @@ func (s *System) ShardKernel(i int) *Kernel {
 // built without WithShards.
 func (s *System) Sharded() *ShardedKernel { return s.sk }
 
-// SetParallel flips the sharded executor's drive mode at a run boundary.
-// No-op on an unsharded System.
-func (s *System) SetParallel(on bool) {
-	if s.sk != nil {
-		s.sk.SetParallel(on)
-	}
-}
-
-// Close retires the System: on a sharded System it stops the executor's
-// worker goroutines; on an unsharded one it only latches the closed state.
-// The first Close returns nil; closing again returns an error wrapping
-// ErrSystemClosed, and a closed System rejects Attach (error) and panics on
-// RegisterCFS/Run — mirroring the UserQueue double-Close
+// Close retires the System; it holds no goroutine, so Close only latches the
+// closed state. The first Close returns nil; closing again returns an error
+// wrapping ErrSystemClosed, and a closed System rejects Attach (error) and
+// panics on RegisterCFS/Run — mirroring the UserQueue double-Close
 // hardening, so lifecycle bugs surface as clean failures instead of
 // use-after-close corruption.
 func (s *System) Close() error {
@@ -255,9 +233,6 @@ func (s *System) Close() error {
 		return fmt.Errorf("enoki: double Close: %w", ErrSystemClosed)
 	}
 	s.closed = true
-	if s.sk != nil {
-		s.sk.Close()
-	}
 	return nil
 }
 

@@ -99,47 +99,40 @@ func TestSystemRecorderDeferred(t *testing.T) {
 }
 
 // TestSystemSharded: WithShards partitions the two-socket machine, Attach and
-// RegisterCFS apply per shard, tasks run on both shards, and the serial and
-// parallel drives complete the same work.
+// RegisterCFS apply per shard, and tasks run on both shards.
 func TestSystemSharded(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		sys := enoki.NewSystem(
-			enoki.WithMachine(enoki.Machine80()),
-			enoki.WithShards(2),
-			enoki.WithParallelSim(parallel),
-		)
-		if sys.NumShards() != 2 {
-			t.Fatalf("NumShards = %d, want 2", sys.NumShards())
+	sys := enoki.NewSystem(enoki.WithMachine(enoki.Machine80()), enoki.WithShards(2))
+	if sys.NumShards() != 2 {
+		t.Fatalf("NumShards = %d, want 2", sys.NumShards())
+	}
+	if sys.Kernel() != nil || sys.Engine() != nil {
+		t.Fatal("sharded System must not expose a single kernel/engine")
+	}
+	if _, err := sys.Attach(1, enoki.GoModule(func(env enoki.Env) enoki.Scheduler {
+		return enoki.NewFIFOScheduler(env, 1)
+	})); err != nil {
+		t.Fatalf("sharded Attach failed: %v", err)
+	}
+	if got := len(sys.Adapters()); got != 2 {
+		t.Fatalf("sharded Attach made %d adapters, want one per shard", got)
+	}
+	sys.RegisterCFS(0)
+	done := make([]int, sys.NumShards())
+	for i := 0; i < sys.NumShards(); i++ {
+		i := i
+		if n := sys.ShardKernel(i).NumCPUs(); n != 40 {
+			t.Fatalf("shard %d has %d CPUs, want 40", i, n)
 		}
-		if sys.Kernel() != nil || sys.Engine() != nil {
-			t.Fatal("sharded System must not expose a single kernel/engine")
-		}
-		if _, err := sys.Attach(1, enoki.GoModule(func(env enoki.Env) enoki.Scheduler {
-			return enoki.NewFIFOScheduler(env, 1)
-		})); err != nil {
-			t.Fatalf("sharded Attach failed: %v", err)
-		}
-		if got := len(sys.Adapters()); got != 2 {
-			t.Fatalf("sharded Attach made %d adapters, want one per shard", got)
-		}
-		sys.RegisterCFS(0)
-		done := make([]int, sys.NumShards())
-		for i := 0; i < sys.NumShards(); i++ {
-			i := i
-			if n := sys.ShardKernel(i).NumCPUs(); n != 40 {
-				t.Fatalf("shard %d has %d CPUs, want 40", i, n)
-			}
-			sys.ShardKernel(i).Spawn("w", 1, enoki.BehaviorFunc(func(*enoki.Kernel, *enoki.Task) enoki.Action {
-				done[i]++
-				return enoki.Action{Op: enoki.OpExit}
-			}))
-		}
-		sys.Run(time.Millisecond)
-		sys.Close()
-		for i, n := range done {
-			if n != 1 {
-				t.Errorf("parallel=%v: shard %d task ran %d times, want 1", parallel, i, n)
-			}
+		sys.ShardKernel(i).Spawn("w", 1, enoki.BehaviorFunc(func(*enoki.Kernel, *enoki.Task) enoki.Action {
+			done[i]++
+			return enoki.Action{Op: enoki.OpExit}
+		}))
+	}
+	sys.Run(time.Millisecond)
+	sys.Close()
+	for i, n := range done {
+		if n != 1 {
+			t.Errorf("shard %d task ran %d times, want 1", i, n)
 		}
 	}
 }
@@ -157,9 +150,6 @@ func TestSystemShardedRejects(t *testing.T) {
 	}
 	mustPanic("WithShards mismatch", func() {
 		enoki.NewSystem(enoki.WithMachine(enoki.Machine80()), enoki.WithShards(3))
-	})
-	mustPanic("WithParallelSim alone", func() {
-		enoki.NewSystem(enoki.WithParallelSim(true))
 	})
 	mustPanic("WithRecorder sharded", func() {
 		enoki.NewSystem(enoki.WithMachine(enoki.Machine80()), enoki.WithShards(0),
@@ -181,8 +171,7 @@ func TestSystemCloseIdempotence(t *testing.T) {
 	}{
 		{"unsharded", func() *enoki.System { return enoki.NewSystem() }},
 		{"sharded", func() *enoki.System {
-			return enoki.NewSystem(enoki.WithMachine(enoki.Machine80()),
-				enoki.WithShards(0), enoki.WithParallelSim(true))
+			return enoki.NewSystem(enoki.WithMachine(enoki.Machine80()), enoki.WithShards(0))
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
