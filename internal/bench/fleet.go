@@ -66,21 +66,31 @@ type FleetResult struct {
 func fleetDrive(cfg cluster.Config, jobs int, killAt time.Duration) (cluster.Stats, uint64, ktime.Time, time.Duration) {
 	cl := cluster.New(cfg)
 	defer cl.Close()
-	rng := ktime.NewRand(0xf1ee7b47)
-	for i := 0; i < jobs; i++ {
-		cl.Submit(cluster.JobSpec{
-			Cycles: 2 + rng.Intn(3),
-			Run:    time.Duration(100+rng.Intn(200)) * time.Microsecond,
-			Sleep:  time.Duration(rng.Intn(2)) * 200 * time.Microsecond,
-		})
-	}
+	submitFleetJobs(cl, ktime.NewRand(0xf1ee7b47), jobs)
 	// One machine dies mid-run; the detector fires and its jobs restart
 	// elsewhere from their checkpoints.
 	cl.FailMachine(cfg.Machines/3, killAt)
 	start := time.Now()
 	cl.RunUntilIdle()
 	wall := time.Since(start)
+	return cl.Stats(), fleetFingerprint(cl), cl.Now(), wall
+}
 
+// submitFleetJobs submits n jobs drawn from rng: 2-4 cycles of 100-300 µs,
+// half of them sleeping 200 µs between cycles.
+func submitFleetJobs(cl *cluster.Cluster, rng *ktime.Rand, n int) {
+	for i := 0; i < n; i++ {
+		cl.Submit(cluster.JobSpec{
+			Cycles: 2 + rng.Intn(3),
+			Run:    time.Duration(100+rng.Intn(200)) * time.Microsecond,
+			Sleep:  time.Duration(rng.Intn(2)) * 200 * time.Microsecond,
+		})
+	}
+}
+
+// fleetFingerprint hashes every machine's counters and clock and every
+// job's final record (FNV-1a).
+func fleetFingerprint(cl *cluster.Cluster) uint64 {
 	h := fnv.New64a()
 	word := func(v uint64) {
 		var b [8]byte
@@ -105,7 +115,7 @@ func fleetDrive(cfg cluster.Config, jobs int, killAt time.Duration) (cluster.Sta
 		word(uint64(j.Restarts)<<32 | uint64(j.Migrations))
 		word(uint64(j.DoneAt))
 	}
-	return cl.Stats(), h.Sum64(), cl.Now(), wall
+	return h.Sum64()
 }
 
 // fleetScale sizes the fleet for a per-machine template: the 8-CPU headline

@@ -6,6 +6,7 @@ import (
 
 	"enoki/internal/cluster"
 	"enoki/internal/kernel"
+	"enoki/internal/ktime"
 )
 
 // fleetPins are scaled-down fleet drives whose outcome is pinned across
@@ -104,6 +105,90 @@ func TestFleetDrivePinned(t *testing.T) {
 			}
 			if virt <= 0 || st.Epochs == 0 {
 				t.Errorf("%s parallel=%v: drive did not advance: virt %v, %d epochs", pin.name, parallel, virt, st.Epochs)
+			}
+		}
+	}
+}
+
+// fleetShapePins pin the drive shapes a one-shot RunUntilIdle never takes,
+// each as the fingerprint plus every cluster.Stats field, captured at
+// 9527b34: a drive advanced in bounded steps (so final clocks land on run
+// bounds, including a step over an idle fleet), two kills with one landing
+// while the t=0 starts are still in flight, and a second Submit batch
+// between runs.
+var fleetShapePins = []struct {
+	name  string
+	drive func(cl *cluster.Cluster, submit func(n int))
+	fp    uint64
+	want  cluster.Stats
+}{
+	{
+		name: "stepped",
+		drive: func(cl *cluster.Cluster, submit func(n int)) {
+			submit(120)
+			cl.FailMachine(2, time.Millisecond)
+			for i := 0; i < 5; i++ {
+				cl.Run(700 * time.Microsecond)
+			}
+			cl.RunUntilIdle()
+			cl.Run(300 * time.Microsecond)
+		},
+		fp: 0x0cec529bce419994,
+		want: cluster.Stats{Submitted: 120, Done: 120, Lost: 17, Migrations: 0, StartsSent: 137, StopsSent: 0,
+			PlaceP50: 300000, PlaceP99: 300000, E2EP50: 1507328, E2EP99: 3801088,
+			MachinesAlive: 5, TasksSpawned: 137, CtxSwitches: 547, EventsFired: 1301,
+			Epochs: 72, MsgsSent: 395, MsgsDelivered: 395, MsgsDropped: 0},
+	},
+	{
+		name: "two-kills",
+		drive: func(cl *cluster.Cluster, submit func(n int)) {
+			submit(120)
+			cl.FailMachine(1, 220*time.Microsecond) // the first starts are due at 250µs
+			cl.FailMachine(4, 1500*time.Microsecond)
+			cl.RunUntilIdle()
+		},
+		fp: 0xf067fd25cc61ac75,
+		want: cluster.Stats{Submitted: 120, Done: 120, Lost: 34, Migrations: 0, StartsSent: 154, StopsSent: 0,
+			PlaceP50: 311296, PlaceP99: 884736, E2EP50: 1769472, E2EP99: 3801088,
+			MachinesAlive: 4, TasksSpawned: 134, CtxSwitches: 560, EventsFired: 1293,
+			Epochs: 74, MsgsSent: 410, MsgsDelivered: 390, MsgsDropped: 20},
+	},
+	{
+		name: "second-batch",
+		drive: func(cl *cluster.Cluster, submit func(n int)) {
+			submit(120)
+			cl.FailMachine(2, time.Millisecond)
+			cl.Run(2 * time.Millisecond)
+			submit(60)
+			cl.RunUntilIdle()
+		},
+		fp: 0x4e06088067f14685,
+		want: cluster.Stats{Submitted: 180, Done: 180, Lost: 17, Migrations: 0, StartsSent: 197, StopsSent: 0,
+			PlaceP50: 300000, PlaceP99: 300000, E2EP50: 1376256, E2EP99: 3784487,
+			MachinesAlive: 5, TasksSpawned: 197, CtxSwitches: 809, EventsFired: 1967,
+			Epochs: 89, MsgsSent: 575, MsgsDelivered: 575, MsgsDropped: 0},
+	},
+}
+
+// TestFleetShapesPinned runs each shape serially and on worker goroutines
+// on six Machine8s: both must reproduce the recorded fingerprint and stats.
+func TestFleetShapesPinned(t *testing.T) {
+	for _, pin := range fleetShapePins {
+		for _, parallel := range []bool{false, true} {
+			cl := cluster.New(cluster.Config{Machines: 6, Machine: kernel.Machine8(),
+				Placer: cluster.LeastLoaded{}, Parallel: parallel})
+			rng := ktime.NewRand(0x5a4e5)
+			pin.drive(cl, func(n int) { submitFleetJobs(cl, rng, n) })
+			st, fp := cl.Stats(), fleetFingerprint(cl)
+			cl.Close()
+			if fp != pin.fp {
+				t.Errorf("%s parallel=%v: fingerprint %#016x, pinned %#016x", pin.name, parallel, fp, pin.fp)
+			}
+			if st != pin.want {
+				t.Errorf("%s parallel=%v: stats moved:\n got  %#v\n want %#v", pin.name, parallel, st, pin.want)
+			}
+			if st.Done != st.Submitted || st.Lost == 0 {
+				t.Errorf("%s parallel=%v: done %d of %d, lost %d", pin.name, parallel, st.Done, st.Submitted, st.Lost)
 			}
 		}
 	}
