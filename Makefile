@@ -9,8 +9,10 @@ GO ?= go
 
 check: vet build race apicheck
 
+# Vet, and fail when any file is not gofmt-clean (gofmt -l lists it).
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -77,10 +79,12 @@ profile:
 # Fleet gate mirroring the CI job: the whole cluster control plane under the
 # race detector — placement, migration, failover, Close lifecycle, no
 # goroutine left behind by a dropped parallel cluster
-# (TestFleetDroppedUnclosedLeaksNothing), and the job path's allocation
-# ratchet (TestClusterJobAllocs) — plus the fleet executor's serial-vs-
-# fork-join identity, the machine-kill chaos replay, and the scaled-down
-# fleet benchmark's pinned fingerprints and stats.
+# (TestFleetDroppedUnclosedLeaksNothing), the job path's allocation ratchet
+# (TestClusterJobAllocs) and the quiet-run oracle over 24 seeded drives
+# (TestFleetQuietMatchesLockstep) — plus the fleet executor's serial-vs-
+# fork-join identity, the hub that breaks its silence promise
+# (TestFleetLyingHubPanics), the machine-kill chaos replay, and the
+# scaled-down fleet benchmark's pinned fingerprints and stats.
 fleet:
 	$(GO) test -race -count=1 ./internal/cluster
 	$(GO) test -race -run 'TestFleet|FuzzParseSpec' -count=1 ./internal/sim ./internal/chaos ./internal/bench

@@ -10,6 +10,7 @@
 package bench
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"runtime"
@@ -76,8 +77,7 @@ func fleetDrive(cfg cluster.Config, jobs int, killAt time.Duration) (cluster.Sta
 	return cl.Stats(), fleetFingerprint(cl), cl.Now(), wall
 }
 
-// submitFleetJobs submits n jobs drawn from rng: 2-4 cycles of 100-300 µs,
-// half of them sleeping 200 µs between cycles.
+// submitFleetJobs submits n jobs of 2-4 cycles of 100-300 µs, half sleeping.
 func submitFleetJobs(cl *cluster.Cluster, rng *ktime.Rand, n int) {
 	for i := 0; i < n; i++ {
 		cl.Submit(cluster.JobSpec{
@@ -88,17 +88,10 @@ func submitFleetJobs(cl *cluster.Cluster, rng *ktime.Rand, n int) {
 	}
 }
 
-// fleetFingerprint hashes every machine's counters and clock and every
-// job's final record (FNV-1a).
+// fleetFingerprint hashes every machine's counters and clock and every job.
 func fleetFingerprint(cl *cluster.Cluster) uint64 {
-	h := fnv.New64a()
-	word := func(v uint64) {
-		var b [8]byte
-		for i := 0; i < 8; i++ {
-			b[i] = byte(v >> (8 * i))
-		}
-		h.Write(b[:])
-	}
+	h, b := fnv.New64a(), make([]byte, 0, 8)
+	word := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(b, v)) }
 	for i := 0; i < cl.NumMachines(); i++ {
 		mc := cl.Machine(i)
 		sk := mc.Sharded()

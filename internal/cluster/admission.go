@@ -33,6 +33,7 @@ func (c *Cluster) PostAt(at time.Duration, fn func()) {
 	if c.closed {
 		panic("cluster: PostAt on a closed cluster")
 	}
+	c.chatty = true
 	c.ctrl.PostAt(ktime.Time(0).Add(ktime.Duration(at)), fn)
 }
 

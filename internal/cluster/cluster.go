@@ -15,6 +15,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -109,6 +110,8 @@ type Cluster struct {
 	rollout  *Rollout
 	adm      *overload.Controller
 	closed   bool
+	chatty   bool         // a caller posted control-plane events, which may send anything
+	detects  []ktime.Time // failure-detection instants
 }
 
 // ctrlPlane is fleet node 0: the control-plane engine as a sim.MsgSink. A
@@ -166,6 +169,24 @@ func (p *ctrlPlane) next() {
 	}
 }
 
+// QuietUntil promises the fleet (sim.Fleet.SetHub) an instant before which
+// no machine is sent anything. Starts leave only from a tick that finds jobs
+// queued, stops only when rebalancing; jobs are queued by Submit, stop
+// reports and failure detections. So without rollouts, admission, posted
+// events or rebalancing, an empty queue stays so until the next detection.
+func (p *ctrlPlane) QuietUntil() ktime.Time {
+	c, q := p.c, ktime.Time(math.MaxInt64)
+	if c.rollout != nil || c.adm != nil || c.chatty || c.cfg.RebalanceSpread > 0 || len(c.sched.queue) > 0 {
+		return p.Now()
+	}
+	for _, d := range c.detects {
+		if d >= p.Now() {
+			q = min(q, d)
+		}
+	}
+	return q
+}
+
 // New builds a cluster: fleet node 0 is the control-plane engine, nodes
 // 1..Machines are sharded kernel stacks.
 func New(cfg Config) *Cluster {
@@ -184,6 +205,7 @@ func New(cfg Config) *Cluster {
 	for i := 0; i < cfg.Machines; i++ {
 		c.machines = append(c.machines, newMachine(c, i))
 	}
+	c.fl.SetHub(c.ctrlNode) // machines talk only to the control plane
 	c.sched = newJobScheduler(c)
 	c.fl.SetParallel(cfg.Parallel)
 	return c
@@ -227,7 +249,9 @@ func (c *Cluster) FailMachine(mi int, at time.Duration) {
 	// victim advances to t and no further — so it rides a plain Send, whose
 	// commitments run at the floor (unlike the handoff fast path).
 	c.fl.Send(c.ctrlSrc, node, t, func() { c.fl.Kill(node) })
-	c.ctrl.PostAt(t.Add(ktime.Duration(c.cfg.DetectDelay)), func() { c.sched.machineDead(mi) })
+	d := t.Add(ktime.Duration(c.cfg.DetectDelay))
+	c.detects = append(c.detects, d)
+	c.ctrl.PostAt(d, func() { c.sched.machineDead(mi) })
 }
 
 // Run advances the whole cluster by d of virtual time.

@@ -108,7 +108,7 @@ func (e *env) SameNode(a, b int) bool { return e.topo.SameNode(a, b) }
 // or a flat single-domain view when the caller supplied none. Modules whose
 // decisions depend on domain structure must be replayed with the recorded
 // machine's topology to reproduce bit-identically.
-func (e *env) Topology() *core.Topology          { return e.topo }
+func (e *env) Topology() *core.Topology { return e.topo }
 
 func (e *env) ArmTimer(cpu int, d time.Duration) {}
 func (e *env) Resched(cpu int)                   {}

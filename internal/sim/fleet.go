@@ -38,9 +38,14 @@
 // they land on an epoch boundary at the same virtual instant in serial and
 // parallel drives, so a machine-failure campaign is as reproducible as a
 // healthy run.
+//
+// A fleet with a hub runs quiet while the hub promises silence (SetHub): the
+// same simulation, without visiting every machine, its state evicted by all
+// the others, every epoch.
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"slices"
@@ -73,9 +78,43 @@ type Fleet struct {
 	floorMsgs int   // pending non-handoff messages (each chops an epoch window)
 	srcNode   []int // source id → owning node
 
+	// Quiet runs (SetHub): while now < horizon, leaves with ahead[i].on sit
+	// epochs out, their events fired to horizon (lockstep's to firedTo) and
+	// their sends held[src] until the replay reaches them.
+	hub              int // -1 without one
+	quiet            interface{ QuietUntil() ktime.Time }
+	ahead            []ahead
+	horizon, firedTo ktime.Time
+	held, ready      [][]smsg
+	heldNext         ktime.Time
+	// each's visits (built once: no closure per call) run nodes to `to`;
+	// logs[w] is worker w's log buffer.
+	to                 ktime.Time
+	advanceFn, aheadFn func(w, i int)
+	logs               [][]byte
+
 	epochs    uint64
 	delivered uint64
 	dropped   uint64
+}
+
+// ahead is one leaf's log, read up to at, and its first event past the run.
+type ahead struct {
+	on        bool
+	log       []byte
+	at, after ktime.Time
+}
+
+// next returns the leaf's first event after fired.
+func (a *ahead) next(fired ktime.Time) ktime.Time {
+	for a.at <= fired && len(a.log) > 0 {
+		d, n := binary.Uvarint(a.log)
+		a.log, a.at = a.log[n:], a.at+ktime.Time(d)
+	}
+	if a.at > fired {
+		return a.at
+	}
+	return a.after
 }
 
 // NewFleet builds a fleet executor with the given lookahead: the minimum
@@ -85,7 +124,9 @@ func NewFleet(lookahead ktime.Duration) *Fleet {
 	if lookahead <= 0 {
 		panic("sim: NewFleet needs a positive lookahead")
 	}
-	return &Fleet{lookahead: lookahead}
+	f := &Fleet{lookahead: lookahead, hub: -1, heldNext: maxTime}
+	f.advanceFn, f.aheadFn = f.advance, f.runAhead
+	return f
 }
 
 // AddNode registers a member simulation and returns its node index. Nodes
@@ -151,6 +192,20 @@ func (f *Fleet) Kill(i int) { f.dead[i] = true }
 // caller's goroutine. Both produce bit-identical simulations.
 func (f *Fleet) SetParallel(on bool) { f.parallel = on }
 
+// SetHub makes node the hub of a star, once every node and source is added:
+// a send between two other nodes panics. When the hub's QuietUntil() method
+// promises silence up to an instant, whatever it receives, and no pending
+// message reaches a leaf for over an epoch, every leaf that can (RunEvents)
+// runs ahead in one visit to the last instant none could, and the loop
+// replays the lockstep epochs for the rest from the leaves' logs — every
+// window, commit, Epochs and clock as in lockstep. A hub message to a leaf,
+// or a floor message (Send), due by that horizon panics at its send.
+func (f *Fleet) SetHub(node int) {
+	f.hub = node
+	f.quiet, _ = f.nodes[node].(interface{ QuietUntil() ktime.Time })
+	f.ahead, f.held, f.ready = make([]ahead, len(f.nodes)), make([][]smsg, len(f.out)), make([][]smsg, len(f.out))
+}
+
 // Send submits fn for commitment toward node `to` at absolute virtual time
 // `at`. It must be called from source src's execution context (or between
 // runs), and `at` must be at least the source node's now plus the lookahead.
@@ -201,6 +256,10 @@ func (f *Fleet) submit(src int, m smsg) {
 		panic(fmt.Sprintf("sim: fleet send at %v under lookahead floor %v (source %d on node %d → %d)",
 			m.at, min, src, nd, m.to))
 	}
+	if leaf := int(m.to) != f.hub; f.hub >= 0 && (leaf && nd != f.hub || (leaf || !m.msg.handoff) && m.at <= f.horizon) {
+		panic(fmt.Sprintf("sim: fleet send from node %d to node %d at %v bypasses hub %d or breaks its QuietUntil promise (horizon %v)",
+			nd, m.to, m.at, f.hub, f.horizon))
+	}
 	f.send(src, m)
 }
 
@@ -233,6 +292,21 @@ func (f *Fleet) deliver(upTo ktime.Time) {
 // floor-observing messages on the way in.
 func (f *Fleet) collect() { f.floorMsgs += f.mailroom.collect() }
 
+// release merges the held messages due by upTo and notes the next one left.
+func (f *Fleet) release(upTo ktime.Time) {
+	f.heldNext = maxTime
+	for src, q := range f.held {
+		k := 0
+		for k < len(q) && q[k].at <= upTo {
+			k++
+		}
+		if f.ready[src], f.held[src] = q[:k], q[k:]; k < len(q) {
+			f.heldNext = min(f.heldNext, q[k].at)
+		}
+	}
+	f.floorMsgs += f.merge(f.ready)
+}
+
 // nextFloorMsg returns the due time of the earliest pending non-handoff
 // message, or maxTime when none exists. On the cluster hot path nearly all
 // traffic is handoffs, so the scan is guarded by the count.
@@ -250,51 +324,140 @@ func (f *Fleet) nextFloorMsg() ktime.Time {
 
 // minNextEvent returns the earliest pending work across live nodes. Dead
 // nodes are excluded: their events are frozen and must not hold the loop
-// open.
+// open. A leaf that ran ahead answers from its log.
 func (f *Fleet) minNextEvent() (ktime.Time, bool) {
 	best, ok := maxTime, false
+	quiet := f.now < f.horizon
 	for i, n := range f.nodes {
 		if f.dead[i] {
 			continue
 		}
-		if t, has := n.NextEventTime(); has && t < best {
+		if quiet && f.ahead[i].on {
+			if t := f.ahead[i].next(f.firedTo); t < best {
+				best, ok = t, true
+			}
+		} else if t, has := n.NextEventTime(); has && t < best {
 			best, ok = t, true
 		}
 	}
 	return best, ok
 }
 
-// runEpoch advances every live node to end: serially in index order, or as
-// a fork-join whose workers — the caller one of them — claim node indices
-// from one counter until none is left. The WaitGroup is the epoch barrier.
-func (f *Fleet) runEpoch(end ktime.Time) {
-	f.epochs++
+// each calls fn(w, i) for every live node i on worker w: in index order on
+// the caller's goroutine, or as a fork-join of workers (the caller worker 0)
+// claiming node indices from one counter. The WaitGroup is the barrier.
+func (f *Fleet) each(fn func(w, i int)) {
 	if !f.parallel {
-		for i, n := range f.nodes {
+		for i := range f.nodes {
 			if !f.dead[i] {
-				n.RunUntil(end)
+				fn(0, i)
 			}
 		}
 		return
 	}
 	var next atomic.Int64
-	work := func() {
+	work := func(w int) {
 		for i := int(next.Add(1) - 1); i < len(f.nodes); i = int(next.Add(1) - 1) {
 			if !f.dead[i] {
-				f.nodes[i].RunUntil(end)
+				fn(w, i)
 			}
 		}
 	}
 	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(f.nodes)); w > 1; w-- {
+	for w := min(runtime.GOMAXPROCS(0), len(f.nodes)) - 1; w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			work()
+			work(w)
 		}()
 	}
-	work()
+	work(0)
 	wg.Wait()
+}
+
+// runEpoch advances the live nodes to end — but the leaves still ahead of it.
+// The epoch that reaches the horizon runs everyone: lockstep again.
+func (f *Fleet) runEpoch(end ktime.Time) {
+	f.epochs++
+	if end < f.horizon {
+		f.firedTo = end
+	} else if f.horizon > 0 {
+		f.horizon = 0
+		f.release(maxTime) // the leaves send again: nothing may stay held
+	}
+	f.to = end
+	f.each(f.advanceFn)
+}
+
+func (f *Fleet) advance(_, i int) {
+	if f.to >= f.horizon || !f.ahead[i].on {
+		f.nodes[i].RunUntil(f.to)
+	}
+}
+
+// goQuiet starts a quiet run whose horizon is the last instant before a
+// message could reach a leaf — one the hub sends at its promise, a pending
+// one to a leaf, or one that commits at the floor, where it must find every
+// leaf — capped at the run's bound t.
+func (f *Fleet) goQuiet(t ktime.Time) {
+	if f.quiet == nil {
+		return
+	}
+	p := f.quiet.QuietUntil()
+	if p <= f.now {
+		return
+	}
+	reach := min(p, maxTime-ktime.Time(f.lookahead)).Add(f.lookahead)
+	for i := 0; i < len(f.pending) && f.pending[i].at < reach; i++ {
+		if m := &f.pending[i]; int(m.to) != f.hub || !m.msg.handoff {
+			reach = m.at
+		}
+	}
+	h := min(t, reach-1)
+	if h <= f.now.Add(f.lookahead) {
+		return
+	}
+	if len(f.logs) < runtime.GOMAXPROCS(0) {
+		f.logs = make([][]byte, runtime.GOMAXPROCS(0))
+	}
+	for w := range f.logs {
+		f.logs[w] = f.logs[w][:0]
+	}
+	f.horizon, f.firedTo, f.to = h, f.now-1, h
+	f.each(f.aheadFn)
+	for src, nd := range f.srcNode {
+		if q := f.out[src]; f.ahead[nd].on && !f.dead[nd] {
+			slices.SortFunc(q, func(a, b smsg) int { return a.cmp(b.mkey) })
+			f.held[src], f.out[src] = q, q[:0] // the leaf sends nothing more until the horizon
+		}
+	}
+	f.release(f.now)
+}
+
+// runAhead runs leaf i ahead; its clock is at the floor, the log's base one before.
+func (f *Fleet) runAhead(w, i int) {
+	a := &f.ahead[i]
+	n, ok := f.nodes[i].(interface {
+		RunEvents(h ktime.Time, log []byte) ([]byte, bool)
+	})
+	if a.on = false; i == f.hub || !ok {
+		return
+	}
+	from := len(f.logs[w])
+	if f.logs[w], a.on = n.RunEvents(f.to, f.logs[w]); a.on {
+		a.log, a.at, a.after = f.logs[w][from:], f.firedTo, maxTime
+		if t, has := f.nodes[i].NextEventTime(); has {
+			a.after = t
+		}
+	}
+}
+
+// land ends a quiet run whose leaves fired nothing past the floor (the loop
+// jumps the horizon, or drained) by moving them to it, as lockstep would.
+func (f *Fleet) land() {
+	f.horizon, f.to = 0, f.now
+	f.release(maxTime)
+	f.each(f.advanceFn)
 }
 
 // run is the epoch loop, structurally identical to Sharded.run: deliver due
@@ -306,8 +469,11 @@ func (f *Fleet) run(t ktime.Time, advance bool) {
 			f.deliver(f.now)
 			continue
 		}
-		nextMsg := maxTime
-		if len(f.pending) > 0 {
+		if f.horizon <= f.now {
+			f.goQuiet(t)
+		}
+		nextMsg := f.heldNext
+		if len(f.pending) > 0 && f.pending[0].at < nextMsg {
 			nextMsg = f.pending[0].at
 		}
 		nextEv, hasEv := f.minNextEvent()
@@ -321,6 +487,11 @@ func (f *Fleet) run(t ktime.Time, advance bool) {
 		start := f.now
 		if next > start {
 			start = next
+		}
+		if f.now < f.horizon && f.horizon < start {
+			f.land()
+		} else if f.now < f.horizon {
+			f.release(start.Add(f.lookahead)) // all this window can commit
 		}
 		if nextMsg <= start {
 			f.deliver(start)
@@ -351,6 +522,9 @@ func (f *Fleet) run(t ktime.Time, advance bool) {
 		f.runEpoch(t)
 		f.collect()
 		f.now = t
+	}
+	if f.now < f.horizon {
+		f.land() // drained inside a quiet run
 	}
 }
 

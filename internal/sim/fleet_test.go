@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -271,4 +272,92 @@ func TestShardedNextEventTime(t *testing.T) {
 	if at, ok := s.NextEventTime(); !ok || at != msgAt {
 		t.Fatalf("NextEventTime = %v,%v want 10µs (pending message)", at, ok)
 	}
+}
+
+// promiser is a hub engine whose QuietUntil returns whatever it is told.
+type promiser struct {
+	*Engine
+	quiet ktime.Time
+}
+
+func (p *promiser) QuietUntil() ktime.Time { return p.quiet }
+
+// quietStar builds a hub and n one-shard leaves, each leaf ticking every 7µs
+// so a quiet run has events to fire.
+func quietStar(n int) (*Fleet, *promiser, int) {
+	const la = 10 * time.Microsecond
+	f := NewFleet(la)
+	hub := &promiser{Engine: New(), quiet: maxTime}
+	f.AddNode(hub)
+	hubSrc := f.AddSource(0)
+	for i := 0; i < n; i++ {
+		leaf := NewSharded(1, la)
+		f.AddSource(f.AddNode(leaf))
+		e := leaf.Shard(0)
+		var tick func()
+		tick = func() { e.Post(7*time.Microsecond, tick) }
+		e.Post(time.Microsecond, tick)
+	}
+	f.SetHub(0)
+	return f, hub, hubSrc
+}
+
+// wantPanic runs fn and fails unless it panics with a message containing
+// want.
+func wantPanic(t *testing.T, want string, fn func()) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatalf("no panic, want one containing %q", want)
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
+			t.Fatalf("panic %q, want one containing %q", msg, want)
+		}
+	}()
+	fn()
+}
+
+// TestFleetLyingHubPanics: a hub that promises silence and then sends to a
+// leaf inside the horizon its promise opened must panic at that send, as
+// must a floor-observing send inside it and any send between two leaves —
+// never let the leaves' early run diverge silently.
+func TestFleetLyingHubPanics(t *testing.T) {
+	const la = 10 * time.Microsecond
+	t.Run("handoff to a leaf", func(t *testing.T) {
+		f, hub, src := quietStar(3)
+		hub.PostAt(ktime.Time(time.Millisecond), func() {
+			f.SendHandoff(src, 2, hub.Now().Add(la), func() {})
+		})
+		wantPanic(t, "breaks its QuietUntil promise", func() { f.RunUntil(ktime.Time(5 * time.Millisecond)) })
+	})
+	t.Run("floor message to itself", func(t *testing.T) {
+		f, hub, src := quietStar(3)
+		hub.PostAt(ktime.Time(time.Millisecond), func() {
+			f.Send(src, 0, hub.Now().Add(la), func() {})
+		})
+		wantPanic(t, "breaks its QuietUntil promise", func() { f.RunUntil(ktime.Time(5 * time.Millisecond)) })
+	})
+	t.Run("leaf to leaf", func(t *testing.T) {
+		f, _, _ := quietStar(3)
+		leaf := f.Node(1).(*Sharded).Shard(0)
+		leaf.PostAt(ktime.Time(20*time.Microsecond), func() {
+			f.SendHandoff(1, 3, leaf.Now().Add(la), func() {})
+		})
+		wantPanic(t, "bypasses hub", func() { f.RunUntil(ktime.Time(time.Millisecond)) })
+	})
+	t.Run("kept promise", func(t *testing.T) {
+		f, hub, src := quietStar(3)
+		hub.quiet = ktime.Time(time.Millisecond)
+		hub.PostAt(hub.quiet, func() {
+			f.SendHandoff(src, 2, hub.Now().Add(la), func() {})
+			hub.quiet = maxTime
+		})
+		f.RunUntil(ktime.Time(3 * time.Millisecond))
+		for i := 1; i < f.NumNodes(); i++ {
+			if got := f.Node(i).Now(); got != ktime.Time(3*time.Millisecond) {
+				t.Fatalf("leaf %d ends at %v, want 3ms", i, got)
+			}
+		}
+	})
 }

@@ -167,22 +167,25 @@ func (r *mailroom) sent() uint64 {
 	return n
 }
 
-// collect merges every outbox into the pending set and restores the merge
-// order: sort the new messages' keys, append the messages in key order, and
-// fold that sorted run into the older prefix. It returns how many of the new
-// messages are not handoffs (the fleet counts those).
-func (r *mailroom) collect() (floor int) {
+// collect merges every outbox into the pending set. It returns how many of
+// the new messages are not handoffs (the fleet counts those).
+func (r *mailroom) collect() (floor int) { return r.merge(r.out) }
+
+// merge moves the messages of batch (indexed by source) into the pending set
+// and restores the merge order: sort the new messages' keys, append the
+// messages in key order, and fold that sorted run into the older prefix.
+func (r *mailroom) merge(batch [][]smsg) (floor int) {
 	n := 0
-	for src := range r.out {
-		n += len(r.out[src])
+	for src := range batch {
+		n += len(batch[src])
 	}
 	if n == 0 {
 		return 0
 	}
 	keys := slices.Grow(r.keys[:0], n)
-	for src := range r.out {
-		for i := range r.out[src] {
-			m := &r.out[src][i]
+	for src := range batch {
+		for i := range batch[src] {
+			m := &batch[src][i]
 			keys = append(keys, skey{m.mkey, int32(i)})
 			if !m.msg.handoff {
 				floor++
@@ -196,11 +199,11 @@ func (r *mailroom) collect() (floor int) {
 		r.pending = slices.Grow(r.pending, max(n, sorted))
 	}
 	for _, k := range keys {
-		r.pending = append(r.pending, r.out[k.from][k.idx])
+		r.pending = append(r.pending, batch[k.from][k.idx])
 	}
-	for src := range r.out {
-		clear(r.out[src]) // drop closure and string references
-		r.out[src] = r.out[src][:0]
+	for src := range batch {
+		clear(batch[src]) // drop closure and string references
+		batch[src] = batch[src][:0]
 	}
 	foldSmsgs(r.pending[r.committed:], sorted-r.committed)
 	return floor
@@ -274,6 +277,8 @@ type Sharded struct {
 
 	epochs    uint64
 	delivered uint64
+
+	ahead eventLog // RunEvents' log, here so arming it allocates nothing
 }
 
 // NewSharded builds a sharded executor with n shards and the given
@@ -571,3 +576,20 @@ func (s *Sharded) RunUntil(t ktime.Time) { s.run(t, true) }
 // RunUntilIdle executes until no shard has a pending event and no message is
 // in flight.
 func (s *Sharded) RunUntilIdle() { s.run(maxTime, false) }
+
+// RunEvents fires every event due by h, as RunUntil(h) would, but leaves the
+// clock at the last one, so a fleet can still bring it to any later floor,
+// and logs their instants (eventLog). With more than one shard it refuses.
+func (s *Sharded) RunEvents(h ktime.Time, log []byte) ([]byte, bool) {
+	if len(s.shards) != 1 {
+		return log, false
+	}
+	e, from := s.shards[0], s.now
+	s.ahead = eventLog{buf: log, last: from - 1}
+	e.log = &s.ahead
+	s.run(h, false)
+	e.log = nil
+	e.now = max(s.ahead.last, from)
+	s.now = e.now
+	return s.ahead.buf, true
+}

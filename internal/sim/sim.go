@@ -34,6 +34,7 @@
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"enoki/internal/ktime"
@@ -111,6 +112,7 @@ type Engine struct {
 
 	fired    uint64
 	recycled uint64
+	log      *eventLog // Sharded.RunEvents
 
 	// Next-event cache for NextEventTime: a fleet coordinator peeks every
 	// machine every epoch, and most machines are quiescent between peeks —
@@ -382,6 +384,9 @@ func (e *Engine) fire(en entry) {
 	e.nextValid = false // the minimum is being consumed
 	e.now = en.at
 	e.fired++
+	if e.log != nil {
+		e.log.add(en.at)
+	}
 	if ev.fn != nil {
 		ev.fn()
 	} else {
@@ -406,6 +411,20 @@ func (e *Engine) stepBounded(bound ktime.Time) bool {
 	e.wq.popFront()
 	e.fire(en)
 	return true
+}
+
+// eventLog records each distinct instant an engine fires at as the uvarint
+// distance from the one before, the first from just before the run's start.
+type eventLog struct {
+	buf  []byte
+	last ktime.Time
+}
+
+func (l *eventLog) add(t ktime.Time) {
+	if t != l.last {
+		l.buf = binary.AppendUvarint(l.buf, uint64(t-l.last))
+		l.last = t
+	}
 }
 
 // Stop makes the currently executing Run return after the current event
