@@ -111,7 +111,7 @@ type Cluster struct {
 	adm      *overload.Controller
 	closed   bool
 	chatty   bool         // a caller posted control-plane events, which may send anything
-	detects  []ktime.Time // failure-detection instants
+	detects  []ktime.Time // pending failure-detection instants (QuietUntil drops past ones)
 }
 
 // ctrlPlane is fleet node 0: the control-plane engine as a sim.MsgSink. A
@@ -175,16 +175,15 @@ func (p *ctrlPlane) next() {
 // reports and failure detections. So without rollouts, admission, posted
 // events or rebalancing, an empty queue stays so until the next detection.
 func (p *ctrlPlane) QuietUntil() ktime.Time {
-	c, q := p.c, ktime.Time(math.MaxInt64)
+	c, now := p.c, p.Now()
 	if c.rollout != nil || c.adm != nil || c.chatty || c.cfg.RebalanceSpread > 0 || len(c.sched.queue) > 0 {
-		return p.Now()
+		return now
 	}
-	for _, d := range c.detects {
-		if d >= p.Now() {
-			q = min(q, d)
-		}
+	c.detects = slices.DeleteFunc(c.detects, func(d ktime.Time) bool { return d < now })
+	if len(c.detects) == 0 {
+		return math.MaxInt64
 	}
-	return q
+	return slices.Min(c.detects)
 }
 
 // New builds a cluster: fleet node 0 is the control-plane engine, nodes

@@ -180,11 +180,8 @@ func (sk *ShardedKernel) RunFor(d time.Duration) {
 // makes a ShardedKernel a sim.FleetNode: one machine of a simulated cluster.
 func (sk *ShardedKernel) RunUntil(t ktime.Time) { sk.ex.RunUntil(t) }
 
-// RunEvents runs the machine ahead to h (see sim.Sharded.RunEvents); a
-// machine of several nodes reports false and runs nothing.
-func (sk *ShardedKernel) RunEvents(h ktime.Time, log []byte) ([]byte, bool) {
-	return sk.ex.RunEvents(h, log)
-}
+// RunEvents runs a one-node machine ahead to h (see sim.Sharded.RunEvents).
+func (sk *ShardedKernel) RunEvents(h ktime.Time, log []byte) []byte { return sk.ex.RunEvents(h, log) }
 
 // NextEventTime returns the earliest pending work anywhere in the machine —
 // shard events or in-flight cross-shard messages. Call it between runs.

@@ -78,11 +78,11 @@ type Fleet struct {
 	floorMsgs int   // pending non-handoff messages (each chops an epoch window)
 	srcNode   []int // source id → owning node
 
-	// Quiet runs (SetHub): while now < horizon, leaves with ahead[i].on sit
-	// epochs out, their events fired to horizon (lockstep's to firedTo) and
-	// their sends held[src] until the replay reaches them.
-	hub              int // -1 without one
-	quiet            interface{ QuietUntil() ktime.Time }
+	// Quiet runs (SetHub): while now < horizon, leaves with an ahead[i].run
+	// sit epochs out, their events fired to horizon (lockstep's to firedTo)
+	// and their sends held[src] until the replay reaches them.
+	hub              int                                  // -1 without one
+	quiet            interface{ QuietUntil() ktime.Time } // nil when no leaf can run ahead
 	ahead            []ahead
 	horizon, firedTo ktime.Time
 	held, ready      [][]smsg
@@ -98,11 +98,18 @@ type Fleet struct {
 	dropped   uint64
 }
 
-// ahead is one leaf's log, read up to at, and its first event past the run.
+// ahead is one leaf's runner (nil when it cannot run ahead), its log, read
+// up to at, and its first event past the run.
 type ahead struct {
-	on        bool
+	run       aheadRunner
 	log       []byte
 	at, after ktime.Time
+}
+
+// aheadRunner is a Sharded or kernel.ShardedKernel; one shard runs ahead.
+type aheadRunner interface {
+	NumShards() int
+	RunEvents(h ktime.Time, log []byte) []byte
 }
 
 // next returns the leaf's first event after fired.
@@ -193,17 +200,22 @@ func (f *Fleet) Kill(i int) { f.dead[i] = true }
 func (f *Fleet) SetParallel(on bool) { f.parallel = on }
 
 // SetHub makes node the hub of a star, once every node and source is added:
-// a send between two other nodes panics. When the hub's QuietUntil() method
-// promises silence up to an instant, whatever it receives, and no pending
-// message reaches a leaf for over an epoch, every leaf that can (RunEvents)
-// runs ahead in one visit to the last instant none could, and the loop
-// replays the lockstep epochs for the rest from the leaves' logs — every
-// window, commit, Epochs and clock as in lockstep. A hub message to a leaf,
-// or a floor message (Send), due by that horizon panics at its send.
+// a send between two other nodes panics. When the hub's QuietUntil() promises
+// silence up to an instant, whatever it receives, and no pending message
+// reaches a leaf for over an epoch, every one-shard leaf runs ahead in one
+// visit to the last instant none could, and the loop replays the lockstep
+// epochs from the leaves' logs — every window, commit, Epochs and clock as in
+// lockstep. With no such leaf the hub is never asked. A hub message to a
+// leaf, or a floor message, due by that horizon panics at its send.
 func (f *Fleet) SetHub(node int) {
 	f.hub = node
-	f.quiet, _ = f.nodes[node].(interface{ QuietUntil() ktime.Time })
 	f.ahead, f.held, f.ready = make([]ahead, len(f.nodes)), make([][]smsg, len(f.out)), make([][]smsg, len(f.out))
+	for i, n := range f.nodes {
+		if r, ok := n.(aheadRunner); ok && i != node && r.NumShards() == 1 {
+			f.ahead[i].run = r
+			f.quiet, _ = f.nodes[node].(interface{ QuietUntil() ktime.Time })
+		}
+	}
 }
 
 // Send submits fn for commitment toward node `to` at absolute virtual time
@@ -332,7 +344,7 @@ func (f *Fleet) minNextEvent() (ktime.Time, bool) {
 		if f.dead[i] {
 			continue
 		}
-		if quiet && f.ahead[i].on {
+		if quiet && f.ahead[i].run != nil {
 			if t := f.ahead[i].next(f.firedTo); t < best {
 				best, ok = t, true
 			}
@@ -390,7 +402,7 @@ func (f *Fleet) runEpoch(end ktime.Time) {
 }
 
 func (f *Fleet) advance(_, i int) {
-	if f.to >= f.horizon || !f.ahead[i].on {
+	if f.to >= f.horizon || f.ahead[i].run == nil {
 		f.nodes[i].RunUntil(f.to)
 	}
 }
@@ -400,9 +412,6 @@ func (f *Fleet) advance(_, i int) {
 // one to a leaf, or one that commits at the floor, where it must find every
 // leaf — capped at the run's bound t.
 func (f *Fleet) goQuiet(t ktime.Time) {
-	if f.quiet == nil {
-		return
-	}
 	p := f.quiet.QuietUntil()
 	if p <= f.now {
 		return
@@ -426,7 +435,7 @@ func (f *Fleet) goQuiet(t ktime.Time) {
 	f.horizon, f.firedTo, f.to = h, f.now-1, h
 	f.each(f.aheadFn)
 	for src, nd := range f.srcNode {
-		if q := f.out[src]; f.ahead[nd].on && !f.dead[nd] {
+		if q := f.out[src]; f.ahead[nd].run != nil && !f.dead[nd] {
 			slices.SortFunc(q, func(a, b smsg) int { return a.cmp(b.mkey) })
 			f.held[src], f.out[src] = q, q[:0] // the leaf sends nothing more until the horizon
 		}
@@ -437,18 +446,14 @@ func (f *Fleet) goQuiet(t ktime.Time) {
 // runAhead runs leaf i ahead; its clock is at the floor, the log's base one before.
 func (f *Fleet) runAhead(w, i int) {
 	a := &f.ahead[i]
-	n, ok := f.nodes[i].(interface {
-		RunEvents(h ktime.Time, log []byte) ([]byte, bool)
-	})
-	if a.on = false; i == f.hub || !ok {
+	if a.run == nil {
 		return
 	}
 	from := len(f.logs[w])
-	if f.logs[w], a.on = n.RunEvents(f.to, f.logs[w]); a.on {
-		a.log, a.at, a.after = f.logs[w][from:], f.firedTo, maxTime
-		if t, has := f.nodes[i].NextEventTime(); has {
-			a.after = t
-		}
+	f.logs[w] = a.run.RunEvents(f.to, f.logs[w])
+	a.log, a.at, a.after = f.logs[w][from:], f.firedTo, maxTime
+	if t, has := f.nodes[i].NextEventTime(); has {
+		a.after = t
 	}
 }
 
@@ -469,7 +474,7 @@ func (f *Fleet) run(t ktime.Time, advance bool) {
 			f.deliver(f.now)
 			continue
 		}
-		if f.horizon <= f.now {
+		if f.quiet != nil && f.horizon <= f.now {
 			f.goQuiet(t)
 		}
 		nextMsg := f.heldNext

@@ -282,16 +282,16 @@ type promiser struct {
 
 func (p *promiser) QuietUntil() ktime.Time { return p.quiet }
 
-// quietStar builds a hub and n one-shard leaves, each leaf ticking every 7µs
-// so a quiet run has events to fire.
-func quietStar(n int) (*Fleet, *promiser, int) {
+// quietStar builds a hub and n leaves of the given shards, each leaf ticking
+// every 7µs so a quiet run has events to fire.
+func quietStar(n, shards int) (*Fleet, *promiser, int) {
 	const la = 10 * time.Microsecond
 	f := NewFleet(la)
 	hub := &promiser{Engine: New(), quiet: maxTime}
 	f.AddNode(hub)
 	hubSrc := f.AddSource(0)
 	for i := 0; i < n; i++ {
-		leaf := NewSharded(1, la)
+		leaf := NewSharded(shards, la)
 		f.AddSource(f.AddNode(leaf))
 		e := leaf.Shard(0)
 		var tick func()
@@ -325,21 +325,21 @@ func wantPanic(t *testing.T, want string, fn func()) {
 func TestFleetLyingHubPanics(t *testing.T) {
 	const la = 10 * time.Microsecond
 	t.Run("handoff to a leaf", func(t *testing.T) {
-		f, hub, src := quietStar(3)
+		f, hub, src := quietStar(3, 1)
 		hub.PostAt(ktime.Time(time.Millisecond), func() {
 			f.SendHandoff(src, 2, hub.Now().Add(la), func() {})
 		})
 		wantPanic(t, "breaks its QuietUntil promise", func() { f.RunUntil(ktime.Time(5 * time.Millisecond)) })
 	})
 	t.Run("floor message to itself", func(t *testing.T) {
-		f, hub, src := quietStar(3)
+		f, hub, src := quietStar(3, 1)
 		hub.PostAt(ktime.Time(time.Millisecond), func() {
 			f.Send(src, 0, hub.Now().Add(la), func() {})
 		})
 		wantPanic(t, "breaks its QuietUntil promise", func() { f.RunUntil(ktime.Time(5 * time.Millisecond)) })
 	})
 	t.Run("leaf to leaf", func(t *testing.T) {
-		f, _, _ := quietStar(3)
+		f, _, _ := quietStar(3, 1)
 		leaf := f.Node(1).(*Sharded).Shard(0)
 		leaf.PostAt(ktime.Time(20*time.Microsecond), func() {
 			f.SendHandoff(1, 3, leaf.Now().Add(la), func() {})
@@ -347,7 +347,7 @@ func TestFleetLyingHubPanics(t *testing.T) {
 		wantPanic(t, "bypasses hub", func() { f.RunUntil(ktime.Time(time.Millisecond)) })
 	})
 	t.Run("kept promise", func(t *testing.T) {
-		f, hub, src := quietStar(3)
+		f, hub, src := quietStar(3, 1)
 		hub.quiet = ktime.Time(time.Millisecond)
 		hub.PostAt(hub.quiet, func() {
 			f.SendHandoff(src, 2, hub.Now().Add(la), func() {})
@@ -360,4 +360,14 @@ func TestFleetLyingHubPanics(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestFleetQuietNeedsOneShardLeaf: a star whose leaves all have several
+// shards never asks its hub for a promise, so it runs the plain epoch loop.
+func TestFleetQuietNeedsOneShardLeaf(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		if f, _, _ := quietStar(3, shards); (f.quiet != nil) != (shards == 1) {
+			t.Errorf("%d-shard leaves: promise asked for = %v", shards, f.quiet != nil)
+		}
+	}
 }

@@ -579,10 +579,10 @@ func (s *Sharded) RunUntilIdle() { s.run(maxTime, false) }
 
 // RunEvents fires every event due by h, as RunUntil(h) would, but leaves the
 // clock at the last one, so a fleet can still bring it to any later floor,
-// and logs their instants (eventLog). With more than one shard it refuses.
-func (s *Sharded) RunEvents(h ktime.Time, log []byte) ([]byte, bool) {
+// and logs their instants (eventLog). It needs exactly one shard.
+func (s *Sharded) RunEvents(h ktime.Time, log []byte) []byte {
 	if len(s.shards) != 1 {
-		return log, false
+		panic("sim: Sharded.RunEvents needs exactly one shard")
 	}
 	e, from := s.shards[0], s.now
 	s.ahead = eventLog{buf: log, last: from - 1}
@@ -591,5 +591,5 @@ func (s *Sharded) RunEvents(h ktime.Time, log []byte) ([]byte, bool) {
 	e.log = nil
 	e.now = max(s.ahead.last, from)
 	s.now = e.now
-	return s.ahead.buf, true
+	return s.ahead.buf
 }
