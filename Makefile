@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build test race vet bench-cluster bench-fleet bench-rollout bench-overload fleet rollout overload sharded verified quick cover fuzz trace apicheck chaos ledger-smoke profile
+.PHONY: check build test race vet bench-cluster bench-fleet bench-rollout bench-overload fleet rollout overload sharded verified paper quick cover fuzz trace apicheck chaos ledger-smoke profile
 
 check: vet build race apicheck
 
@@ -140,6 +140,18 @@ verified:
 	$(GO) test -race -run 'TestScheduleOp(Verified|Module)FIFOZeroAlloc|TestRTQueueZeroAlloc' -count=1 ./internal/kernel
 	$(GO) test -race -run 'TestDeque|TestTokenArena|TestMessageReset' -count=1 ./internal/core
 	$(GO) test -race -run 'TestRetainedTokens|TestClassDataSlot|TestUpgradeToTransfersQueuedRing' -count=1 ./internal/enokic
+
+# Paper-reproduction gate mirroring the CI step: every quick-scale
+# virtual-time cell of the paper's experiments (Tables 3-6, Figs 2a-c, Fig 3,
+# the live upgrade, the simulated record/replay times) pinned to its FNV hash
+# under the race detector, with what their host-time speed stands on: the
+# ghOSt message path (a wakeup post plus an agent round, per-CPU and SOL) and
+# a schbench round at 0 allocs, and CFS's per-domain waiting counts checked
+# after every event of random topology-aware and flat runs and matched, as a
+# pull choice, against the full peer walk.
+paper:
+	$(GO) test -race -run 'TestPaperCellsPinned' -count=1 ./internal/experiments
+	$(GO) test -race -run 'TestAgentRoundZeroAlloc|TestSchbenchRoundZeroAlloc|TestQuickIdleSetMachine80|TestQuickCFSWaitCountsFlat|TestPullFromMatchesScan' -count=1 ./internal/ghost ./internal/workload ./internal/kernel
 
 # Public-API compatibility gate for package enoki: apidiff when installed,
 # textual surface diff against api/enoki.txt otherwise. Refresh the baseline

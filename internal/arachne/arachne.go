@@ -79,7 +79,10 @@ type Runtime struct {
 	cfg  Config
 	acts []*activation
 
+	// queue[head:] are the runnable user threads; the slice is rewound
+	// to its start whenever it drains, so a steady load reuses one array.
 	queue []UserThread
+	head  int
 
 	granted   int
 	parkWant  int
@@ -143,7 +146,7 @@ func (rt *Runtime) estimate() {
 			busy++
 		}
 	}
-	load := busy + len(rt.queue)
+	load := busy + rt.QueueLen()
 	// Scale up promptly with one core of headroom; release slowly and
 	// only after a sustained low-load streak (Arachne's hysteresis keeps
 	// the grant from whipsawing on bursty load).
@@ -178,7 +181,7 @@ func (rt *Runtime) estimate() {
 func (rt *Runtime) Granted() int { return rt.granted }
 
 // QueueLen returns the runnable user-thread backlog.
-func (rt *Runtime) QueueLen() int { return len(rt.queue) }
+func (rt *Runtime) QueueLen() int { return len(rt.queue) - rt.head }
 
 // SetGranted applies a new grant from the arbiter, unparking activations to
 // fill it.
@@ -270,9 +273,12 @@ func (a *activation) next(k *kernel.Kernel, t *kernel.Task) kernel.Action {
 		a.parked = true
 		return kernel.Action{Op: kernel.OpBlock, Recheck: func() bool { return !a.parked }}
 	}
-	if len(rt.queue) > 0 {
-		ut := rt.queue[0]
-		rt.queue = rt.queue[1:]
+	if rt.QueueLen() > 0 {
+		ut := rt.queue[rt.head]
+		rt.queue[rt.head] = UserThread{}
+		if rt.head++; rt.head == len(rt.queue) {
+			rt.queue, rt.head = rt.queue[:0], 0
+		}
 		a.spin = 0
 		a.running = true
 		a.finish = ut.Done
@@ -298,7 +304,7 @@ func (a *activation) next(k *kernel.Kernel, t *kernel.Task) kernel.Action {
 		if a.parked {
 			return false
 		}
-		if len(rt.queue) > 0 || !a.idleBlocked {
+		if rt.QueueLen() > 0 || !a.idleBlocked {
 			a.idleBlocked = false
 			return true
 		}
@@ -308,7 +314,7 @@ func (a *activation) next(k *kernel.Kernel, t *kernel.Task) kernel.Action {
 
 // Debug renders internal activation state for tests.
 func (rt *Runtime) Debug() string {
-	s := fmt.Sprintf("granted=%d parkWant=%d q=%d |", rt.granted, rt.parkWant, len(rt.queue))
+	s := fmt.Sprintf("granted=%d parkWant=%d q=%d |", rt.granted, rt.parkWant, rt.QueueLen())
 	for _, a := range rt.acts {
 		s += fmt.Sprintf(" {pid=%d parked=%v idle=%v running=%v st=%v}", a.task.PID(), a.parked, a.idleBlocked, a.running, a.task.State())
 	}

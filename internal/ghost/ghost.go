@@ -89,6 +89,8 @@ type AgentMsg struct {
 	PID     int
 	CPU     int
 	Runtime time.Duration
+	// Allowed is the task's affinity, sent with MNew only (nil on every
+	// other kind): a policy keeps it from the task's first message.
 	Allowed []int
 }
 
@@ -105,7 +107,8 @@ type AgentPolicy interface {
 	// block.
 	Slice() time.Duration
 	// Pending returns how many tasks are waiting for CPUs (slicing a
-	// running task is only useful when someone waits).
+	// running task is only useful when someone waits); while it is 0,
+	// NextFor has nothing to return and is not asked.
 	Pending() int
 }
 
@@ -119,11 +122,17 @@ type Ghost struct {
 
 	agentCPU int // SOL: the dedicated core
 	agents   []*kernel.Task
-	woken    []bool // agent runnable flags, indexed by agent slot
+	woken    []bool  // agent runnable flags, indexed by agent slot
+	cpus     [][]int // per agent slot: the CPUs it schedules
 
-	pending   [][]AgentMsg // per agent slot
-	committed []int        // per cpu, 0 = none
-	currPID   []int        // per cpu, running ghost task
+	// pending[slot] collects the messages posted to an agent; spare[slot]
+	// is the buffer it drained last round, swapped in when it next drains,
+	// so the two are reused and a post never regrows a fresh slice.
+	pending [][]AgentMsg
+	spare   [][]AgentMsg
+
+	committed []int // per cpu, 0 = none
+	currPID   []int // per cpu, running ghost task
 	pickedAt  []ktime.Time
 
 	tasks   map[int]*kernel.Task // runnable (queued) ghost tasks
@@ -144,17 +153,33 @@ func New(k *kernel.Kernel, mode Mode, policy AgentPolicy, agentCPU int, costs Co
 	if mode == ModeSOL {
 		slots = 1
 	}
-	return &Ghost{
+	g := &Ghost{
 		k: k, mode: mode, policy: policy, costs: costs, agentCPU: agentCPU,
 		agents:    make([]*kernel.Task, slots),
 		woken:     make([]bool, slots),
+		cpus:      make([][]int, slots),
 		pending:   make([][]AgentMsg, slots),
+		spare:     make([][]AgentMsg, slots),
 		committed: make([]int, n),
 		currPID:   make([]int, n),
 		pickedAt:  make([]ktime.Time, n),
 		tasks:     make(map[int]*kernel.Task),
 		nqueued:   make([]int, n),
 	}
+	if mode == ModeSOL {
+		for i := 0; i < n; i++ {
+			if i != agentCPU {
+				g.cpus[0] = append(g.cpus[0], i)
+			}
+		}
+	} else {
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = i
+			g.cpus[i] = ids[i : i+1 : i+1]
+		}
+	}
+	return g
 }
 
 // agentMarker tags agent tasks so class hooks can recognise them even while
@@ -202,34 +227,28 @@ func (g *Ghost) post(m AgentMsg) {
 	}
 }
 
-// cpusOf returns the CPUs an agent slot is responsible for.
-func (g *Ghost) cpusOf(slot int) []int {
-	if g.mode == ModeSOL {
-		cpus := make([]int, 0, g.k.NumCPUs())
-		for i := 0; i < g.k.NumCPUs(); i++ {
-			if i != g.agentCPU {
-				cpus = append(cpus, i)
-			}
-		}
-		return cpus
-	}
-	return []int{slot}
-}
-
 // agentBehavior is the userspace agent loop: drain messages, run the
 // policy, commit transactions, optionally poll for preemption.
 func (g *Ghost) agentBehavior(slot int) kernel.Behavior {
 	return kernel.BehaviorFunc(func(k *kernel.Kernel, t *kernel.Task) kernel.Action {
 		g.AgentActivations++
+		// Swap buffers before draining: a post made meanwhile lands in the
+		// fresh one and waits for the next round.
 		msgs := g.pending[slot]
-		g.pending[slot] = nil
+		g.pending[slot] = g.spare[slot][:0]
 		for _, m := range msgs {
 			g.policy.OnMessage(m)
 		}
+		g.spare[slot] = msgs[:0]
 		cost := g.costs.AgentBase + time.Duration(len(msgs))*g.costs.AgentPerMsg
 
+		// With nothing pending every NextFor would say no, so the walk
+		// stops as soon as the policy has nothing left to hand out.
 		commits := 0
-		for _, cpu := range g.cpusOf(slot) {
+		for _, cpu := range g.cpus[slot] {
+			if g.policy.Pending() == 0 {
+				break
+			}
 			if g.committed[cpu] == 0 && g.currPID[cpu] == 0 {
 				if pid, ok := g.policy.NextFor(cpu); ok {
 					g.committed[cpu] = pid
@@ -246,7 +265,7 @@ func (g *Ghost) agentBehavior(slot int) kernel.Behavior {
 		if slice := g.policy.Slice(); slice > 0 {
 			anyRunning := false
 			now := k.Now()
-			for _, cpu := range g.cpusOf(slot) {
+			for _, cpu := range g.cpus[slot] {
 				if g.currPID[cpu] == 0 {
 					continue
 				}
@@ -319,7 +338,11 @@ func (g *Ghost) Enqueue(cpu int, t *kernel.Task, wakeup bool) {
 	}
 	g.tasks[t.PID()] = t
 	g.nqueued[cpu]++
-	g.post(AgentMsg{Kind: kind, PID: t.PID(), CPU: cpu, Runtime: t.SumExec(), Allowed: t.Allowed().List()})
+	m := AgentMsg{Kind: kind, PID: t.PID(), CPU: cpu, Runtime: t.SumExec()}
+	if kind == MNew {
+		m.Allowed = t.Allowed().List()
+	}
+	g.post(m)
 }
 
 // Dequeue implements kernel.Class.
@@ -421,8 +444,9 @@ func (g *Ghost) SelectRQ(t *kernel.Task, prevCPU int, wakeup bool) int {
 	// Fork/forced placement: spread onto the least-loaded allowed CPU so
 	// per-CPU FIFO queues start balanced (the agents never rebalance).
 	best, bestLoad := -1, 1<<30
-	for _, cpu := range t.Allowed().List() {
-		if g.mode == ModeSOL && cpu == g.agentCPU {
+	allowed := t.Allowed()
+	for cpu := 0; cpu < len(g.nqueued); cpu++ {
+		if !allowed.Has(cpu) || g.mode == ModeSOL && cpu == g.agentCPU {
 			continue
 		}
 		load := g.nqueued[cpu]
@@ -478,10 +502,11 @@ func (g *Ghost) NRunnable(cpu int) int { return g.nqueued[cpu] }
 // their messages said they were.
 type FIFOPolicy struct {
 	queues []core.Deque[int] // by CPU, grown as CPUs are first named
+	queued map[int]int       // pid → the CPU whose queue holds it
 }
 
 // NewFIFOPolicy builds the per-CPU FIFO policy.
-func NewFIFOPolicy() *FIFOPolicy { return &FIFOPolicy{} }
+func NewFIFOPolicy() *FIFOPolicy { return &FIFOPolicy{queued: make(map[int]int)} }
 
 // Name implements AgentPolicy.
 func (p *FIFOPolicy) Name() string { return "fifo" }
@@ -495,23 +520,26 @@ func (p *FIFOPolicy) OnMessage(m AgentMsg) {
 			p.queues = append(p.queues, core.Deque[int]{})
 		}
 		p.queues[m.CPU].PushBack(m.PID)
+		p.queued[m.PID] = m.CPU
 	case MBlocked, MDead:
 		p.remove(m.PID)
 	}
 }
 
 func (p *FIFOPolicy) remove(pid int) {
-	for i := range p.queues {
-		if p.queues[i].Remove(pid) {
-			return
-		}
+	if cpu, ok := p.queued[pid]; ok {
+		p.queues[cpu].Remove(pid)
+		delete(p.queued, pid)
 	}
 }
 
 // NextFor implements AgentPolicy.
 func (p *FIFOPolicy) NextFor(cpu int) (int, bool) {
 	if cpu < len(p.queues) {
-		return p.queues[cpu].PopFront()
+		if pid, ok := p.queues[cpu].PopFront(); ok {
+			delete(p.queued, pid)
+			return pid, true
+		}
 	}
 	return 0, false
 }
@@ -520,13 +548,7 @@ func (p *FIFOPolicy) NextFor(cpu int) (int, bool) {
 func (p *FIFOPolicy) Slice() time.Duration { return 0 }
 
 // Pending implements AgentPolicy.
-func (p *FIFOPolicy) Pending() int {
-	n := 0
-	for i := range p.queues {
-		n += p.queues[i].Len()
-	}
-	return n
-}
+func (p *FIFOPolicy) Pending() int { return len(p.queued) }
 
 // GlobalPolicy is a single global FCFS queue — the SOL arrangement's
 // policy, optionally with a Shinjuku-style preemption quantum. Tasks prefer
@@ -534,7 +556,7 @@ func (p *FIFOPolicy) Pending() int {
 // otherwise.
 type GlobalPolicy struct {
 	queue   core.Deque[int]
-	allowed map[int][]int
+	allowed map[int]*kernel.CPUMask // from MNew; absent means every CPU
 	lastCPU map[int]int
 	slice   time.Duration
 	name    string
@@ -542,13 +564,13 @@ type GlobalPolicy struct {
 
 // NewSOLPolicy builds the latency-optimized global FIFO (no preemption).
 func NewSOLPolicy() *GlobalPolicy {
-	return &GlobalPolicy{allowed: make(map[int][]int), lastCPU: make(map[int]int), name: "sol"}
+	return &GlobalPolicy{allowed: make(map[int]*kernel.CPUMask), lastCPU: make(map[int]int), name: "sol"}
 }
 
 // NewShinjukuPolicy builds the ghOSt version of Shinjuku: global FCFS with
 // the given preemption quantum.
 func NewShinjukuPolicy(slice time.Duration) *GlobalPolicy {
-	return &GlobalPolicy{allowed: make(map[int][]int), lastCPU: make(map[int]int), slice: slice, name: "shinjuku"}
+	return &GlobalPolicy{allowed: make(map[int]*kernel.CPUMask), lastCPU: make(map[int]int), slice: slice, name: "shinjuku"}
 }
 
 // Name implements AgentPolicy.
@@ -562,7 +584,11 @@ func (p *GlobalPolicy) OnMessage(m AgentMsg) {
 		p.queue.PushBack(m.PID)
 		p.lastCPU[m.PID] = m.CPU
 		if m.Kind == MNew && len(m.Allowed) > 0 {
-			p.allowed[m.PID] = m.Allowed
+			mask := new(kernel.CPUMask)
+			for _, cpu := range m.Allowed {
+				mask.Set(cpu)
+			}
+			p.allowed[m.PID] = mask
 		}
 	case MBlocked, MDead:
 		p.queue.Remove(m.PID)
@@ -575,15 +601,7 @@ func (p *GlobalPolicy) OnMessage(m AgentMsg) {
 
 func (p *GlobalPolicy) allows(pid, cpu int) bool {
 	a, ok := p.allowed[pid]
-	if !ok {
-		return true
-	}
-	for _, c := range a {
-		if c == cpu {
-			return true
-		}
-	}
-	return false
+	return !ok || a.Has(cpu)
 }
 
 // NextFor implements AgentPolicy: prefer the oldest arrival that last ran

@@ -186,3 +186,36 @@ func TestAgentSharesCoreInPerCPUMode(t *testing.T) {
 		t.Fatal("per-CPU agent consumed no cycles despite scheduling activity")
 	}
 }
+
+// TestAgentRoundZeroAlloc is the message path's allocation ratchet: once
+// warm, a workload wakeup posted to its agent, the agent's drain of its
+// buffer, the policy round and the commit allocate nothing, in both agent
+// arrangements.
+func TestAgentRoundZeroAlloc(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mode   Mode
+		policy AgentPolicy
+	}{
+		{"percpu", ModePerCPU, NewFIFOPolicy()},
+		{"sol", ModeSOL, NewSOLPolicy()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k, g := rig(tc.mode, tc.policy)
+			sleeper := k.Spawn("sleeper", policyGhost, kernel.BehaviorFunc(
+				func(k *kernel.Kernel, t *kernel.Task) kernel.Action {
+					return kernel.Action{Run: 10 * time.Microsecond, Op: kernel.OpSleep, SleepFor: 90 * time.Microsecond}
+				}), kernel.WithAffinity(kernel.SingleCPU(0)))
+			k.RunFor(10 * time.Millisecond)
+			rounds, ran := g.AgentActivations, sleeper.SumExec()
+			// Each 100 µs period holds one wakeup, one block and the agent
+			// rounds they cause.
+			if avg := testing.AllocsPerRun(100, func() { k.RunFor(100 * time.Microsecond) }); avg != 0 {
+				t.Errorf("%.2f allocs per wakeup round, want 0", avg)
+			}
+			if g.AgentActivations == rounds || sleeper.SumExec() == ran {
+				t.Fatal("the measured window ran no agent round or no workload")
+			}
+		})
+	}
+}

@@ -23,6 +23,9 @@ func TestFIFOPolicyPerCPU(t *testing.T) {
 	if _, ok := p.NextFor(0); ok {
 		t.Fatal("empty queue produced a task")
 	}
+	if p.Pending() != 0 {
+		t.Fatalf("Pending = %d after every task was handed out", p.Pending())
+	}
 	if p.Slice() != 0 {
 		t.Fatal("FIFO should not slice")
 	}

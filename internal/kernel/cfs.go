@@ -71,6 +71,7 @@ type cfsRq struct {
 	minV        int64
 	curr        *cfsEntity
 	totalWeight int64 // queued + running weight
+	node, llc   int   // where the CPU's socket and LLC domain count in CFS.wait
 }
 
 func newCfsRq() *cfsRq {
@@ -109,9 +110,17 @@ func (rq *cfsRq) updateMinV() {
 // socket CPUs — and every pull walks them inside-out; the idle-sibling
 // search reads the same domains as masks against the kernel's idle set.
 type CFS struct {
-	k           *Kernel
-	topo        *core.Topology
-	rqs         []*cfsRq
+	k    *Kernel
+	topo *core.Topology
+	rqs  []*cfsRq
+	// wait counts the entities waiting in the run-queue trees (the running
+	// ones are not in a tree): wait[0] on the machine, then one per socket,
+	// then one per LLC domain. It is kept at every tree insert and delete,
+	// so a pull skips a scan level with too little waiting to steal from.
+	// LLC domains nest in sockets, so a level's count is a difference of
+	// two. The counts share one array so that keeping them costs one cache
+	// line beside the run queue.
+	wait        []int
 	lastBalance []time.Duration // per-CPU busy stamp of last periodic balance
 	nextBal     []int64
 	tickCount   []int64
@@ -147,13 +156,16 @@ func newCFS(k *Kernel, topo *core.Topology) *CFS {
 	c := &CFS{k: k, topo: topo}
 	n := k.NumCPUs()
 	for i := 0; i < n; i++ {
-		c.rqs = append(c.rqs, newCfsRq())
+		rq := newCfsRq()
+		rq.node, rq.llc = 1+topo.NodeOf(i), 1+topo.NumNodes()+topo.DomainOf(i)
+		c.rqs = append(c.rqs, rq)
 		c.lastBalance = append(c.lastBalance, 0)
 		c.nextBal = append(c.nextBal, 0)
 		c.tickCount = append(c.tickCount, 0)
 	}
 	c.llcMask = make([]CPUMask, topo.NumDomains())
 	c.nodeMask = make([]CPUMask, topo.NumNodes())
+	c.wait = make([]int, 1+topo.NumNodes()+topo.NumDomains())
 	c.words = (n + 63) >> 6
 	c.llcPeers = make([][]int, n)
 	c.nodePeers = make([][]int, n)
@@ -193,6 +205,14 @@ func (c *CFS) TaskDead(t *Task) {}
 // Detach implements Class.
 func (c *CFS) Detach(t *Task) {}
 
+// waiting adds d to the waiting counts of rq's LLC domain, socket and
+// machine; it goes with every insert into or delete from rq's tree.
+func (c *CFS) waiting(rq *cfsRq, d int) {
+	c.wait[0] += d
+	c.wait[rq.node] += d
+	c.wait[rq.llc] += d
+}
+
 // updateCurr charges the running entity's execution since the last update to
 // its vruntime.
 func (c *CFS) updateCurr(cpu int) {
@@ -228,6 +248,7 @@ func (c *CFS) Enqueue(cpu int, t *Task, wakeup bool) {
 		e.vruntime = rq.minV + c.vslice(rq, e)
 	}
 	rq.tree.InsertNode(&e.node, e.vruntime, e)
+	c.waiting(rq, 1)
 	rq.totalWeight += e.weight
 	rq.updateMinV()
 }
@@ -245,6 +266,7 @@ func (c *CFS) Dequeue(cpu int, t *Task, sleep bool) {
 	}
 	if e.node.Linked() {
 		rq.tree.Delete(&e.node)
+		c.waiting(rq, -1)
 		rq.totalWeight -= e.weight
 		rq.updateMinV()
 	}
@@ -269,6 +291,7 @@ func (c *CFS) putBack(cpu int, t *Task) {
 	c.updateCurr(cpu)
 	rq.curr = nil
 	rq.tree.InsertNode(&e.node, e.vruntime, e)
+	c.waiting(rq, 1)
 }
 
 // PickNext implements Class: run the leftmost (lowest vruntime) entity.
@@ -284,6 +307,7 @@ func (c *CFS) PickNext(cpu int) *Task {
 	}
 	e := n.Value()
 	rq.tree.Delete(n)
+	c.waiting(rq, -1)
 	rq.curr = e
 	e.prevSum = e.t.SumExec()
 	e.lastPickSum = e.t.SumExec()
@@ -442,24 +466,45 @@ func (c *CFS) periodicBalance(cpu int) {
 	c.pullFrom(cpu, rq.nrTotal()+2, rq.nrTotal()+cfsNUMAImbalance+2)
 }
 
-// pullFrom walks cpu's scan lists inside-out — LLC siblings, then the rest
-// of the socket at +cfsLLCImbalance, then remote sockets at minRemote — and
-// stops at the innermost level that yields a pull. A cache-hot steal inside
-// the LLC always beats a colder one further out, so socket crossings happen
-// only when every nearer queue is balanced.
+// pullFrom moves pullVictim's choice, if any, to cpu.
 func (c *CFS) pullFrom(cpu, minLocal, minRemote int) {
-	if c.pullWithin(cpu, c.llcPeers[cpu], minLocal) {
-		return
+	if e := c.pullVictim(cpu, minLocal, minRemote); e != nil {
+		c.k.MoveTask(e.t, cpu)
 	}
-	if c.pullWithin(cpu, c.nodePeers[cpu], minLocal+cfsLLCImbalance) {
-		return
-	}
-	c.pullWithin(cpu, c.remotePeers[cpu], minRemote)
 }
 
-// pullWithin moves one task to cpu from the busiest queue among peers whose
-// runnable count exceeds min, and reports whether a pull happened.
-func (c *CFS) pullWithin(cpu int, peers []int, min int) bool {
+// pullVictim walks cpu's scan lists inside-out — LLC siblings, then the rest
+// of the socket at +cfsLLCImbalance, then remote sockets at minRemote — and
+// stops at the innermost level that yields an entity to pull. A cache-hot
+// steal inside the LLC always beats a colder one further out, so socket
+// crossings happen only when every nearer queue is balanced.
+//
+// A level is skipped unwalked when its peers hold fewer waiting entities in
+// all than its threshold, which picks exactly what the walk would:
+// victimWithin takes a peer only when nr > min, and nr is at most the peer's
+// tree length plus its running task, so the peer alone holds min or more.
+func (c *CFS) pullVictim(cpu, minLocal, minRemote int) *cfsEntity {
+	rq := c.rqs[cpu]
+	llc, node := c.wait[rq.llc], c.wait[rq.node]
+	if llc-rq.tree.Len() >= minLocal {
+		if e := c.victimWithin(cpu, c.llcPeers[cpu], minLocal); e != nil {
+			return e
+		}
+	}
+	if node-llc >= minLocal+cfsLLCImbalance {
+		if e := c.victimWithin(cpu, c.nodePeers[cpu], minLocal+cfsLLCImbalance); e != nil {
+			return e
+		}
+	}
+	if c.wait[0]-node >= minRemote {
+		return c.victimWithin(cpu, c.remotePeers[cpu], minRemote)
+	}
+	return nil
+}
+
+// victimWithin picks the entity to pull to cpu from the busiest queue among
+// peers whose runnable count exceeds min, or nil.
+func (c *CFS) victimWithin(cpu int, peers []int, min int) *cfsEntity {
 	busiest, busiestNr := -1, 0
 	for _, i := range peers {
 		if i == cpu {
@@ -471,23 +516,18 @@ func (c *CFS) pullWithin(cpu int, peers []int, min int) bool {
 		}
 	}
 	if busiest == -1 {
-		return false
+		return nil
 	}
 	// Steal the entity with the highest vruntime (least urgent): walk to
 	// the tree's last element.
-	src := c.rqs[busiest]
 	var victim *cfsEntity
-	src.tree.Ascend(func(n *rbtree.Node[int64, *cfsEntity]) bool {
+	c.rqs[busiest].tree.Ascend(func(n *rbtree.Node[int64, *cfsEntity]) bool {
 		if n.Value().t.allowed.has(cpu) {
 			victim = n.Value()
 		}
 		return true
 	})
-	if victim == nil {
-		return false
-	}
-	c.k.MoveTask(victim.t, cpu)
-	return true
+	return victim
 }
 
 // Migrate implements Class: renormalise vruntime between queues so a task

@@ -195,3 +195,75 @@ func TestSelectRQMatchesScan(t *testing.T) {
 		})
 	}
 }
+
+// pullVictimScan is CFS's pull choice as it was before the waiting counts:
+// every level of peers is walked, nearest first, whether or not anything
+// waits there.
+func pullVictimScan(c *CFS, cpu, minLocal, minRemote int) *cfsEntity {
+	if e := c.victimWithin(cpu, c.llcPeers[cpu], minLocal); e != nil {
+		return e
+	}
+	if e := c.victimWithin(cpu, c.nodePeers[cpu], minLocal+cfsLLCImbalance); e != nil {
+		return e
+	}
+	return c.victimWithin(cpu, c.remotePeers[cpu], minRemote)
+}
+
+// TestPullFromMatchesScan compares the pull that skips levels with nothing
+// waiting with the full walk, for newidle and periodic balancing, over seeded
+// random busy CPUs and queues from empty to crowded plus one hot queue, some
+// of whose tasks are pinned so that a busiest queue can have nothing to give.
+func TestPullFromMatchesScan(t *testing.T) {
+	for _, s := range idleShapes {
+		t.Run(s.name, func(t *testing.T) {
+			r := newIdleRig(s.m, s.flat)
+			rng := ktime.NewRand(0x9011f7)
+			n := s.m.NumCPUs
+			pulls := 0
+			for trial := 0; trial < 2000; trial++ {
+				pQueued := []float64{0, 0.005, 0.02, 0.1, 0.4, 0.9}[trial%6]
+				r.randomize(rng, 0.7, pQueued)
+				for cpu := 0; cpu < n; cpu++ {
+					// A busy CPU's current task counts in its nr.
+					r.cfs.rqs[cpu].curr = nil
+					if curr := r.k.CurrentOn(cpu); curr != nil {
+						r.cfs.rqs[cpu].curr = &curr.cfs
+					}
+					for j := 0; j < 2; j++ {
+						if !rng.Bernoulli(pQueued) {
+							continue
+						}
+						task := r.dummy(0)
+						if rng.Bernoulli(0.3) {
+							m := SingleCPU(cpu)
+							task.allowed = &m
+						}
+						r.cfs.Enqueue(cpu, task, false)
+					}
+				}
+				// One hot queue on a sparse machine puts a level's count
+				// right at its threshold.
+				hot := rng.Intn(n)
+				for j := rng.Intn(6); j > 0; j-- {
+					r.cfs.Enqueue(hot, r.dummy(0), false)
+				}
+				cpu := rng.Intn(n)
+				minLocal, minRemote := 1, cfsNUMAImbalance+1 // newidle
+				if trial%2 == 1 {
+					nr := r.cfs.rqs[cpu].nrTotal() // periodic
+					minLocal, minRemote = nr+2, nr+cfsNUMAImbalance+2
+				}
+				got, want := r.cfs.pullVictim(cpu, minLocal, minRemote), pullVictimScan(r.cfs, cpu, minLocal, minRemote)
+				if got != want {
+					t.Fatalf("trial %d cpu %d, %d waiting: pulls %p, full walk %p", trial, cpu, r.cfs.wait[0], got, want)
+				}
+				if got != nil {
+					pulls++
+				}
+			}
+			if pulls == 0 {
+				t.Fatal("no trial found anything to pull")
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -16,12 +17,17 @@ import (
 // deterministic.
 
 // randomWorkload drives a kernel with a seeded mix of task behaviours and
-// runtime mutations, returning a state fingerprint.
-func randomWorkload(seed uint64, m Machine) (fingerprint uint64, leaked int, panicked any) {
+// runtime mutations under topology-aware CFS (flat CFS when flat is set),
+// returning a state fingerprint.
+func randomWorkload(seed uint64, m Machine, flat bool) (fingerprint uint64, leaked int, panicked any) {
 	defer func() { panicked = recover() }()
 	eng := sim.New()
 	k := New(eng, m, DefaultCosts())
-	k.RegisterClass(0, NewCFS(k))
+	cfs := NewCFS(k)
+	if flat {
+		cfs = NewCFSFlat(k)
+	}
+	k.RegisterClass(0, cfs)
 	rng := ktime.NewRand(seed)
 
 	totalWork := time.Duration(0)
@@ -75,11 +81,16 @@ func randomWorkload(seed uint64, m Machine) (fingerprint uint64, leaked int, pan
 	}
 	eng.After(time.Millisecond, chaos)
 
-	// Step the run event by event so the idle set is checked after each.
+	// Step the run event by event so the idle set and CFS's waiting counts
+	// are checked after each.
 	end := eng.Now().Add(2 * time.Second)
 	for at, ok := eng.NextEventTime(); ok && at <= end; at, ok = eng.NextEventTime() {
 		eng.Step()
-		if err := idleSetErr(k); err != nil {
+		err := idleSetErr(k)
+		if err == nil {
+			err = cfsWaitErr(cfs)
+		}
+		if err != nil {
 			panic(fmt.Sprintf("after event %d at %v: %v", eng.Fired(), eng.Now(), err))
 		}
 	}
@@ -112,9 +123,27 @@ func idleSetErr(k *Kernel) error {
 	return nil
 }
 
+// cfsWaitErr reports where CFS's waiting counts disagree with its run
+// queues: the count of each LLC domain, each socket and the machine must be
+// the sum of its CPUs' tree lengths.
+func cfsWaitErr(c *CFS) error {
+	nodes := c.topo.NumNodes()
+	want := make([]int, 1+nodes+c.topo.NumDomains())
+	for cpu, rq := range c.rqs {
+		n := rq.tree.Len()
+		want[0] += n
+		want[1+c.topo.NodeOf(cpu)] += n
+		want[1+nodes+c.topo.DomainOf(cpu)] += n
+	}
+	if !slices.Equal(want, c.wait) {
+		return fmt.Errorf("waiting counts (machine, sockets, LLC domains) %v, trees hold %v", c.wait, want)
+	}
+	return nil
+}
+
 func TestQuickNoTaskLostCFS(t *testing.T) {
 	f := func(seed uint64) bool {
-		fp, leaked, panicked := randomWorkload(seed, Machine8())
+		fp, leaked, panicked := randomWorkload(seed, Machine8(), false)
 		if panicked != nil {
 			t.Logf("seed %d panicked: %v", seed, panicked)
 			return false
@@ -131,10 +160,26 @@ func TestQuickNoTaskLostCFS(t *testing.T) {
 
 // TestQuickIdleSetMachine80 runs the random workload on the two-socket,
 // two-mask-word Machine80, where affinity changes force running tasks across
-// sockets; randomWorkload checks the idle set after every event.
+// sockets; randomWorkload checks the idle set and CFS's waiting counts after
+// every event.
 func TestQuickIdleSetMachine80(t *testing.T) {
 	f := func(seed uint64) bool {
-		_, leaked, panicked := randomWorkload(seed, Machine80())
+		_, leaked, panicked := randomWorkload(seed, Machine80(), false)
+		if panicked != nil {
+			t.Logf("seed %d panicked: %v", seed, panicked)
+		}
+		return panicked == nil && leaked == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickCFSWaitCountsFlat is the same run under flat CFS, whose one
+// domain holds every CPU.
+func TestQuickCFSWaitCountsFlat(t *testing.T) {
+	f := func(seed uint64) bool {
+		_, leaked, panicked := randomWorkload(seed, Machine80(), true)
 		if panicked != nil {
 			t.Logf("seed %d panicked: %v", seed, panicked)
 		}
@@ -147,8 +192,8 @@ func TestQuickIdleSetMachine80(t *testing.T) {
 
 func TestQuickDeterminism(t *testing.T) {
 	f := func(seed uint64) bool {
-		a, _, p1 := randomWorkload(seed, Machine8())
-		b, _, p2 := randomWorkload(seed, Machine8())
+		a, _, p1 := randomWorkload(seed, Machine8(), false)
+		b, _, p2 := randomWorkload(seed, Machine8(), false)
 		return p1 == nil && p2 == nil && a == b
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {

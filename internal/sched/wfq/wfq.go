@@ -96,8 +96,9 @@ func (rq *runq) updateMinV() {
 // state is the transferable whole of the scheduler, passed across live
 // upgrades (§3.2): the new version adopts it in reregister_init.
 type state struct {
-	tasks map[int]*task
-	rqs   []*runq
+	tasks   map[int]*task
+	rqs     []*runq
+	waiting int // tasks in every rq's tree, kept at each insert and delete
 }
 
 // Sched is the Enoki WFQ scheduler module.
@@ -146,6 +147,7 @@ func (s *Sched) enqueue(rq *runq, t *task, cpu int) {
 	t.cpu = cpu
 	t.queued = true
 	t.node = rq.tree.Insert(t.vruntime, t)
+	s.st.waiting++
 	rq.totalWeight += t.weight
 	rq.updateMinV()
 }
@@ -156,6 +158,7 @@ func (s *Sched) dequeue(rq *runq, t *task) {
 		rq.tree.Delete(n)
 		rq.tree.Free(n)
 		t.node = nil
+		s.st.waiting--
 	}
 	t.queued = false
 	rq.totalWeight -= t.weight
@@ -297,6 +300,7 @@ func (s *Sched) PickNextTask(cpu int, curr *core.Schedulable, currRuntime time.D
 	t := n.Value()
 	rq.tree.Delete(n)
 	rq.tree.Free(n)
+	s.st.waiting--
 	t.node = nil
 	t.queued = false
 	rq.curr = t
@@ -398,11 +402,12 @@ func (s *Sched) SelectTaskRQ(pid, prevCPU int, wakeup bool) int {
 
 // Balance implements core.Scheduler, the paper's deliberately simple
 // policy: only when this core is about to go idle, steal the least-urgent
-// waiting task from the core with the longest queue.
+// waiting task from the core with the longest queue. With nothing waiting
+// anywhere no queue can be chosen, so the scan is skipped.
 func (s *Sched) Balance(cpu int) (uint64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.NoSteal || s.st.rqs[cpu].tree.Len() > 0 {
+	if s.NoSteal || s.st.waiting == 0 || s.st.rqs[cpu].tree.Len() > 0 {
 		return 0, false
 	}
 	busiest, busiestLen := -1, 0

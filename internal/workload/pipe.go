@@ -51,10 +51,14 @@ func RunPipe(k *kernel.Kernel, cfg PipeConfig) PipeResult {
 	done := false
 	mk := func(peer **kernel.Task, starts bool) kernel.Behavior {
 		started := false
+		var wake []*kernel.Task // {peer}, built on the first run (both are spawned by then)
 		return kernel.BehaviorFunc(func(k *kernel.Kernel, t *kernel.Task) kernel.Action {
+			if wake == nil {
+				wake = []*kernel.Task{*peer}
+			}
 			if starts && !started {
 				started = true
-				return kernel.Action{Run: cfg.WorkPerMsg, Wake: []*kernel.Task{*peer}, Op: kernel.OpBlock}
+				return kernel.Action{Run: cfg.WorkPerMsg, Wake: wake, Op: kernel.OpBlock}
 			}
 			count++
 			if count >= 2*cfg.Messages {
@@ -64,7 +68,7 @@ func RunPipe(k *kernel.Kernel, cfg PipeConfig) PipeResult {
 				}
 				return kernel.Action{Op: kernel.OpExit}
 			}
-			return kernel.Action{Run: cfg.WorkPerMsg, Wake: []*kernel.Task{*peer}, Op: kernel.OpBlock}
+			return kernel.Action{Run: cfg.WorkPerMsg, Wake: wake, Op: kernel.OpBlock}
 		})
 	}
 	maskA := kernel.SingleCPU(0)

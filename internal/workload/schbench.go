@@ -67,6 +67,7 @@ func (c *SchbenchConfig) defaults() {
 // in-flight blocks.
 type schGroup struct {
 	msg       *kernel.Task
+	wakeMsg   []*kernel.Task // {msg}, the last responder's wake list
 	workers   []*kernel.Task
 	round     int
 	responded int
@@ -93,6 +94,7 @@ func RunSchbench(k *kernel.Kernel, cfg SchbenchConfig) SchbenchResult {
 			burst := cfg.WorkerBurst
 			seenRound := 0
 			thinking := false
+			newRound := func() bool { return grp.round != seenRound }
 			behavior := kernel.BehaviorFunc(func(k *kernel.Kernel, t *kernel.Task) kernel.Action {
 				if thinking {
 					// Think segment done: respond.
@@ -100,7 +102,7 @@ func RunSchbench(k *kernel.Kernel, cfg SchbenchConfig) SchbenchResult {
 					grp.responded++
 					var wake []*kernel.Task
 					if grp.ready && grp.responded >= len(grp.workers) {
-						wake = []*kernel.Task{grp.msg}
+						wake = grp.wakeMsg
 					}
 					if grp.round != seenRound {
 						// Next round already started; run it.
@@ -111,13 +113,11 @@ func RunSchbench(k *kernel.Kernel, cfg SchbenchConfig) SchbenchResult {
 							Wake: wake, Op: kernel.OpContinue,
 						}
 					}
-					return kernel.Action{Wake: wake, Op: kernel.OpBlock,
-						Recheck: func() bool { return grp.round != seenRound }}
+					return kernel.Action{Wake: wake, Op: kernel.OpBlock, Recheck: newRound}
 				}
 				if grp.round == seenRound {
 					// Spurious wake.
-					return kernel.Action{Op: kernel.OpBlock,
-						Recheck: func() bool { return grp.round != seenRound }}
+					return kernel.Action{Op: kernel.OpBlock, Recheck: newRound}
 				}
 				seenRound = grp.round
 				thinking = true
@@ -138,18 +138,18 @@ func RunSchbench(k *kernel.Kernel, cfg SchbenchConfig) SchbenchResult {
 		}
 		first := true
 		dispatched := false
+		started := func() bool { return grp.ready }
+		allResponded := func() bool { return grp.responded >= len(grp.workers) }
 		msgBehavior := kernel.BehaviorFunc(func(k *kernel.Kernel, t *kernel.Task) kernel.Action {
 			if first {
 				first = false
 				// Wait for the start kick.
-				return kernel.Action{Op: kernel.OpBlock,
-					Recheck: func() bool { return grp.ready }}
+				return kernel.Action{Op: kernel.OpBlock, Recheck: started}
 			}
 			if dispatched {
 				// Round dispatched; sleep until all workers respond.
 				dispatched = false
-				return kernel.Action{Op: kernel.OpBlock,
-					Recheck: func() bool { return grp.responded >= len(grp.workers) }}
+				return kernel.Action{Op: kernel.OpBlock, Recheck: allResponded}
 			}
 			if cfg.RoundPause > 0 && grp.responded >= len(grp.workers) {
 				// Paced mode: breathe between rounds.
@@ -162,6 +162,7 @@ func RunSchbench(k *kernel.Kernel, cfg SchbenchConfig) SchbenchResult {
 			return kernel.Action{Run: cfg.MsgWork, Wake: grp.workers, Op: kernel.OpContinue}
 		})
 		grp.msg = k.Spawn("schbench-msg", cfg.Policy, msgBehavior, opts...)
+		grp.wakeMsg = []*kernel.Task{grp.msg}
 		if cfg.Hints != nil {
 			group := g + 1
 			cfg.Hints.Send(locality.HintMsg{PID: grp.msg.PID(), Locality: group})
@@ -200,30 +201,33 @@ func RunArachneSchbench(k *kernel.Kernel, rt *arachne.Runtime, cfg SchbenchConfi
 	end := warmupEnd.Add(cfg.Duration / 10)
 
 	for g := 0; g < cfg.MessageThreads; g++ {
+		// A group has one round in flight: the next is submitted only
+		// once every worker of this one is done, so the round's state and
+		// the worker callbacks are built once and shared by every round.
+		var submitted ktime.Time
+		pendingWorkers := 0
 		var round func()
+		start := func() {
+			if k.Now().After(warmupEnd) {
+				hist.Record(k.Now().Sub(submitted))
+			}
+		}
+		done := func() {
+			pendingWorkers--
+			if pendingWorkers == 0 {
+				// Message thread runs again next round.
+				rt.Submit(arachne.UserThread{Service: cfg.MsgWork, Done: round})
+			}
+		}
 		round = func() {
 			if k.Now().After(end) {
 				return
 			}
-			pendingWorkers := cfg.WorkersPerMsg
+			submitted = k.Now()
+			pendingWorkers = cfg.WorkersPerMsg
 			for w := 0; w < cfg.WorkersPerMsg; w++ {
-				submitted := k.Now()
 				think := rng.UniformDuration(cfg.WorkerBurst/2, cfg.WorkerBurst*3/2)
-				rt.Submit(arachne.UserThread{
-					Service: think,
-					Start: func() {
-						if k.Now().After(warmupEnd) {
-							hist.Record(k.Now().Sub(submitted))
-						}
-					},
-					Done: func() {
-						pendingWorkers--
-						if pendingWorkers == 0 {
-							// Message thread runs again next round.
-							rt.Submit(arachne.UserThread{Service: cfg.MsgWork, Done: round})
-						}
-					},
-				})
+				rt.Submit(arachne.UserThread{Service: think, Start: start, Done: done})
 			}
 		}
 		k.Engine().After(time.Millisecond, round)

@@ -194,3 +194,29 @@ func TestArachnePipe(t *testing.T) {
 		t.Fatalf("user-level per-wakeup = %v", r.PerWakeup)
 	}
 }
+
+// TestSchbenchRoundZeroAlloc is schbench's allocation ratchet: once warm, a
+// round — the message thread waking its workers, their think time, the last
+// responder waking it back, and every block with its recheck — allocates
+// nothing.
+func TestSchbenchRoundZeroAlloc(t *testing.T) {
+	k := cfsKernel(kernel.Machine8())
+	RunSchbench(k, SchbenchConfig{
+		Policy: 0, MessageThreads: 1, WorkersPerMsg: 4,
+		Warmup: 5 * time.Millisecond, Duration: 5 * time.Millisecond,
+	})
+	switches := func() (n uint64) {
+		for cpu := 0; cpu < k.NumCPUs(); cpu++ {
+			n += k.CPUSwitches(cpu)
+		}
+		return n
+	}
+	before := switches()
+	// A round is 20 µs of message work and ~100 µs of worker think time.
+	if avg := testing.AllocsPerRun(50, func() { k.RunFor(200 * time.Microsecond) }); avg != 0 {
+		t.Errorf("%.2f allocs per schbench round, want 0", avg)
+	}
+	if switches() == before {
+		t.Fatal("no round ran in the measured window")
+	}
+}
