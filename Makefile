@@ -148,10 +148,13 @@ verified:
 # ghOSt message path (a wakeup post plus an agent round, per-CPU and SOL) and
 # a schbench round at 0 allocs, and CFS's per-domain waiting counts checked
 # after every event of random topology-aware and flat runs and matched, as a
-# pull choice, against the full peer walk.
+# pull choice, against the full peer walk. The busy-poll cells are held to
+# their event counts (Table 4's 40-worker Arachne cell, Table 3's same-core
+# SOL pipe cell), the SOL agent's round count is pinned, and poll segments
+# are checked against a poll-by-poll reference.
 paper:
-	$(GO) test -race -run 'TestPaperCellsPinned' -count=1 ./internal/experiments
-	$(GO) test -race -run 'TestAgentRoundZeroAlloc|TestSchbenchRoundZeroAlloc|TestQuickIdleSetMachine80|TestQuickCFSWaitCountsFlat|TestPullFromMatchesScan' -count=1 ./internal/ghost ./internal/workload ./internal/kernel
+	$(GO) test -race -run 'TestPaperCellsPinned|TestBusyPollEventRatchets' -count=1 ./internal/experiments
+	$(GO) test -race -run 'TestAgentRoundZeroAlloc|TestSOLPipeAgentRoundsPinned|TestSchbenchRoundZeroAlloc|TestQuickIdleSetMachine80|TestQuickCFSWaitCountsFlat|TestPullFromMatchesScan|TestPollSegmentsMatchPerPoll' -count=1 ./internal/ghost ./internal/workload ./internal/kernel
 
 # Public-API compatibility gate for package enoki: apidiff when installed,
 # textual surface diff against api/enoki.txt otherwise. Refresh the baseline

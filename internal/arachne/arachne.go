@@ -38,7 +38,8 @@ type UserThread struct {
 type Config struct {
 	// SwitchCost is a user-level context switch.
 	SwitchCost time.Duration
-	// PollChunk is the granularity of idle spinning.
+	// PollChunk is the poll interval of the first coarseAfter of an idle
+	// stretch; polls are coarseChunk apart after that.
 	PollChunk time.Duration
 	// SpinLimit is how long an idle activation spins before blocking in
 	// the kernel.
@@ -61,11 +62,25 @@ func DefaultConfig() Config {
 	}
 }
 
-// activation is one kernel task hosting user threads.
+// The idle spin's poll grid: PollChunk apart while the stretch is young, for
+// dispatch latency, then coarseChunk apart. This is the model's own grid —
+// the paper cells are pinned to it — and costs no events while nothing
+// changes: a stretch runs as one OpPoll segment, cut by Submit or a park.
+const (
+	coarseAfter = 20 * time.Microsecond
+	coarseChunk = 2 * time.Microsecond
+)
+
+// activation is one kernel task hosting user threads. It is the task's
+// Behavior and, while it spins, a kernel.Poller.
 type activation struct {
-	rt          *Runtime
-	task        *kernel.Task
+	rt   *Runtime
+	task *kernel.Task
+	// spin is the idle time spun so far; while spinning, up to the start of
+	// the running idle stretch, which began when the task's SumExec was
+	// spinMark.
 	spin        time.Duration
+	spinMark    time.Duration
 	spinning    bool
 	idleBlocked bool
 	parked      bool
@@ -112,7 +127,7 @@ func (rt *Runtime) Start(policyID, n int, opts ...kernel.SpawnOption) []*kernel.
 		a := &activation{rt: rt, parked: true}
 		rt.acts = append(rt.acts, a)
 		allOpts := append([]kernel.SpawnOption{}, opts...)
-		a.task = rt.k.Spawn("arachne-act", policyID, kernel.BehaviorFunc(a.next), allOpts...)
+		a.task = rt.k.Spawn("arachne-act", policyID, a, allOpts...)
 		tasks = append(tasks, a.task)
 	}
 	return tasks
@@ -229,18 +244,31 @@ func (rt *Runtime) parkOne() {
 		}
 	}
 	rt.parkWant++
+	rt.cutSpinners()
+}
+
+// cutSpinners ends every unparked spinning activation's idle stretch at its
+// next poll that can see a change just made, reporting whether there was
+// one.
+func (rt *Runtime) cutSpinners() bool {
+	found := false
+	for _, a := range rt.acts {
+		if !a.parked && a.spinning {
+			rt.k.CutPoll(a.task)
+			found = true
+		}
+	}
+	return found
 }
 
 // Submit queues a user thread and ensures an activation will run it.
 func (rt *Runtime) Submit(ut UserThread) {
 	rt.Submitted++
 	rt.queue = append(rt.queue, ut)
-	// A spinning activation picks work up within a poll chunk; only wake
-	// the kernel when no unparked activation is spinning.
-	for _, a := range rt.acts {
-		if !a.parked && a.spinning {
-			return
-		}
+	// A spinning activation picks work up at its next poll; only wake the
+	// kernel when no unparked activation is spinning.
+	if rt.cutSpinners() {
+		return
 	}
 	for _, a := range rt.acts {
 		if a.idleBlocked && !a.parked {
@@ -251,9 +279,12 @@ func (rt *Runtime) Submit(ut UserThread) {
 	}
 }
 
-// next is the activation scheduling loop.
-func (a *activation) next(k *kernel.Kernel, t *kernel.Task) kernel.Action {
+// Next implements kernel.Behavior: the activation scheduling loop.
+func (a *activation) Next(k *kernel.Kernel, t *kernel.Task) kernel.Action {
 	rt := a.rt
+	if a.spinning {
+		a.spin += t.SumExec() - a.spinMark
+	}
 	if a.finish != nil {
 		f := a.finish
 		a.finish = nil
@@ -288,15 +319,10 @@ func (a *activation) next(k *kernel.Kernel, t *kernel.Task) kernel.Action {
 		return kernel.Action{Run: rt.cfg.SwitchCost + ut.Service, Op: kernel.OpContinue}
 	}
 	if a.spin < rt.cfg.SpinLimit {
-		// Adaptive poll: tight at first for dispatch latency, coarser
-		// once the idle stretch drags on (keeps event counts sane).
-		chunk := rt.cfg.PollChunk
-		if a.spin > 20*time.Microsecond {
-			chunk = 2 * time.Microsecond
-		}
-		a.spin += chunk
 		a.spinning = true
-		return kernel.Action{Run: chunk, Op: kernel.OpContinue}
+		a.spinMark = t.SumExec()
+		_, end := a.grid()
+		return kernel.Action{Run: end, Op: kernel.OpPoll}
 	}
 	a.spin = 0
 	a.idleBlocked = true
@@ -310,6 +336,35 @@ func (a *activation) next(k *kernel.Kernel, t *kernel.Task) kernel.Action {
 		}
 		return false
 	}}
+}
+
+// grid returns the idle stretch starting at spin: fine polls PollChunk apart
+// end at offset fine, and the stretch, which spins until SpinLimit is
+// reached, at end.
+func (a *activation) grid() (fine, end time.Duration) {
+	cfg := &a.rt.cfg
+	if top := min(coarseAfter, cfg.SpinLimit-1); a.spin <= top {
+		fine = ((top-a.spin)/cfg.PollChunk + 1) * cfg.PollChunk
+	}
+	end = fine
+	if rest := cfg.SpinLimit - (a.spin + fine); rest > 0 {
+		end += (rest + coarseChunk - 1) / coarseChunk * coarseChunk
+	}
+	return fine, end
+}
+
+// Polls implements kernel.Poller for the idle stretch.
+func (a *activation) Polls(off time.Duration) (last, next, from time.Duration) {
+	fine, _ := a.grid()
+	if f := a.rt.cfg.PollChunk; off <= fine {
+		next = (off + f - 1) / f * f
+		return next - f, next, f
+	}
+	next = fine + (off-fine+coarseChunk-1)/coarseChunk*coarseChunk
+	if from = fine; from == 0 || a.rt.cfg.PollChunk == coarseChunk {
+		from = coarseChunk // one even grid from the first poll
+	}
+	return next - coarseChunk, next, from
 }
 
 // Debug renders internal activation state for tests.

@@ -4,6 +4,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"testing"
+	"time"
+
+	"enoki/internal/kernel"
+	"enoki/internal/workload"
 )
 
 // paperPins fingerprints every virtual-time cell of the paper's experiments
@@ -51,4 +55,34 @@ func TestPaperCellsPinned(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestBusyPollEventRatchets bounds the engine events of the two quick cells
+// that busy-poll hardest: Table 4's 40-worker Arachne cell, whose idle
+// activations spin, and Table 3's same-core SOL pipe cell, whose ghOSt agent
+// spins between messages. Polled one event per poll they fired about
+// 2,107,000 and 493,000 events; an idle stretch now runs as one segment.
+func TestBusyPollEventRatchets(t *testing.T) {
+	o := Options{Quick: true}
+	r, rt := NewArachneRig(kernel.Machine80(), 2, 79)
+	rt.StartEstimator()
+	workload.RunArachneSchbench(r.K, rt, workload.SchbenchConfig{
+		Policy:         PolicyEnoki,
+		MessageThreads: 2,
+		WorkersPerMsg:  40,
+		Warmup:         scaleDur(o, 5*time.Second, 100*time.Millisecond),
+		Duration:       scaleDur(o, 5*time.Second, 400*time.Millisecond),
+	})
+	arachne := r.K.Engine().Fired()
+	if arachne > 60000 {
+		t.Errorf("Table 4's 40-worker Arachne cell fired %d events, want at most 60,000", arachne)
+	}
+
+	r = NewRig(kernel.Machine8(), KindGhostSOL)
+	workload.RunPipe(r.K, workload.PipeConfig{Policy: r.Policy, Messages: scaleInt(o, 300000, 20000), SameCore: true})
+	sol := r.K.Engine().Fired()
+	if sol > 150000 {
+		t.Errorf("Table 3's same-core SOL pipe cell fired %d events, want at most 150,000", sol)
+	}
+	t.Logf("events: Arachne cell %d, SOL pipe cell %d", arachne, sol)
 }

@@ -122,8 +122,9 @@ type Ghost struct {
 
 	agentCPU int // SOL: the dedicated core
 	agents   []*kernel.Task
-	woken    []bool  // agent runnable flags, indexed by agent slot
-	cpus     [][]int // per agent slot: the CPUs it schedules
+	loops    []agentLoop // by agent slot
+	woken    []bool      // agent runnable flags, indexed by agent slot
+	cpus     [][]int     // per agent slot: the CPUs it schedules
 
 	// pending[slot] collects the messages posted to an agent; spare[slot]
 	// is the buffer it drained last round, swapped in when it next drains,
@@ -138,8 +139,9 @@ type Ghost struct {
 	tasks   map[int]*kernel.Task // runnable (queued) ghost tasks
 	nqueued []int
 
-	// AgentActivations counts agent scheduling rounds.
-	AgentActivations uint64
+	// rounds counts agent scheduling rounds that have run Next; see
+	// AgentActivations.
+	rounds uint64
 	// StaleCommits counts committed transactions that failed validation.
 	StaleCommits uint64
 }
@@ -156,6 +158,7 @@ func New(k *kernel.Kernel, mode Mode, policy AgentPolicy, agentCPU int, costs Co
 	g := &Ghost{
 		k: k, mode: mode, policy: policy, costs: costs, agentCPU: agentCPU,
 		agents:    make([]*kernel.Task, slots),
+		loops:     make([]agentLoop, slots),
 		woken:     make([]bool, slots),
 		cpus:      make([][]int, slots),
 		pending:   make([][]AgentMsg, slots),
@@ -189,15 +192,18 @@ type agentMarker struct{ slot int }
 // Start spawns the agent tasks into this class under policyID. Call after
 // registering the class.
 func (g *Ghost) Start(policyID int) {
+	for i := range g.loops {
+		g.loops[i] = agentLoop{g: g, slot: i}
+	}
 	if g.mode == ModeSOL {
-		g.agents[0] = g.k.Spawn("ghost-agent", policyID, g.agentBehavior(0),
+		g.agents[0] = g.k.Spawn("ghost-agent", policyID, &g.loops[0],
 			kernel.WithAffinity(kernel.SingleCPU(g.agentCPU)),
 			kernel.WithUserData(agentMarker{slot: 0}))
 		return
 	}
 	for cpu := 0; cpu < g.k.NumCPUs(); cpu++ {
 		g.agents[cpu] = g.k.Spawn(fmt.Sprintf("ghost-agent-%d", cpu), policyID,
-			g.agentBehavior(cpu),
+			&g.loops[cpu],
 			kernel.WithAffinity(kernel.SingleCPU(cpu)),
 			kernel.WithUserData(agentMarker{slot: cpu}))
 	}
@@ -218,86 +224,138 @@ func (g *Ghost) isAgent(t *kernel.Task) bool {
 // agentSlot returns the agent slot of an agent task.
 func agentSlot(t *kernel.Task) int { return t.UserData.(agentMarker).slot }
 
-// post enqueues a message for the responsible agent and wakes it.
+// post enqueues a message for the responsible agent and wakes it, or ends
+// its run of empty rounds at the first round that sees the message.
 func (g *Ghost) post(m AgentMsg) {
 	slot := g.slotFor(m.CPU)
 	g.pending[slot] = append(g.pending[slot], m)
 	if a := g.agents[slot]; a != nil {
 		g.k.Wake(a)
+		g.k.CutPoll(a)
 	}
 }
 
-// agentBehavior is the userspace agent loop: drain messages, run the
-// policy, commit transactions, optionally poll for preemption.
-func (g *Ghost) agentBehavior(slot int) kernel.Behavior {
-	return kernel.BehaviorFunc(func(k *kernel.Kernel, t *kernel.Task) kernel.Action {
-		g.AgentActivations++
-		// Swap buffers before draining: a post made meanwhile lands in the
-		// fresh one and waits for the next round.
-		msgs := g.pending[slot]
-		g.pending[slot] = g.spare[slot][:0]
-		for _, m := range msgs {
-			g.policy.OnMessage(m)
+// AgentActivations counts agent scheduling rounds, the empty rounds of a
+// SOL agent's idle spin included: those that have started by now, as the
+// agent's SumExec counts its execution.
+func (g *Ghost) AgentActivations() uint64 {
+	n := g.rounds
+	for i := range g.loops {
+		if l := &g.loops[i]; l.idle {
+			n += uint64((g.agents[i].SumExec() - l.mark) / l.round())
 		}
-		g.spare[slot] = msgs[:0]
-		cost := g.costs.AgentBase + time.Duration(len(msgs))*g.costs.AgentPerMsg
+	}
+	return n
+}
 
-		// With nothing pending every NextFor would say no, so the walk
-		// stops as soon as the policy has nothing left to hand out.
-		commits := 0
-		for _, cpu := range g.cpus[slot] {
-			if g.policy.Pending() == 0 {
-				break
-			}
-			if g.committed[cpu] == 0 && g.currPID[cpu] == 0 {
-				if pid, ok := g.policy.NextFor(cpu); ok {
-					g.committed[cpu] = pid
-					commits++
-					if cpu != t.CPU() {
-						k.Resched(cpu)
-					}
-				}
-			}
+// emptyRounds is how many empty rounds one idle spin segment of the SOL agent
+// covers. Any count gives the same run; this one keeps a segment (about
+// 1.2 ms at the default costs) inside the engine's near wheel.
+const emptyRounds = 256
+
+// agentLoop is the userspace agent loop of one agent slot: drain messages,
+// run the policy, commit transactions, optionally poll for preemption. It is
+// the agent task's Behavior and, for the SOL agent, a kernel.Poller: a round
+// that drained and committed nothing, with nothing pending and no slice,
+// leaves every input of the next round as it found it, so the rounds after
+// it are all the same until the next post. They run as one OpPoll segment
+// of round-length polls, which post cuts (idle marks it, from when the
+// agent's SumExec was mark).
+type agentLoop struct {
+	g    *Ghost
+	slot int
+	idle bool
+	mark time.Duration
+}
+
+// round is the length of an empty round: its base cost and one spin poll.
+func (l *agentLoop) round() time.Duration { return l.g.costs.AgentBase + l.g.costs.SpinPoll }
+
+// Polls implements kernel.Poller: one poll at the start of every round.
+func (l *agentLoop) Polls(off time.Duration) (last, next, from time.Duration) {
+	r := l.round()
+	next = (off + r - 1) / r * r
+	return next - r, next, r
+}
+
+// Next implements kernel.Behavior: one agent round.
+func (l *agentLoop) Next(k *kernel.Kernel, t *kernel.Task) kernel.Action {
+	g, slot := l.g, l.slot
+	if l.idle {
+		// The rounds the segment covered before the one starting now.
+		g.rounds += uint64((t.SumExec()-l.mark)/l.round()) - 1
+		l.idle = false
+	}
+	g.rounds++
+	// Swap buffers before draining: a post made meanwhile lands in the
+	// fresh one and waits for the next round.
+	msgs := g.pending[slot]
+	g.pending[slot] = g.spare[slot][:0]
+	for _, m := range msgs {
+		g.policy.OnMessage(m)
+	}
+	g.spare[slot] = msgs[:0]
+	cost := g.costs.AgentBase + time.Duration(len(msgs))*g.costs.AgentPerMsg
+
+	// With nothing pending every NextFor would say no, so the walk
+	// stops as soon as the policy has nothing left to hand out.
+	commits := 0
+	for _, cpu := range g.cpus[slot] {
+		if g.policy.Pending() == 0 {
+			break
 		}
-		cost += time.Duration(commits) * (g.costs.TxnCommit + g.costs.CommitApply)
-
-		// µs-scale preemption: poll running tasks against the slice.
-		if slice := g.policy.Slice(); slice > 0 {
-			anyRunning := false
-			now := k.Now()
-			for _, cpu := range g.cpus[slot] {
-				if g.currPID[cpu] == 0 {
-					continue
-				}
-				anyRunning = true
-				if g.policy.Pending() > 0 && now.Sub(g.pickedAt[cpu]) >= slice {
+		if g.committed[cpu] == 0 && g.currPID[cpu] == 0 {
+			if pid, ok := g.policy.NextFor(cpu); ok {
+				g.committed[cpu] = pid
+				commits++
+				if cpu != t.CPU() {
 					k.Resched(cpu)
-					// Optimistically requeue the preempted task
-					// and commit its replacement now, so the CPU
-					// does not idle until the next agent cycle
-					// waiting for the MPreempt round trip.
-					pid := g.currPID[cpu]
-					g.policy.OnMessage(AgentMsg{Kind: MPreempt, PID: pid, CPU: cpu})
-					if g.committed[cpu] == 0 {
-						if npid, ok := g.policy.NextFor(cpu); ok {
-							g.committed[cpu] = npid
-							cost += g.costs.TxnCommit + g.costs.CommitApply
-						}
+				}
+			}
+		}
+	}
+	cost += time.Duration(commits) * (g.costs.TxnCommit + g.costs.CommitApply)
+
+	// µs-scale preemption: poll running tasks against the slice.
+	if slice := g.policy.Slice(); slice > 0 {
+		anyRunning := false
+		now := k.Now()
+		for _, cpu := range g.cpus[slot] {
+			if g.currPID[cpu] == 0 {
+				continue
+			}
+			anyRunning = true
+			if g.policy.Pending() > 0 && now.Sub(g.pickedAt[cpu]) >= slice {
+				k.Resched(cpu)
+				// Optimistically requeue the preempted task
+				// and commit its replacement now, so the CPU
+				// does not idle until the next agent cycle
+				// waiting for the MPreempt round trip.
+				pid := g.currPID[cpu]
+				g.policy.OnMessage(AgentMsg{Kind: MPreempt, PID: pid, CPU: cpu})
+				if g.committed[cpu] == 0 {
+					if npid, ok := g.policy.NextFor(cpu); ok {
+						g.committed[cpu] = npid
+						cost += g.costs.TxnCommit + g.costs.CommitApply
 					}
 				}
 			}
-			if anyRunning {
-				return kernel.Action{Run: cost, Op: kernel.OpSleep, SleepFor: slice}
-			}
 		}
-		if g.mode == ModeSOL {
-			// The latency-optimized global agent spins on its
-			// dedicated core rather than sleeping; messages are
-			// picked up within one poll chunk.
-			return kernel.Action{Run: cost + g.costs.SpinPoll, Op: kernel.OpContinue}
+		if anyRunning {
+			return kernel.Action{Run: cost, Op: kernel.OpSleep, SleepFor: slice}
 		}
-		return kernel.Action{Run: cost, Op: kernel.OpBlock}
-	})
+	}
+	if g.mode == ModeSOL {
+		// The latency-optimized global agent spins on its
+		// dedicated core rather than sleeping; messages are
+		// picked up within one poll chunk.
+		if len(msgs) == 0 && commits == 0 && g.policy.Pending() == 0 && g.policy.Slice() == 0 {
+			l.idle, l.mark = true, t.SumExec()
+			return kernel.Action{Run: emptyRounds * l.round(), Op: kernel.OpPoll}
+		}
+		return kernel.Action{Run: cost + g.costs.SpinPoll, Op: kernel.OpContinue}
+	}
+	return kernel.Action{Run: cost, Op: kernel.OpBlock}
 }
 
 // --- kernel.Class ----------------------------------------------------------

@@ -49,7 +49,7 @@ func TestPerCPUFIFOCompletesWork(t *testing.T) {
 	if done != 4 {
 		t.Fatalf("completed %d/4 under ghOSt per-CPU FIFO", done)
 	}
-	if g.AgentActivations == 0 {
+	if g.AgentActivations() == 0 {
 		t.Fatal("agents never ran")
 	}
 }
@@ -66,7 +66,7 @@ func TestSOLCompletesWork(t *testing.T) {
 	if done != 4 {
 		t.Fatalf("completed %d/4 under ghOSt SOL", done)
 	}
-	if g.AgentActivations == 0 {
+	if g.AgentActivations() == 0 {
 		t.Fatal("global agent never ran")
 	}
 }
@@ -207,13 +207,13 @@ func TestAgentRoundZeroAlloc(t *testing.T) {
 					return kernel.Action{Run: 10 * time.Microsecond, Op: kernel.OpSleep, SleepFor: 90 * time.Microsecond}
 				}), kernel.WithAffinity(kernel.SingleCPU(0)))
 			k.RunFor(10 * time.Millisecond)
-			rounds, ran := g.AgentActivations, sleeper.SumExec()
+			rounds, ran := g.AgentActivations(), sleeper.SumExec()
 			// Each 100 µs period holds one wakeup, one block and the agent
 			// rounds they cause.
 			if avg := testing.AllocsPerRun(100, func() { k.RunFor(100 * time.Microsecond) }); avg != 0 {
 				t.Errorf("%.2f allocs per wakeup round, want 0", avg)
 			}
-			if g.AgentActivations == rounds || sleeper.SumExec() == ran {
+			if g.AgentActivations() == rounds || sleeper.SumExec() == ran {
 				t.Fatal("the measured window ran no agent round or no workload")
 			}
 		})

@@ -90,6 +90,9 @@ type Kernel struct {
 	// machine.
 	idle  CPUMask
 	nidle int
+	// polls holds each CPU's poll stretch (poll.go), allocated when the
+	// first starts.
+	polls []pollStretch
 
 	rand *ktime.Rand
 
@@ -302,8 +305,12 @@ func (k *Kernel) setCurr(c *CPU, t *Task) {
 }
 
 // CPUBusy returns the accumulated busy time of cpu (task execution plus
-// kernel overheads charged to it).
-func (k *Kernel) CPUBusy(cpu int) time.Duration { return k.cpus[cpu].busy }
+// kernel overheads charged to it), a running poll segment's up to its latest
+// poll included.
+func (k *Kernel) CPUBusy(cpu int) time.Duration {
+	c := k.cpus[cpu]
+	return c.busy + k.pollCredit(c)
+}
 
 // CPUSwitches returns the context-switch count of cpu.
 func (k *Kernel) CPUSwitches(cpu int) uint64 { return k.cpus[cpu].switches }
@@ -511,6 +518,7 @@ func (k *Kernel) Resched(cpu int) {
 	c := k.cpus[cpu]
 	if c.curr != nil {
 		c.needResched = true
+		k.stopPoll(c, c.curr)
 	}
 	k.kick(cpu, 0)
 }
@@ -711,6 +719,7 @@ func (k *Kernel) schedule(cpu int) {
 	c.pendingCost = 0
 
 	if prev != nil {
+		k.stopPoll(c, prev)
 		k.account(c)
 		prev.runEvent.Cancel()
 		if prev.state == StateRunning {
@@ -789,6 +798,9 @@ func (k *Kernel) startSegment(c *CPU, t *Task, delay time.Duration) {
 	}
 	now := k.eng.Now()
 	t.execStart = now.Add(delay)
+	if k.polls != nil {
+		k.polls[c.id].active = false
+	}
 	if t.wakePending {
 		t.wakePending = false
 		lat := t.execStart.Sub(t.lastWake)
@@ -798,6 +810,10 @@ func (k *Kernel) startSegment(c *CPU, t *Task, delay time.Duration) {
 		if t.OnWake != nil {
 			t.OnWake(lat)
 		}
+	}
+	if t.pending.Op == OpPoll && t.segLeft == t.pending.Run && t.segLeft > 0 {
+		k.startPoll(c, t, now)
+		return
 	}
 	k.eng.Reschedule(&t.runEvent, t.execStart.Add(t.segLeft))
 }
@@ -827,7 +843,7 @@ func (k *Kernel) segmentDone(c *CPU, t *Task) {
 	c.busy += extra
 
 	switch act.Op {
-	case OpContinue:
+	case OpContinue, OpPoll:
 		t.hasPending = false
 		if c.needResched {
 			c.pendingCost += extra
@@ -1032,6 +1048,7 @@ func (k *Kernel) SetAffinity(t *Task, m CPUMask) {
 	case StateRunning:
 		// Force the task off its CPU; it re-selects a queue on requeue.
 		c := k.cpus[t.cpu]
+		k.stopPoll(c, t)
 		k.account(c)
 		t.runEvent.Cancel()
 		t.state = StateRunnable
@@ -1083,6 +1100,7 @@ func (k *Kernel) SetScheduler(t *Task, classID int) {
 		k.afterEnqueue(t, target, false, 0)
 	case StateRunning:
 		c := k.cpus[t.cpu]
+		k.stopPoll(c, t)
 		k.account(c)
 		t.runEvent.Cancel()
 		t.state = StateRunnable

@@ -1,0 +1,352 @@
+package kernel
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+	"time"
+
+	"enoki/internal/ktime"
+	"enoki/internal/sim"
+)
+
+// pollGrid is the poll grid of the test pollers' idle stretches, over the
+// spin done since the stretch began: fine polls fine apart up to split, then
+// coarse polls coarse apart until limit is reached.
+type pollGrid struct {
+	fine, coarse, split, limit time.Duration
+}
+
+// after returns the grid's first poll after spin x, and the one before it.
+func (g pollGrid) after(x time.Duration) (prev, next time.Duration) {
+	if x < g.split {
+		next = (x/g.fine + 1) * g.fine
+		return next - g.fine, next
+	}
+	next = g.split + ((x-g.split)/g.coarse+1)*g.coarse
+	return next - g.coarse, next
+}
+
+// end is the spin at which a stretch stops: its first poll at or past limit.
+func (g pollGrid) end() time.Duration {
+	_, e := g.after(g.limit - 1)
+	return e
+}
+
+// pollWork is the shared queue the test pollers watch; taken logs who took
+// each item and when.
+type pollWork struct {
+	items int
+	taken []string
+}
+
+// testPoller busy-polls pollWork on a pollGrid, runs work for each item it
+// takes, and sleeps once a stretch reaches its limit. perPoll makes it the
+// reference: one OpContinue action per poll, as busy-pollers were modelled
+// before poll segments. Otherwise each stretch is one OpPoll segment, and
+// pollWork's producer cuts it.
+type testPoller struct {
+	name     string
+	perPoll  bool
+	g        pollGrid
+	q        *pollWork
+	work     time.Duration
+	sleep    time.Duration
+	spin     time.Duration // at the stretch's start, or (perPoll) issued so far
+	mark     time.Duration
+	spinning bool
+	// wake, when set, is woken by the next Next, from inside it.
+	wake *Task
+	// polls logs each reference poll as the instant it fired and the one it
+	// was armed at.
+	polls [][2]ktime.Time
+}
+
+func (p *testPoller) Next(k *Kernel, t *Task) Action {
+	if p.spinning && !p.perPoll {
+		p.spin += t.SumExec() - p.mark
+	}
+	if p.spinning && p.perPoll {
+		arm, _ := k.eng.ArmedAt()
+		p.polls = append(p.polls, [2]ktime.Time{k.eng.Now(), arm})
+	}
+	p.spinning = false
+	if p.wake != nil {
+		k.Wake(p.wake)
+		p.wake = nil
+	}
+	if p.q.items > 0 {
+		p.q.items--
+		p.q.taken = append(p.q.taken, fmt.Sprintf("%s@%d", p.name, k.eng.Now()))
+		p.spin = 0
+		return Action{Run: p.work, Op: OpContinue}
+	}
+	if p.spin >= p.g.end() {
+		p.spin = 0
+		return Action{Op: OpSleep, SleepFor: p.sleep}
+	}
+	p.spinning = true
+	if p.perPoll {
+		_, next := p.g.after(p.spin)
+		run := next - p.spin
+		p.spin = next
+		return Action{Run: run, Op: OpContinue}
+	}
+	p.mark = t.SumExec()
+	return Action{Run: p.g.end() - p.spin, Op: OpPoll}
+}
+
+func (p *testPoller) Polls(off time.Duration) (last, next, from time.Duration) {
+	prev, n := p.g.after(p.spin + off - 1)
+	next, last = n-p.spin, max(prev-p.spin, 0)
+	if n <= p.g.split || p.g.fine == p.g.coarse {
+		from = p.g.fine
+	} else if from = p.g.split; from == 0 {
+		from = p.g.coarse
+	}
+	if from -= p.spin; from <= 0 {
+		_, first := p.g.after(p.spin)
+		from = first - p.spin
+	}
+	return last, next, from
+}
+
+// pollEvent is one scheduled disturbance: at instant at, add a work item or
+// wake the preemptor, from an event armed at armed (an instant before,
+// equal to or after the one a poll's completion was armed at) by one armed
+// at the start, or from one armed at the start when armed is 0. chain arms
+// it at the end of a chain of zero-delay events started at armed, deeper
+// than the kernel's own same-instant work there, so it is armed after the
+// poll's completion was.
+const chainDepth = 6
+
+type pollEvent struct {
+	at, armed ktime.Time
+	chain     bool
+	preempt   bool
+	// fromNext has the preemptor woken by the first poller's next Next
+	// instead, so the reschedule lands while it starts its next action.
+	fromNext bool
+}
+
+// pollCase is one randomly drawn scenario.
+type pollCase struct {
+	grids      [2]pollGrid
+	work       [2]time.Duration
+	sleep      [2]time.Duration
+	preemptRun time.Duration
+	competitor bool
+	events     []pollEvent
+	horizon    ktime.Time
+}
+
+// pollRun is what a scenario produced: the item log, each poller's and
+// CPU's execution and the final clock.
+type pollRun struct {
+	taken   []string
+	sumExec [2]time.Duration
+	busy    [2]time.Duration
+	now     ktime.Time
+	polls   [2][][2]ktime.Time
+}
+
+// run plays the scenario on a fresh 8-CPU kernel with the two pollers on
+// CPUs 0 and 1, an RT preemptor and optionally a CFS competitor on CPU 0.
+func (pc *pollCase) run(perPoll bool) pollRun {
+	k := New(sim.New(), Machine8(), DefaultCosts())
+	k.RegisterClass(testPolicyRT, NewRT(k, 10*time.Millisecond))
+	k.RegisterClass(testPolicyCFS, NewCFS(k))
+	q := &pollWork{}
+	var pollers [2]*testPoller
+	var tasks [2]*Task
+	for i := range pollers {
+		pollers[i] = &testPoller{name: fmt.Sprint("p", i), perPoll: perPoll, g: pc.grids[i], q: q, work: pc.work[i], sleep: pc.sleep[i]}
+		tasks[i] = k.Spawn(pollers[i].name, testPolicyCFS, pollers[i], WithAffinity(SingleCPU(i)))
+	}
+	rt := k.Spawn("rt", testPolicyRT, BehaviorFunc(func(k *Kernel, t *Task) Action {
+		return Action{Run: pc.preemptRun, Op: OpBlock}
+	}), WithAffinity(SingleCPU(0)))
+	if pc.competitor {
+		k.Spawn("competitor", testPolicyCFS, BehaviorFunc(func(k *Kernel, t *Task) Action {
+			return Action{Run: 700 * time.Nanosecond, Op: OpSleep, SleepFor: 9 * time.Microsecond}
+		}), WithAffinity(SingleCPU(0)))
+	}
+	fire := func(e pollEvent) func() {
+		return func() {
+			switch {
+			case e.fromNext:
+				pollers[0].wake = rt
+				if !perPoll {
+					k.CutPoll(tasks[0])
+				}
+				return
+			case e.preempt:
+				k.Wake(rt)
+				return
+			}
+			q.items++
+			if !perPoll {
+				for _, t := range tasks {
+					k.CutPoll(t)
+				}
+			}
+		}
+	}
+	for _, e := range pc.events {
+		f := fire(e)
+		switch {
+		case e.armed == 0:
+			k.eng.PostAt(e.at, f)
+		case e.chain:
+			var hop func(left int) func()
+			hop = func(left int) func() {
+				return func() {
+					if left == 0 {
+						k.eng.PostAt(e.at, f)
+						return
+					}
+					k.eng.Post(0, hop(left-1))
+				}
+			}
+			k.eng.PostAt(e.armed, hop(chainDepth))
+		default:
+			k.eng.PostAt(e.armed, func() { k.eng.PostAt(e.at, f) })
+		}
+	}
+	k.eng.RunUntil(pc.horizon)
+	r := pollRun{taken: q.taken, now: k.Now()}
+	for i := range pollers {
+		r.sumExec[i] = tasks[i].SumExec()
+		r.busy[i] = k.CPUBusy(i)
+		r.polls[i] = pollers[i].polls
+	}
+	return r
+}
+
+// drawPollCase builds a scenario event by event: each new event lands on a
+// poll the reference makes after the previous event (or between two polls),
+// found by replaying the scenario so far poll by poll.
+func drawPollCase(rng *ktime.Rand) (pc *pollCase, lockstep int) {
+	pick := func(ds ...time.Duration) time.Duration { return ds[rng.Intn(len(ds))] }
+	pc = &pollCase{
+		preemptRun: pick(300, 1500, 4000),
+		competitor: rng.Bernoulli(0.5),
+	}
+	shared := rng.Bernoulli(0.5)
+	for i := range pc.grids {
+		g := pollGrid{fine: pick(1, 2, 7, 50, 120), coarse: pick(10, 120, 300, 1337, 2000)}
+		g.split = time.Duration(rng.Intn(12)) * g.fine
+		g.limit = g.split + 1 + time.Duration(rng.Intn(40))*g.coarse
+		if shared && i == 1 {
+			g = pc.grids[0]
+		}
+		pc.grids[i] = g
+		pc.work[i] = pick(90, 1200, 3000)
+		pc.sleep[i] = pick(500, 4000, 15000)
+	}
+	last := ktime.Time(2000)
+	pc.horizon = last + 60*ktime.Time(time.Microsecond)
+	for n := 0; n < 14; n++ {
+		ref := pc.run(true)
+		// Polls after the last event, and those on an instant both pollers
+		// poll at, where the order they poll in decides who takes an item.
+		var polls, shared [][2]ktime.Time
+		both := map[ktime.Time]int{}
+		for i, ps := range ref.polls {
+			for _, p := range ps {
+				if p[0] > last && p[1] > 0 {
+					polls = append(polls, p)
+					both[p[0]] |= 1 << i
+				}
+			}
+		}
+		for _, p := range polls {
+			if both[p[0]] == 3 {
+				shared = append(shared, p)
+			}
+		}
+		if len(shared) > 0 && rng.Bernoulli(0.8) {
+			polls = shared
+		}
+		e := pollEvent{preempt: rng.Bernoulli(0.3)}
+		e.fromNext = e.preempt && rng.Bernoulli(0.3)
+		if len(polls) == 0 || rng.Bernoulli(0.15) {
+			// Between polls, from an event armed at the start.
+			e.at = last + ktime.Time(1+rng.Intn(5000))
+		} else {
+			p := polls[rng.Intn(len(polls))]
+			e.at = p[0]
+			if both[p[0]] == 3 {
+				lockstep++
+			}
+			switch rng.Intn(5) {
+			case 0: // armed before the poll's completion was
+				e.armed = p[1] - ktime.Time(1+rng.Intn(int(p[1]-1)))
+			case 1: // armed at the same instant, by a chain armed then
+				e.armed, e.chain = p[1], true
+			case 2: // armed at the same instant, by an event armed before
+				e.armed = p[1]
+			case 3: // armed after it
+				e.armed = p[1] + ktime.Time(1+rng.Intn(int(p[0]-p[1])))
+			default: // armed at the start
+			}
+		}
+		pc.events = append(pc.events, e)
+		last = e.at
+		pc.horizon = last + 60*ktime.Time(time.Microsecond)
+	}
+	return pc, lockstep
+}
+
+// pollRegressions are drawn cases past the first ones that hit rules few
+// cases reach: a stretch's first poll filed as the arming it is (36755,
+// 41503, 44612), and a poll ordered by its chain against a first poll whose
+// arming event was armed at the same instant as its own (40573).
+var pollRegressions = []uint64{36755, 40573, 41503, 44612}
+
+// TestPollSegmentsMatchPerPoll checks poll segments against the poll-by-poll
+// model they replace: two busy-pollers sharing a work queue, on grids with a
+// fine and a coarse phase, sometimes in lockstep, are disturbed by work items
+// and by an RT task preempting one mid-spin (or woken by that poller as it
+// starts its next action), each landing exactly on a poll
+// of the reference run from an event armed before, at or after the instant
+// that poll's completion was armed, or between polls; items also arrive
+// while a poller is preempted or asleep, and a CFS competitor's wakeups read
+// the spinner's SumExec. Both models must take the same item at the same
+// instant on the same poller and end with the same execution, CPU busy time
+// and clock. Case c is drawn from a generator seeded with c.
+func TestPollSegmentsMatchPerPoll(t *testing.T) {
+	cases := uint64(600)
+	if testing.Short() {
+		cases = 60
+	}
+	onPoll, lockstep := 0, 0
+	check := func(c uint64) {
+		pc, n := drawPollCase(ktime.NewRand(c))
+		lockstep += n
+		ref, seg := pc.run(true), pc.run(false)
+		if !slices.Equal(ref.taken, seg.taken) {
+			t.Fatalf("case %d: items taken\n per poll %v\n segments %v\n grids %+v events %+v",
+				c, ref.taken, seg.taken, pc.grids, pc.events)
+		}
+		if ref.sumExec != seg.sumExec || ref.busy != seg.busy || ref.now != seg.now {
+			t.Fatalf("case %d: per poll ran %v busy %v to %v, segments ran %v busy %v to %v",
+				c, ref.sumExec, ref.busy, ref.now, seg.sumExec, seg.busy, seg.now)
+		}
+		for _, e := range pc.events {
+			if e.armed != 0 {
+				onPoll++
+			}
+		}
+	}
+	for c := uint64(0); c < cases; c++ {
+		check(c)
+	}
+	for _, c := range pollRegressions {
+		check(c)
+	}
+	if onPoll < int(cases)*5 || lockstep < int(cases)/3 {
+		t.Fatalf("only %d events landed on a poll, %d on one both pollers poll at", onPoll, lockstep)
+	}
+	t.Logf("%d events on a poll, %d on one both pollers poll at", onPoll, lockstep)
+}

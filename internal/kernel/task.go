@@ -56,6 +56,9 @@ const (
 	OpYield
 	// OpExit terminates the task.
 	OpExit
+	// OpPoll is OpContinue for a busy-poll: Run is a string of polls on the
+	// grid of the task's Behavior, which must be a Poller (poll.go).
+	OpPoll
 )
 
 // Action is one step of a task's behaviour: compute for Run, then wake the
@@ -295,8 +298,14 @@ func (t *Task) State() State { return t.state }
 func (t *Task) CPU() int { return t.cpu }
 
 // SumExec returns the task's accumulated CPU time. The kernel tracks this on
-// behalf of Enoki schedulers, as §3.1 describes.
-func (t *Task) SumExec() time.Duration { return t.sumExec }
+// behalf of Enoki schedulers, as §3.1 describes; a running poll segment
+// counts up to its latest poll, as if each poll were accounted.
+func (t *Task) SumExec() time.Duration {
+	if t.state == StateRunning && t.pending.Op == OpPoll {
+		return t.pollSumExec()
+	}
+	return t.sumExec
+}
 
 // Allowed returns the task's CPU affinity mask.
 func (t *Task) Allowed() CPUMask { return *t.allowed }

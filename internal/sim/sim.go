@@ -1,9 +1,11 @@
 // Package sim implements the discrete-event simulation engine underneath the
 // simulated kernel. The engine owns a hierarchical timer queue — a near
 // wheel covering the next ~2 ms of virtual time plus an overflow level for
-// far-future events (wheel.go) — ordered by (virtual time, insertion
-// sequence); ties in time execute in insertion order, which makes every run
-// fully deterministic.
+// far-future events (wheel.go) — ordered by (virtual time, key): ties in
+// time execute in the order they were armed in, which makes every run fully
+// deterministic. The key carries the instant an event was armed at
+// (armKey), so that the kernel's busy-poll segments can file an event as if
+// armed earlier (RescheduleArmed).
 //
 // The engine is deliberately tiny: the kernel package layers CPUs, run
 // queues, and timers on top of it. Events are plain closures, or — for
@@ -36,6 +38,8 @@ package sim
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"time"
 
 	"enoki/internal/ktime"
 )
@@ -49,8 +53,10 @@ type Handler interface{ Fire() }
 // events are created through Engine.At / Engine.After / Engine.NewEvent, or
 // embedded in their owner and initialised with Engine.Bind.
 type Event struct {
-	at  ktime.Time
-	seq uint64 // sequence of the current arming; older queue entries are stale
+	at ktime.Time
+	// seq is the key of the current arming (armKey); older queue entries,
+	// carrying older keys, are stale.
+	seq uint64
 	// Exactly one of fn and h is set while the event can fire.
 	fn        func()
 	h         Handler
@@ -60,7 +66,10 @@ type Event struct {
 	recycle bool
 	// armed means a queue entry with matching seq exists.
 	armed bool
-	eng   *Engine
+	// parentLead is how long before this arming the event that made it was
+	// itself armed, saturating: the next step of the order rule (ArmedAt).
+	parentLead uint32
+	eng        *Engine
 }
 
 // Cancel tombstones the event. Cancelling an already-fired or
@@ -84,6 +93,39 @@ func (e *Event) Cancelled() bool { return e != nil && e.cancelled }
 
 // Time returns the virtual instant the event is (or was) scheduled for.
 func (e *Event) Time() ktime.Time { return e.at }
+
+// An arming's queue key packs how long before its instant the event was
+// armed, saturating at armHorizon, above the engine's arming counter: the
+// earlier-armed of two events due at one instant has the larger lead, so the
+// smaller key, and two leads that saturate or match fall back to the counter.
+// For events armed when they are armed that is the counter's order, the
+// insertion order ties have always fired in.
+//
+// RescheduleArmed files an event as if armed at another instant, the way the
+// kernel's busy-poll segments keep the place each of their polls would have
+// taken had it been an event of its own. Its key has no counter: of a
+// stand-in and another event armed at one instant, the one whose arming
+// event was armed earlier fires first — events armed at one instant are
+// armed in the order their arming events fire — and, armed at one instant
+// too, the one the stand-in's handler puts first (standInFirst).
+const (
+	lowBits    = 48
+	lowMask    = 1<<lowBits - 1
+	armHorizon = 1<<(64-lowBits) - 1 // ns; about 65 µs
+	realBit    = 1 << (lowBits - 1)
+)
+
+// A StandIn is the handler of an event filed by RescheduleArmed: FiresBefore
+// says whether it fires before another event's handler, both armed at one
+// instant by events armed at one instant; true when it cannot tell.
+type StandIn interface {
+	Handler
+	FiresBefore(other Handler) bool
+}
+
+func armKey(at, armed ktime.Time, low uint64) uint64 {
+	return (armHorizon-min(uint64(at-armed), armHorizon))<<lowBits | low
+}
 
 // Queued reports whether the event is currently armed (in the queue and not
 // tombstoned).
@@ -109,6 +151,12 @@ type Engine struct {
 	live    int // queued events that are neither tombstoned nor stale
 	free    []*Event
 	stopped bool
+	// firingSeq and firingLead are the key and parentLead of the event
+	// firing now as it was armed (its handler may re-arm it), firingEv the
+	// event; between events firingEv is nil and firingSeq a key armed now.
+	firingSeq  uint64
+	firingLead uint32
+	firingEv   *Event
 
 	fired    uint64
 	recycled uint64
@@ -131,11 +179,41 @@ type Engine struct {
 
 // New returns an engine with the clock at T+0 and an empty queue.
 func New() *Engine {
-	return &Engine{}
+	return &Engine{firingSeq: armHorizon << lowBits}
 }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() ktime.Time { return e.now }
+
+// ArmedAt returns the instant the event firing now was armed at and the one
+// the event that armed it was armed at, or Now twice between events. Of two
+// events due at one instant the one armed at the earlier instant fires
+// first; of two armed at one instant, the one whose arming event was armed
+// earlier, so fired first, was armed first. An instant more than armHorizon
+// (about 65 µs) before the event's own is reported as that bound, and a
+// parent more than about 4.3 s before the arming likewise: they fire in the
+// same order all the same.
+func (e *Engine) ArmedAt() (armed, parent ktime.Time) {
+	if e.firingEv != nil {
+		armed = e.now.Add(-time.Duration(e.nowLead()))
+		return armed, armed.Add(-time.Duration(e.firingLead))
+	}
+	return e.now, e.now
+}
+
+// Firing tells the event firing now apart from the others armed at its arm
+// instant: its handler (nil for a closure), and whether it is a stand-in or
+// else its arming number (Armings). ok is false between events.
+func (e *Engine) Firing() (h Handler, n uint64, standIn, ok bool) {
+	if e.firingEv == nil {
+		return nil, 0, false, false
+	}
+	low := e.firingSeq & lowMask
+	return e.firingEv.h, low &^ realBit, low&realBit == 0, true
+}
+
+// Armings returns the number the next arming takes.
+func (e *Engine) Armings() uint64 { return e.seq }
 
 // Fired returns how many events have executed, a useful determinism probe in
 // tests.
@@ -212,19 +290,47 @@ func (e *Engine) checkFuture(t ktime.Time) {
 	}
 }
 
-// arm files a queue entry for ev at t with a fresh sequence number. The
-// caller accounts for live.
-func (e *Engine) arm(ev *Event, t ktime.Time) {
-	ev.at = t
-	ev.seq = e.seq
-	e.seq++
-	ev.armed = true
-	e.wq.push(entry{at: t, seq: ev.seq, ev: ev})
+// arm files a queue entry for ev at t with a fresh key: armed at instant
+// armed by an event armed at parent, as the arming numbered n or as a
+// stand-in. The caller accounts for live.
+func (e *Engine) arm(ev *Event, t, armed, parent ktime.Time, n uint64) {
+	low := uint64(0)
+	if n != AsStandIn {
+		low = realBit | n
+	}
+	e.file(ev, t, armKey(t, armed, low), uint32(min(uint64(armed.Sub(parent)), math.MaxUint32)))
 }
 
-// push arms ev at t as a new live event.
+// armNow is arm for an arming made now, the engine's next.
+func (e *Engine) armNow(ev *Event, t ktime.Time) {
+	e.file(ev, t, armKey(t, e.now, realBit|e.seq), e.nowLead())
+}
+
+// nowLead is how long before now the event firing now was armed: the
+// parentLead of an arming made now.
+func (e *Engine) nowLead() uint32 { return uint32(armHorizon - e.firingSeq>>lowBits) }
+
+// file queues ev at t under key with parentLead lead, counting the arming.
+func (e *Engine) file(ev *Event, t ktime.Time, key uint64, lead uint32) {
+	if e.seq == realBit {
+		panic("sim: arming counter exhausted")
+	}
+	ev.at, ev.seq, ev.parentLead, ev.armed = t, key, lead, true
+	e.seq++
+	e.wq.push(entry{at: t, seq: key, ev: ev})
+}
+
+// AsStandIn is the arming number RescheduleArmed takes for a stand-in.
+const AsStandIn = ^uint64(0)
+
+// push arms ev at t as a new live event, armed now.
 func (e *Engine) push(ev *Event, t ktime.Time) {
-	e.arm(ev, t)
+	e.armNow(ev, t)
+	e.added(t)
+}
+
+// added counts a new live event queued at t.
+func (e *Engine) added(t ktime.Time) {
 	e.live++
 	// A new live event can only lower the cached minimum — tighten in place.
 	if e.nextValid && (!e.nextOK || t < e.nextAt) {
@@ -301,6 +407,37 @@ func (e *Engine) Bind(ev *Event, h Handler) {
 // sequence number is assigned, so ordering is exactly as if a new event had
 // been scheduled.
 func (e *Engine) Reschedule(ev *Event, t ktime.Time) {
+	if e.rearm(ev, t) {
+		e.armNow(ev, t)
+		e.maybeCompact()
+		return
+	}
+	e.push(ev, t)
+}
+
+// RescheduleArmed is Reschedule as if ev had been armed at instant armed, by
+// an event armed at parent — armed may lie before or after now but not after
+// t: as the arming Armings numbered n, or, for n = AsStandIn, as a stand-in,
+// whose handler must be a StandIn.
+func (e *Engine) RescheduleArmed(ev *Event, t, armed, parent ktime.Time, n uint64) {
+	_, ok := ev.h.(StandIn)
+	if armed > t || parent > armed || (n == AsStandIn && !ok) || (n != AsStandIn && n > e.seq) {
+		panic(fmt.Sprintf("sim: arming %d for %v at %v by an event armed at %v", n, t, armed, parent))
+	}
+	queued := e.rearm(ev, t)
+	e.arm(ev, t, armed, parent, n)
+	if queued {
+		e.maybeCompact()
+		return
+	}
+	e.added(t)
+}
+
+// rearm readies ev for a new arming at t, reporting whether it is queued:
+// the entry carrying the old key then goes stale and is skipped on pop, and
+// dead-entry growth is bounded by compaction. Moving a queued event may
+// raise the minimum, so the cache cannot be tightened in place.
+func (e *Engine) rearm(ev *Event, t ktime.Time) (queued bool) {
 	if ev == nil || (ev.fn == nil && ev.h == nil) {
 		panic("sim: Reschedule of an event without a function")
 	}
@@ -316,16 +453,11 @@ func (e *Engine) Reschedule(ev *Event, t ktime.Time) {
 			ev.cancelled = false
 			e.live++
 		}
-		// The entry carrying the old seq goes stale and is skipped on pop;
-		// dead-entry growth is bounded by compaction. Moving a queued event
-		// may raise the minimum, so the cache cannot be tightened in place.
 		e.nextValid = false
-		e.arm(ev, t)
-		e.maybeCompact()
-		return
+		return true
 	}
 	ev.cancelled = false
-	e.push(ev, t)
+	return false
 }
 
 // RescheduleAfter re-arms ev d from now (see Reschedule).
@@ -334,10 +466,13 @@ func (e *Engine) RescheduleAfter(ev *Event, d ktime.Duration) {
 }
 
 // entryDead reports whether a queue entry will never fire: it is stale (the
-// event was re-armed since) or its event is tombstoned. A dropped tombstone
-// entry un-arms its event so a later Reschedule pushes cleanly.
+// event was re-armed since, or has fired) or its event is tombstoned. A
+// dropped tombstone entry un-arms its event so a later Reschedule pushes
+// cleanly. A stand-in's key carries no arming counter, so an entry is only
+// current when its instant matches too, and of two identical ones left by
+// two armings only the first fires.
 func entryDead(en entry) bool {
-	if en.ev.seq != en.seq {
+	if !current(en) {
 		return true
 	}
 	if en.ev.cancelled {
@@ -345,6 +480,12 @@ func entryDead(en entry) bool {
 		return true
 	}
 	return false
+}
+
+// current reports whether en is the queue entry of its event's arming: a
+// real arming's key is unique, a stand-in's only with its instant.
+func current(en entry) bool {
+	return en.ev.seq == en.seq && (en.seq&realBit != 0 || en.ev.at == en.at && en.ev.armed)
 }
 
 // maybeCompact rebuilds the queue without dead entries once they outgrow the
@@ -387,11 +528,13 @@ func (e *Engine) fire(en entry) {
 	if e.log != nil {
 		e.log.add(en.at)
 	}
+	e.firingSeq, e.firingLead, e.firingEv = en.seq, ev.parentLead, ev
 	if ev.fn != nil {
 		ev.fn()
 	} else {
 		ev.h.Fire()
 	}
+	e.firingEv, e.firingSeq = nil, armHorizon<<lowBits
 	// The closure may have re-armed ev (recurring timers); only a
 	// still-unqueued fire-and-forget event is recyclable.
 	e.release(ev)
@@ -409,8 +552,54 @@ func (e *Engine) stepBounded(bound ktime.Time) bool {
 		return false
 	}
 	e.wq.popFront()
+	if en.seq&realBit == 0 {
+		en = e.standInTurn(en)
+	}
 	e.fire(en)
 	return true
+}
+
+// standInTurn returns, for the stand-in en just taken from the queue, the
+// event that fires first of those armed at its arm instant. Real events
+// armed at one instant are queued in their order already, so only the first
+// counts. A pick other than en leaves the front slot, which still holds the
+// rest of the instant in order, and en goes back at its head.
+func (e *Engine) standInTurn(en entry) entry {
+	sl := &e.wq.slots[e.wq.base%numSlots]
+	best, at := en, -1
+	for j := sl.idx; j < len(sl.ents); j++ {
+		nx := sl.ents[j]
+		if nx.at != en.at || nx.seq>>lowBits != en.seq>>lowBits {
+			break
+		}
+		if !current(nx) || nx.ev.cancelled {
+			continue
+		}
+		if !standInFirst(best.ev, nx.ev) {
+			best, at = nx, j
+		}
+		if nx.seq&realBit != 0 {
+			break
+		}
+	}
+	if at >= 0 {
+		copy(sl.ents[sl.idx+1:at+1], sl.ents[sl.idx:at])
+		sl.ents[sl.idx] = en
+	}
+	return best
+}
+
+// standInFirst reports whether stand-in s fires before x, armed at the same
+// instant: the one whose arming event was armed earlier, and when those were
+// armed at one instant too, the one s's handler puts first.
+func standInFirst(s, x *Event) bool {
+	if s.parentLead != x.parentLead {
+		return s.parentLead > x.parentLead
+	}
+	if _, ok := x.h.(StandIn); !ok {
+		return true
+	}
+	return s.h.(StandIn).FiresBefore(x.h)
 }
 
 // eventLog records each distinct instant an engine fires at as the uvarint

@@ -7,11 +7,11 @@
 // batch promotion when the window advances over them.
 //
 // Ordering is identical to the old global binary heap: events fire in
-// (time, sequence) order, ties in insertion order. The wheel stores value
-// entries {at, seq, ev}; an Event can be re-armed while queued by pushing a
-// fresh entry and letting the stale one (seq mismatch) be skipped on pop,
-// which is what keeps arm/cancel O(1) without index maintenance. Stale and
-// tombstoned entries are dropped lazily on pop and in bulk by maybeCompact.
+// (time, key) order (sim.go's armKey). The wheel stores value entries {at,
+// seq, ev}; an Event can be re-armed while queued by pushing a fresh entry
+// and letting the stale one (seq mismatch) be skipped on pop, which is what
+// keeps arm/cancel O(1) without index maintenance. Stale and tombstoned
+// entries are dropped lazily on pop and in bulk by maybeCompact.
 //
 // Slot storage is sized for cold engines too — a fleet builds hundreds per
 // run, and a slot growing a slice of its own on first touch made wheel
