@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build test race vet bench-cluster bench-fleet bench-rollout bench-overload fleet rollout overload sharded verified paper quick cover fuzz trace apicheck chaos ledger-smoke profile
+.PHONY: check build test race vet artifact sweep fleet rollout overload sharded verified paper quick cover fuzz trace apicheck chaos ledger-smoke profile
 
 check: vet build race apicheck
 
@@ -23,34 +23,21 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Cluster-scale throughput snapshot: single-kernel vs sharded simulation at
-# 80 and 1,000 CPUs, committed as BENCH_cluster.json.
-bench-cluster:
-	$(GO) run ./cmd/enokibench -cluster BENCH_cluster.json
+# The cluster artifact: the fleet benchmark (1,000 machines × one million
+# jobs, serial and parallel, a machine failure mid-run), the canary rollout
+# (clean, and a faulty build that halts and rolls back, plus the pinned r1:
+# replay) and the traffic-plane overload scenario (plus the pinned t1:
+# LeakShed replay), as verdicts, counts and fingerprints in
+# BENCH_cluster.json. No host time goes in, so the file is a function of the
+# code: a change that moves a fingerprint commits the regenerated file, and
+# CI regenerates it and fails on any diff. About 25 s.
+artifact:
+	$(GO) run ./cmd/enokibench -artifact BENCH_cluster.json
 
-# Full fleet artifact: the cluster sweep plus the 1,000-machine ×
-# million-job fleet benchmark (serial and parallel drives, machine failure
-# mid-run), with its SLO verdicts appended to BENCH_cluster.json. Budget a
-# few minutes of wall time.
-bench-fleet:
-	$(GO) run ./cmd/enokibench -fleet BENCH_cluster.json
-
-# Full rollout artifact: everything bench-fleet writes plus the canary
-# rollout benchmark — a clean thousand-machine upgrade, a sabotaged one
-# that halts and rolls back, both serial and parallel, and the pinned
-# `r1:` chaos replay — appended to BENCH_cluster.json.
-bench-rollout:
-	$(GO) run ./cmd/enokibench -rollout BENCH_cluster.json
-
-# Full overload artifact: everything bench-rollout writes plus the
-# traffic-plane overload benchmark — an open-loop scenario (diurnal curve,
-# flash crowd, antagonist tenant, churn storm) through the
-# admission/shedding/brownout control plane, driven once, with the pinned
-# `t1:` LeakShed chaos replay — appended to BENCH_cluster.json.
-# This is the superset that regenerates the committed artifact; CI also
-# runs it at -machine 80, where the scenario offers 1.26M connections.
-bench-overload:
-	$(GO) run ./cmd/enokibench -overload BENCH_cluster.json
+# Single-kernel vs sharded simulation throughput at 80 and 1,000 CPUs: a
+# host-time table, printed and never committed.
+sweep:
+	$(GO) run ./cmd/enokibench -cluster
 
 # Correctness smoke of the performance ledger (benchmark/): all six
 # workloads at smoke size, about seven seconds. It exits non-zero when any
@@ -105,7 +92,7 @@ rollout:
 # about one allocation per request) and its task-record recycling-on-vs-off
 # identity, the 30-run t1: traffic chaos campaign with the LeakShed
 # find→shrink→replay loop, the cluster Offer front door, the public
-# DriveTraffic/WithAdmission API, and the overload artifact smoke.
+# DriveTraffic/WithAdmission API, and the artifact's overload section.
 overload:
 	$(GO) test -race -count=1 ./internal/overload ./internal/workload/traffic
 	$(GO) test -race -run 'TestTraffic|TestParseTrafficSpec|TestGenerateTraffic|TestRunTraffic|TestSpecErrors|FuzzParseSpec' -count=1 ./internal/chaos

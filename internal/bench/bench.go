@@ -1,8 +1,8 @@
 // Package bench holds the hot-path micro-benchmarks in plain functions, run
 // as ordinary `go test -bench` benchmarks through thin delegates in each
 // package's _test.go and through testing.Benchmark by the zero-allocation
-// ratchet tests, and the cluster, fleet, rollout and overload artifact
-// sections `enokibench` writes.
+// ratchet tests, the single-vs-sharded sweep `enokibench -cluster` prints,
+// and the fleet, rollout and overload sections `enokibench -artifact` writes.
 //
 // These benchmarks pin the zero-allocation invariant of the simulation hot
 // path (DESIGN.md "Performance model"): the steady-state schedule loop —

@@ -1,22 +1,17 @@
 // Cluster-scale throughput measurement for the sharded executor: the same
 // saturated machine simulated two ways — one kernel over every CPU (the
 // pre-sharding model) and one kernel per NUMA node under the epoch executor
-// — at 80 and 1,000 CPUs. The artifact (BENCH_cluster.json, `make
-// bench-cluster`) records simulated events per wall-clock second for each
-// mode.
+// — at 80 and 1,000 CPUs, in simulated events per wall-clock second. It is
+// host time, so `enokibench -cluster` (`make sweep`) prints it and writes
+// nothing.
 //
 // The sharded win is algorithmic, not parallel: every O(machine) pass in the
 // single-kernel model — most visibly CFS's periodic balance sweeping every
 // remote socket's queues — becomes O(node), and each shard's timer wheel
-// holds a node's worth of events instead of the whole machine's. GOMAXPROCS
-// is recorded all the same, since the host's cores change the wall times.
+// holds a node's worth of events instead of the whole machine's.
 package bench
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"runtime"
 	"testing"
 	"time"
 
@@ -49,14 +44,13 @@ func clusterSpawn(k *kernel.Kernel, policy int) {
 
 // ClusterResult is one (machine, mode) measurement.
 type ClusterResult struct {
-	CPUs         int     `json:"cpus"`
-	Mode         string  `json:"mode"` // single | sharded-serial
-	Shards       int     `json:"shards"`
-	VirtualMS    float64 `json:"virtual_ms"`
-	WallMS       float64 `json:"wall_ms"`
-	Events       uint64  `json:"events"`
-	CtxSwitches  uint64  `json:"ctx_switches"`
-	EventsPerSec float64 `json:"events_per_sec"`
+	CPUs         int
+	Mode         string // single | sharded-serial
+	Shards       int
+	WallMS       float64
+	Events       uint64
+	CtxSwitches  uint64
+	EventsPerSec float64
 }
 
 // clusterSingle simulates d of virtual time on one kernel over the whole
@@ -71,9 +65,8 @@ func clusterSingle(m kernel.Machine, d time.Duration) ClusterResult {
 	wall := time.Since(start)
 	return ClusterResult{
 		CPUs: m.NumCPUs, Mode: "single", Shards: 1,
-		VirtualMS: float64(d) / float64(time.Millisecond),
-		WallMS:    float64(wall) / float64(time.Millisecond),
-		Events:    eng.Fired(), CtxSwitches: k.CtxSwitches,
+		WallMS: float64(wall) / float64(time.Millisecond),
+		Events: eng.Fired(), CtxSwitches: k.CtxSwitches,
 		EventsPerSec: float64(eng.Fired()) / wall.Seconds(),
 	}
 }
@@ -91,77 +84,28 @@ func clusterSharded(m kernel.Machine, d time.Duration) ClusterResult {
 	wall := time.Since(start)
 	return ClusterResult{
 		CPUs: m.NumCPUs, Mode: "sharded-serial", Shards: sk.NumShards(),
-		VirtualMS: float64(d) / float64(time.Millisecond),
-		WallMS:    float64(wall) / float64(time.Millisecond),
-		Events:    sk.EventsFired(), CtxSwitches: sk.CtxSwitches(),
+		WallMS: float64(wall) / float64(time.Millisecond),
+		Events: sk.EventsFired(), CtxSwitches: sk.CtxSwitches(),
 		EventsPerSec: float64(sk.EventsFired()) / wall.Seconds(),
 	}
 }
 
-// ClusterOutput is the BENCH_cluster.json document.
-type ClusterOutput struct {
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	Note       string `json:"note"`
-	// SpeedupAt1000 / SpeedupAt80 are sharded-serial events/sec over the
-	// single-kernel events/sec at each scale.
-	SpeedupAt80   float64         `json:"speedup_at_80"`
-	SpeedupAt1000 float64         `json:"speedup_at_1000"`
-	Results       []ClusterResult `json:"results"`
-	// Fleet is the cluster-of-machines benchmark section, present when the
-	// artifact was produced by `enokibench -fleet` (WriteFleetJSON) or
-	// `enokibench -rollout` (WriteRolloutJSON).
-	Fleet *FleetResult `json:"fleet,omitempty"`
-	// Rollout is the canary-upgrade benchmark section, present when the
-	// artifact was produced by `enokibench -rollout` (WriteRolloutJSON).
-	Rollout *RolloutBenchResult `json:"rollout,omitempty"`
-	// Overload is the internet-scale traffic-plane benchmark section,
-	// present when the artifact was produced by `enokibench -overload`
-	// (WriteOverloadJSON).
-	Overload *OverloadBenchResult `json:"overload,omitempty"`
-}
-
-// RunCluster measures every (machine, mode) cell. Virtual durations are
+// RunCluster measures every (machine, mode) cell: a single-kernel and a
+// sharded-serial result per machine, in that order. Virtual durations are
 // chosen so each cell fires enough events for a stable wall-clock read while
 // the whole sweep stays under a minute of host time.
-func RunCluster() *ClusterOutput {
-	out := &ClusterOutput{
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Note: "speedups are algorithmic (per-node event queues and O(node) scans); " +
-			"the sharded machine runs on one goroutine",
-	}
-	cells := []struct {
-		m       kernel.Machine
-		d       time.Duration
-		speedup *float64
+func RunCluster() []ClusterResult {
+	var out []ClusterResult
+	for _, c := range []struct {
+		m kernel.Machine
+		d time.Duration
 	}{
-		{kernel.Machine80(), 200 * time.Millisecond, &out.SpeedupAt80},
-		{kernel.Machine1000(), 50 * time.Millisecond, &out.SpeedupAt1000},
-	}
-	for _, c := range cells {
-		single := clusterSingle(c.m, c.d)
-		serial := clusterSharded(c.m, c.d)
-		out.Results = append(out.Results, single, serial)
-		*c.speedup = serial.EventsPerSec / single.EventsPerSec
+		{kernel.Machine80(), 200 * time.Millisecond},
+		{kernel.Machine1000(), 50 * time.Millisecond},
+	} {
+		out = append(out, clusterSingle(c.m, c.d), clusterSharded(c.m, c.d))
 	}
 	return out
-}
-
-// WriteClusterJSON runs the cluster sweep and writes the document to path.
-func WriteClusterJSON(path string) (*ClusterOutput, error) {
-	return writeClusterDoc(path, RunCluster())
-}
-
-// writeClusterDoc marshals one BENCH_cluster.json document to path.
-func writeClusterDoc(path string, out *ClusterOutput) (*ClusterOutput, error) {
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return nil, fmt.Errorf("bench: writing %s: %w", path, err)
-	}
-	return out, nil
 }
 
 // ScheduleOpSharded is the sharded-executor allocation ratchet: the

@@ -13,21 +13,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"runtime"
 	"time"
 
 	"enoki/internal/cluster"
 	"enoki/internal/kernel"
 	"enoki/internal/ktime"
 )
-
-// FleetSLO is one pass/fail verdict of the fleet run.
-type FleetSLO struct {
-	Name     string `json:"name"`
-	Target   string `json:"target"`
-	Measured string `json:"measured"`
-	Pass     bool   `json:"pass"`
-}
 
 // FleetResult is the fleet section of BENCH_cluster.json.
 type FleetResult struct {
@@ -36,9 +27,7 @@ type FleetResult struct {
 	Shards      int `json:"shards_per_machine"`
 	Jobs        int `json:"jobs"`
 
-	VirtualMS      float64 `json:"virtual_ms"`
-	WallSerialMS   float64 `json:"wall_serial_ms"`
-	WallParallelMS float64 `json:"wall_parallel_ms"`
+	VirtualMS float64 `json:"virtual_ms"`
 
 	Done         int     `json:"done"`
 	Lost         int     `json:"lost"`
@@ -52,29 +41,24 @@ type FleetResult struct {
 	E2EP50US     float64 `json:"e2e_p50_us"`
 	E2EP99US     float64 `json:"e2e_p99_us"`
 
-	FingerprintSerial   string     `json:"fingerprint_serial"`
-	FingerprintParallel string     `json:"fingerprint_parallel"`
-	GOMAXPROCS          int        `json:"gomaxprocs"`
-	SLOs                []FleetSLO `json:"slos"`
-	Pass                bool       `json:"pass"`
+	FingerprintSerial   string `json:"fingerprint_serial"`
+	FingerprintParallel string `json:"fingerprint_parallel"`
+	Verdicts
 }
 
 // fleetDrive runs one seeded fleet workload to completion and returns the
-// cluster stats, the per-machine fingerprint, the final virtual time, and
-// the wall-clock cost. killAt is when the sacrificial machine fails; it
-// must land while jobs are still in flight for the failover verdict to mean
-// anything.
-func fleetDrive(cfg cluster.Config, jobs int, killAt time.Duration) (cluster.Stats, uint64, ktime.Time, time.Duration) {
+// cluster stats, the per-machine fingerprint and the final virtual time.
+// killAt is when the sacrificial machine fails; it must land while jobs are
+// still in flight for the failover verdict to mean anything.
+func fleetDrive(cfg cluster.Config, jobs int, killAt time.Duration) (cluster.Stats, uint64, ktime.Time) {
 	cl := cluster.New(cfg)
 	defer cl.Close()
 	submitFleetJobs(cl, ktime.NewRand(0xf1ee7b47), jobs)
 	// One machine dies mid-run; the detector fires and its jobs restart
 	// elsewhere from their checkpoints.
 	cl.FailMachine(cfg.Machines/3, killAt)
-	start := time.Now()
 	cl.RunUntilIdle()
-	wall := time.Since(start)
-	return cl.Stats(), fleetFingerprint(cl), cl.Now(), wall
+	return cl.Stats(), fleetFingerprint(cl, nil, ""), cl.Now()
 }
 
 // submitFleetJobs submits n jobs of 2-4 cycles of 100-300 µs, half sleeping.
@@ -88,10 +72,11 @@ func submitFleetJobs(cl *cluster.Cluster, rng *ktime.Rand, n int) {
 	}
 }
 
-// fleetFingerprint hashes every machine's counters and clock and every job.
-func fleetFingerprint(cl *cluster.Cluster) uint64 {
-	h, b := fnv.New64a(), make([]byte, 0, 8)
-	word := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(b, v)) }
+// fleetFingerprint hashes every machine's counters and clock, each followed
+// by what machine appends for it (when not nil), then every job, then tail.
+func fleetFingerprint(cl *cluster.Cluster, machine func(b []byte, i int) []byte, tail string) uint64 {
+	h, b := fnv.New64a(), make([]byte, 0, 64)
+	word := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(b[:0], v)) }
 	for i := 0; i < cl.NumMachines(); i++ {
 		mc := cl.Machine(i)
 		sk := mc.Sharded()
@@ -100,6 +85,10 @@ func fleetFingerprint(cl *cluster.Cluster) uint64 {
 		word(sk.EventsFired())
 		word(sk.Wakeups())
 		word(uint64(sk.Now()))
+		if machine != nil {
+			b = machine(b[:0], i)
+			h.Write(b)
+		}
 	}
 	for i := 0; i < cl.NumJobs(); i++ {
 		j := cl.Job(i)
@@ -108,6 +97,7 @@ func fleetFingerprint(cl *cluster.Cluster) uint64 {
 		word(uint64(j.Restarts)<<32 | uint64(j.Migrations))
 		word(uint64(j.DoneAt))
 	}
+	h.Write([]byte(tail))
 	return h.Sum64()
 }
 
@@ -132,16 +122,14 @@ func fleetScale(m kernel.Machine) (machines, jobs int) {
 func RunFleet(m kernel.Machine) *FleetResult {
 	machines, jobs := fleetScale(m)
 	cfg := cluster.Config{Machines: machines, Machine: m, Placer: cluster.LeastLoaded{}}
-	serial, fpSerial, virt, wallSerial := fleetDrive(cfg, jobs, 5*time.Millisecond)
+	serial, fpSerial, virt := fleetDrive(cfg, jobs, 5*time.Millisecond)
 	cfg.Parallel = true
-	_, fpPar, _, wallPar := fleetDrive(cfg, jobs, 5*time.Millisecond)
+	_, fpPar, _ := fleetDrive(cfg, jobs, 5*time.Millisecond)
 
 	r := &FleetResult{
 		Machines: machines, MachineCPUs: m.NumCPUs, Shards: m.NumNodes, Jobs: jobs,
-		VirtualMS:      float64(virt) / float64(time.Millisecond),
-		WallSerialMS:   float64(wallSerial) / float64(time.Millisecond),
-		WallParallelMS: float64(wallPar) / float64(time.Millisecond),
-		Done:           serial.Done, Lost: serial.Lost, Migrations: serial.Migrations,
+		VirtualMS: float64(virt) / float64(time.Millisecond),
+		Done:      serial.Done, Lost: serial.Lost, Migrations: serial.Migrations,
 		TasksSpawned: serial.TasksSpawned, EventsFired: serial.EventsFired,
 		Epochs: serial.Epochs, MsgsSent: serial.MsgsSent,
 		PlaceP50US:          float64(serial.PlaceP50) / float64(time.Microsecond),
@@ -150,32 +138,16 @@ func RunFleet(m kernel.Machine) *FleetResult {
 		E2EP99US:            float64(serial.E2EP99) / float64(time.Microsecond),
 		FingerprintSerial:   fmt.Sprintf("%016x", fpSerial),
 		FingerprintParallel: fmt.Sprintf("%016x", fpPar),
-		GOMAXPROCS:          runtime.GOMAXPROCS(0),
-	}
-	slo := func(name, target, measured string, pass bool) {
-		r.SLOs = append(r.SLOs, FleetSLO{Name: name, Target: target, Measured: measured, Pass: pass})
 	}
 	ratio := float64(serial.Done) / float64(jobs)
-	slo("completion", "every job completes despite the machine failure",
+	r.check("completion", "every job completes despite the machine failure",
 		fmt.Sprintf("%d/%d (%.4f)", serial.Done, jobs, ratio), serial.Done == jobs)
-	slo("placement_p99", "p99 submit-to-running under 5ms",
+	r.check("placement_p99", "p99 submit-to-running under 5ms",
 		fmt.Sprintf("%.0fµs", r.PlaceP99US), serial.PlaceP99 < 5*time.Millisecond)
-	slo("failover", "the killed machine's placements restart elsewhere (lost > 0, none stranded)",
+	r.check("failover", "the killed machine's placements restart elsewhere (lost > 0, none stranded)",
 		fmt.Sprintf("%d lost, %d done", serial.Lost, serial.Done),
 		serial.Lost > 0 && serial.Done == jobs)
-	slo("determinism", "serial and parallel fleet drives fingerprint identically",
+	r.check("determinism", "serial and parallel fleet drives fingerprint identically",
 		fmt.Sprintf("%016x vs %016x", fpSerial, fpPar), fpSerial == fpPar)
-	r.Pass = true
-	for _, s := range r.SLOs {
-		r.Pass = r.Pass && s.Pass
-	}
 	return r
-}
-
-// WriteFleetJSON runs the cluster sweep and the fleet benchmark and writes
-// the combined BENCH_cluster.json document to path.
-func WriteFleetJSON(path string, m kernel.Machine) (*ClusterOutput, error) {
-	out := RunCluster()
-	out.Fleet = RunFleet(m)
-	return writeClusterDoc(path, out)
 }

@@ -64,9 +64,9 @@ var fleetPins = []struct {
 func TestFleetDriveDeterministic(t *testing.T) {
 	const machines, jobs = 6, 120
 	cfg := cluster.Config{Machines: machines, Machine: kernel.Machine8(), Placer: cluster.LeastLoaded{}}
-	serial, fpSerial, virt, _ := fleetDrive(cfg, jobs, time.Millisecond)
+	serial, fpSerial, virt := fleetDrive(cfg, jobs, time.Millisecond)
 	cfg.Parallel = true
-	par, fpPar, _, _ := fleetDrive(cfg, jobs, time.Millisecond)
+	par, fpPar, _ := fleetDrive(cfg, jobs, time.Millisecond)
 	if fpSerial != fpPar {
 		t.Fatalf("fingerprints diverge: %016x vs %016x", fpSerial, fpPar)
 	}
@@ -93,7 +93,7 @@ func TestFleetDrivePinned(t *testing.T) {
 		for _, parallel := range []bool{false, true} {
 			cfg := pin.cfg()
 			cfg.Parallel = parallel
-			st, fp, virt, _ := fleetDrive(cfg, jobs, time.Millisecond)
+			st, fp, virt := fleetDrive(cfg, jobs, time.Millisecond)
 			if fp != pin.fp {
 				t.Errorf("%s parallel=%v: fingerprint %#016x, pinned %#016x", pin.name, parallel, fp, pin.fp)
 			}
@@ -179,7 +179,7 @@ func TestFleetShapesPinned(t *testing.T) {
 				Placer: cluster.LeastLoaded{}, Parallel: parallel})
 			rng := ktime.NewRand(0x5a4e5)
 			pin.drive(cl, func(n int) { submitFleetJobs(cl, rng, n) })
-			st, fp := cl.Stats(), fleetFingerprint(cl)
+			st, fp := cl.Stats(), fleetFingerprint(cl, nil, "")
 			cl.Close()
 			if fp != pin.fp {
 				t.Errorf("%s parallel=%v: fingerprint %#016x, pinned %#016x", pin.name, parallel, fp, pin.fp)

@@ -14,7 +14,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
@@ -63,8 +62,7 @@ type OverloadBenchResult struct {
 	Retried     uint64 `json:"retried"`
 	Dropped     uint64 `json:"dropped"`
 
-	VirtualMS    float64 `json:"virtual_ms"`
-	WallSerialMS float64 `json:"wall_serial_ms"`
+	VirtualMS float64 `json:"virtual_ms"`
 
 	BaseP99US      float64 `json:"base_p99_us"`
 	FlashP99US     float64 `json:"flash_p99_us"`
@@ -74,12 +72,9 @@ type OverloadBenchResult struct {
 	MaxRecoveryUS  float64 `json:"max_recovery_us"`
 
 	FingerprintSerial string `json:"fingerprint_serial"`
-	GOMAXPROCS        int    `json:"gomaxprocs"`
 
 	Replay OverloadReplay `json:"replay"`
-
-	SLOs []FleetSLO `json:"slos"`
-	Pass bool       `json:"pass"`
+	Verdicts
 }
 
 // overloadScenario sizes the traffic plan to the machine — the per-CPU
@@ -146,7 +141,7 @@ func overloadAdmission(m kernel.Machine) overload.Config {
 
 // overloadDrive runs the scenario once on a sharded kernel, one driver and
 // controller per NUMA shard, shinjuku behind the admission plane.
-func overloadDrive(m kernel.Machine, sc traffic.Scenario) (traffic.Report, time.Duration) {
+func overloadDrive(m kernel.Machine, sc traffic.Scenario) traffic.Report {
 	sk := kernel.NewShardedKernel(m, kernel.CostsFor(m), 0)
 	n := sk.NumShards()
 	drivers := make([]*traffic.Driver, n)
@@ -165,10 +160,8 @@ func overloadDrive(m kernel.Machine, sc traffic.Scenario) (traffic.Report, time.
 		})
 		drivers[i].Start()
 	}
-	start := time.Now()
 	sk.RunFor(sc.Duration + 40*time.Millisecond)
-	wall := time.Since(start)
-	return traffic.Collect(drivers...), wall
+	return traffic.Collect(drivers...)
 }
 
 // overloadReplayVerdict runs the pinned LeakShed replay: fail with the bug
@@ -205,7 +198,7 @@ func overloadReplayVerdict() OverloadReplay {
 // assembles the verdicts.
 func RunOverload(m kernel.Machine) *OverloadBenchResult {
 	sc := overloadScenario(m)
-	serial, wallSerial := overloadDrive(m, sc)
+	serial := overloadDrive(m, sc)
 
 	api := serial.Classes[1]
 	total := serial.Total
@@ -215,7 +208,6 @@ func RunOverload(m kernel.Machine) *OverloadBenchResult {
 		Offered: total.Offered, Admitted: total.Admitted, Shed: total.Shed,
 		Retried: total.Retried, Dropped: total.Dropped,
 		VirtualMS:         float64(sc.Duration+40*time.Millisecond) / float64(time.Millisecond),
-		WallSerialMS:      float64(wallSerial) / float64(time.Millisecond),
 		BaseP99US:         float64(api.P99) / float64(time.Microsecond),
 		FlashP99US:        float64(api.FlashP99) / float64(time.Microsecond),
 		Fairness:          serial.Fairness(sc.AntagonistClass()),
@@ -223,57 +215,37 @@ func RunOverload(m kernel.Machine) *OverloadBenchResult {
 		BrownoutEnters:    total.BrownoutEnters,
 		MaxRecoveryUS:     float64(serial.MaxRecovery) / float64(time.Microsecond),
 		FingerprintSerial: fmt.Sprintf("%016x", serial.Fingerprint()),
-		GOMAXPROCS:        runtime.GOMAXPROCS(0),
 		Replay:            overloadReplayVerdict(),
 	}
-	slo := func(name, target, measured string, pass bool) {
-		r.SLOs = append(r.SLOs, FleetSLO{Name: name, Target: target, Measured: measured, Pass: pass})
-	}
 	connFloor := uint64(m.NumCPUs) * 12_500
-	slo("scale", fmt.Sprintf("at least %d connections offered", connFloor),
+	r.check("scale", fmt.Sprintf("at least %d connections offered", connFloor),
 		fmt.Sprintf("%d connections, %d requests", r.Connections, r.Requests),
 		r.Connections >= connFloor)
-	slo("flash_crowd_p99", "service p99 inside the flash window under 2ms (shedding caps the backlog)",
+	r.check("flash_crowd_p99", "service p99 inside the flash window under 2ms (shedding caps the backlog)",
 		fmt.Sprintf("%.0fµs flash vs %.0fµs baseline, %d flash completions",
 			r.FlashP99US, r.BaseP99US, api.FlashCount),
 		api.FlashCount > 0 && api.FlashP99 < 2*time.Millisecond)
-	slo("antagonist_fairness", "Jain index over victim tiers at least 0.8 inside the antagonist window",
+	r.check("antagonist_fairness", "Jain index over victim tiers at least 0.8 inside the antagonist window",
 		fmt.Sprintf("%.3f", r.Fairness), r.Fairness >= 0.8)
 	// The ceiling is calibrated to the scenario: a ×6 flash crowd on the
 	// service tier plus an antagonist storm must shed to survive, but even
 	// so at most 40% of unique requests may shed — more means admission is
 	// the bottleneck (or the books are broken), not the overload windows.
-	slo("shed_ceiling", "shed rate at most 0.40 with the conservation books balanced",
+	r.check("shed_ceiling", "shed rate at most 0.40 with the conservation books balanced",
 		fmt.Sprintf("%.3f shed rate, %d violations", r.ShedRate, len(serial.Violations)),
 		r.ShedRate <= 0.40 && len(serial.Violations) == 0)
 	// A brownout episode rightly spans the overload that caused it, so the
 	// recovery bound is the flash window plus 10ms of post-overload drain:
 	// degradation must lift promptly once the crowd is gone, not linger.
 	recoveryBound := sc.Duration/5 + 10*time.Millisecond
-	slo("brownout_recovery",
+	r.check("brownout_recovery",
 		fmt.Sprintf("every brownout episode recovers; the slowest exits within %v of entry (flash window + 10ms drain)", recoveryBound),
 		fmt.Sprintf("%d enters, recovered=%v, slowest %.0fµs",
 			r.BrownoutEnters, serial.Recovered, r.MaxRecoveryUS),
 		r.BrownoutEnters > 0 && serial.Recovered && serial.MaxRecovery <= recoveryBound)
-	slo("replay", "pinned LeakShed replay caught by the conservation oracle, ddmin-shrunk, clean without the bug",
+	r.check("replay", "pinned LeakShed replay caught by the conservation oracle, ddmin-shrunk, clean without the bug",
 		fmt.Sprintf("%s: caught=%v, %d→%d events, clean_pass=%v",
 			r.Replay.Spec, r.Replay.Caught, r.Replay.EventsBefore, r.Replay.EventsAfter, r.Replay.CleanPass),
 		r.Replay.Caught && r.Replay.CleanPass && r.Replay.EventsAfter <= r.Replay.EventsBefore)
-	r.Pass = true
-	for _, s := range r.SLOs {
-		r.Pass = r.Pass && s.Pass
-	}
 	return r
-}
-
-// WriteOverloadJSON runs everything WriteRolloutJSON runs plus the
-// traffic-plane overload benchmark and writes the combined
-// BENCH_cluster.json document to path. This is the superset that
-// regenerates the committed artifact.
-func WriteOverloadJSON(path string, m kernel.Machine) (*ClusterOutput, error) {
-	out := RunCluster()
-	out.Fleet = RunFleet(m)
-	out.Rollout = RunRollout(m)
-	out.Overload = RunOverload(m)
-	return writeClusterDoc(path, out)
 }

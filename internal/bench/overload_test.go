@@ -8,7 +8,7 @@ import (
 
 // TestRunOverloadSmoke runs the overload benchmark at the CI scale (the
 // 8-CPU machine) and requires every SLO verdict to pass — the same gate
-// `enokibench -overload` ships in BENCH_cluster.json at the 80-CPU scale.
+// `enokibench -artifact` ships in BENCH_cluster.json.
 func TestRunOverloadSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overload bench drive in -short")

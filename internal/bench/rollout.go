@@ -13,10 +13,9 @@
 package bench
 
 import (
+	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"reflect"
-	"runtime"
 	"time"
 
 	"enoki/internal/chaos"
@@ -60,11 +59,6 @@ type RolloutBenchResult struct {
 	Canary     int `json:"canary"`
 	CleanWaves int `json:"clean_waves"`
 
-	WallCleanSerialMS    float64 `json:"wall_clean_serial_ms"`
-	WallCleanParallelMS  float64 `json:"wall_clean_parallel_ms"`
-	WallFaultySerialMS   float64 `json:"wall_faulty_serial_ms"`
-	WallFaultyParallelMS float64 `json:"wall_faulty_parallel_ms"`
-
 	FaultyHaltedWave   int `json:"faulty_halted_wave"`
 	FaultyRolledBack   int `json:"faulty_rolled_back"`
 	FaultyRollbackErrs int `json:"faulty_rollback_errs"`
@@ -77,20 +71,15 @@ type RolloutBenchResult struct {
 
 	ReplaySpec   string   `json:"replay_spec"`
 	ReplayEvents []string `json:"replay_events"`
-
-	GOMAXPROCS int        `json:"gomaxprocs"`
-	SLOs       []FleetSLO `json:"slos"`
-	Pass       bool       `json:"pass"`
+	Verdicts
 }
 
 // rolloutDriveOut is one rollout drive's observable outcome.
 type rolloutDriveOut struct {
-	stats    cluster.Stats
 	report   cluster.RolloutReport
 	resolved bool
 	onNew    int // live shards of alive machines serving the new generation at the end
 	fp       uint64
-	wall     time.Duration
 }
 
 // rolloutScale mirrors fleetScale: the 8-CPU headline is 1,000 machines;
@@ -161,55 +150,30 @@ func rolloutDrive(m kernel.Machine, machines, jobs, faultyFrom int, parallel boo
 	if err != nil {
 		panic(fmt.Sprintf("bench: StartRollout: %v", err))
 	}
-	start := time.Now()
 	cl.Run(rolloutBudget)
-	wall := time.Since(start)
 
-	out := rolloutDriveOut{
-		stats: cl.Stats(), resolved: ro.Done(),
-		report: ro.Report(), wall: wall,
-	}
+	out := rolloutDriveOut{resolved: ro.Done(), report: ro.Report()}
 	views := cl.Views()
-	h := fnv.New64a()
-	word := func(v uint64) {
-		var b [8]byte
-		for i := 0; i < 8; i++ {
-			b[i] = byte(v >> (8 * i))
-		}
-		h.Write(b[:])
-	}
 	for i := 0; i < cl.NumMachines(); i++ {
-		mc := cl.Machine(i)
-		sk := mc.Sharded()
-		word(mc.TasksSpawned())
-		word(sk.CtxSwitches())
-		word(sk.EventsFired())
-		word(sk.Wakeups())
-		word(uint64(sk.Now()))
-		for _, ad := range mc.Adapters() {
-			if ad == nil {
-				continue
-			}
-			h.Write([]byte(ad.Version()))
-			killed := uint64(0)
-			if ad.Killed() {
-				killed = 1
-			}
-			word(killed)
-			if views[i].Alive && !ad.Killed() && ad.Version() == rolloutVersion {
+		for _, ad := range cl.Machine(i).Adapters() {
+			if ad != nil && views[i].Alive && !ad.Killed() && ad.Version() == rolloutVersion {
 				out.onNew++
 			}
 		}
 	}
-	for i := 0; i < cl.NumJobs(); i++ {
-		j := cl.Job(i)
-		word(uint64(j.State))
-		word(uint64(int64(j.Machine)))
-		word(uint64(j.Restarts)<<32 | uint64(j.Migrations))
-		word(uint64(j.DoneAt))
-	}
-	h.Write([]byte(fmt.Sprintf("%+v", out.report)))
-	out.fp = h.Sum64()
+	out.fp = fleetFingerprint(cl, func(b []byte, i int) []byte {
+		for _, ad := range cl.Machine(i).Adapters() {
+			if ad == nil {
+				continue
+			}
+			killed := uint64(0)
+			if ad.Killed() {
+				killed = 1
+			}
+			b = binary.LittleEndian.AppendUint64(append(b, ad.Version()...), killed)
+		}
+		return b
+	}, fmt.Sprintf("%+v", out.report))
 	return out
 }
 
@@ -234,10 +198,6 @@ func RunRollout(m kernel.Machine) *RolloutBenchResult {
 		FaultyFrom: faultyFrom,
 		Targets:    cleanS.report.Targets, Canary: cleanS.report.Canary,
 		CleanWaves:                len(cleanS.report.Waves),
-		WallCleanSerialMS:         float64(cleanS.wall) / float64(time.Millisecond),
-		WallCleanParallelMS:       float64(cleanP.wall) / float64(time.Millisecond),
-		WallFaultySerialMS:        float64(faultS.wall) / float64(time.Millisecond),
-		WallFaultyParallelMS:      float64(faultP.wall) / float64(time.Millisecond),
 		FaultyHaltedWave:          faultS.report.HaltedWave,
 		FaultyRolledBack:          faultS.report.RolledBack,
 		FaultyRollbackErrs:        faultS.report.RollbackErrs,
@@ -247,14 +207,10 @@ func RunRollout(m kernel.Machine) *RolloutBenchResult {
 		FingerprintFaultySerial:   fmt.Sprintf("%016x", faultS.fp),
 		FingerprintFaultyParallel: fmt.Sprintf("%016x", faultP.fp),
 		ReplaySpec:                rolloutReplaySpec,
-		GOMAXPROCS:                runtime.GOMAXPROCS(0),
-	}
-	slo := func(name, target, measured string, pass bool) {
-		r.SLOs = append(r.SLOs, FleetSLO{Name: name, Target: target, Measured: measured, Pass: pass})
 	}
 
 	cr := cleanS.report
-	slo("convergence", "clean rollout upgrades the whole fleet and completes",
+	r.check("convergence", "clean rollout upgrades the whole fleet and completes",
 		fmt.Sprintf("%d/%d machines healthy on %s in %d waves (resolved=%v)",
 			cr.Upgraded, cr.Targets, rolloutVersion, len(cr.Waves), cleanS.resolved),
 		cleanS.resolved && cr.Completed && !cr.Halted && cr.Upgraded == cr.Targets &&
@@ -267,19 +223,19 @@ func RunRollout(m kernel.Machine) *RolloutBenchResult {
 	for _, w := range fr.Waves[:max(len(fr.Waves)-1, 0)] {
 		upgradedBeforeHalt += len(w.Machines)
 	}
-	slo("canary_halt", "faulty generation halts the rollout at the wave that hits it",
+	r.check("canary_halt", "faulty generation halts the rollout at the wave that hits it",
 		fmt.Sprintf("halted=%v wave=%d after %d clean upgrades (resolved=%v)",
 			fr.Halted, fr.HaltedWave, upgradedBeforeHalt, faultS.resolved),
 		faultS.resolved && fr.Halted && !fr.Completed && fr.HaltedWave >= 1 &&
 			upgradedBeforeHalt > 0)
 
-	slo("rollback", "halt restores every upgraded machine to the previous generation",
+	r.check("rollback", "halt restores every upgraded machine to the previous generation",
 		fmt.Sprintf("%d rolled back (%d errs), %d shards left on %s, upgraded=%d",
 			fr.RolledBack, fr.RollbackErrs, faultS.onNew, rolloutVersion, fr.Upgraded),
 		faultS.resolved && fr.Upgraded == 0 && fr.RollbackErrs == 0 &&
 			fr.RolledBack >= upgradedBeforeHalt && faultS.onNew == 0)
 
-	slo("determinism", "serial and parallel drives fingerprint identically (clean and faulty)",
+	r.check("determinism", "serial and parallel drives fingerprint identically (clean and faulty)",
 		fmt.Sprintf("clean %016x vs %016x, faulty %016x vs %016x",
 			cleanS.fp, cleanP.fp, faultS.fp, faultP.fp),
 		cleanS.fp == cleanP.fp && faultS.fp == faultP.fp)
@@ -306,22 +262,8 @@ func RunRollout(m kernel.Machine) *RolloutBenchResult {
 			repS.Report.Halted, repS.Report.RolledBack, repS.Report.Dead,
 			reflect.DeepEqual(repS.Report, repP.Report))
 	}
-	slo("replay", fmt.Sprintf("seeded faulty campaign %q replays clean from its one-line spec", rolloutReplaySpec),
+	r.check("replay", fmt.Sprintf("seeded faulty campaign %q replays clean from its one-line spec", rolloutReplaySpec),
 		replayMeasured, replayPass)
 
-	r.Pass = true
-	for _, s := range r.SLOs {
-		r.Pass = r.Pass && s.Pass
-	}
 	return r
-}
-
-// WriteRolloutJSON runs the cluster sweep, the fleet benchmark, and the
-// rollout benchmark — the full BENCH_cluster.json document — and writes it
-// to path.
-func WriteRolloutJSON(path string, m kernel.Machine) (*ClusterOutput, error) {
-	out := RunCluster()
-	out.Fleet = RunFleet(m)
-	out.Rollout = RunRollout(m)
-	return writeClusterDoc(path, out)
 }

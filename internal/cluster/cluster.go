@@ -104,7 +104,6 @@ type Cluster struct {
 	fl       *sim.Fleet
 	ctrl     *sim.Engine
 	ctrlNode int
-	ctrlSrc  int
 	machines []*Machine
 	sched    *jobScheduler
 	rollout  *Rollout
@@ -200,7 +199,6 @@ func New(cfg Config) *Cluster {
 	plane := &ctrlPlane{Engine: c.ctrl, c: c}
 	plane.fire = plane.next
 	c.ctrlNode = c.fl.AddNode(plane)
-	c.ctrlSrc = c.fl.AddSource(c.ctrlNode)
 	for i := 0; i < cfg.Machines; i++ {
 		c.machines = append(c.machines, newMachine(c, i))
 	}
@@ -247,7 +245,7 @@ func (c *Cluster) FailMachine(mi int, at time.Duration) {
 	// Kill must observe the fleet floor exactly at the failure instant — the
 	// victim advances to t and no further — so it rides a plain Send, whose
 	// commitments run at the floor (unlike the handoff fast path).
-	c.fl.Send(c.ctrlSrc, node, t, func() { c.fl.Kill(node) })
+	c.fl.Send(c.ctrlNode, node, t, func() { c.fl.Kill(node) })
 	d := t.Add(ktime.Duration(c.cfg.DetectDelay))
 	c.detects = append(c.detects, d)
 	c.ctrl.PostAt(d, func() { c.sched.machineDead(mi) })

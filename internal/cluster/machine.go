@@ -30,16 +30,14 @@ const (
 // ride the fleet's deterministic message order, so the agent is a state
 // machine with no hidden concurrency: applyStart/applyStop run inside the
 // target shard's execution context, exit observers run on the owning shard,
-// and every cross-machine send goes through a per-shard fleet source.
+// and every cross-machine send is sent from the machine's fleet node — its
+// shards run one at a time, so their sends never race.
 type Machine struct {
 	c  *Cluster
 	id int
 	sk *kernel.ShardedKernel
-	// node is this machine's fleet index; src[s] is the fleet send context
-	// owned by shard s, so reports from concurrently-driven machines never
-	// race.
+	// node is this machine's fleet index, the sender of its reports.
 	node int
-	src  []int
 	// runs is the agent's running-set: jobRun records in a slab (a record's
 	// address is stable while its task holds it as a Behavior), finished
 	// ones chained on free for the next start. Only shard contexts of this
@@ -98,9 +96,6 @@ func newMachine(c *Cluster, id int) *Machine {
 	m := &Machine{c: c, id: id, sk: sk}
 	sk.Executor().SetMsgHandler(m.handle)
 	m.node = c.fl.AddNode(sk)
-	for s := 0; s < sk.NumShards(); s++ {
-		m.src = append(m.src, c.fl.AddSource(m.node))
-	}
 	if c.cfg.SetupModules != nil {
 		m.ads = c.cfg.SetupModules(id, sk)
 	} else if c.cfg.Setup != nil {
@@ -136,7 +131,7 @@ func (m *Machine) Adapters() []*enokic.Adapter { return m.ads }
 func (m *Machine) report(shard int, fn func(s *jobScheduler)) {
 	c := m.c
 	at := m.sk.ShardKernel(shard).Now().Add(ktime.Duration(c.cfg.NetLatency))
-	c.fl.SendHandoff(m.src[shard], c.ctrlNode, at, func() {
+	c.fl.SendHandoff(m.node, c.ctrlNode, at, func() {
 		c.ctrl.PostAt(at, func() { fn(c.sched) })
 	})
 }
@@ -147,7 +142,7 @@ func (m *Machine) reportMsg(shard int, msg sim.Msg) {
 	c := m.c
 	msg.B = int32(m.id)
 	at := m.sk.ShardKernel(shard).Now().Add(ktime.Duration(c.cfg.NetLatency))
-	c.fl.SendMsg(m.src[shard], c.ctrlNode, at, msg)
+	c.fl.SendMsg(m.node, c.ctrlNode, at, msg)
 }
 
 // handle executes one control-plane operation in the target shard's context.

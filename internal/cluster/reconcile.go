@@ -244,7 +244,7 @@ func (s *jobScheduler) reconcile() {
 	}
 	q := s.queue
 	s.queue = s.queue[:0]
-	s.c.fl.Reserve(s.c.ctrlSrc, len(q)) // at most one start each
+	s.c.fl.Reserve(s.c.ctrlNode, len(q)) // at most one start each
 	for _, id := range q {
 		j := &s.jobs.at(id).Job
 		if j.State != JobPending {
@@ -319,7 +319,7 @@ func (s *jobScheduler) start(j *Job, mi int) {
 	// read the job slab, which a Submit from a control-plane event may be
 	// growing while they run.
 	at := c.ctrl.Now().Add(ktime.Duration(c.cfg.NetLatency))
-	c.fl.SendMsg(c.ctrlSrc, m.node, at, sim.Msg{
+	c.fl.SendMsg(c.ctrlNode, m.node, at, sim.Msg{
 		Kind: msgStart, Shard: int32(j.Shard), A: int32(j.ID), B: int32(j.CyclesLeft),
 		X: int64(j.Spec.Run), Y: int64(j.Spec.Sleep), S: j.Spec.Name,
 	})
@@ -334,7 +334,7 @@ func (s *jobScheduler) stop(j *Job) {
 	j.State = JobStopping
 	s.stops++
 	at := c.ctrl.Now().Add(ktime.Duration(c.cfg.NetLatency))
-	c.fl.SendMsg(c.ctrlSrc, m.node, at, sim.Msg{Kind: msgStop, Shard: int32(j.Shard), A: int32(j.ID)})
+	c.fl.SendMsg(c.ctrlNode, m.node, at, sim.Msg{Kind: msgStop, Shard: int32(j.Shard), A: int32(j.ID)})
 }
 
 // onStarted handles a machine's spawn acknowledgement. Guards drop stale

@@ -419,7 +419,7 @@ func (r *Rollout) sendUpgrade(mi int) {
 	c := r.c
 	m := c.machines[mi]
 	at := c.ctrl.Now().Add(ktime.Duration(c.cfg.NetLatency))
-	c.fl.SendHandoff(c.ctrlSrc, m.node, at, func() { m.applyUpgrade(r, at) })
+	c.fl.SendHandoff(c.ctrlNode, m.node, at, func() { m.applyUpgrade(r, at) })
 }
 
 // sendProbe ships the health probe to machine mi.
@@ -427,7 +427,7 @@ func (r *Rollout) sendProbe(mi int) {
 	c := r.c
 	m := c.machines[mi]
 	at := c.ctrl.Now().Add(ktime.Duration(c.cfg.NetLatency))
-	c.fl.SendHandoff(c.ctrlSrc, m.node, at, func() { m.applyProbe(r, at) })
+	c.fl.SendHandoff(c.ctrlNode, m.node, at, func() { m.applyProbe(r, at) })
 }
 
 // sendRollback ships the rollback op to machine mi.
@@ -435,7 +435,7 @@ func (r *Rollout) sendRollback(mi int) {
 	c := r.c
 	m := c.machines[mi]
 	at := c.ctrl.Now().Add(ktime.Duration(c.cfg.NetLatency))
-	c.fl.SendHandoff(c.ctrlSrc, m.node, at, func() { m.applyRollback(r, at) })
+	c.fl.SendHandoff(c.ctrlNode, m.node, at, func() { m.applyRollback(r, at) })
 }
 
 // ackBarrier retires one outstanding machine ack and advances the phase
@@ -734,7 +734,7 @@ func (r *Rollout) finish(converged bool) {
 // at machine-executor level, they fan out to every module-holding shard via
 // shard injection, accumulate a machine-local roll-up (the machine drive is
 // serial, so plain mutation is safe and deterministic), and the last shard
-// to resolve reports the roll-up back over its own fleet source.
+// to resolve reports the roll-up back from the machine's fleet node.
 
 // applyUpgrade injects an UpgradeTo into every shard holding a module and
 // acks the machine-wide outcome once the last shard's transaction resolves.

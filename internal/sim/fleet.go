@@ -8,14 +8,13 @@
 // machine observing another's state.
 //
 // The merge ordering is the same (at, to, from, seq) total order Sharded
-// uses, with one generalization: message sources are registered explicitly
-// (AddSource) rather than being the node index, so one machine can expose
-// several independent send contexts — one per internal shard — and a send
-// from any of them is race-free under the fleet's parallel drive. Ties at
-// one instant break by destination node, then source id, then per-source
-// send sequence; every sequence counter is monotonic for the life of the
-// executor (never reset between epochs or runs), which is what makes the
-// order total and the serial and parallel fleet drives byte-identical.
+// uses: every send names its sending node, whose execution context owns that
+// node's outbox during an epoch, so sends are race-free under the fleet's
+// parallel drive (a sharded node runs its shards one at a time). Ties at one
+// instant break by destination node, then sending node, then per-node send
+// sequence; every sequence counter is monotonic for the life of the executor
+// (never reset between epochs or runs), which is what makes the order total
+// and the serial and parallel fleet drives byte-identical.
 //
 // The parallel drive forks and joins inside every epoch (runEpoch), so the
 // executor owns no goroutine between epochs and needs no Close.
@@ -74,13 +73,12 @@ type Fleet struct {
 	parallel  bool
 	now       ktime.Time // global floor: every live node clock sits here between epochs
 
-	mailroom        // one outbox per source, owned by the source's node during an epoch
-	floorMsgs int   // pending non-handoff messages (each chops an epoch window)
-	srcNode   []int // source id → owning node
+	mailroom      // one outbox per node, owned by the node during an epoch
+	floorMsgs int // pending non-handoff messages (each chops an epoch window)
 
 	// Quiet runs (SetHub): while now < horizon, leaves with an ahead[i].run
 	// sit epochs out, their events fired to horizon (lockstep's to firedTo)
-	// and their sends held[src] until the replay reaches them.
+	// and their sends held[i] until the replay reaches them.
 	hub              int                                  // -1 without one
 	quiet            interface{ QuietUntil() ktime.Time } // nil when no leaf can run ahead
 	ahead            []ahead
@@ -146,16 +144,8 @@ func (f *Fleet) AddNode(n FleetNode) int {
 	sink, _ := n.(MsgSink)
 	f.sinks = append(f.sinks, sink)
 	f.dead = append(f.dead, false)
+	f.addSource() // node i sends from outbox i
 	return len(f.nodes) - 1
-}
-
-// AddSource allocates a send context owned by node. Sends from one source
-// must be serialized by the caller (use one source per independent execution
-// context — e.g. one per internal shard of a machine); distinct sources are
-// independent and may send concurrently.
-func (f *Fleet) AddSource(node int) int {
-	f.srcNode = append(f.srcNode, node)
-	return f.addSource()
 }
 
 // NumNodes returns the member count.
@@ -199,7 +189,7 @@ func (f *Fleet) Kill(i int) { f.dead[i] = true }
 // caller's goroutine. Both produce bit-identical simulations.
 func (f *Fleet) SetParallel(on bool) { f.parallel = on }
 
-// SetHub makes node the hub of a star, once every node and source is added:
+// SetHub makes node the hub of a star, once every node is added:
 // a send between two other nodes panics. When the hub's QuietUntil() promises
 // silence up to an instant, whatever it receives, and no pending message
 // reaches a leaf for over an epoch, every one-shard leaf runs ahead in one
@@ -218,17 +208,18 @@ func (f *Fleet) SetHub(node int) {
 	}
 }
 
-// Send submits fn for commitment toward node `to` at absolute virtual time
-// `at`. It must be called from source src's execution context (or between
-// runs), and `at` must be at least the source node's now plus the lookahead.
+// Send submits fn from node `from` for commitment toward node `to` at
+// absolute virtual time `at`. It must be called from the sending node's
+// execution context (or between runs), and `at` must be at least that node's
+// now plus the lookahead.
 // The closure runs on the coordinator at the first productive point at or
 // after `at`, with every node quiescent at the global floor — so it may
 // observe fleet and node state as of the delivery instant (Kill rides a
 // plain Send for exactly this reason). Each distinct Send instant ends an
 // epoch window; high-rate traffic whose closures are pure handoffs should
 // use SendHandoff instead, which commits early and keeps the windows wide.
-func (f *Fleet) Send(src, to int, at ktime.Time, fn func()) {
-	f.submit(src, smsg{mkey: mkey{at: at, to: int32(to)}, fn: fn})
+func (f *Fleet) Send(from, to int, at ktime.Time, fn func()) {
+	f.submit(from, smsg{mkey: mkey{at: at, to: int32(to)}, fn: fn})
 }
 
 // SendHandoff is Send for pure-handoff commitments: fn must confine itself
@@ -239,8 +230,8 @@ func (f *Fleet) Send(src, to int, at ktime.Time, fn func()) {
 // way, but the epoch loop no longer chops a window (and pays a full fleet
 // scan) per message instant. This is the hot path for cluster-scale
 // traffic; anything whose closure observes the floor stays on Send.
-func (f *Fleet) SendHandoff(src, to int, at ktime.Time, fn func()) {
-	f.submit(src, smsg{mkey: mkey{at: at, to: int32(to)}, fn: fn, msg: Msg{handoff: true}})
+func (f *Fleet) SendHandoff(from, to int, at ktime.Time, fn func()) {
+	f.submit(from, smsg{mkey: mkey{at: at, to: int32(to)}, fn: fn, msg: Msg{handoff: true}})
 }
 
 // SendMsg is SendHandoff without the closure: m is copied to node `to`,
@@ -249,30 +240,29 @@ func (f *Fleet) SendHandoff(src, to int, at ktime.Time, fn func()) {
 // job starts, stops and lifecycle reports — where a closure per message is
 // the dominant allocation; closures remain for everything that must observe
 // the floor (Send) or is too rare and irregular to deserve a kind.
-func (f *Fleet) SendMsg(src, to int, at ktime.Time, m Msg) {
+func (f *Fleet) SendMsg(from, to int, at ktime.Time, m Msg) {
 	if f.sinks[to] == nil {
 		panic(fmt.Sprintf("sim: value message to node %d, which is not a MsgSink", to))
 	}
 	m.handoff = true
-	f.submit(src, smsg{mkey: mkey{at: at, to: int32(to)}, msg: m})
+	f.submit(from, smsg{mkey: mkey{at: at, to: int32(to)}, msg: m})
 }
 
-// Reserve tells the fleet that source src is about to send n messages, so
+// Reserve tells the fleet that node `from` is about to send n messages, so
 // its outbox grows once, to fit, instead of by doubling through the burst.
 // Purely a sizing hint: sending more or fewer is fine.
-func (f *Fleet) Reserve(src, n int) { f.out[src] = slices.Grow(f.out[src], n) }
+func (f *Fleet) Reserve(from, n int) { f.out[from] = slices.Grow(f.out[from], n) }
 
-func (f *Fleet) submit(src int, m smsg) {
-	nd := f.srcNode[src]
-	if min := f.nodes[nd].Now().Add(f.lookahead); m.at < min {
-		panic(fmt.Sprintf("sim: fleet send at %v under lookahead floor %v (source %d on node %d → %d)",
-			m.at, min, src, nd, m.to))
+func (f *Fleet) submit(from int, m smsg) {
+	if min := f.nodes[from].Now().Add(f.lookahead); m.at < min {
+		panic(fmt.Sprintf("sim: fleet send at %v under lookahead floor %v (node %d → %d)",
+			m.at, min, from, m.to))
 	}
-	if leaf := int(m.to) != f.hub; f.hub >= 0 && (leaf && nd != f.hub || (leaf || !m.msg.handoff) && m.at <= f.horizon) {
+	if leaf := int(m.to) != f.hub; f.hub >= 0 && (leaf && from != f.hub || (leaf || !m.msg.handoff) && m.at <= f.horizon) {
 		panic(fmt.Sprintf("sim: fleet send from node %d to node %d at %v bypasses hub %d or breaks its QuietUntil promise (horizon %v)",
-			nd, m.to, m.at, f.hub, f.horizon))
+			from, m.to, m.at, f.hub, f.horizon))
 	}
-	f.send(src, m)
+	f.send(from, m)
 }
 
 // deliver commits every pending message due at or before upTo, in merge
@@ -307,12 +297,12 @@ func (f *Fleet) collect() { f.floorMsgs += f.mailroom.collect() }
 // release merges the held messages due by upTo and notes the next one left.
 func (f *Fleet) release(upTo ktime.Time) {
 	f.heldNext = maxTime
-	for src, q := range f.held {
+	for i, q := range f.held {
 		k := 0
 		for k < len(q) && q[k].at <= upTo {
 			k++
 		}
-		if f.ready[src], f.held[src] = q[:k], q[k:]; k < len(q) {
+		if f.ready[i], f.held[i] = q[:k], q[k:]; k < len(q) {
 			f.heldNext = min(f.heldNext, q[k].at)
 		}
 	}
@@ -434,10 +424,10 @@ func (f *Fleet) goQuiet(t ktime.Time) {
 	}
 	f.horizon, f.firedTo, f.to = h, f.now-1, h
 	f.each(f.aheadFn)
-	for src, nd := range f.srcNode {
-		if q := f.out[src]; f.ahead[nd].run != nil && !f.dead[nd] {
+	for i, q := range f.out {
+		if f.ahead[i].run != nil && !f.dead[i] {
 			slices.SortFunc(q, func(a, b smsg) int { return a.cmp(b.mkey) })
-			f.held[src], f.out[src] = q, q[:0] // the leaf sends nothing more until the horizon
+			f.held[i], f.out[i] = q, q[:0] // the leaf sends nothing more until the horizon
 		}
 	}
 	f.release(f.now)

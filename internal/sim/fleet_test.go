@@ -18,12 +18,10 @@ func fleetPingPong(parallel bool, nodes, rounds int) [][]string {
 	f := NewFleet(la)
 	f.SetParallel(parallel)
 	engs := make([]*Engine, nodes)
-	srcs := make([]int, nodes)
 	logs := make([][]string, nodes)
 	for i := 0; i < nodes; i++ {
 		engs[i] = New()
 		f.AddNode(engs[i])
-		srcs[i] = f.AddSource(i)
 	}
 	for i := 0; i < nodes; i++ {
 		i := i
@@ -39,7 +37,7 @@ func fleetPingPong(parallel bool, nodes, rounds int) [][]string {
 			if n%3 == 0 {
 				to := (i + 1) % nodes
 				at := eng.Now().Add(ktime.Duration(la) + ktime.Duration(i)*100)
-				f.Send(srcs[i], to, at, func() {
+				f.Send(i, to, at, func() {
 					// Commitment: hand the payload to the destination
 					// engine for execution at the delivery instant.
 					engs[to].PostAt(at, func() {
@@ -83,14 +81,10 @@ func TestFleetShardedNodes(t *testing.T) {
 		f := NewFleet(netLA)
 		f.SetParallel(parallel)
 		sk := make([]*Sharded, machines)
-		srcs := make([]int, machines)
 		logs := make([][]string, machines)
 		for m := 0; m < machines; m++ {
 			sk[m] = NewSharded(shardsPer, ipiLA)
 			f.AddNode(sk[m])
-			// One fleet source per machine: all sends below originate from
-			// shard 0's context.
-			srcs[m] = f.AddSource(m)
 		}
 		for m := 0; m < machines; m++ {
 			m := m
@@ -106,7 +100,7 @@ func TestFleetShardedNodes(t *testing.T) {
 				if n%4 == 0 {
 					to := (m + 1) % machines
 					at := eng.Now().Add(ktime.Duration(netLA))
-					f.Send(srcs[m], to, at, func() {
+					f.Send(m, to, at, func() {
 						// Commitment: inject into the destination machine,
 						// alternating target shards.
 						shard := n % shardsPer
@@ -146,7 +140,6 @@ func TestFleetKill(t *testing.T) {
 		var sLog, vLog []string
 		f.AddNode(engs[0])
 		f.AddNode(sinkNode{Engine: engs[1], got: func(Msg) { vLog = append(vLog, "ghost") }})
-		src0 := f.AddSource(0)
 		for i, log := range []*[]string{&sLog, &vLog} {
 			i, log := i, log
 			eng := engs[i]
@@ -164,14 +157,14 @@ func TestFleetKill(t *testing.T) {
 		// Kill node 1 at t=50µs via a fleet message, then keep sending to the
 		// corpse: those sends must be dropped.
 		killAt := ktime.Time(0).Add(ktime.Duration(50 * time.Microsecond))
-		f.Send(src0, 1, killAt, func() { f.Kill(1) })
+		f.Send(0, 1, killAt, func() { f.Kill(1) })
 		// A value message due at the kill instant itself, sent after the
 		// kill: it commits in the same batch, right behind it, and must be
 		// dropped and counted like any closure to the corpse.
-		f.SendMsg(src0, 1, killAt, Msg{Kind: 1})
+		f.SendMsg(0, 1, killAt, Msg{Kind: 1})
 		for i := 1; i <= 5; i++ {
 			at := killAt.Add(ktime.Duration(i) * ktime.Duration(10*time.Microsecond))
-			f.Send(src0, 1, at, func() { engs[1].PostAt(at, func() { vLog = append(vLog, "ghost") }) })
+			f.Send(0, 1, at, func() { engs[1].PostAt(at, func() { vLog = append(vLog, "ghost") }) })
 		}
 		f.RunUntil(ktime.Time(0).Add(ktime.Duration(300 * time.Microsecond)))
 		return sLog, vLog, f.MsgsDropped(), engs[1].Now()
@@ -206,13 +199,12 @@ func TestFleetSendUnderLookaheadPanics(t *testing.T) {
 	f := NewFleet(10 * time.Microsecond)
 	f.AddNode(New())
 	f.AddNode(New())
-	src := f.AddSource(0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("send under the lookahead floor did not panic")
 		}
 	}()
-	f.Send(src, 1, ktime.Time(0).Add(ktime.Duration(time.Microsecond)), func() {})
+	f.Send(0, 1, ktime.Time(0).Add(ktime.Duration(time.Microsecond)), func() {})
 }
 
 // TestFleetRunUntilComposes checks that back-to-back RunUntil calls behave
@@ -284,22 +276,21 @@ func (p *promiser) QuietUntil() ktime.Time { return p.quiet }
 
 // quietStar builds a hub and n leaves of the given shards, each leaf ticking
 // every 7µs so a quiet run has events to fire.
-func quietStar(n, shards int) (*Fleet, *promiser, int) {
+func quietStar(n, shards int) (*Fleet, *promiser) {
 	const la = 10 * time.Microsecond
 	f := NewFleet(la)
 	hub := &promiser{Engine: New(), quiet: maxTime}
 	f.AddNode(hub)
-	hubSrc := f.AddSource(0)
 	for i := 0; i < n; i++ {
 		leaf := NewSharded(shards, la)
-		f.AddSource(f.AddNode(leaf))
+		f.AddNode(leaf)
 		e := leaf.Shard(0)
 		var tick func()
 		tick = func() { e.Post(7*time.Microsecond, tick) }
 		e.Post(time.Microsecond, tick)
 	}
 	f.SetHub(0)
-	return f, hub, hubSrc
+	return f, hub
 }
 
 // wantPanic runs fn and fails unless it panics with a message containing
@@ -325,21 +316,21 @@ func wantPanic(t *testing.T, want string, fn func()) {
 func TestFleetLyingHubPanics(t *testing.T) {
 	const la = 10 * time.Microsecond
 	t.Run("handoff to a leaf", func(t *testing.T) {
-		f, hub, src := quietStar(3, 1)
+		f, hub := quietStar(3, 1)
 		hub.PostAt(ktime.Time(time.Millisecond), func() {
-			f.SendHandoff(src, 2, hub.Now().Add(la), func() {})
+			f.SendHandoff(0, 2, hub.Now().Add(la), func() {})
 		})
 		wantPanic(t, "breaks its QuietUntil promise", func() { f.RunUntil(ktime.Time(5 * time.Millisecond)) })
 	})
 	t.Run("floor message to itself", func(t *testing.T) {
-		f, hub, src := quietStar(3, 1)
+		f, hub := quietStar(3, 1)
 		hub.PostAt(ktime.Time(time.Millisecond), func() {
-			f.Send(src, 0, hub.Now().Add(la), func() {})
+			f.Send(0, 0, hub.Now().Add(la), func() {})
 		})
 		wantPanic(t, "breaks its QuietUntil promise", func() { f.RunUntil(ktime.Time(5 * time.Millisecond)) })
 	})
 	t.Run("leaf to leaf", func(t *testing.T) {
-		f, _, _ := quietStar(3, 1)
+		f, _ := quietStar(3, 1)
 		leaf := f.Node(1).(*Sharded).Shard(0)
 		leaf.PostAt(ktime.Time(20*time.Microsecond), func() {
 			f.SendHandoff(1, 3, leaf.Now().Add(la), func() {})
@@ -347,10 +338,10 @@ func TestFleetLyingHubPanics(t *testing.T) {
 		wantPanic(t, "bypasses hub", func() { f.RunUntil(ktime.Time(time.Millisecond)) })
 	})
 	t.Run("kept promise", func(t *testing.T) {
-		f, hub, src := quietStar(3, 1)
+		f, hub := quietStar(3, 1)
 		hub.quiet = ktime.Time(time.Millisecond)
 		hub.PostAt(hub.quiet, func() {
-			f.SendHandoff(src, 2, hub.Now().Add(la), func() {})
+			f.SendHandoff(0, 2, hub.Now().Add(la), func() {})
 			hub.quiet = maxTime
 		})
 		f.RunUntil(ktime.Time(3 * time.Millisecond))
@@ -366,7 +357,7 @@ func TestFleetLyingHubPanics(t *testing.T) {
 // shards never asks its hub for a promise, so it runs the plain epoch loop.
 func TestFleetQuietNeedsOneShardLeaf(t *testing.T) {
 	for _, shards := range []int{1, 2} {
-		if f, _, _ := quietStar(3, shards); (f.quiet != nil) != (shards == 1) {
+		if f, _ := quietStar(3, shards); (f.quiet != nil) != (shards == 1) {
 			t.Errorf("%d-shard leaves: promise asked for = %v", shards, f.quiet != nil)
 		}
 	}

@@ -182,15 +182,14 @@ func TestFleetSeqMonotonicAcrossRuns(t *testing.T) {
 	e0, e1 := New(), New()
 	f.AddNode(e0)
 	f.AddNode(e1)
-	src := f.AddSource(0)
 	var log []string
 	target := ktime.Time(0).Add(ktime.Duration(200 * time.Microsecond))
 	e0.Post(time.Microsecond, func() {
-		f.Send(src, 1, target, func() { log = append(log, "first") })
+		f.Send(0, 1, target, func() { log = append(log, "first") })
 	})
 	f.RunUntil(ktime.Time(0).Add(ktime.Duration(50 * time.Microsecond)))
 	e0.Post(10*time.Microsecond, func() { // fires at 60µs, a later fleet run
-		f.Send(src, 1, target, func() { log = append(log, "second") })
+		f.Send(0, 1, target, func() { log = append(log, "second") })
 	})
 	f.RunUntilIdle()
 	if fmt.Sprint(log) != "[first second]" {
@@ -210,13 +209,12 @@ func TestFleetValueAndClosureShareSeq(t *testing.T) {
 	}}
 	f.AddNode(New())
 	to := f.AddNode(dst)
-	src := f.AddSource(0)
 	at := ktime.Time(0).Add(ktime.Duration(100 * time.Microsecond))
 	post := func(s string) func() { return func() { dst.PostAt(at, func() { log = append(log, s) }) } }
-	f.SendHandoff(src, to, at, post("handoff"))
-	f.SendMsg(src, to, at, Msg{Kind: 7, Shard: 3, A: 1, B: 2, X: 30, Y: 4, S: "job"})
-	f.Send(src, to, at, post("floor"))
-	f.SendMsg(src, to, at, Msg{Kind: 8, A: 2})
+	f.SendHandoff(0, to, at, post("handoff"))
+	f.SendMsg(0, to, at, Msg{Kind: 7, Shard: 3, A: 1, B: 2, X: 30, Y: 4, S: "job"})
+	f.Send(0, to, at, post("floor"))
+	f.SendMsg(0, to, at, Msg{Kind: 8, A: 2})
 	f.RunUntilIdle()
 	want := "[handoff value 7/3/1/2/34/job floor value 8/0/2/0/0/]"
 	if fmt.Sprint(log) != want {
@@ -230,5 +228,5 @@ func TestFleetValueAndClosureShareSeq(t *testing.T) {
 			t.Fatal("SendMsg to a node that is no MsgSink did not panic")
 		}
 	}()
-	f.SendMsg(src, 0, at.Add(ktime.Duration(time.Millisecond)), Msg{Kind: 1})
+	f.SendMsg(0, 0, at.Add(ktime.Duration(time.Millisecond)), Msg{Kind: 1})
 }
