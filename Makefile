@@ -88,13 +88,16 @@ rollout:
 # under the race detector — per-class shedding, bounded retry backoff,
 # brownout hysteresis, and the 0 allocs/op Admit ratchet — the traffic
 # plane's flash-crowd, churn, antagonist, module-kill and pinned-drive tests,
-# the request path's allocation ratchet (TestTrafficRequestAllocs:
-# about one allocation per request) and its task-record recycling-on-vs-off
-# identity, the 30-run t1: traffic chaos campaign with the LeakShed
-# find→shrink→replay loop, the cluster Offer front door, the public
-# DriveTraffic/WithAdmission API, and the artifact's overload section.
+# the request path's allocation ratchet (TestTrafficRequestAllocs: a
+# module-served request allocates nothing once warm, under 0.25 per request
+# in the short run) and its task-record recycling-on-vs-off identity, the
+# three hazard tests of enokic's per-task record reuse, the 30-run t1:
+# traffic chaos campaign with the LeakShed find→shrink→replay loop, the
+# cluster Offer front door, the public DriveTraffic/WithAdmission API, and
+# the artifact's overload section.
 overload:
 	$(GO) test -race -count=1 ./internal/overload ./internal/workload/traffic
+	$(GO) test -race -run 'TestRecycledRecordRejectsFormerTenantsToken|TestRecycledRecordRestartsGeneration|TestDepartedRecordNotRecycled' -count=1 ./internal/enokic
 	$(GO) test -race -run 'TestTraffic|TestParseTrafficSpec|TestGenerateTraffic|TestRunTraffic|TestSpecErrors|FuzzParseSpec' -count=1 ./internal/chaos
 	$(GO) test -race -run 'TestDriveTraffic|TestWithBrownout|TestClusterOfferAdmission|TestTrafficFleetDriver' -count=1 .
 	$(GO) test -race -run 'TestOffer|TestSubmitBypassesAdmission' -count=1 ./internal/cluster

@@ -132,7 +132,8 @@ type Stats struct {
 // in the task's class-data slot while the adapter owns the task (the hooks,
 // which arrive with the task, read it there) and every token issued for the
 // task points back at origin (a token the module returns resolves through
-// it), so no hook hashes a pid.
+// it), so no hook hashes a pid. A dead task's record goes on the adapter's
+// free list for the next TaskNew.
 type taskInfo struct {
 	// origin.Record is this taskInfo until the task dies or departs.
 	origin   core.Origin
@@ -161,6 +162,9 @@ type Adapter struct {
 
 	nqueued []int
 	tokens  core.TokenArena
+	// infoFree holds the records of dead tasks, LIFO, for TaskNew to reuse.
+	// A departed task's record never goes here (Detach).
+	infoFree []*taskInfo
 
 	seq      uint64
 	lockSeq  uint64
@@ -432,10 +436,16 @@ func (a *Adapter) infoByPID(pid int) *taskInfo {
 }
 
 // infoOfToken resolves a token to the record of the task it vouches for,
-// nil when that task is not (or no longer) this adapter's.
+// nil when that task is not (or no longer) this adapter's. The pid check
+// matters once a dead task's record serves another: a token kept from the
+// first tenant still reaches the record through its origin, but names a pid
+// the kernel never hands out again.
 func (a *Adapter) infoOfToken(tok *core.Schedulable) *taskInfo {
 	if o := tok.Origin(); o != nil {
-		return a.own(o.Record)
+		if ti := a.own(o.Record); ti != nil && ti.t.PID() == tok.PID() {
+			return ti
+		}
+		return nil
 	}
 	return a.infoByPID(tok.PID())
 }
@@ -481,9 +491,17 @@ func (a *Adapter) OverheadPerCall() time.Duration { return a.cfg.CallOverhead + 
 func (a *Adapter) CrossingTier() string { return "module" }
 
 // TaskNew implements kernel.Class. The module's task_new message is sent at
-// the first enqueue, when a Schedulable for a concrete run queue exists.
+// the first enqueue, when a Schedulable for a concrete run queue exists. A
+// reused record starts over, generation included, so the record log is the
+// one a fresh record would write.
 func (a *Adapter) TaskNew(t *kernel.Task) {
-	ti := &taskInfo{a: a, t: t}
+	var ti *taskInfo
+	if n := len(a.infoFree); n > 0 {
+		ti, a.infoFree = a.infoFree[n-1], a.infoFree[:n-1]
+	} else {
+		ti = new(taskInfo)
+	}
+	*ti = taskInfo{a: a, t: t}
 	ti.origin.Record = ti
 	t.SetClassData(ti)
 }
@@ -495,13 +513,16 @@ func (a *Adapter) TaskDead(t *kernel.Task) {
 		return
 	}
 	a.forget(ti)
+	a.infoFree = append(a.infoFree, ti)
 	m := a.getMsg()
 	m.Kind, m.Thread, m.PID = core.MsgTaskDead, t.CPU(), t.PID()
 	a.notify(m)
 }
 
 // Detach implements kernel.Class: the task leaves for another class; the
-// module returns its token through task_departed. Unlike notifications this
+// module returns its token through task_departed. The record is not reused:
+// the task may come back under the same pid, and a restarted generation would
+// let a token it held before leaving validate again. Unlike notifications this
 // needs a reply, so during an upgrade window it enters the module
 // synchronously — the quiesce contract trusts setscheduler calls to be rare
 // enough not to matter inside a ~10µs blackout (§3.2's "trusted to upgrade

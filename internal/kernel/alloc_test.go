@@ -10,6 +10,7 @@ import (
 	"enoki/internal/enokic"
 	"enoki/internal/kernel"
 	"enoki/internal/sched/fifo"
+	"enoki/internal/sched/shinjuku"
 	"enoki/internal/sim"
 )
 
@@ -169,28 +170,30 @@ func TestSpawnExitAllocs(t *testing.T) {
 }
 
 // TestTransientSpawnExitAllocs is TestSpawnExitAllocs for SpawnTransient,
-// counted the same way: with the free list warm a task's whole life under
-// builtin CFS allocates nothing — the record is the last tenant's, the pid
-// table slides instead of growing — and under the FIFO Go module it costs
-// the one thing that is never reused, enokic's per-task record (a kept token
-// reaches it through core.Origin), plus the task's share of a 256-token
-// arena chunk per enqueue.
+// counted the same way: with the free lists warm a task's whole life
+// allocates nothing. Under builtin CFS the record is the last tenant's and
+// the pid table slides instead of growing; under a Go module enokic's
+// per-task record and the module's own (Shinjuku keeps one; FIFO keeps
+// none) are the last tenant's too. What is left is the task's share of a
+// 256-token arena chunk per enqueue, since tokens are never reused.
 func TestTransientSpawnExitAllocs(t *testing.T) {
 	const warm, tasks = 600, 2000
+	fifoModule := func(env core.Env) core.Scheduler { return fifo.New(env, 1) }
+	shinjukuModule := func(env core.Env) core.Scheduler { return shinjuku.New(env, 1, 0) }
 	for _, tc := range []struct {
 		name   string
 		policy int
+		module func(core.Env) core.Scheduler
 		max    float64
 	}{
-		{"builtin-cfs", 0, 0.001},
-		{"module-fifo", 1, 1.02},
+		{"builtin-cfs", 0, fifoModule, 0.001},
+		{"module-fifo", 1, fifoModule, 0.05},
+		{"module-shinjuku", 1, shinjukuModule, 0.05},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.New()
 			k := kernel.New(eng, kernel.Machine8(), kernel.DefaultCosts())
-			enokic.Load(k, 1, enokic.DefaultConfig(), func(env core.Env) core.Scheduler {
-				return fifo.New(env, 1)
-			})
+			enokic.Load(k, 1, enokic.DefaultConfig(), tc.module)
 			k.RegisterClass(0, kernel.NewCFS(k))
 			exited := 0
 			recs := make([]threeSegments, warm+tasks)

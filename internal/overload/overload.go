@@ -242,9 +242,6 @@ func (c *Controller) Total() Counters {
 	return t
 }
 
-// Transitions returns every brownout transition in sample order.
-func (c *Controller) Transitions() []Transition { return c.transitions }
-
 // CheckConservation returns one violation string per broken accounting
 // identity — empty means the books balance. finalInflight additionally
 // requires every admitted request to have completed (Done), which a

@@ -5,6 +5,9 @@ import (
 	"time"
 )
 
+// Transitions returns every brownout transition in sample order.
+func (c *Controller) Transitions() []Transition { return c.transitions }
+
 func twoClass(leak bool) *Controller {
 	return New(Config{
 		LeakShed: leak,

@@ -43,6 +43,11 @@ type Sched struct {
 	mu     core.Locker
 	st     *state
 
+	// free holds dead tasks' records for TaskNew to reuse. It stays with
+	// this module instance: state travels with a live upgrade, the free
+	// list does not.
+	free []*task
+
 	// degraded is the brownout mode (core.BrownoutMode): under overload
 	// the module gives up its tight preemption slice and runs everything
 	// at the long uncontended quantum, shedding the timer/preemption
@@ -145,7 +150,13 @@ func (s *Sched) shortestQueue(t *task, fallback int) int {
 func (s *Sched) TaskNew(pid int, runtime time.Duration, runnable bool, allowed []int, sched *core.Schedulable) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	t := &task{pid: pid, allowed: allowedSet(allowed, s.env.NumCPUs())}
+	var t *task
+	if n := len(s.free); n > 0 {
+		t, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		t = new(task)
+	}
+	*t = task{pid: pid, allowed: allowedSet(allowed, s.env.NumCPUs())}
 	s.st.tasks[pid] = t
 	if runnable && sched != nil {
 		s.push(t, sched.CPU(), sched)
@@ -220,6 +231,7 @@ func (s *Sched) TaskDead(pid int) {
 			s.remove(t)
 		}
 		delete(s.st.tasks, pid)
+		s.free = append(s.free, t)
 	}
 }
 

@@ -106,13 +106,21 @@ func TestTrafficRecyclingIdentity(t *testing.T) {
 	}
 }
 
+// raceGrowBytes is what the race detector adds per request (race_test.go):
+// nothing in a plain build.
+var raceGrowBytes = 0.0
+
 // TestTrafficRequestAllocs is the request path's allocation ratchet, counted
 // as the ledger counts (runtime.MemStats over the run region, rig set-up
 // excluded, a cold rig — slabs, free lists and wheel buffers grow inside the
 // count): one request's whole life, with its follow-up request, its retries
-// and its fan-out, costs about one allocation, the module's per-task record.
-// It was 6.3 allocations and 900 bytes when every spawn built three closures
-// and a Task and every deferred offer another.
+// and its fan-out, allocates nothing once the rig is warm. The task record,
+// enokic's per-task record and Shinjuku's are all the last tenant's; what is
+// left is the free lists and wheel buffers growing to the in-flight peak
+// (this short run is mostly that ramp) and the token arena's chunks. It was
+// 6.3 allocations and 900 bytes when every spawn built three closures and a
+// Task and every deferred offer another, and 1.01 and 209 bytes while both
+// module-side records were still allocated per task.
 func TestTrafficRequestAllocs(t *testing.T) {
 	m := kernel.Machine80()
 	sk := kernel.NewShardedKernel(m, kernel.CostsFor(m), 0)
@@ -144,7 +152,7 @@ func TestTrafficRequestAllocs(t *testing.T) {
 	allocs := float64(after.Mallocs-before.Mallocs) / float64(rep.Requests)
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(rep.Requests)
 	t.Logf("%d requests: %.3f allocs and %.0f B per request", rep.Requests, allocs, bytes)
-	if allocs > 1.1 || bytes > 350 {
-		t.Fatalf("one request costs %.3f allocs and %.0f B, want <= 1.1 and <= 350", allocs, bytes)
+	if maxBytes := 180 + raceGrowBytes; allocs > 0.25 || bytes > maxBytes {
+		t.Fatalf("one request costs %.3f allocs and %.0f B, want <= 0.25 and <= %.0f", allocs, bytes, maxBytes)
 	}
 }
