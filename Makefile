@@ -108,12 +108,13 @@ overload:
 # ratchets of what the executor stands on: the sharded steady state
 # at 0 allocs/op, a cold engine's timer wheel, a burst slot that drains in
 # linear time, one allocation per kernel task from spawn to exit and none per
-# transient one, the saturated tick at 0 allocs per simulated ms — and the
+# transient one, the saturated tick at 0 allocs per simulated ms, a kernel
+# with CFS built at one allocation count whatever its CPUs — and the
 # kernel's idle set: saturated and partly idle runs pinned across commits, and
 # the NOHZ target and CFS placement matched against the old machine scans.
 sharded:
 	$(GO) test -race -run 'TestSharded|TestEngineColdWheelAllocs|TestSlotDrainRefillLinear' -count=1 ./internal/sim ./internal/schedtest/conformance ./internal/chaos
-	$(GO) test -race -run 'TestRemoteWake|TestScheduleOpShardedZeroAlloc|TestSpawnExitAllocs|TestTransientSpawnExitAllocs|TestSaturatedTickZeroAlloc|TestSaturatedKernelPinned|TestNearestIdleMatchesScan|TestSelectRQMatchesScan' -count=1 ./internal/kernel
+	$(GO) test -race -run 'TestRemoteWake|TestScheduleOpShardedZeroAlloc|TestSpawnExitAllocs|TestTransientSpawnExitAllocs|TestSaturatedTickZeroAlloc|TestSaturatedKernelPinned|TestNearestIdleMatchesScan|TestSelectRQMatchesScan|TestMachineBuildAllocs' -count=1 ./internal/kernel
 
 # Verified-tier gate mirroring the CI job: the bytecode verifier, interpreter
 # and fault road under the race detector; the verified class through the

@@ -121,3 +121,15 @@ func (d *Deque[T]) Remove(v T) bool {
 	}
 	return false
 }
+
+// CloneQueues copies per-CPU queues for a ReregisterPrepare capsule, each
+// element mapped through f (a record to its copy).
+func CloneQueues[T comparable](qs []Deque[T], f func(T) T) []Deque[T] {
+	c := make([]Deque[T], len(qs))
+	for i := range qs {
+		for j := 0; j < qs[i].n; j++ {
+			c[i].PushBack(f(qs[i].At(j)))
+		}
+	}
+	return c
+}

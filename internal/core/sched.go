@@ -66,6 +66,18 @@ type TransferIn struct {
 	State any
 }
 
+// CloneRecords copies a module's pid-indexed table of task records for a
+// ReregisterPrepare capsule, each record shallowly: slices in it are shared.
+func CloneRecords[R any](tab map[int]*R) map[int]*R {
+	recs := make([]R, 0, len(tab))
+	c := make(map[int]*R, len(tab))
+	for pid, r := range tab {
+		recs = append(recs, *r)
+		c[pid] = &recs[len(recs)-1]
+	}
+	return c
+}
+
 // Hint is a userspace-to-kernel scheduling hint (§3.3). Schedulers define
 // their own concrete types; record/replay serialises them with encoding/gob,
 // so workload hint types must be gob-registered.
@@ -157,7 +169,10 @@ type Scheduler interface {
 	BalanceErr(cpu int, pid uint64, sched *Schedulable)
 
 	// ReregisterPrepare quiesces the module for live upgrade and exports
-	// the state capsule handed to the next version.
+	// the state capsule handed to the next version. The capsule must share
+	// nothing its successor could change with the module's own state: if
+	// the swap rolls back, this module keeps serving from that state and
+	// receives the deferred backlog the successor may have half applied.
 	ReregisterPrepare() *TransferOut
 
 	// ReregisterInit initialises the module from the previous version's

@@ -56,14 +56,25 @@ func NewTopology(nodeOf, llcOf []int) *Topology {
 			t.numLLCs = d + 1
 		}
 	}
-	t.llcCPUs = make([][]int, t.numLLCs)
-	t.nodeCPUs = make([][]int, t.numNodes)
-	for cpu := 0; cpu < n; cpu++ {
-		d, nd := llcOf[cpu], nodeOf[cpu]
-		t.llcCPUs[d] = append(t.llcCPUs[d], cpu)
-		t.nodeCPUs[nd] = append(t.nodeCPUs[nd], cpu)
-	}
+	t.llcCPUs = groupCPUs(llcOf, t.numLLCs)
+	t.nodeCPUs = groupCPUs(nodeOf, t.numNodes)
 	return t
+}
+
+// groupCPUs lists the CPUs of each of groups groups in ascending order,
+// carved from one array, given each CPU's group.
+func groupCPUs(groupOf []int, groups int) [][]int {
+	lists := make([][]int, groups)
+	cpus := make([]int, 0, len(groupOf))
+	for g := range lists {
+		for cpu, of := range groupOf {
+			if of == g {
+				cpus = append(cpus, cpu)
+			}
+		}
+		lists[g], cpus = cpus[:len(cpus):len(cpus)], cpus[len(cpus):]
+	}
+	return lists
 }
 
 // FlatTopology returns an n-CPU topology with a single node and a single

@@ -21,9 +21,9 @@ type UpgradeReport struct {
 	// the new one on success, the restored old one after a rollback.
 	DeferredDelivered int
 	// RolledBack reports that the new module faulted during the swap and
-	// the framework restored the old module from its pre-transfer snapshot
-	// (Config.UpgradeRollback) — the class kept running the old version
-	// and no task was lost.
+	// the framework restored the old module, whose state the transfer
+	// copied rather than handed over (Config.UpgradeRollback) — the class
+	// kept running the old version and no task was lost.
 	RolledBack bool
 	// Fault is the contained module failure that aborted the swap: set on
 	// rollback and on fatal aborts, nil on a clean upgrade.
@@ -51,11 +51,12 @@ type pendingUpgrade struct {
 // UpgradePerCPU×cores of blackout), state transfers, the dispatch pointer
 // swaps, and deferred calls proceed against the new module.
 //
-// With Config.UpgradeRollback (the default) the swap is transactional: the
-// pre-transfer snapshot doubles as an undo log, and a new module that
-// panics while being built, initialised, or fed the deferred backlog is
-// discarded — the old module is restored from the snapshot, the backlog is
-// redelivered to it, and done reports RolledBack with the contained fault.
+// With Config.UpgradeRollback (the default) the swap is transactional:
+// prepare exports a copy of the old module's state (core.Scheduler's
+// contract), so a new module that panics while being built, initialised, or
+// fed the deferred backlog is discarded — the old module resumes from its
+// untouched state, the whole backlog is delivered to it, and done reports
+// RolledBack with the contained fault.
 // Only a fault in the old module's own prepare (nothing healthy left to
 // restore) or a mid-swap kill remains fatal.
 //
@@ -120,14 +121,6 @@ func (a *Adapter) startUpgrade(version string, factory func(core.Env) core.Sched
 	a.k.Engine().After(blackout, func() { a.finishUpgrade(version, factory, done, blackout) })
 }
 
-// transferIn converts a prepare snapshot into the init argument.
-func transferIn(out *core.TransferOut) *core.TransferIn {
-	if out == nil {
-		return nil
-	}
-	return &core.TransferIn{State: out.State}
-}
-
 // finishUpgrade runs at the end of the blackout: snapshot, build, commit.
 // Every module crossing is panic-contained; which phase faulted decides
 // whether the transaction can roll back.
@@ -145,12 +138,16 @@ func (a *Adapter) finishUpgrade(version string, factory func(core.Env) core.Sche
 	wallStart := time.Now()
 	old := a.sched
 
-	// Phase 1 — snapshot. The old module exports its state; the snapshot is
-	// both the transfer payload and the rollback undo log. A panic here
-	// means the OLD version is already broken — there is no healthy module
-	// to restore — so the fault layer takes over.
-	var out *core.TransferOut
-	if fault := core.SafeCall(func() { out = old.ReregisterPrepare() }); fault != nil {
+	// Phase 1 — snapshot. The old module exports a copy of its state, so
+	// its own state is the rollback undo log. A panic here means the OLD
+	// version is already broken — there is no healthy module to restore —
+	// so the fault layer takes over.
+	var in *core.TransferIn
+	if fault := core.SafeCall(func() {
+		if out := old.ReregisterPrepare(); out != nil {
+			in = &core.TransferIn{State: out.State}
+		}
+	}); fault != nil {
 		a.failUpgrade(done, UpgradeReport{
 			Blackout: blackout, WallSwap: time.Since(wallStart), Fault: fault,
 		}, fault)
@@ -159,26 +156,25 @@ func (a *Adapter) finishUpgrade(version string, factory func(core.Env) core.Sche
 
 	// Phase 2 — build and initialise the NEW module. Faults here (factory
 	// or init panic, policy lie) are the new version's bugs: with rollback
-	// enabled the old module is restored from the snapshot and keeps
-	// serving, so a bad upgrade is an aborted transaction, not an outage.
+	// enabled the old module keeps serving, so a bad upgrade is an aborted
+	// transaction, not an outage.
 	var next core.Scheduler
 	fault := core.SafeCall(func() {
 		next = factory(a.env)
 		if got := next.GetPolicy(); got != a.policy {
 			panic(fmt.Sprintf("enokic: upgraded module changed policy id (%d, loaded under %d)", got, a.policy))
 		}
-		next.ReregisterInit(transferIn(out))
+		next.ReregisterInit(in)
 	})
 	if fault != nil {
-		a.abortSwap(old, out, nil, done, blackout, fault, wallStart)
+		a.abortSwap(old, nil, done, blackout, fault, wallStart)
 		return
 	}
 
 	// Phase 3 — commit: swap the dispatch pointer and flush the deferred
 	// backlog into the new module. A fault mid-flush also rolls back; the
-	// snapshot predates every deferred message, so the restored old module
-	// must see the WHOLE backlog again — nothing is lost, nothing applied
-	// to a module that survives.
+	// old module's state predates every deferred message, so it must see
+	// the WHOLE backlog — nothing is lost, nothing applied twice.
 	a.sched = next
 	a.upgrading = false
 	queued := a.deferred
@@ -197,7 +193,7 @@ func (a *Adapter) finishUpgrade(version string, factory func(core.Env) core.Sche
 		return
 	}
 	if flushFault != nil {
-		a.abortSwap(old, out, queued, done, blackout, flushFault, wallStart)
+		a.abortSwap(old, queued, done, blackout, flushFault, wallStart)
 		return
 	}
 	// The transaction is committed: the new module generation is serving.
@@ -212,24 +208,15 @@ func (a *Adapter) finishUpgrade(version string, factory func(core.Env) core.Sche
 }
 
 // abortSwap rolls a faulted swap back to the old module — or, with rollback
-// disabled or impossible, escalates to the kill path. redeliver is the
-// deferred backlog to replay against the restored module (nil when the fault
-// predates the commit flush, in which case a.deferred still holds it).
-func (a *Adapter) abortSwap(old core.Scheduler, out *core.TransferOut, redeliver []*core.Message, done func(UpgradeReport), blackout time.Duration, fault *core.ModuleFault, wallStart time.Time) {
+// disabled, escalates to the kill path. redeliver is the deferred backlog to
+// deliver to the old module (nil when the fault predates the commit flush,
+// in which case a.deferred still holds it).
+func (a *Adapter) abortSwap(old core.Scheduler, redeliver []*core.Message, done func(UpgradeReport), blackout time.Duration, fault *core.ModuleFault, wallStart time.Time) {
 	report := UpgradeReport{Blackout: blackout, Fault: fault}
 	if !a.cfg.UpgradeRollback {
 		a.recycleDeferred(redeliver)
 		report.WallSwap = time.Since(wallStart)
 		a.failUpgrade(done, report, fault)
-		return
-	}
-	// Restore the old module from the snapshot. Its own init panicking on
-	// state it exported moments ago means the old version is broken too —
-	// then the kill is unavoidable.
-	if rf := core.SafeCall(func() { old.ReregisterInit(transferIn(out)) }); rf != nil {
-		a.recycleDeferred(redeliver)
-		report.WallSwap = time.Since(wallStart)
-		a.failUpgrade(done, report, rf)
 		return
 	}
 	a.sched = old
@@ -240,27 +227,21 @@ func (a *Adapter) abortSwap(old core.Scheduler, out *core.TransferOut, redeliver
 	}
 	flushed, rf := a.flushDeferred(redeliver)
 	a.recycleDeferred(redeliver)
-	if rf != nil {
-		// The restored old module faulted on messages it was always going
-		// to receive: not an upgrade problem, a dead module.
-		report.WallSwap = time.Since(wallStart)
-		report.DeferredDelivered = flushed
+	report.WallSwap, report.DeferredDelivered = time.Since(wallStart), flushed
+	switch {
+	case rf != nil:
+		// The old module faulted on messages it was always going to
+		// receive: not an upgrade problem, a dead module.
 		a.failUpgrade(done, report, rf)
-		return
-	}
-	if a.killed { // queue lie during redelivery
-		report.WallSwap = time.Since(wallStart)
-		report.DeferredDelivered = flushed
+	case a.killed: // queue lie during redelivery
 		report.Err = ErrModuleKilled
 		if done != nil {
 			done(report)
 		}
-		return
+	default:
+		report.RolledBack = true
+		a.settleUpgrade(done, report)
 	}
-	report.WallSwap = time.Since(wallStart)
-	report.DeferredDelivered = flushed
-	report.RolledBack = true
-	a.settleUpgrade(done, report)
 }
 
 // failUpgrade is the fatal exit: trip the fault layer (idempotent) and tell

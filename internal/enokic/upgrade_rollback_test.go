@@ -6,6 +6,7 @@ import (
 
 	"enoki/internal/core"
 	"enoki/internal/kernel"
+	"enoki/internal/sched/fifo"
 	"enoki/internal/sched/wfq"
 	"enoki/internal/schedtest"
 )
@@ -218,5 +219,45 @@ func TestRollbackUnderRepeatedTransferPanics(t *testing.T) {
 	}
 	if k.NumTasks() != 0 {
 		t.Fatalf("leaked tasks: %d", k.NumTasks())
+	}
+}
+
+// TestRollbackAfterFlushFaultDeliversOnce faults the new module inside the
+// commit flush: 16 FIFO sleepers block during a long blackout, and the new
+// version panics on the second deferred task_wakeup, after the first reached
+// it. The old module must resume from state its successor never touched and
+// receive the whole backlog once: no stale token is picked (pnt_err) and no
+// task starves into a watchdog kill.
+func TestRollbackAfterFlushFaultDeliversOnce(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.UpgradeBase = 300 * time.Microsecond
+	k, a := faultRig(cfg, fifoFactory)
+	done := 0
+	for i := 0; i < 16; i++ {
+		k.Spawn("s", policyEnoki, sleeper(40, 50*time.Microsecond, 100*time.Microsecond),
+			kernel.WithExitObserver(func() { done++ }))
+	}
+	var report UpgradeReport
+	k.Engine().After(time.Millisecond, func() {
+		a.Upgrade(func(env core.Env) core.Scheduler {
+			return &schedtest.Injector{Scheduler: fifo.New(env, policyEnoki), PanicSite: core.MsgTaskWakeup, PanicAt: 1}
+		}, func(r UpgradeReport) { report = r })
+	})
+	k.RunFor(100 * time.Millisecond)
+
+	if !report.RolledBack || report.Err != nil {
+		t.Fatalf("flush fault must roll back: %+v", report)
+	}
+	if report.Fault == nil || report.Fault.MsgKind != core.MsgTaskWakeup {
+		t.Fatalf("fault = %+v, want a panic in task_wakeup", report.Fault)
+	}
+	if a.Killed() {
+		t.Fatalf("module killed after rollback: %+v", a.Failure())
+	}
+	if st := a.Stats(); st.PntErrs != 0 {
+		t.Fatalf("backlog redelivered onto state the new module changed: %d pnt_errs", st.PntErrs)
+	}
+	if done != 16 {
+		t.Fatalf("tasks lost: %d/16 completed", done)
 	}
 }

@@ -223,3 +223,21 @@ func TestTransientSpawnExitAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestMachineBuildAllocs is the construction ratchet: a kernel and its CFS
+// class cost a fixed number of allocations whatever the CPU count, because
+// the CPUs, the run queues with their trees, the per-CPU arrays and the peer
+// lists are each one slab. Machine8 and Machine80 must cost the same.
+func TestMachineBuildAllocs(t *testing.T) {
+	build := func(m kernel.Machine) float64 {
+		return testing.AllocsPerRun(20, func() {
+			k := kernel.New(sim.New(), m, kernel.DefaultCosts())
+			k.RegisterClass(0, kernel.NewCFS(k))
+		})
+	}
+	small, big := build(kernel.Machine8()), build(kernel.Machine80())
+	t.Logf("Machine8 %.0f allocs, Machine80 %.0f", small, big)
+	if small != big {
+		t.Fatalf("building a kernel with CFS costs %.0f allocations on Machine8 and %.0f on Machine80: construction grows with the CPU count", small, big)
+	}
+}

@@ -67,15 +67,11 @@ type cfsEntity struct {
 
 // cfsRq is the per-CPU CFS run queue.
 type cfsRq struct {
-	tree        *rbtree.Tree[int64, *cfsEntity]
+	tree        rbtree.Tree[int64, *cfsEntity]
 	minV        int64
 	curr        *cfsEntity
 	totalWeight int64 // queued + running weight
 	node, llc   int   // where the CPU's socket and LLC domain count in CFS.wait
-}
-
-func newCfsRq() *cfsRq {
-	return &cfsRq{tree: rbtree.New[int64, *cfsEntity](func(a, b int64) bool { return a < b })}
 }
 
 // nrTotal is runnable count including the running task.
@@ -112,7 +108,7 @@ func (rq *cfsRq) updateMinV() {
 type CFS struct {
 	k    *Kernel
 	topo *core.Topology
-	rqs  []*cfsRq
+	rqs  []cfsRq // one per CPU, in one slab
 	// wait counts the entities waiting in the run-queue trees (the running
 	// ones are not in a tree): wait[0] on the machine, then one per socket,
 	// then one per LLC domain. It is kept at every tree insert and delete,
@@ -125,11 +121,10 @@ type CFS struct {
 	nextBal     []int64
 	tickCount   []int64
 
-	// llcPeers[cpu] lists cpu's LLC domain (self included, ascending);
-	// nodePeers[cpu] the rest of its socket; remotePeers[cpu] everything
-	// across sockets. Built once so the balance hot path never rescans
-	// the whole machine testing domain membership.
-	llcPeers    [][]int
+	// nodePeers[cpu] lists the rest of cpu's socket outside its LLC domain
+	// (topo.Siblings), remotePeers[cpu] everything across sockets, both
+	// ascending. Built once so the balance hot path never rescans the
+	// whole machine testing domain membership.
 	nodePeers   [][]int
 	remotePeers [][]int
 	// llcMask[d] is LLC domain d and nodeMask[n] socket n as CPU sets, which
@@ -153,35 +148,46 @@ func NewCFS(k *Kernel) *CFS { return newCFS(k, k.Topo()) }
 func NewCFSFlat(k *Kernel) *CFS { return newCFS(k, core.FlatTopology(k.NumCPUs())) }
 
 func newCFS(k *Kernel, topo *core.Topology) *CFS {
-	c := &CFS{k: k, topo: topo}
-	n := k.NumCPUs()
-	for i := 0; i < n; i++ {
-		rq := newCfsRq()
-		rq.node, rq.llc = 1+topo.NodeOf(i), 1+topo.NumNodes()+topo.DomainOf(i)
-		c.rqs = append(c.rqs, rq)
-		c.lastBalance = append(c.lastBalance, 0)
-		c.nextBal = append(c.nextBal, 0)
-		c.tickCount = append(c.tickCount, 0)
+	n, nw := k.NumCPUs(), 1+topo.NumNodes()+topo.NumDomains()
+	// wait and the peer lists share one array. The CPUs of an LLC domain
+	// share their peers outside it, built by the domain's first CPU.
+	ints := make([]int, nw, nw+(topo.NumDomains()-1)*n)
+	peers := ints[nw:]
+	c := &CFS{
+		k: k, topo: topo,
+		rqs:         make([]cfsRq, n),
+		lastBalance: make([]time.Duration, n),
+		nextBal:     make([]int64, n),
+		tickCount:   make([]int64, n),
+		llcMask:     make([]CPUMask, topo.NumDomains()),
+		nodeMask:    make([]CPUMask, topo.NumNodes()),
+		wait:        ints[:nw:nw],
+		words:       (n + 63) >> 6,
+		nodePeers:   make([][]int, n),
+		remotePeers: make([][]int, n),
 	}
-	c.llcMask = make([]CPUMask, topo.NumDomains())
-	c.nodeMask = make([]CPUMask, topo.NumNodes())
-	c.wait = make([]int, 1+topo.NumNodes()+topo.NumDomains())
-	c.words = (n + 63) >> 6
-	c.llcPeers = make([][]int, n)
-	c.nodePeers = make([][]int, n)
-	c.remotePeers = make([][]int, n)
-	for cpu := 0; cpu < n; cpu++ {
-		c.llcPeers[cpu] = topo.Siblings(cpu)
+	for cpu := range c.rqs {
+		rq := &c.rqs[cpu]
+		rq.tree.Init(func(a, b int64) bool { return a < b })
+		rq.node, rq.llc = 1+topo.NodeOf(cpu), 1+topo.NumNodes()+topo.DomainOf(cpu)
 		c.llcMask[topo.DomainOf(cpu)].Set(cpu)
 		c.nodeMask[topo.NodeOf(cpu)].Set(cpu)
-		for i := 0; i < n; i++ {
-			switch topo.Distance(cpu, i) {
-			case core.DistSameNode:
-				c.nodePeers[cpu] = append(c.nodePeers[cpu], i)
-			case core.DistCrossNode:
-				c.remotePeers[cpu] = append(c.remotePeers[cpu], i)
+		if first := topo.Siblings(cpu)[0]; first != cpu {
+			c.nodePeers[cpu], c.remotePeers[cpu] = c.nodePeers[first], c.remotePeers[first]
+			continue
+		}
+		for _, i := range topo.NodeCPUs(topo.NodeOf(cpu)) {
+			if !topo.SameLLC(cpu, i) {
+				peers = append(peers, i)
 			}
 		}
+		c.nodePeers[cpu], peers = peers[:len(peers):len(peers)], peers[len(peers):]
+		for i := 0; i < n; i++ {
+			if !topo.SameNode(cpu, i) {
+				peers = append(peers, i)
+			}
+		}
+		c.remotePeers[cpu], peers = peers[:len(peers):len(peers)], peers[len(peers):]
 	}
 	return c
 }
@@ -216,7 +222,7 @@ func (c *CFS) waiting(rq *cfsRq, d int) {
 // updateCurr charges the running entity's execution since the last update to
 // its vruntime.
 func (c *CFS) updateCurr(cpu int) {
-	rq := c.rqs[cpu]
+	rq := &c.rqs[cpu]
 	e := rq.curr
 	if e == nil {
 		return
@@ -232,7 +238,7 @@ func (c *CFS) updateCurr(cpu int) {
 
 // Enqueue implements Class.
 func (c *CFS) Enqueue(cpu int, t *Task, wakeup bool) {
-	rq := c.rqs[cpu]
+	rq := &c.rqs[cpu]
 	e := c.ent(t)
 	e.prevSum = t.SumExec()
 	switch {
@@ -255,7 +261,7 @@ func (c *CFS) Enqueue(cpu int, t *Task, wakeup bool) {
 
 // Dequeue implements Class.
 func (c *CFS) Dequeue(cpu int, t *Task, sleep bool) {
-	rq := c.rqs[cpu]
+	rq := &c.rqs[cpu]
 	e := c.ent(t)
 	if rq.curr == e {
 		c.updateCurr(cpu)
@@ -283,7 +289,7 @@ func (c *CFS) PutPrev(cpu int, t *Task, preempted bool) {
 }
 
 func (c *CFS) putBack(cpu int, t *Task) {
-	rq := c.rqs[cpu]
+	rq := &c.rqs[cpu]
 	e := c.ent(t)
 	if rq.curr != e {
 		return // task was never current here (already requeued)
@@ -296,7 +302,7 @@ func (c *CFS) putBack(cpu int, t *Task) {
 
 // PickNext implements Class: run the leftmost (lowest vruntime) entity.
 func (c *CFS) PickNext(cpu int) *Task {
-	rq := c.rqs[cpu]
+	rq := &c.rqs[cpu]
 	if rq.curr != nil {
 		// Shouldn't happen: kernel always puts prev before picking.
 		return rq.curr.t
@@ -342,7 +348,7 @@ func (c *CFS) vslice(rq *cfsRq, e *cfsEntity) int64 {
 
 // Tick implements Class: slice expiry plus the periodic load balancer.
 func (c *CFS) Tick(cpu int, t *Task) {
-	rq := c.rqs[cpu]
+	rq := &c.rqs[cpu]
 	c.updateCurr(cpu)
 	e := rq.curr
 	if e != nil && rq.tree.Len() > 0 {
@@ -364,7 +370,7 @@ func (c *CFS) Tick(cpu int, t *Task) {
 
 // CheckPreempt implements Class: wakeup preemption within CFS.
 func (c *CFS) CheckPreempt(cpu int, woken *Task) {
-	rq := c.rqs[cpu]
+	rq := &c.rqs[cpu]
 	if rq.curr == nil {
 		return
 	}
@@ -421,7 +427,7 @@ func (c *CFS) SelectRQ(t *Task, prevCPU int, wakeup bool) int {
 			}
 		}
 	}
-	scan(c.llcPeers[prevCPU])
+	scan(c.topo.Siblings(prevCPU))
 	scan(c.nodePeers[prevCPU])
 	scan(c.remotePeers[prevCPU])
 	if best == -1 {
@@ -453,7 +459,7 @@ func (c *CFS) idleSibling(t *Task, dom *CPUMask) int {
 // work, pull one task, stealing inside the LLC domain first and escalating
 // outward only past the per-level imbalance thresholds.
 func (c *CFS) Balance(cpu int) {
-	rq := c.rqs[cpu]
+	rq := &c.rqs[cpu]
 	if rq.tree.Len() > 0 || rq.curr != nil {
 		return
 	}
@@ -462,7 +468,7 @@ func (c *CFS) Balance(cpu int) {
 
 // periodicBalance evens out queue lengths across CPUs.
 func (c *CFS) periodicBalance(cpu int) {
-	rq := c.rqs[cpu]
+	rq := &c.rqs[cpu]
 	c.pullFrom(cpu, rq.nrTotal()+2, rq.nrTotal()+cfsNUMAImbalance+2)
 }
 
@@ -484,10 +490,10 @@ func (c *CFS) pullFrom(cpu, minLocal, minRemote int) {
 // victimWithin takes a peer only when nr > min, and nr is at most the peer's
 // tree length plus its running task, so the peer alone holds min or more.
 func (c *CFS) pullVictim(cpu, minLocal, minRemote int) *cfsEntity {
-	rq := c.rqs[cpu]
+	rq := &c.rqs[cpu]
 	llc, node := c.wait[rq.llc], c.wait[rq.node]
 	if llc-rq.tree.Len() >= minLocal {
-		if e := c.victimWithin(cpu, c.llcPeers[cpu], minLocal); e != nil {
+		if e := c.victimWithin(cpu, c.topo.Siblings(cpu), minLocal); e != nil {
 			return e
 		}
 	}

@@ -68,7 +68,7 @@ func TestCFSSleeperCreditBounded(t *testing.T) {
 
 func TestCFSSliceShrinksWithLoad(t *testing.T) {
 	_, c := cfsRig()
-	rq := c.rqs[0]
+	rq := &c.rqs[0]
 	e := &cfsEntity{weight: NICE0Load}
 	// Single task: full latency target.
 	rq.totalWeight = NICE0Load
@@ -78,7 +78,8 @@ func TestCFSSliceShrinksWithLoad(t *testing.T) {
 	}
 	// Crowded queue: per-task slice shrinks but respects min granularity.
 	for i := 0; i < 20; i++ {
-		rq.tree.Insert(int64(i), &cfsEntity{weight: NICE0Load})
+		e := &cfsEntity{weight: NICE0Load}
+		rq.tree.InsertNode(&e.node, int64(i), e)
 	}
 	rq.totalWeight = 21 * NICE0Load
 	crowded := c.slice(rq, e)

@@ -55,7 +55,7 @@ func selectRQScan(c *CFS, t *Task, prevCPU int, wakeup bool) int {
 	if wakeup && t.allowed.has(prevCPU) && c.idleCPU(prevCPU) {
 		return prevCPU
 	}
-	for _, i := range c.llcPeers[prevCPU] {
+	for _, i := range c.topo.Siblings(prevCPU) {
 		if t.allowed.has(i) && c.idleCPU(i) {
 			return i
 		}
@@ -69,7 +69,7 @@ func selectRQScan(c *CFS, t *Task, prevCPU int, wakeup bool) int {
 		return prevCPU
 	}
 	best, bestLoad := -1, int64(0)
-	for _, peers := range [][]int{c.llcPeers[prevCPU], c.nodePeers[prevCPU], c.remotePeers[prevCPU]} {
+	for _, peers := range [][]int{c.topo.Siblings(prevCPU), c.nodePeers[prevCPU], c.remotePeers[prevCPU]} {
 		for _, i := range peers {
 			if !t.allowed.has(i) {
 				continue
@@ -117,12 +117,12 @@ func (r *idleRig) dummy(nice int) *Task {
 // randomize makes each CPU busy with probability pBusy and gives it a queued
 // task with probability pQueued.
 func (r *idleRig) randomize(rng *ktime.Rand, pBusy, pQueued float64) {
-	for i, c := range r.k.cpus {
+	for i := range r.k.cpus {
 		var curr *Task
 		if rng.Bernoulli(pBusy) {
 			curr = r.dummy(0)
 		}
-		r.k.setCurr(c, curr)
+		r.k.setCurr(&r.k.cpus[i], curr)
 		for r.cfs.rqs[i].tree.Len() > 0 {
 			r.cfs.Dequeue(i, r.cfs.rqs[i].tree.Min().Value().t, false)
 		}
@@ -200,7 +200,7 @@ func TestSelectRQMatchesScan(t *testing.T) {
 // every level of peers is walked, nearest first, whether or not anything
 // waits there.
 func pullVictimScan(c *CFS, cpu, minLocal, minRemote int) *cfsEntity {
-	if e := c.victimWithin(cpu, c.llcPeers[cpu], minLocal); e != nil {
+	if e := c.victimWithin(cpu, c.topo.Siblings(cpu), minLocal); e != nil {
 		return e
 	}
 	if e := c.victimWithin(cpu, c.nodePeers[cpu], minLocal+cfsLLCImbalance); e != nil {

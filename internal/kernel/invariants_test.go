@@ -129,8 +129,8 @@ func idleSetErr(k *Kernel) error {
 func cfsWaitErr(c *CFS) error {
 	nodes := c.topo.NumNodes()
 	want := make([]int, 1+nodes+c.topo.NumDomains())
-	for cpu, rq := range c.rqs {
-		n := rq.tree.Len()
+	for cpu := range c.rqs {
+		n := c.rqs[cpu].tree.Len()
 		want[0] += n
 		want[1+c.topo.NodeOf(cpu)] += n
 		want[1+nodes+c.topo.DomainOf(cpu)] += n

@@ -21,8 +21,10 @@ import (
 	"enoki/internal/trace"
 )
 
-// CPU is the per-CPU scheduling state (struct rq analogue).
+// CPU is the per-CPU scheduling state (struct rq analogue), one record like a
+// Task (DESIGN §4), in the kernel's one slab of CPUs.
 type CPU struct {
+	k           *Kernel
 	id          int
 	curr        *Task
 	needResched bool
@@ -30,19 +32,7 @@ type CPU struct {
 	idleSince   ktime.Time
 	wakingUntil ktime.Time
 	wasIdle     bool
-
-	// tickEvent and reschedTimer are persistent events re-armed in place
-	// (sim.Reschedule): one Event object per CPU for the life of the kernel
-	// instead of a closure + Event allocation per arm.
-	tickEvent    *sim.Event
-	reschedTimer *sim.Event
-	tickRunning  bool
-
-	// kickFn and kick0Fn are the pre-built closures behind kick(): delayed
-	// and coalesced zero-delay kicks post them fire-and-forget, keeping the
-	// kick path allocation-free.
-	kickFn  func()
-	kick0Fn func()
+	tickRunning bool
 
 	busy        time.Duration
 	pendingCost time.Duration
@@ -55,10 +45,31 @@ type CPU struct {
 	// eats the quantum. pickTimer -1 means no deferred arm.
 	inPick    bool
 	pickTimer time.Duration
+
+	// tickEvent and reschedTimer are re-armed in place (sim.Reschedule) for
+	// the life of the kernel; they and the poll stretch trail the fields
+	// every schedule pass reads.
+	tickEvent    sim.Event
+	reschedTimer sim.Event
+	poll         pollStretch // of its running OpPoll segment (poll.go)
 }
 
 // ID returns the CPU index.
 func (c *CPU) ID() int { return c.id }
+
+// cpuTick and cpuResched are a *CPU as the sim.Handler of its two timers,
+// cpuKick and cpuKick0 of the kicks kick posts (delayed, coalesced zero-delay).
+type (
+	cpuTick    CPU
+	cpuResched CPU
+	cpuKick    CPU
+	cpuKick0   CPU
+)
+
+func (h *cpuTick) Fire()    { c := (*CPU)(h); c.k.tickFire(c) }
+func (h *cpuResched) Fire() { c := (*CPU)(h); c.k.Resched(c.id) }
+func (h *cpuKick) Fire()    { c := (*CPU)(h); c.k.schedule(c.id) }
+func (h *cpuKick0) Fire()   { c := (*CPU)(h); c.kickPending = false; c.k.schedule(c.id) }
 
 // Kernel is the simulated scheduling core.
 type Kernel struct {
@@ -66,7 +77,7 @@ type Kernel struct {
 	machine Machine
 	topo    *core.Topology
 	costs   Costs
-	cpus    []*CPU
+	cpus    []CPU
 	classes []classSlot
 	byID    map[int]Class
 	idOf    map[Class]int
@@ -90,11 +101,7 @@ type Kernel struct {
 	// machine.
 	idle  CPUMask
 	nidle int
-	// polls holds each CPU's poll stretch (poll.go), allocated when the
-	// first starts.
-	polls []pollStretch
-
-	rand *ktime.Rand
+	rand  *ktime.Rand
 
 	// tracer and met are the optional observability taps (observe.go); nil
 	// means off, and every hook guards on that.
@@ -158,17 +165,13 @@ func New(eng *sim.Engine, m Machine, costs Costs) *Kernel {
 		ipiPend:    make([]bool, m.NumCPUs),
 		ipiDelay:   make([]time.Duration, m.NumCPUs),
 		ipiOrder:   make([]int, 0, m.NumCPUs),
+		cpus:       make([]CPU, m.NumCPUs),
 	}
-	for i := 0; i < m.NumCPUs; i++ {
-		c := &CPU{id: i}
-		c.tickEvent = eng.NewEvent(func() { k.tickFire(c) })
-		c.reschedTimer = eng.NewEvent(func() { k.Resched(c.id) })
-		c.kickFn = func() { k.schedule(c.id) }
-		c.kick0Fn = func() {
-			c.kickPending = false
-			k.schedule(c.id)
-		}
-		k.cpus = append(k.cpus, c)
+	for i := range k.cpus {
+		c := &k.cpus[i]
+		c.k, c.id = k, i
+		eng.Bind(&c.tickEvent, (*cpuTick)(c))
+		eng.Bind(&c.reschedTimer, (*cpuResched)(c))
 	}
 	return k
 }
@@ -308,7 +311,7 @@ func (k *Kernel) setCurr(c *CPU, t *Task) {
 // kernel overheads charged to it), a running poll segment's up to its latest
 // poll included.
 func (k *Kernel) CPUBusy(cpu int) time.Duration {
-	c := k.cpus[cpu]
+	c := &k.cpus[cpu]
 	return c.busy + k.pollCredit(c)
 }
 
@@ -497,7 +500,7 @@ func (k *Kernel) afterEnqueue(t *Task, target int, remote bool, offset time.Dura
 		cm := k.met.Class(k.classID(t.class)).CPU(target)
 		cm.QueueDepth.RecordValue(int64(t.class.NRunnable(target)))
 	}
-	tc := k.cpus[target]
+	tc := &k.cpus[target]
 	delay := offset
 	if remote {
 		delay += k.costs.IPIDeliver
@@ -515,7 +518,7 @@ func (k *Kernel) afterEnqueue(t *Task, target int, remote bool, offset time.Dura
 
 // Resched marks cpu for rescheduling and kicks it.
 func (k *Kernel) Resched(cpu int) {
-	c := k.cpus[cpu]
+	c := &k.cpus[cpu]
 	if c.curr != nil {
 		c.needResched = true
 		k.stopPoll(c, c.curr)
@@ -535,7 +538,7 @@ func (k *Kernel) Resched(cpu int) {
 // per-call costs) fires before the task has run at all, and every pick
 // preempts into the next — a round-robin livelock with zero progress.
 func (k *Kernel) ArmResched(cpu int, d time.Duration) {
-	c := k.cpus[cpu]
+	c := &k.cpus[cpu]
 	c.pendingCost += k.costs.TimerArm
 	if k.finj != nil {
 		if d = k.finj.SkewTimer(cpu, d); d < 0 {
@@ -550,7 +553,7 @@ func (k *Kernel) ArmResched(cpu int, d time.Duration) {
 	}
 	// Reschedule moves an already-armed timer in place (the old arm is
 	// superseded, matching the previous cancel + re-create semantics).
-	k.eng.RescheduleAfter(c.reschedTimer, d)
+	k.eng.RescheduleAfter(&c.reschedTimer, d)
 }
 
 // beginBatch opens the cross-CPU signal batch window: until flushBatch,
@@ -636,10 +639,10 @@ func (k *Kernel) kick(cpu int, delay time.Duration) {
 		fate := k.finj.InterceptKick(cpu, delay)
 		delay += fate.Delay
 		if fate.Duplicate {
-			k.eng.Post(delay+fate.DupDelay, k.cpus[cpu].kickFn)
+			k.eng.PostTo(delay+fate.DupDelay, (*cpuKick)(&k.cpus[cpu]))
 		}
 	}
-	c := k.cpus[cpu]
+	c := &k.cpus[cpu]
 	now := k.eng.Now()
 	if c.curr == nil {
 		if now.Before(c.wakingUntil) {
@@ -661,10 +664,10 @@ func (k *Kernel) kick(cpu int, delay time.Duration) {
 			return
 		}
 		c.kickPending = true
-		k.eng.Post(0, c.kick0Fn)
+		k.eng.PostTo(0, (*cpuKick0)(c))
 		return
 	}
-	k.eng.Post(delay, c.kickFn)
+	k.eng.PostTo(delay, (*cpuKick)(c))
 }
 
 // noteCrossing counts (and traces) a task placement that crossed a
@@ -707,7 +710,7 @@ func (k *Kernel) account(c *CPU) {
 
 // schedule is __schedule: put the previous task, balance, pick, switch.
 func (k *Kernel) schedule(cpu int) {
-	c := k.cpus[cpu]
+	c := &k.cpus[cpu]
 	prev := c.curr
 	if prev != nil && prev.state == StateRunning && !c.needResched {
 		return
@@ -752,7 +755,7 @@ func (k *Kernel) schedule(cpu int) {
 	if next == nil {
 		c.busy += oh
 		if c.pickTimer >= 0 {
-			k.eng.RescheduleAfter(c.reschedTimer, oh+c.pickTimer)
+			k.eng.RescheduleAfter(&c.reschedTimer, oh+c.pickTimer)
 		}
 		if !c.wasIdle {
 			c.wasIdle = true
@@ -770,7 +773,7 @@ func (k *Kernel) schedule(cpu int) {
 	c.busy += oh
 	if c.pickTimer >= 0 {
 		// The quantum starts when the task does (execStart = now + oh).
-		k.eng.RescheduleAfter(c.reschedTimer, oh+c.pickTimer)
+		k.eng.RescheduleAfter(&c.reschedTimer, oh+c.pickTimer)
 	}
 	k.setCurr(c, next)
 	next.state = StateRunning
@@ -798,9 +801,7 @@ func (k *Kernel) startSegment(c *CPU, t *Task, delay time.Duration) {
 	}
 	now := k.eng.Now()
 	t.execStart = now.Add(delay)
-	if k.polls != nil {
-		k.polls[c.id].active = false
-	}
+	c.poll.active = false
 	if t.wakePending {
 		t.wakePending = false
 		lat := t.execStart.Sub(t.lastWake)
@@ -921,7 +922,7 @@ func (k *Kernel) ensureTick(c *CPU) {
 		return
 	}
 	c.tickRunning = true
-	k.eng.RescheduleAfter(c.tickEvent, k.costs.TickPeriod)
+	k.eng.RescheduleAfter(&c.tickEvent, k.costs.TickPeriod)
 }
 
 // tickFire is one scheduler tick on c: charge the tick cost, let the current
@@ -938,7 +939,7 @@ func (k *Kernel) tickFire(c *CPU) {
 	t.class.Tick(c.id, t)
 	k.traceTask(trace.KindTick, c.id, t, 0)
 	k.nohzKick(c)
-	k.eng.RescheduleAfter(c.tickEvent, k.costs.TickPeriod)
+	k.eng.RescheduleAfter(&c.tickEvent, k.costs.TickPeriod)
 }
 
 // nohzKick is the NOHZ idle-balance analogue: a busy CPU with queued work
@@ -1002,7 +1003,7 @@ func (k *Kernel) MoveTask(t *Task, dst int) bool {
 	k.noteCrossing(src, dst, t)
 	t.cpu = dst
 	t.class.Enqueue(dst, t, false)
-	c := k.cpus[dst]
+	c := &k.cpus[dst]
 	c.pendingCost += k.costs.MigrateTask
 	if !k.machine.SameNode(src, dst) {
 		c.pendingCost += k.costs.CrossNodeExtra
@@ -1022,7 +1023,7 @@ func (k *Kernel) SetNice(t *Task, nice int) {
 		nice = 19
 	}
 	if t.state == StateRunning {
-		k.account(k.cpus[t.cpu])
+		k.account(&k.cpus[t.cpu])
 	}
 	t.nice = nice
 	t.class.PrioChanged(t)
@@ -1047,7 +1048,7 @@ func (k *Kernel) SetAffinity(t *Task, m CPUMask) {
 		}
 	case StateRunning:
 		// Force the task off its CPU; it re-selects a queue on requeue.
-		c := k.cpus[t.cpu]
+		c := &k.cpus[t.cpu]
 		k.stopPoll(c, t)
 		k.account(c)
 		t.runEvent.Cancel()
@@ -1099,7 +1100,7 @@ func (k *Kernel) SetScheduler(t *Task, classID int) {
 		newClass.Enqueue(target, t, false)
 		k.afterEnqueue(t, target, false, 0)
 	case StateRunning:
-		c := k.cpus[t.cpu]
+		c := &k.cpus[t.cpu]
 		k.stopPoll(c, t)
 		k.account(c)
 		t.runEvent.Cancel()

@@ -49,7 +49,7 @@ type Poller interface {
 // poll-by-poll task would have acted on at its next poll — cuts the segment
 // in Resched, and a poll segment leaving its CPU is cut first, so it resumes
 // as the remainder up to its next poll: a segment only ever spans polls in
-// one stretch on a CPU, started at its beginning (Kernel.polls).
+// one stretch on a CPU, started at its beginning (CPU.poll).
 
 // pollStretch is a CPU's record of its running OpPoll segment, if active:
 // started at start by an event armed at origin, itself armed at
@@ -63,8 +63,8 @@ type pollStretch struct {
 
 // stretch returns c's running poll stretch, nil when c runs none.
 func (k *Kernel) stretch(c *CPU) *pollStretch {
-	if k.polls != nil && k.polls[c.id].active {
-		return &k.polls[c.id]
+	if c.poll.active {
+		return &c.poll
 	}
 	return nil
 }
@@ -73,17 +73,14 @@ func (k *Kernel) stretch(c *CPU) *pollStretch {
 // happened yet, the first to see a change the caller has just made. It does
 // nothing when t is not running such a segment.
 func (k *Kernel) CutPoll(t *Task) {
-	if c := k.cpus[t.cpu]; c.curr == t {
+	if c := &k.cpus[t.cpu]; c.curr == t {
 		k.stopPoll(c, t)
 	}
 }
 
 // startPoll starts running t's OpPoll action on c, now, from its beginning.
 func (k *Kernel) startPoll(c *CPU, t *Task, now ktime.Time) {
-	if k.polls == nil {
-		k.polls = make([]pollStretch, len(k.cpus))
-	}
-	s := &k.polls[c.id]
+	s := &c.poll
 	s.active, s.start, s.first = true, now, k.eng.Armings()
 	s.origin, s.originParent = k.eng.ArmedAt()
 	p := t.behavior.(Poller)
@@ -93,7 +90,7 @@ func (k *Kernel) startPoll(c *CPU, t *Task, now ktime.Time) {
 
 // stopPoll cuts c's running task t if it runs a poll segment.
 func (k *Kernel) stopPoll(c *CPU, t *Task) {
-	if k.polls != nil {
+	if c.poll.active {
 		k.cutPoll(c, t)
 	}
 }
@@ -176,7 +173,7 @@ func (k *Kernel) pollFired(s *pollStretch, p Poller, base ktime.Time, last, next
 
 // polling reports whether t runs a poll segment.
 func (k *Kernel) polling(t *Task) bool {
-	c := k.cpus[t.cpu]
+	c := &k.cpus[t.cpu]
 	return c.curr == t && k.stretch(c) != nil
 }
 
@@ -199,7 +196,7 @@ func pollArms(s *pollStretch, p Poller, base ktime.Time, last time.Duration) (ar
 //
 //go:noinline
 func (t *Task) pollSumExec() time.Duration {
-	return t.sumExec + t.k.pollCredit(t.k.cpus[t.cpu])
+	return t.sumExec + t.k.pollCredit(&t.k.cpus[t.cpu])
 }
 
 // pollCredit is the execution of c's running poll segment between the last
@@ -268,7 +265,7 @@ func chainOf(s *pollStretch, p Poller, base ktime.Time, x time.Duration) pollCha
 
 // runChain is the chain behind the poll t's queued stand-in completes.
 func (k *Kernel) runChain(t *Task) pollChain {
-	return chainOf(k.stretch(k.cpus[t.cpu]), t.behavior.(Poller), pollBase(t), t.pending.Run)
+	return chainOf(k.stretch(&k.cpus[t.cpu]), t.behavior.(Poller), pollBase(t), t.pending.Run)
 }
 
 // before reports whether a's poll fires before b's, both armed at one

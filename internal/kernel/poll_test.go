@@ -55,14 +55,25 @@ type testPoller struct {
 	spin     time.Duration // at the stretch's start, or (perPoll) issued so far
 	mark     time.Duration
 	spinning bool
-	// wake, when set, is woken by the next Next, from inside it.
+	// wake, when set, is woken by the next Next, from inside it; feed, when
+	// set, is run by the next Next once it has chosen its action.
 	wake *Task
+	feed func()
 	// polls logs each reference poll as the instant it fired and the one it
 	// was armed at.
 	polls [][2]ktime.Time
 }
 
 func (p *testPoller) Next(k *Kernel, t *Task) Action {
+	act := p.next(k, t)
+	if p.feed != nil {
+		p.feed()
+		p.feed = nil
+	}
+	return act
+}
+
+func (p *testPoller) next(k *Kernel, t *Task) Action {
 	if p.spinning && !p.perPoll {
 		p.spin += t.SumExec() - p.mark
 	}
@@ -122,11 +133,17 @@ const chainDepth = 6
 
 type pollEvent struct {
 	at, armed ktime.Time
-	chain     bool
-	preempt   bool
+	// parent, when set, is the instant the event arming it at armed was
+	// itself armed at, by one armed at the start.
+	parent  ktime.Time
+	chain   bool
+	preempt bool
 	// fromNext has the preemptor woken by the first poller's next Next
 	// instead, so the reschedule lands while it starts its next action.
 	fromNext bool
+	// feedFrom, when set, has poller feedFrom-1 add the work item from its
+	// next Next instead, cutting the other from its own poll's completion.
+	feedFrom int
 }
 
 // pollCase is one randomly drawn scenario.
@@ -174,6 +191,18 @@ func (pc *pollCase) run(perPoll bool) pollRun {
 	fire := func(e pollEvent) func() {
 		return func() {
 			switch {
+			case e.feedFrom != 0:
+				feeder, other := e.feedFrom-1, 2-e.feedFrom
+				pollers[feeder].feed = func() {
+					q.items++
+					if !perPoll {
+						k.CutPoll(tasks[other])
+					}
+				}
+				if !perPoll {
+					k.CutPoll(tasks[feeder])
+				}
+				return
 			case e.fromNext:
 				pollers[0].wake = rt
 				if !perPoll {
@@ -192,25 +221,30 @@ func (pc *pollCase) run(perPoll bool) pollRun {
 			}
 		}
 	}
+	// chained returns f, or with chain an event running it at the end of a
+	// chain of zero-delay events.
+	chained := func(chain bool, f func()) func() {
+		var hop func(left int) func()
+		hop = func(left int) func() {
+			if left == 0 {
+				return f
+			}
+			return func() { k.eng.Post(0, hop(left-1)) }
+		}
+		if !chain {
+			return f
+		}
+		return hop(chainDepth)
+	}
 	for _, e := range pc.events {
 		f := fire(e)
 		switch {
 		case e.armed == 0:
 			k.eng.PostAt(e.at, f)
-		case e.chain:
-			var hop func(left int) func()
-			hop = func(left int) func() {
-				return func() {
-					if left == 0 {
-						k.eng.PostAt(e.at, f)
-						return
-					}
-					k.eng.Post(0, hop(left-1))
-				}
-			}
-			k.eng.PostAt(e.armed, hop(chainDepth))
+		case e.parent != 0:
+			k.eng.PostAt(e.parent, chained(e.chain, func() { k.eng.PostAt(e.armed, func() { k.eng.PostAt(e.at, f) }) }))
 		default:
-			k.eng.PostAt(e.armed, func() { k.eng.PostAt(e.at, f) })
+			k.eng.PostAt(e.armed, chained(e.chain, func() { k.eng.PostAt(e.at, f) }))
 		}
 	}
 	k.eng.RunUntil(pc.horizon)
@@ -304,6 +338,46 @@ func drawPollCase(rng *ktime.Rand) (pc *pollCase, lockstep int) {
 // arming event was armed at the same instant as its own (40573).
 var pollRegressions = []uint64{36755, 40573, 41503, 44612}
 
+// builtPollCases are cases the drawn ones do not reach, each built on the
+// polls of a reference run of one poller (the other sleeps) or of two
+// polling in lockstep: an event armed at a stretch's second poll's arm
+// instant by one armed while the segment was being switched in (after the
+// stretch began, before its first poll's spin); a real event tied with a
+// poll in arm instant and in its arming event's, armed there at the end of a
+// zero-delay chain, mid-stretch and at the stretch's last poll; and one
+// poller's poll completion feeding the other in lockstep, either way round.
+// Not built: the same tie with the arming event armed at the parent instant
+// by an event armed earlier than the poll's own chain. The poll-by-poll
+// model fires that event first, by arming order; poll segments, which see
+// no further back than the parent instant, fire the poll first.
+func builtPollCases(t *testing.T) []*pollCase {
+	g := pollGrid{fine: 50, coarse: 50, limit: 3000}
+	lock := pollCase{grids: [2]pollGrid{g, g}, work: [2]time.Duration{90, 90},
+		sleep: [2]time.Duration{15000, 15000}, preemptRun: 300, horizon: 30000}
+	solo := lock
+	solo.grids[1] = pollGrid{fine: 7, coarse: 2000, limit: 1}
+	s0, lr := solo.run(true).polls[0], lock.run(true)
+	l0, l1 := lr.polls[0], lr.polls[1]
+	last := 3
+	for l0[last+1][0]-l0[last][0] == ktime.Time(g.fine) {
+		last++
+	}
+	if s0[1][1]-s0[0][1] <= ktime.Time(g.fine) || !slices.ContainsFunc(l1, func(p [2]ktime.Time) bool { return p == l0[3] }) {
+		t.Fatalf("built cases lost their shape: solo polls %v, lockstep polls %v and %v", s0[:2], l0[:4], l1[:4])
+	}
+	with := func(pc pollCase, e pollEvent) *pollCase {
+		pc.events = []pollEvent{e}
+		return &pc
+	}
+	return []*pollCase{
+		with(solo, pollEvent{at: s0[1][0], armed: s0[1][1], parent: s0[0][1] + 1}),
+		with(lock, pollEvent{at: l0[3][0], armed: l0[3][1], parent: l0[2][1], chain: true}),
+		with(lock, pollEvent{at: l0[last][0], armed: l0[last][1], parent: l0[last-1][1], chain: true}),
+		with(lock, pollEvent{at: l0[3][0] - ktime.Time(g.fine/2), feedFrom: 1}),
+		with(lock, pollEvent{at: l0[3][0] - ktime.Time(g.fine/2), feedFrom: 2}),
+	}
+}
+
 // TestPollSegmentsMatchPerPoll checks poll segments against the poll-by-poll
 // model they replace: two busy-pollers sharing a work queue, on grids with a
 // fine and a coarse phase, sometimes in lockstep, are disturbed by work items
@@ -314,25 +388,29 @@ var pollRegressions = []uint64{36755, 40573, 41503, 44612}
 // while a poller is preempted or asleep, and a CFS competitor's wakeups read
 // the spinner's SumExec. Both models must take the same item at the same
 // instant on the same poller and end with the same execution, CPU busy time
-// and clock. Case c is drawn from a generator seeded with c.
+// and clock. Case c is drawn from a generator seeded with c; the built cases
+// follow.
 func TestPollSegmentsMatchPerPoll(t *testing.T) {
 	cases := uint64(600)
 	if testing.Short() {
 		cases = 60
 	}
 	onPoll, lockstep := 0, 0
-	check := func(c uint64) {
-		pc, n := drawPollCase(ktime.NewRand(c))
-		lockstep += n
+	check := func(name string, pc *pollCase) {
 		ref, seg := pc.run(true), pc.run(false)
 		if !slices.Equal(ref.taken, seg.taken) {
-			t.Fatalf("case %d: items taken\n per poll %v\n segments %v\n grids %+v events %+v",
-				c, ref.taken, seg.taken, pc.grids, pc.events)
+			t.Fatalf("case %s: items taken\n per poll %v\n segments %v\n grids %+v events %+v",
+				name, ref.taken, seg.taken, pc.grids, pc.events)
 		}
 		if ref.sumExec != seg.sumExec || ref.busy != seg.busy || ref.now != seg.now {
-			t.Fatalf("case %d: per poll ran %v busy %v to %v, segments ran %v busy %v to %v",
-				c, ref.sumExec, ref.busy, ref.now, seg.sumExec, seg.busy, seg.now)
+			t.Fatalf("case %s: per poll ran %v busy %v to %v, segments ran %v busy %v to %v",
+				name, ref.sumExec, ref.busy, ref.now, seg.sumExec, seg.busy, seg.now)
 		}
+	}
+	draw := func(c uint64) {
+		pc, n := drawPollCase(ktime.NewRand(c))
+		lockstep += n
+		check(fmt.Sprint(c), pc)
 		for _, e := range pc.events {
 			if e.armed != 0 {
 				onPoll++
@@ -340,10 +418,13 @@ func TestPollSegmentsMatchPerPoll(t *testing.T) {
 		}
 	}
 	for c := uint64(0); c < cases; c++ {
-		check(c)
+		draw(c)
 	}
 	for _, c := range pollRegressions {
-		check(c)
+		draw(c)
+	}
+	for i, pc := range builtPollCases(t) {
+		check(fmt.Sprint("built ", i), pc)
 	}
 	if onPoll < int(cases)*5 || lockstep < int(cases)/3 {
 		t.Fatalf("only %d events landed on a poll, %d on one both pollers poll at", onPoll, lockstep)

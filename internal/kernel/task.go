@@ -271,7 +271,7 @@ type (
 // Fire completes the task's current compute segment.
 func (h *taskRun) Fire() {
 	t := (*Task)(h)
-	t.k.segmentDone(t.k.cpus[t.cpu], t)
+	t.k.segmentDone(&t.k.cpus[t.cpu], t)
 }
 
 // Fire ends an OpSleep.

@@ -3,7 +3,7 @@
 //
 // It exists because both CFS and the Enoki WFQ scheduler key their run queues
 // by vruntime, where many entities can share a key: deletion must therefore
-// operate on the exact node handle returned by Insert, not on a key search.
+// operate on the exact node handle given to InsertNode, not on a key search.
 // The structure mirrors what kernel/sched/fair.c gets from the kernel's
 // rb_tree with a cached leftmost pointer.
 //
@@ -48,22 +48,21 @@ func (n *Node[K, V]) Linked() bool { return n.tree != nil }
 type Tree[K, V any] struct {
 	less     func(a, b K) bool
 	root     *Node[K, V]
-	nilNode  *Node[K, V]
+	nilNode  *Node[K, V] // &sentinel
 	leftmost *Node[K, V]
 	size     int
-	// pool chains removed nodes handed back via Free (linked through
-	// .right); Insert reuses them so steady-state enqueue/dequeue cycles
-	// allocate no nodes.
-	pool *Node[K, V]
+	sentinel Node[K, V]
 }
 
-// New returns an empty tree ordered by less.
-func New[K, V any](less func(a, b K) bool) *Tree[K, V] {
-	t := &Tree[K, V]{less: less}
-	t.nilNode = &Node[K, V]{color: black}
+// Init makes t an empty tree ordered by less. The tree points at its own
+// sentinel, so it must not be copied once initialised: embed it in its
+// owner, the way a run queue embeds its rb_root.
+func (t *Tree[K, V]) Init(less func(a, b K) bool) {
+	*t = Tree[K, V]{less: less}
+	t.sentinel.color = black
+	t.nilNode = &t.sentinel
 	t.root = t.nilNode
 	t.leftmost = t.nilNode
-	return t
 }
 
 // Len returns the number of elements.
@@ -78,23 +77,9 @@ func (t *Tree[K, V]) Min() *Node[K, V] {
 	return t.leftmost
 }
 
-// Insert adds (key, val) on a node of the tree's own — recycled from Free
-// when one is pooled, allocated otherwise — and returns the node handle.
-func (t *Tree[K, V]) Insert(key K, val V) *Node[K, V] {
-	n := t.pool
-	if n != nil {
-		t.pool = n.right
-	} else {
-		n = new(Node[K, V])
-	}
-	t.InsertNode(n, key, val)
-	return n
-}
-
 // InsertNode adds (key, val) on a caller-owned node — typically embedded in
 // the element, the way sched_entity embeds its rb_node — so insertion
-// allocates nothing. The node must not be in a tree (that panics) and must
-// never be handed to Free.
+// allocates nothing. The node must not be in a tree (that panics).
 func (t *Tree[K, V]) InsertNode(n *Node[K, V], key K, val V) {
 	if n.tree != nil {
 		panic("rbtree: InsertNode of a node already in a tree")
@@ -144,27 +129,6 @@ func (t *Tree[K, V]) Delete(n *Node[K, V]) {
 	n.tree = nil
 	n.left, n.right, n.parent = nil, nil, nil
 	t.size--
-}
-
-// Free hands a removed node back to the tree for reuse by a later Insert.
-// It is an explicit opt-in, not part of Delete, because PopMin callers read
-// the node after removal. The node must already be out of the tree; freeing
-// a queued node or double-freeing panics. After Free the caller must drop
-// every reference to n — it will be recycled as a different element.
-func (t *Tree[K, V]) Free(n *Node[K, V]) {
-	if n == nil || n.tree != nil {
-		panic("rbtree: Free of nil or still-inserted node")
-	}
-	if n.parent == n {
-		panic("rbtree: double Free")
-	}
-	var zk K
-	var zv V
-	n.key, n.val = zk, zv
-	n.parent = n // free-marker, cleared by Insert
-	n.left = nil
-	n.right = t.pool
-	t.pool = n
 }
 
 // PopMin removes and returns the minimum node, or nil if empty.

@@ -9,7 +9,16 @@ import (
 )
 
 func intTree() *Tree[int, string] {
-	return New[int, string](func(a, b int) bool { return a < b })
+	tr := new(Tree[int, string])
+	tr.Init(func(a, b int) bool { return a < b })
+	return tr
+}
+
+// insert adds (key, val) on a node of its own.
+func insert[K, V any](tr *Tree[K, V], key K, val V) *Node[K, V] {
+	n := new(Node[K, V])
+	tr.InsertNode(n, key, val)
+	return n
 }
 
 func TestEmptyTree(t *testing.T) {
@@ -29,7 +38,7 @@ func TestEmptyTree(t *testing.T) {
 func TestInsertAndMin(t *testing.T) {
 	tr := intTree()
 	for _, k := range []int{5, 3, 8, 1, 9, 7} {
-		tr.Insert(k, "")
+		insert(tr, k, "")
 		tr.CheckInvariants()
 	}
 	if tr.Len() != 6 {
@@ -44,7 +53,7 @@ func TestAscendSorted(t *testing.T) {
 	tr := intTree()
 	keys := []int{42, 17, 99, 3, 56, 23, 88, 11, 64, 7}
 	for _, k := range keys {
-		tr.Insert(k, "")
+		insert(tr, k, "")
 	}
 	var got []int
 	tr.Ascend(func(n *Node[int, string]) bool {
@@ -66,7 +75,7 @@ func TestAscendSorted(t *testing.T) {
 func TestAscendEarlyStop(t *testing.T) {
 	tr := intTree()
 	for i := 0; i < 10; i++ {
-		tr.Insert(i, "")
+		insert(tr, i, "")
 	}
 	n := 0
 	tr.Ascend(func(*Node[int, string]) bool {
@@ -82,7 +91,7 @@ func TestDeleteByHandle(t *testing.T) {
 	tr := intTree()
 	nodes := make(map[int]*Node[int, string])
 	for _, k := range []int{5, 3, 8, 1, 9, 7, 2, 6, 4} {
-		nodes[k] = tr.Insert(k, "")
+		nodes[k] = insert(tr, k, "")
 	}
 	for _, k := range []int{5, 1, 9, 3} {
 		tr.Delete(nodes[k])
@@ -99,7 +108,7 @@ func TestDeleteByHandle(t *testing.T) {
 
 func TestDoubleDeletePanics(t *testing.T) {
 	tr := intTree()
-	n := tr.Insert(1, "")
+	n := insert(tr, 1, "")
 	tr.Delete(n)
 	defer func() {
 		if recover() == nil {
@@ -111,7 +120,7 @@ func TestDoubleDeletePanics(t *testing.T) {
 
 func TestDeleteForeignNodePanics(t *testing.T) {
 	a, b := intTree(), intTree()
-	n := a.Insert(1, "")
+	n := insert(a, 1, "")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("cross-tree delete did not panic")
@@ -123,9 +132,9 @@ func TestDeleteForeignNodePanics(t *testing.T) {
 func TestEqualKeysStableOrder(t *testing.T) {
 	// CFS relies on equal-vruntime entities dequeueing in insertion order.
 	tr := intTree()
-	tr.Insert(5, "first")
-	tr.Insert(5, "second")
-	tr.Insert(5, "third")
+	insert(tr, 5, "first")
+	insert(tr, 5, "second")
+	insert(tr, 5, "third")
 	var got []string
 	for {
 		n := tr.PopMin()
@@ -143,7 +152,7 @@ func TestPopMinDrainsSorted(t *testing.T) {
 	tr := intTree()
 	r := ktime.NewRand(1)
 	for i := 0; i < 1000; i++ {
-		tr.Insert(r.Intn(100), "")
+		insert(tr, r.Intn(100), "")
 	}
 	prev := -1
 	for {
@@ -164,7 +173,7 @@ func TestPopMinDrainsSorted(t *testing.T) {
 
 func TestSetValue(t *testing.T) {
 	tr := intTree()
-	n := tr.Insert(1, "a")
+	n := insert(tr, 1, "a")
 	n.SetValue("b")
 	if tr.Min().Value() != "b" {
 		t.Fatal("SetValue not visible")
@@ -174,7 +183,7 @@ func TestSetValue(t *testing.T) {
 func TestNextIteration(t *testing.T) {
 	tr := intTree()
 	for i := 0; i < 20; i += 2 {
-		tr.Insert(i, "")
+		insert(tr, i, "")
 	}
 	n := tr.Min()
 	for want := 0; want < 20; want += 2 {
@@ -200,7 +209,7 @@ func TestQuickRandomOps(t *testing.T) {
 		for op := 0; op < 400; op++ {
 			if len(live) == 0 || r.Bernoulli(0.6) {
 				k := r.Intn(50)
-				n := tr.Insert(k, "")
+				n := insert(tr, k, "")
 				live = append(live, n)
 				model[n] = k
 			} else {
@@ -237,11 +246,12 @@ func TestQuickRandomOps(t *testing.T) {
 }
 
 func BenchmarkInsertPopMin(b *testing.B) {
-	tr := New[int64, int](func(a, c int64) bool { return a < c })
+	tr := new(Tree[int64, int])
+	tr.Init(func(a, c int64) bool { return a < c })
 	r := ktime.NewRand(3)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.Insert(int64(r.Uint64()%1e9), i)
+		insert(tr, int64(r.Uint64()%1e9), i)
 		if tr.Len() > 64 {
 			tr.PopMin()
 		}

@@ -12,6 +12,8 @@ package arbiter
 
 import (
 	"encoding/gob"
+	"maps"
+	"slices"
 	"time"
 
 	"enoki/internal/core"
@@ -137,7 +139,7 @@ func (s *Sched) deq(a *activation) {
 	q := s.st.queues[a.queueOn]
 	for i, pid := range q {
 		if pid == a.pid {
-			s.st.queues[a.queueOn] = append(append([]int{}, q[:i]...), q[i+1:]...)
+			s.st.queues[a.queueOn] = append(q[:i], q[i+1:]...)
 			break
 		}
 	}
@@ -593,9 +595,22 @@ func (s *Sched) GrantedCores(procID int) int {
 	return 0
 }
 
-// ReregisterPrepare implements core.Scheduler: the whole arbitration state,
-// queues included, transfers (§3.3).
-func (s *Sched) ReregisterPrepare() *core.TransferOut { return &core.TransferOut{State: s.st} }
+// ReregisterPrepare implements core.Scheduler: a copy of the whole
+// arbitration state, queues included, transfers (§3.3).
+func (s *Sched) ReregisterPrepare() *core.TransferOut {
+	st := *s.st
+	st.queues = make([][]int, len(s.st.queues))
+	for i, q := range s.st.queues {
+		st.queues[i] = slices.Clone(q)
+	}
+	st.coreOwner, st.coreAct = maps.Clone(st.coreOwner), maps.Clone(st.coreAct)
+	st.acts, st.procs = core.CloneRecords(st.acts), core.CloneRecords(st.procs)
+	for _, p := range st.procs {
+		p.granted, p.acts = slices.Clone(p.granted), slices.Clone(p.acts)
+	}
+	st.procOrder = slices.Clone(st.procOrder)
+	return &core.TransferOut{State: &st}
+}
 
 // ReregisterInit implements core.Scheduler.
 func (s *Sched) ReregisterInit(in *core.TransferIn) {

@@ -179,4 +179,8 @@ func TestUpgradeCarriesQueuesAndState(t *testing.T) {
 	if got := s2.GrantedCores(7); got != 2 {
 		t.Fatalf("grants lost across upgrade: %d", got)
 	}
+	s2.ParseHint(CoreRequest{ProcID: 7, Cores: 0})
+	if got := s.GrantedCores(7); got != 2 {
+		t.Fatalf("the capsule shares the exporter's grants: %d after the successor released them", got)
+	}
 }

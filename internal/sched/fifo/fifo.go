@@ -141,9 +141,9 @@ func (s *Sched) PntErr(cpu int, pid int, err core.PickError, sched *core.Schedul
 	s.queues[sched.CPU()].PushFront(entry{pid: pid, sched: sched})
 }
 
-// ReregisterPrepare implements core.Scheduler: export the queues wholesale.
+// ReregisterPrepare implements core.Scheduler: export a copy of the queues.
 func (s *Sched) ReregisterPrepare() *core.TransferOut {
-	return &core.TransferOut{State: s.queues}
+	return &core.TransferOut{State: core.CloneQueues(s.queues, func(e entry) entry { return e })}
 }
 
 // ReregisterInit implements core.Scheduler: adopt the previous version's

@@ -102,6 +102,9 @@ func TestUpgradeTransfersQueues(t *testing.T) {
 	if got := s2.PickNextTask(0, nil, 0); got == nil || got.PID() != 1 {
 		t.Fatalf("state not adopted: %v", got)
 	}
+	if got := s1.PickNextTask(0, nil, 0); got == nil || got.PID() != 1 {
+		t.Fatal("the capsule shares the exporter's queues: a rollback would resume from changed state")
+	}
 }
 
 func TestDepartedRemoves(t *testing.T) {

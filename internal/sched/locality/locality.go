@@ -12,6 +12,7 @@ package locality
 
 import (
 	"encoding/gob"
+	"maps"
 	"time"
 
 	"enoki/internal/core"
@@ -354,9 +355,16 @@ func (s *Sched) GroupCore(group int) (int, bool) {
 	return c, ok
 }
 
-// ReregisterPrepare implements core.Scheduler. Queues ride along in the
-// state capsule, as §3.3 prescribes for same-format upgrades.
-func (s *Sched) ReregisterPrepare() *core.TransferOut { return &core.TransferOut{State: s.st} }
+// ReregisterPrepare implements core.Scheduler: export a copy of the state.
+// Hint queues ride along in the capsule, as §3.3 prescribes for same-format
+// upgrades.
+func (s *Sched) ReregisterPrepare() *core.TransferOut {
+	st := *s.st
+	st.tasks = core.CloneRecords(s.st.tasks)
+	st.queues = core.CloneQueues(s.st.queues, func(t *task) *task { return st.tasks[t.pid] })
+	st.groupCore, st.taskGroup = maps.Clone(s.st.groupCore), maps.Clone(s.st.taskGroup)
+	return &core.TransferOut{State: &st}
+}
 
 // ReregisterInit implements core.Scheduler.
 func (s *Sched) ReregisterInit(in *core.TransferIn) {

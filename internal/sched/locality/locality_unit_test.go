@@ -172,6 +172,12 @@ func TestUnitUpgradeKeepsGroups(t *testing.T) {
 	if _, ok := s2.GroupCore(8); !ok {
 		t.Fatal("group map lost across upgrade")
 	}
+	s2.TaskNew(2, 0, false, nil, nil)
+	s2.ParseHint(HintMsg{PID: 2, Locality: 9})
+	s2.SelectTaskRQ(2, 0, true)
+	if _, ok := s.GroupCore(9); ok {
+		t.Fatal("the capsule shares the exporter's maps: a rollback would resume from changed state")
+	}
 }
 
 func TestUnitDegradedDropsSpillover(t *testing.T) {

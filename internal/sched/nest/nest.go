@@ -14,6 +14,7 @@
 package nest
 
 import (
+	"slices"
 	"time"
 
 	"enoki/internal/core"
@@ -300,8 +301,14 @@ func (s *Sched) MigrateTaskRQ(pid, newCPU int, sched *core.Schedulable) *core.Sc
 	return old
 }
 
-// ReregisterPrepare implements core.Scheduler.
-func (s *Sched) ReregisterPrepare() *core.TransferOut { return &core.TransferOut{State: s.st} }
+// ReregisterPrepare implements core.Scheduler: export a copy of the state.
+func (s *Sched) ReregisterPrepare() *core.TransferOut {
+	st := *s.st
+	st.tasks = core.CloneRecords(s.st.tasks)
+	st.queues = core.CloneQueues(s.st.queues, func(t *task) *task { return st.tasks[t.pid] })
+	st.running, st.inNest, st.idleTicks = slices.Clone(st.running), slices.Clone(st.inNest), slices.Clone(st.idleTicks)
+	return &core.TransferOut{State: &st}
+}
 
 // ReregisterInit implements core.Scheduler.
 func (s *Sched) ReregisterInit(in *core.TransferIn) {

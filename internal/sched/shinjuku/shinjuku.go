@@ -8,6 +8,7 @@
 package shinjuku
 
 import (
+	"slices"
 	"time"
 
 	"enoki/internal/core"
@@ -373,8 +374,14 @@ func (s *Sched) MigrateTaskRQ(pid, newCPU int, sched *core.Schedulable) *core.Sc
 	return old
 }
 
-// ReregisterPrepare implements core.Scheduler.
-func (s *Sched) ReregisterPrepare() *core.TransferOut { return &core.TransferOut{State: s.st} }
+// ReregisterPrepare implements core.Scheduler: export a copy of the state.
+func (s *Sched) ReregisterPrepare() *core.TransferOut {
+	st := *s.st
+	st.tasks = core.CloneRecords(s.st.tasks)
+	st.queues = core.CloneQueues(s.st.queues, func(t *task) *task { return st.tasks[t.pid] })
+	st.busy = slices.Clone(s.st.busy)
+	return &core.TransferOut{State: &st}
+}
 
 // ReregisterInit implements core.Scheduler.
 func (s *Sched) ReregisterInit(in *core.TransferIn) {

@@ -145,6 +145,9 @@ func TestUnitUpgradeCarriesQueues(t *testing.T) {
 	if got := s2.PickNextTask(0, nil, 0); got == nil || got.PID() != 1 {
 		t.Fatal("queue lost across upgrade")
 	}
+	if got := s.PickNextTask(0, nil, 0); got == nil || got.PID() != 1 {
+		t.Fatal("the capsule shares the exporter's queues: a rollback would resume from changed state")
+	}
 }
 
 func TestUnitDefaultSlice(t *testing.T) {

@@ -32,7 +32,7 @@ type task struct {
 	vruntime int64
 	lastRun  time.Duration // runtime at last vruntime update
 	sched    *core.Schedulable
-	node     *rbtree.Node[int64, *task]
+	node     rbtree.Node[int64, *task] // linked while queued
 	cpu      int
 	queued   bool
 	allowed  []bool // nil means all CPUs
@@ -58,15 +58,20 @@ func allowedSet(list []int, ncpu int) []bool {
 
 // runq is one core's weighted fair queue.
 type runq struct {
-	tree        *rbtree.Tree[int64, *task]
+	tree        rbtree.Tree[int64, *task]
 	minV        int64
 	curr        *task
 	currPicked  time.Duration // curr's runtime when picked
 	totalWeight int64
 }
 
-func newRunq() *runq {
-	return &runq{tree: rbtree.New[int64, *task](func(a, b int64) bool { return a < b })}
+// newRunqs returns n empty run queues, allocated as one slab.
+func newRunqs(n int) []runq {
+	rqs := make([]runq, n)
+	for i := range rqs {
+		rqs[i].tree.Init(func(a, b int64) bool { return a < b })
+	}
+	return rqs
 }
 
 func (rq *runq) nr() int {
@@ -97,7 +102,7 @@ func (rq *runq) updateMinV() {
 // upgrades (§3.2): the new version adopts it in reregister_init.
 type state struct {
 	tasks   map[int]*task
-	rqs     []*runq
+	rqs     []runq
 	waiting int // tasks in every rq's tree, kept at each insert and delete
 }
 
@@ -123,10 +128,7 @@ var _ core.Scheduler = (*Sched)(nil)
 // New constructs the module.
 func New(env core.Env, policy int) *Sched {
 	s := &Sched{env: env, policy: policy, mu: env.NewMutex("wfq")}
-	s.st = &state{tasks: make(map[int]*task)}
-	for i := 0; i < env.NumCPUs(); i++ {
-		s.st.rqs = append(s.st.rqs, newRunq())
-	}
+	s.st = &state{tasks: make(map[int]*task), rqs: newRunqs(env.NumCPUs())}
 	return s
 }
 
@@ -146,18 +148,15 @@ func (s *Sched) charge(t *task, runtime time.Duration) {
 func (s *Sched) enqueue(rq *runq, t *task, cpu int) {
 	t.cpu = cpu
 	t.queued = true
-	t.node = rq.tree.Insert(t.vruntime, t)
+	rq.tree.InsertNode(&t.node, t.vruntime, t)
 	s.st.waiting++
 	rq.totalWeight += t.weight
 	rq.updateMinV()
 }
 
 func (s *Sched) dequeue(rq *runq, t *task) {
-	if t.node != nil {
-		n := t.node
-		rq.tree.Delete(n)
-		rq.tree.Free(n)
-		t.node = nil
+	if t.node.Linked() {
+		rq.tree.Delete(&t.node)
 		s.st.waiting--
 	}
 	t.queued = false
@@ -173,7 +172,7 @@ func (s *Sched) TaskNew(pid int, runtime time.Duration, runnable bool, allowed [
 	if sched != nil {
 		cpu = sched.CPU()
 	}
-	rq := s.st.rqs[cpu]
+	rq := &s.st.rqs[cpu]
 	t := &task{
 		pid: pid, weight: kernel.NICE0Load,
 		vruntime: rq.minV, lastRun: runtime, sched: sched,
@@ -194,7 +193,7 @@ func (s *Sched) TaskWakeup(pid int, runtime time.Duration, deferrable bool, last
 		s.mu.Unlock()
 		return
 	}
-	rq := s.st.rqs[wakeCPU]
+	rq := &s.st.rqs[wakeCPU]
 	t.lastRun = runtime
 	if v := rq.minV - sleeperCredit; t.vruntime < v {
 		t.vruntime = v
@@ -226,7 +225,7 @@ func (s *Sched) requeue(pid int, runtime time.Duration, cpu int, sched *core.Sch
 		return
 	}
 	s.charge(t, runtime)
-	rq := s.st.rqs[cpu]
+	rq := &s.st.rqs[cpu]
 	if rq.curr == t {
 		rq.curr = nil
 		rq.totalWeight -= t.weight
@@ -244,7 +243,7 @@ func (s *Sched) TaskBlocked(pid int, runtime time.Duration, cpu int) {
 		return
 	}
 	s.charge(t, runtime)
-	rq := s.st.rqs[cpu]
+	rq := &s.st.rqs[cpu]
 	if rq.curr == t {
 		rq.curr = nil
 		rq.totalWeight -= t.weight
@@ -262,7 +261,7 @@ func (s *Sched) TaskDead(pid int) {
 		return
 	}
 	if t.queued {
-		s.dequeue(s.st.rqs[t.cpu], t)
+		s.dequeue(&s.st.rqs[t.cpu], t)
 	}
 	delete(s.st.tasks, pid)
 }
@@ -276,9 +275,9 @@ func (s *Sched) TaskDeparted(pid, cpu int) *core.Schedulable {
 		return nil
 	}
 	if t.queued {
-		s.dequeue(s.st.rqs[t.cpu], t)
+		s.dequeue(&s.st.rqs[t.cpu], t)
 	}
-	if rq := s.st.rqs[t.cpu]; rq.curr == t {
+	if rq := &s.st.rqs[t.cpu]; rq.curr == t {
 		rq.curr = nil
 		rq.totalWeight -= t.weight
 	}
@@ -292,16 +291,14 @@ func (s *Sched) TaskDeparted(pid, cpu int) *core.Schedulable {
 func (s *Sched) PickNextTask(cpu int, curr *core.Schedulable, currRuntime time.Duration) *core.Schedulable {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rq := s.st.rqs[cpu]
+	rq := &s.st.rqs[cpu]
 	n := rq.tree.Min()
 	if n == nil {
 		return nil
 	}
 	t := n.Value()
 	rq.tree.Delete(n)
-	rq.tree.Free(n)
 	s.st.waiting--
-	t.node = nil
 	t.queued = false
 	rq.curr = t
 	rq.currPicked = t.lastRun
@@ -319,7 +316,7 @@ func (s *Sched) PntErr(cpu int, pid int, err core.PickError, sched *core.Schedul
 	if t == nil || sched == nil {
 		return
 	}
-	rq := s.st.rqs[cpu]
+	rq := &s.st.rqs[cpu]
 	if rq.curr == t {
 		rq.curr = nil
 		rq.totalWeight -= t.weight
@@ -341,7 +338,7 @@ func period(nr int) time.Duration {
 // TaskTick implements core.Scheduler: expire the current task's slice.
 func (s *Sched) TaskTick(cpu int, queued bool, currPID int, currRuntime time.Duration) {
 	s.mu.Lock()
-	rq := s.st.rqs[cpu]
+	rq := &s.st.rqs[cpu]
 	t := rq.curr
 	resched := false
 	if t != nil && t.pid == currPID {
@@ -380,17 +377,17 @@ func (s *Sched) SelectTaskRQ(pid, prevCPU int, wakeup bool) int {
 	t := s.st.tasks[pid]
 	allowedPrev := prevCPU >= 0 && prevCPU < len(s.st.rqs) && (t == nil || t.allows(prevCPU))
 	if allowedPrev {
-		rq := s.st.rqs[prevCPU]
+		rq := &s.st.rqs[prevCPU]
 		if wakeup && rq.curr == nil && rq.tree.Len() == 0 {
 			return prevCPU
 		}
 	}
 	best, bestW := prevCPU, int64(1<<62)
-	for cpu, rq := range s.st.rqs {
+	for cpu := range s.st.rqs {
 		if t != nil && !t.allows(cpu) {
 			continue
 		}
-		if w := rq.totalWeight; w < bestW {
+		if w := s.st.rqs[cpu].totalWeight; w < bestW {
 			best, bestW = cpu, w
 		}
 	}
@@ -411,7 +408,8 @@ func (s *Sched) Balance(cpu int) (uint64, bool) {
 		return 0, false
 	}
 	busiest, busiestLen := -1, 0
-	for i, rq := range s.st.rqs {
+	for i := range s.st.rqs {
+		rq := &s.st.rqs[i]
 		if i == cpu {
 			continue
 		}
@@ -455,12 +453,12 @@ func (s *Sched) MigrateTaskRQ(pid, newCPU int, sched *core.Schedulable) *core.Sc
 	}
 	old := t.sched
 	if t.queued {
-		src := s.st.rqs[t.cpu]
+		src := &s.st.rqs[t.cpu]
 		s.dequeue(src, t)
 		t.vruntime = t.vruntime - src.minV + s.st.rqs[newCPU].minV
 	}
 	t.sched = sched
-	s.enqueue(s.st.rqs[newCPU], t, newCPU)
+	s.enqueue(&s.st.rqs[newCPU], t, newCPU)
 	return old
 }
 
@@ -488,9 +486,27 @@ func (s *Sched) TaskPrioChanged(pid, prio int) {
 	}
 }
 
-// ReregisterPrepare implements core.Scheduler: export the whole state.
+// ReregisterPrepare implements core.Scheduler: export a copy of the whole
+// state, each queue refilled in its order.
 func (s *Sched) ReregisterPrepare() *core.TransferOut {
-	return &core.TransferOut{State: s.st}
+	st := &state{tasks: core.CloneRecords(s.st.tasks), rqs: newRunqs(len(s.st.rqs)), waiting: s.st.waiting}
+	for i := range s.st.rqs {
+		rq, c := &s.st.rqs[i], &st.rqs[i]
+		c.minV, c.currPicked, c.totalWeight = rq.minV, rq.currPicked, rq.totalWeight
+		if rq.curr != nil {
+			if c.curr = st.tasks[rq.curr.pid]; c.curr == nil { // it died running
+				dead := *rq.curr
+				c.curr = &dead
+			}
+		}
+		rq.tree.Ascend(func(n *rbtree.Node[int64, *task]) bool {
+			t := st.tasks[n.Value().pid]
+			t.node = rbtree.Node[int64, *task]{}
+			c.tree.InsertNode(&t.node, n.Key(), t)
+			return true
+		})
+	}
+	return &core.TransferOut{State: st}
 }
 
 // ReregisterInit implements core.Scheduler: adopt the previous version's

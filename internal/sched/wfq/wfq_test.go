@@ -231,6 +231,9 @@ func TestUpgradeStateTransfer(t *testing.T) {
 	if got := s2.PickNextTask(1, nil, 0); got == nil || got.PID() != 2 {
 		t.Fatalf("new version lost cpu1 task: %v", got)
 	}
+	if got := s1.PickNextTask(0, nil, 0); got == nil || got.PID() != 1 {
+		t.Fatal("the capsule shares the exporter's queues: a rollback would resume from changed state")
+	}
 }
 
 func TestAffinityRestrictsStealing(t *testing.T) {
@@ -314,12 +317,12 @@ func TestPeriodScaling(t *testing.T) {
 }
 
 func TestRunqNr(t *testing.T) {
-	rq := newRunq()
+	rq := &newRunqs(1)[0]
 	if rq.nr() != 0 {
 		t.Fatal("empty nr")
 	}
 	tk := &task{pid: 1, weight: 1024}
-	tk.node = rq.tree.Insert(0, tk)
+	rq.tree.InsertNode(&tk.node, 0, tk)
 	rq.curr = &task{pid: 2, weight: 1024}
 	if rq.nr() != 2 {
 		t.Fatalf("nr = %d", rq.nr())
