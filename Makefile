@@ -112,9 +112,14 @@ overload:
 # with CFS built at one allocation count whatever its CPUs — and the
 # kernel's idle set: saturated and partly idle runs pinned across commits, and
 # the NOHZ target and CFS placement matched against the old machine scans.
+# Every System is a ShardedKernel, so the front door is gated here too: a
+# one-shard System runs byte-identically to a bare kernel rig for every
+# class, its clock follows its kernel, and it costs a fixed handful of
+# allocations to build.
 sharded:
 	$(GO) test -race -run 'TestSharded|TestEngineColdWheelAllocs|TestSlotDrainRefillLinear' -count=1 ./internal/sim ./internal/schedtest/conformance ./internal/chaos
 	$(GO) test -race -run 'TestRemoteWake|TestScheduleOpShardedZeroAlloc|TestSpawnExitAllocs|TestTransientSpawnExitAllocs|TestSaturatedTickZeroAlloc|TestSaturatedKernelPinned|TestNearestIdleMatchesScan|TestSelectRQMatchesScan|TestMachineBuildAllocs' -count=1 ./internal/kernel
+	$(GO) test -race -run 'TestSystemMatchesKernelRig|TestSystemClockFollowsKernel|TestSystemBuildAllocs|TestSystemSharded' -count=1 .
 
 # Verified-tier gate mirroring the CI job: the bytecode verifier, interpreter
 # and fault road under the race detector; the verified class through the

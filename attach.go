@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"enoki/internal/core"
 	"enoki/internal/enokic"
 	"enoki/internal/kernel"
 	"enoki/internal/vpol"
@@ -45,9 +44,10 @@ type PolicySource interface {
 // The returned Adapter is non-nil only for GoModule sources; reach a
 // verified tier's class with VerifiedClass.
 //
-// In sharded mode GoModule and VerifiedProgram attach one instance per
-// shard; BuiltinClass is rejected because a Class instance binds to one
-// kernel (register per ShardKernel, or use RegisterCFS).
+// GoModule and VerifiedProgram attach one instance per shard, and an error
+// on a System of several shards names the shard. BuiltinClass needs one
+// shard, because a Class instance binds to one kernel (on several, register
+// per ShardKernel, or use RegisterCFS).
 func (s *System) Attach(policy int, src PolicySource) (*Adapter, error) {
 	if s.closed {
 		return nil, fmt.Errorf("enoki: Attach after Close: %w", ErrSystemClosed)
@@ -56,6 +56,20 @@ func (s *System) Attach(policy int, src PolicySource) (*Adapter, error) {
 		return nil, errors.New("enoki: Attach with nil PolicySource")
 	}
 	return src.attach(s, policy)
+}
+
+// eachShard runs attach on every shard's kernel in order, stopping at the
+// first error, which it prefixes with the shard when there are several.
+func (s *System) eachShard(attach func(k *kernel.Kernel) error) error {
+	for i := 0; i < s.NumShards(); i++ {
+		if err := attach(s.ShardKernel(i)); err != nil {
+			if s.NumShards() > 1 {
+				err = fmt.Errorf("shard %d: %w", i, err)
+			}
+			return err
+		}
+	}
+	return nil
 }
 
 // MustAttach is Attach panicking on error, for mains and tests.
@@ -68,7 +82,7 @@ func (s *System) MustAttach(policy int, src PolicySource) *Adapter {
 }
 
 // VerifiedClass returns the verified-tier class attached under policy via
-// VerifiedProgram, or nil. In sharded mode it returns shard 0's instance.
+// VerifiedProgram, or nil: shard 0's instance when there are several.
 func (s *System) VerifiedClass(policy int) *VClass { return s.verified[policy] }
 
 // --- module tier -------------------------------------------------------------
@@ -90,37 +104,29 @@ func (g goModuleSource) attach(s *System, policy int) (*Adapter, error) {
 	if g.factory == nil {
 		return nil, errors.New("enoki: GoModule with nil factory")
 	}
-	if s.sk != nil {
-		var first *Adapter
-		for i := 0; i < s.sk.NumShards(); i++ {
-			ad, err := enokic.TryLoad(s.sk.ShardKernel(i), policy, s.cfg, func(env core.Env) core.Scheduler {
-				return g.factory(env)
-			})
-			if err != nil {
-				return nil, fmt.Errorf("shard %d: %w", i, err)
-			}
-			s.adapters = append(s.adapters, ad)
-			if first == nil {
-				first = ad
-			}
+	var first *Adapter
+	err := s.eachShard(func(k *kernel.Kernel) error {
+		ad, err := enokic.TryLoad(k, policy, s.cfg, g.factory)
+		if err != nil {
+			return err
 		}
-		return first, nil
-	}
-	ad, err := enokic.TryLoad(s.k, policy, s.cfg, func(env core.Env) core.Scheduler {
-		return g.factory(env)
+		s.adapters = append(s.adapters, ad)
+		if s.tracer != nil {
+			ad.SetTracer(s.tracer)
+		}
+		if s.recorder != nil {
+			ad.SetRecorder(s.recorder)
+		}
+		if first == nil {
+			first = ad
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	s.adapters = append(s.adapters, ad)
-	if s.tracer != nil {
-		ad.SetTracer(s.tracer)
-	}
 	s.afterRegister()
-	if s.recorder != nil {
-		ad.SetRecorder(s.recorder)
-	}
-	return ad, nil
+	return first, nil
 }
 
 // --- verified tier -----------------------------------------------------------
@@ -151,31 +157,21 @@ func (v verifiedSource) attach(s *System, policy int) (*Adapter, error) {
 	if v.prog == nil {
 		return nil, errors.New("enoki: VerifiedProgram with nil program")
 	}
-	one := func(k *kernel.Kernel) (*vpol.Class, error) {
-		if k.ClassByID(policy) != nil {
-			return nil, fmt.Errorf("enoki: Attach policy %d: %w", policy, ErrDuplicatePolicy)
-		}
-		return vpol.Load(k, policy, v.prog, v.cfg)
-	}
 	var first *vpol.Class
-	if s.sk != nil {
-		for i := 0; i < s.sk.NumShards(); i++ {
-			c, err := one(s.sk.ShardKernel(i))
-			if err != nil {
-				return nil, fmt.Errorf("shard %d: %w", i, err)
-			}
-			if first == nil {
-				first = c
-			}
+	err := s.eachShard(func(k *kernel.Kernel) error {
+		if k.ClassByID(policy) != nil {
+			return fmt.Errorf("enoki: Attach policy %d: %w", policy, ErrDuplicatePolicy)
 		}
-	} else {
-		c, err := one(s.k)
-		if err != nil {
-			return nil, err
+		c, err := vpol.Load(k, policy, v.prog, v.cfg)
+		if first == nil {
+			first = c
 		}
-		first = c
-		s.afterRegister()
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
+	s.afterRegister()
 	if s.verified == nil {
 		s.verified = make(map[int]*vpol.Class)
 	}
@@ -187,14 +183,17 @@ func (v verifiedSource) attach(s *System, policy int) (*Adapter, error) {
 
 // BuiltinClass is the builtin-tier PolicySource: c is registered directly in
 // the kernel's pick order with no framework crossing. A Class instance binds
-// to one kernel, so this source is rejected on a sharded System — register
-// per ShardKernel, or use RegisterCFS which constructs per shard.
+// to one kernel, so this source needs a one-shard System — on several,
+// register per ShardKernel, or use RegisterCFS, which builds one per shard.
 func BuiltinClass(c Class) PolicySource {
-	return builtinSource{c: c}
+	return builtinSource{c: c, shard: -1}
 }
 
 type builtinSource struct {
 	c kernel.Class
+	// shard is the shard c binds to (RegisterCFS), or -1 for the System's
+	// one shard.
+	shard int
 }
 
 func (builtinSource) Tier() string { return "builtin" }
@@ -203,13 +202,18 @@ func (b builtinSource) attach(s *System, policy int) (*Adapter, error) {
 	if b.c == nil {
 		return nil, errors.New("enoki: BuiltinClass with nil Class")
 	}
-	if s.sk != nil {
-		return nil, errors.New("enoki: BuiltinClass binds one Class to one kernel; in sharded mode register per ShardKernel (or use RegisterCFS)")
+	i := b.shard
+	if i < 0 {
+		if s.NumShards() > 1 {
+			return nil, errors.New("enoki: BuiltinClass binds one Class to one kernel; with several shards register per ShardKernel (or use RegisterCFS)")
+		}
+		i = 0
 	}
-	if s.k.ClassByID(policy) != nil {
+	k := s.ShardKernel(i)
+	if k.ClassByID(policy) != nil {
 		return nil, fmt.Errorf("enoki: Attach policy %d: %w", policy, ErrDuplicatePolicy)
 	}
-	s.k.RegisterClass(policy, b.c)
+	k.RegisterClass(policy, b.c)
 	s.afterRegister()
 	return nil, nil
 }

@@ -121,8 +121,9 @@ type (
 // Kernel is the simulated Linux scheduling core.
 type Kernel = kernel.Kernel
 
-// ShardedKernel is the NUMA-partitioned machine: one sub-kernel per node
-// under the deterministic epoch-merge executor (see WithShards).
+// ShardedKernel is a machine under the deterministic epoch-merge executor:
+// one shard spanning it (every System's default), or one sub-kernel per NUMA
+// node (see WithShards).
 type ShardedKernel = kernel.ShardedKernel
 
 // Task is the simulated task_struct.

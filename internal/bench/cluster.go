@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"enoki/internal/kernel"
-	"enoki/internal/sim"
 )
 
 // clusterSpawn loads one kernel with the saturating per-CPU mix used by
@@ -53,27 +52,10 @@ type ClusterResult struct {
 	EventsPerSec float64
 }
 
-// clusterSingle simulates d of virtual time on one kernel over the whole
-// machine.
-func clusterSingle(m kernel.Machine, d time.Duration) ClusterResult {
-	eng := sim.New()
-	k := kernel.New(eng, m, kernel.CostsFor(m))
-	k.RegisterClass(0, kernel.NewCFS(k))
-	clusterSpawn(k, 0)
-	start := time.Now()
-	k.RunFor(d)
-	wall := time.Since(start)
-	return ClusterResult{
-		CPUs: m.NumCPUs, Mode: "single", Shards: 1,
-		WallMS: float64(wall) / float64(time.Millisecond),
-		Events: eng.Fired(), CtxSwitches: k.CtxSwitches,
-		EventsPerSec: float64(eng.Fired()) / wall.Seconds(),
-	}
-}
-
-// clusterSharded simulates the same machine partitioned per NUMA node.
-func clusterSharded(m kernel.Machine, d time.Duration) ClusterResult {
-	sk := kernel.NewShardedKernel(m, kernel.CostsFor(m), 0)
+// clusterRun simulates d of virtual time on m as the given number of
+// shards: one kernel over the whole machine, or one per NUMA node.
+func clusterRun(m kernel.Machine, shards int, d time.Duration) ClusterResult {
+	sk := kernel.NewShardedKernel(m, kernel.CostsFor(m), shards, 0)
 	for i := 0; i < sk.NumShards(); i++ {
 		k := sk.ShardKernel(i)
 		k.RegisterClass(0, kernel.NewCFS(k))
@@ -82,8 +64,12 @@ func clusterSharded(m kernel.Machine, d time.Duration) ClusterResult {
 	start := time.Now()
 	sk.RunFor(d)
 	wall := time.Since(start)
+	mode := "single"
+	if shards > 1 {
+		mode = "sharded-serial"
+	}
 	return ClusterResult{
-		CPUs: m.NumCPUs, Mode: "sharded-serial", Shards: sk.NumShards(),
+		CPUs: m.NumCPUs, Mode: mode, Shards: shards,
 		WallMS: float64(wall) / float64(time.Millisecond),
 		Events: sk.EventsFired(), CtxSwitches: sk.CtxSwitches(),
 		EventsPerSec: float64(sk.EventsFired()) / wall.Seconds(),
@@ -103,7 +89,7 @@ func RunCluster() []ClusterResult {
 		{kernel.Machine80(), 200 * time.Millisecond},
 		{kernel.Machine1000(), 50 * time.Millisecond},
 	} {
-		out = append(out, clusterSingle(c.m, c.d), clusterSharded(c.m, c.d))
+		out = append(out, clusterRun(c.m, 1, c.d), clusterRun(c.m, c.m.NumNodes, c.d))
 	}
 	return out
 }
@@ -117,7 +103,7 @@ func RunCluster() []ClusterResult {
 // TestScheduleOpShardedZeroAlloc).
 func ScheduleOpSharded(b *testing.B) {
 	m := kernel.MachineNUMA("bench-2node", 2, 1, 4)
-	sk := kernel.NewShardedKernel(m, kernel.CostsFor(m), 0)
+	sk := kernel.NewShardedKernel(m, kernel.CostsFor(m), m.NumNodes, 0)
 	counts := make([]int, sk.NumShards())
 	for i := 0; i < sk.NumShards(); i++ {
 		i := i

@@ -17,9 +17,8 @@ import (
 	"strings"
 	"time"
 
+	"enoki"
 	"enoki/internal/chaos"
-	"enoki/internal/core"
-	"enoki/internal/enokic"
 	"enoki/internal/kernel"
 	"enoki/internal/overload"
 	"enoki/internal/sched/shinjuku"
@@ -139,29 +138,16 @@ func overloadAdmission(m kernel.Machine) overload.Config {
 	}}
 }
 
-// overloadDrive runs the scenario once on a sharded kernel, one driver and
-// controller per NUMA shard, shinjuku behind the admission plane.
+// overloadDrive runs the scenario once on a System sharded per NUMA node,
+// shinjuku behind the admission plane: one driver and controller per shard.
 func overloadDrive(m kernel.Machine, sc traffic.Scenario) traffic.Report {
-	sk := kernel.NewShardedKernel(m, kernel.CostsFor(m), 0)
-	n := sk.NumShards()
-	drivers := make([]*traffic.Driver, n)
-	for i := 0; i < n; i++ {
-		k := sk.ShardKernel(i)
-		a := enokic.Load(k, overloadPolicy, enokic.DefaultConfig(), func(env core.Env) core.Scheduler {
-			return shinjuku.New(env, overloadPolicy, 0)
-		})
-		k.RegisterClass(0, kernel.NewCFS(k))
-		drivers[i] = traffic.NewDriver(k, sc, traffic.DriverConfig{
-			Controller:  overload.New(overloadAdmission(m)),
-			Adapters:    map[int]*enokic.Adapter{overloadPolicy: a},
-			Shard:       i,
-			Shards:      n,
-			SampleEvery: 250 * time.Microsecond,
-		})
-		drivers[i].Start()
-	}
-	sk.RunFor(sc.Duration + 40*time.Millisecond)
-	return traffic.Collect(drivers...)
+	sys := enoki.NewSystem(enoki.WithMachine(m), enoki.WithShards(0),
+		enoki.WithAdmission(overloadAdmission(m).Classes...))
+	sys.MustAttach(overloadPolicy, enoki.GoModule(func(env enoki.Env) enoki.Scheduler {
+		return shinjuku.New(env, overloadPolicy, 0)
+	}))
+	sys.RegisterCFS(0)
+	return sys.DriveTraffic(sc, 40*time.Millisecond)
 }
 
 // overloadReplayVerdict runs the pinned LeakShed replay: fail with the bug

@@ -92,7 +92,8 @@ func (jr *jobRun) Exited(*kernel.Task) {
 }
 
 func newMachine(c *Cluster, id int) *Machine {
-	sk := kernel.NewShardedKernel(c.cfg.Machine, kernel.CostsFor(c.cfg.Machine), 0)
+	hw := c.cfg.Machine
+	sk := kernel.NewShardedKernel(hw, kernel.CostsFor(hw), hw.NumNodes, 0)
 	m := &Machine{c: c, id: id, sk: sk}
 	sk.Executor().SetMsgHandler(m.handle)
 	m.node = c.fl.AddNode(sk)

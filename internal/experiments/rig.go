@@ -112,7 +112,7 @@ func NewRig(m kernel.Machine, kind Kind) *Rig {
 	r := &Rig{Sys: sys, K: k, Kind: kind, Policy: PolicyCFS, AgentCPU: -1}
 
 	load := func(f func(core.Env) core.Scheduler) {
-		r.Adapter = sys.MustAttach(PolicyEnoki, enoki.GoModule(func(env enoki.Env) enoki.Scheduler { return f(env) }))
+		r.Adapter = sys.MustAttach(PolicyEnoki, enoki.GoModule(f))
 		r.Policy = PolicyEnoki
 	}
 

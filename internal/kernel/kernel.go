@@ -148,8 +148,12 @@ type Kernel struct {
 }
 
 // New creates a kernel for the given machine and cost table on engine eng.
-func New(eng *sim.Engine, m Machine, costs Costs) *Kernel {
-	k := &Kernel{
+func New(eng *sim.Engine, m Machine, costs Costs) *Kernel { return new(Kernel).init(eng, m, costs) }
+
+// init builds a kernel in place (a ShardedKernel holds its sub-kernels in
+// one slab).
+func (k *Kernel) init(eng *sim.Engine, m Machine, costs Costs) *Kernel {
+	*k = Kernel{
 		eng:        eng,
 		machine:    m,
 		topo:       m.Topo(),

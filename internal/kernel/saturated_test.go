@@ -54,7 +54,7 @@ func satRun(t testing.TB, m Machine, sharded, flat bool, load func(*Kernel) []*T
 	var ks []*Kernel
 	var run func()
 	if sharded {
-		sk := NewShardedKernel(m, CostsFor(m), 0)
+		sk := NewShardedKernel(m, CostsFor(m), m.NumNodes, 0)
 		for i := 0; i < sk.NumShards(); i++ {
 			ks = append(ks, sk.ShardKernel(i))
 		}
@@ -191,7 +191,7 @@ func TestSaturatedKernelPinned(t *testing.T) {
 // to 0 allocations; the residue is the timer wheel meeting a new horizon.
 func TestSaturatedTickZeroAlloc(t *testing.T) {
 	m := Machine80()
-	sk := NewShardedKernel(m, CostsFor(m), 0)
+	sk := NewShardedKernel(m, CostsFor(m), m.NumNodes, 0)
 	for i := 0; i < sk.NumShards(); i++ {
 		k := sk.ShardKernel(i)
 		k.RegisterClass(testPolicyCFS, NewCFS(k))

@@ -1,7 +1,10 @@
-// ShardedKernel partitions a NUMA machine into one sub-kernel per node, each
-// on its own sim shard (sim.Sharded): shard i owns node i's CPUs, run queues,
-// timers, and scheduler class instances, and advances independently between
-// cross-node interactions. The only cross-shard traffic is the remote wake —
+// ShardedKernel runs a machine under the epoch-merge executor (sim.Sharded),
+// either as one shard spanning the whole machine — how every enoki.System
+// and every cluster machine of one node runs — or partitioned into one
+// sub-kernel per NUMA node, each on its own sim shard: shard i owns node i's
+// CPUs, run queues, timers, and scheduler class instances, and advances
+// independently between cross-node interactions. The only cross-shard
+// traffic is the remote wake —
 // physically a cross-socket IPI, which is why the executor lookahead defaults
 // to the calibrated cross-node IPI latency: no real interaction is faster, so
 // the conservative epoch protocol loses nothing.
@@ -23,57 +26,70 @@ import (
 	"enoki/internal/sim"
 )
 
-// ShardedKernel runs one Kernel per NUMA node under the epoch-merge executor.
+// ShardedKernel runs one Kernel per shard under the epoch-merge executor.
 type ShardedKernel struct {
-	ex      *sim.Sharded
-	machine Machine
-	costs   Costs
-	kernels []*Kernel
-	// base[i] is the first global CPU id of shard i; shard i owns global
-	// CPUs [base[i], base[i]+kernels[i].NumCPUs()).
-	base       []int
-	crossWakes uint64 // remote wakes submitted
+	ex         *sim.Sharded
+	machine    Machine
+	shards     []kshard // every sub-kernel, in one slab
+	crossWakes uint64   // remote wakes submitted
 }
 
-// NewShardedKernel partitions m by NUMA node: one sub-kernel per node, each
-// with the node's CPUs renumbered from zero and the full machine's cost
-// table (the sub-kernels must not be re-calibrated as small machines — they
-// are slices of the big one). lookahead is the executor epoch length; zero
-// selects the calibrated cross-node IPI latency, the true minimum latency of
-// the only cross-shard interaction.
+// kshard is one sub-kernel and the first global CPU id of its shard: shard i
+// owns global CPUs [base, base+k.NumCPUs()).
+type kshard struct {
+	base int
+	k    Kernel
+}
+
+// NewShardedKernel partitions m into shards sub-kernels. One shard spans the
+// whole machine as given, every NUMA node included: the same machine New
+// builds on one engine, driven by the executor. m.NumNodes shards put each
+// node on its own sub-kernel, with the node's CPUs renumbered from zero; no
+// other count is a partition. Every sub-kernel keeps the full machine's cost
+// table (they must not be re-calibrated as small machines — they are slices
+// of the big one). lookahead is the executor epoch length; zero selects the
+// calibrated cross-node IPI latency, the true minimum latency of the only
+// cross-shard interaction.
 //
 // Each node's CPUs must be contiguous in the global numbering (true for
 // every MachineNUMA-built topology); anything else panics, because the
 // global↔local id mapping would need a table instead of an offset.
-func NewShardedKernel(m Machine, costs Costs, lookahead time.Duration) *ShardedKernel {
+func NewShardedKernel(m Machine, costs Costs, shards int, lookahead time.Duration) *ShardedKernel {
 	if m.NumNodes < 1 {
 		panic("kernel: NewShardedKernel on a machine without nodes")
+	}
+	if shards != 1 && shards != m.NumNodes {
+		panic(fmt.Sprintf("kernel: %d shards on a %d-node machine (one, or one per node)", shards, m.NumNodes))
 	}
 	if lookahead <= 0 {
 		lookahead = costs.IPIDeliver + costs.CrossNodeExtra
 	}
 	sk := &ShardedKernel{
-		ex:      sim.NewSharded(m.NumNodes, lookahead),
+		ex:      sim.NewSharded(shards, lookahead),
 		machine: m,
-		costs:   costs,
-		kernels: make([]*Kernel, m.NumNodes),
-		base:    make([]int, m.NumNodes),
+		shards:  make([]kshard, shards),
 	}
-	for nd := 0; nd < m.NumNodes; nd++ {
-		lo, hi := nodeRange(m, nd)
-		sk.base[nd] = lo
-		sub := subMachine(m, nd, lo, hi)
-		sk.kernels[nd] = New(sk.ex.Shard(nd), sub, costs)
+	for i := range sk.shards {
+		sh, sub := &sk.shards[i], m
+		if shards > 1 {
+			lo, hi := nodeRange(m, i)
+			sh.base, sub = lo, subMachine(m, i, lo, hi)
+		}
+		sh.k.init(sk.ex.Shard(i), sub, costs)
 	}
 	// Cross-shard deliveries for one (shard, instant) batch run inside one
 	// IPI batch window: a burst of remote wakes flushes one kick per target
 	// CPU, exactly like a local wake burst.
-	sk.ex.SetBatchHooks(
-		func(i int) { sk.kernels[i].beginBatch() },
-		func(i int) { sk.kernels[i].flushBatch() },
-	)
+	sk.ex.SetBatchHooks((*batchHooks)(sk))
 	return sk
 }
+
+// batchHooks points the executor's delivery brackets at the target shard's
+// IPI batch window.
+type batchHooks ShardedKernel
+
+func (h *batchHooks) BeginBatch(i int) { h.shards[i].k.beginBatch() }
+func (h *batchHooks) EndBatch(i int)   { h.shards[i].k.flushBatch() }
 
 // nodeRange returns the contiguous global CPU range [lo, hi) of node nd,
 // panicking if the node's CPUs are interleaved with another node's.
@@ -125,12 +141,12 @@ func subMachine(m Machine, nd, lo, hi int) Machine {
 	}
 }
 
-// NumShards returns the shard (node) count.
-func (sk *ShardedKernel) NumShards() int { return len(sk.kernels) }
+// NumShards returns the shard count: one, or the machine's node count.
+func (sk *ShardedKernel) NumShards() int { return len(sk.shards) }
 
 // ShardKernel returns shard i's sub-kernel. Classes and modules register per
 // shard; tasks spawned through it live on that shard for their lifetime.
-func (sk *ShardedKernel) ShardKernel(i int) *Kernel { return sk.kernels[i] }
+func (sk *ShardedKernel) ShardKernel(i int) *Kernel { return &sk.shards[i].k }
 
 // Executor returns the underlying epoch-merge executor.
 func (sk *ShardedKernel) Executor() *sim.Sharded { return sk.ex }
@@ -138,16 +154,16 @@ func (sk *ShardedKernel) Executor() *sim.Sharded { return sk.ex }
 // Machine returns the full (unsharded) machine description.
 func (sk *ShardedKernel) Machine() Machine { return sk.machine }
 
-// Costs returns the shared cost table.
-func (sk *ShardedKernel) Costs() Costs { return sk.costs }
-
 // GlobalCPU maps shard i's local CPU id to the machine-wide id.
-func (sk *ShardedKernel) GlobalCPU(shard, local int) int { return sk.base[shard] + local }
+func (sk *ShardedKernel) GlobalCPU(shard, local int) int { return sk.shards[shard].base + local }
 
 // ShardOfCPU maps a machine-wide CPU id to (shard, local id).
 func (sk *ShardedKernel) ShardOfCPU(cpu int) (int, int) {
+	if len(sk.shards) == 1 {
+		return 0, cpu
+	}
 	nd := sk.machine.NodeOf[cpu]
-	return nd, cpu - sk.base[nd]
+	return nd, cpu - sk.shards[nd].base
 }
 
 // RemoteWake wakes a task owned by shard `to` from shard `from`'s execution
@@ -159,7 +175,7 @@ func (sk *ShardedKernel) ShardOfCPU(cpu int) (int, int) {
 // touched only on delivery, inside shard `to`'s context.
 func (sk *ShardedKernel) RemoteWake(from, to int, t *Task) {
 	sk.crossWakes++
-	k := sk.kernels[to]
+	k := &sk.shards[to].k
 	sk.ex.Send(from, to, sk.ex.Shard(from).Now().Add(ktime.Duration(sk.ex.Lookahead())),
 		func() { k.Wake(t) })
 }
@@ -203,41 +219,28 @@ func (sk *ShardedKernel) AcceptMsg(at ktime.Time, m *sim.Msg) { sk.ex.AcceptMsg(
 // in flight.
 func (sk *ShardedKernel) RunUntilIdle() { sk.ex.RunUntilIdle() }
 
-// NumTasks sums the live-task counts of every shard.
-func (sk *ShardedKernel) NumTasks() int {
-	n := 0
-	for _, k := range sk.kernels {
-		n += k.NumTasks()
+// sum adds f over every shard's kernel.
+func (sk *ShardedKernel) sum(f func(k *Kernel) uint64) (n uint64) {
+	for i := range sk.shards {
+		n += f(&sk.shards[i].k)
 	}
 	return n
 }
 
+// NumTasks sums the live-task counts of every shard.
+func (sk *ShardedKernel) NumTasks() int {
+	return int(sk.sum(func(k *Kernel) uint64 { return uint64(k.NumTasks()) }))
+}
+
 // CtxSwitches sums context switches across shards.
 func (sk *ShardedKernel) CtxSwitches() uint64 {
-	var n uint64
-	for _, k := range sk.kernels {
-		n += k.CtxSwitches
-	}
-	return n
+	return sk.sum(func(k *Kernel) uint64 { return k.CtxSwitches })
 }
 
 // Wakeups sums task wakeups across shards (remote wakes included: they run
 // on the owning shard).
 func (sk *ShardedKernel) Wakeups() uint64 {
-	var n uint64
-	for _, k := range sk.kernels {
-		n += k.Wakeups
-	}
-	return n
-}
-
-// IPIsSent sums flushed cross-CPU kicks across shards.
-func (sk *ShardedKernel) IPIsSent() uint64 {
-	var n uint64
-	for _, k := range sk.kernels {
-		n += k.IPIsSent
-	}
-	return n
+	return sk.sum(func(k *Kernel) uint64 { return k.Wakeups })
 }
 
 // EventsFired sums engine events fired across shards.

@@ -13,7 +13,7 @@ import (
 // counter records the submission.
 func TestRemoteWake(t *testing.T) {
 	m := MachineNUMA("2node", 2, 1, 4)
-	sk := NewShardedKernel(m, CostsFor(m), 0)
+	sk := NewShardedKernel(m, CostsFor(m), m.NumNodes, 0)
 	for i := 0; i < sk.NumShards(); i++ {
 		k := sk.ShardKernel(i)
 		k.RegisterClass(testPolicyCFS, NewCFS(k))
@@ -59,7 +59,7 @@ func TestRemoteWake(t *testing.T) {
 // batch window, coalescing the kicks the same way a local wake burst does.
 func TestRemoteWakeBatched(t *testing.T) {
 	m := MachineNUMA("2node", 2, 1, 4)
-	sk := NewShardedKernel(m, CostsFor(m), 0)
+	sk := NewShardedKernel(m, CostsFor(m), m.NumNodes, 0)
 	for i := 0; i < sk.NumShards(); i++ {
 		k := sk.ShardKernel(i)
 		k.RegisterClass(testPolicyCFS, NewCFS(k))

@@ -26,7 +26,7 @@ type ShardedRig struct {
 // NUMA node, the case's module (when it has one) loaded above CFS on every
 // shard.
 func NewShardedRig(c Case, m kernel.Machine, cfg enokic.Config) *ShardedRig {
-	sk := kernel.NewShardedKernel(m, kernel.CostsFor(m), 0)
+	sk := kernel.NewShardedKernel(m, kernel.CostsFor(m), m.NumNodes, 0)
 	r := &ShardedRig{SK: sk}
 	for i := 0; i < sk.NumShards(); i++ {
 		r.Shards = append(r.Shards, Mount(c, sk.ShardKernel(i), cfg, nil))

@@ -89,10 +89,11 @@ func TestShardedConformance(t *testing.T) {
 }
 
 // TestShardedKernelMapping pins the global↔local CPU mapping and the
-// sub-machine carve-up on the two-socket Xeon.
+// sub-machine carve-up on the two-socket Xeon, and the one-shard partition,
+// which keeps the machine as given.
 func TestShardedKernelMapping(t *testing.T) {
 	m := kernel.Machine80()
-	sk := kernel.NewShardedKernel(m, kernel.CostsFor(m), 0)
+	sk := kernel.NewShardedKernel(m, kernel.CostsFor(m), m.NumNodes, 0)
 	if sk.NumShards() != 2 {
 		t.Fatalf("NumShards = %d, want 2", sk.NumShards())
 	}
@@ -113,5 +114,18 @@ func TestShardedKernelMapping(t *testing.T) {
 	}
 	if sk.Executor().Lookahead() != kernel.CostsFor(m).IPIDeliver+kernel.CostsFor(m).CrossNodeExtra {
 		t.Errorf("default lookahead = %v", sk.Executor().Lookahead())
+	}
+
+	one := kernel.NewShardedKernel(m, kernel.CostsFor(m), 1, 0)
+	if whole := one.ShardKernel(0).Topology(); one.NumShards() != 1 || whole.Name != m.Name ||
+		whole.NumCPUs != 80 || whole.NumNodes != 2 || whole.NumLLCs != 8 {
+		t.Errorf("one shard: %d shards, machine %q with %d CPUs, %d nodes, %d LLCs; want 1, %q, 80, 2, 8",
+			one.NumShards(), whole.Name, whole.NumCPUs, whole.NumNodes, whole.NumLLCs, m.Name)
+	}
+	if g := one.GlobalCPU(0, 45); g != 45 {
+		t.Errorf("one shard: GlobalCPU(0, 45) = %d, want 45", g)
+	}
+	if sh, lo := one.ShardOfCPU(45); sh != 0 || lo != 45 {
+		t.Errorf("one shard: ShardOfCPU(45) = (%d, %d), want (0, 45)", sh, lo)
 	}
 }

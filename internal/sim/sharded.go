@@ -133,7 +133,7 @@ func push[T any](q []T, m T) []T {
 type mailroom struct {
 	pending []smsg   // undelivered messages, sorted
 	out     [][]smsg // per-source outboxes
-	sendSeq []uint64 // per-source monotonic counters — never reset (ordering audit)
+	sendSeq []uint64 // send's per-source counters, never reset (ordering audit); Sharded keeps one
 	keys    []skey   // collect's scratch
 	// pending[:committed] is frozen — committed messages an executor still
 	// reads in place (Sharded; always 0 in a Fleet, which commits by
@@ -259,26 +259,47 @@ func foldSmsgs(m []smsg, mid int) {
 
 // Sharded runs n Engines under the epoch-merge protocol.
 type Sharded struct {
-	shards    []*Engine
+	sh        []shard
 	lookahead ktime.Duration
 	now       ktime.Time // global floor: every shard clock sits here between epochs
 
-	mailroom        // one outbox per shard
-	extSeq   uint64 // Inject sequence (source -1) — monotonic, never reset
-	// Every (shard, instant) group in pending[:committed] has a drain event
-	// posted and runs in the coming epoch, read in place by its shard from
-	// cur[shard] on — no per-shard copy — and the whole prefix is dropped
-	// when the epoch ends.
-	cur     []int
-	drainFn []func()
+	mailroom // one outbox per shard
+	// sendSeq numbers Sends, and extSeq Injects (source -1): monotonic,
+	// never reset. Shards run on one goroutine, so one counter serves them
+	// all and orders each one's sends as a counter per source would.
+	sendSeq, extSeq uint64
 
-	beginHook, endHook func(shard int)
-	onMsg              func(shard int, m *Msg)
+	hooks BatchHooks
+	onMsg func(shard int, m *Msg)
 
 	epochs    uint64
 	delivered uint64
 
 	ahead eventLog // RunEvents' log, here so arming it allocates nothing
+}
+
+// shard is one engine of a Sharded with its share of the executor's state.
+// NewSharded allocates every shard in one slab.
+type shard struct {
+	s *Sharded
+	i int
+	// Every (shard, instant) group in pending[:committed] has a drain event
+	// posted and runs in the coming epoch, read in place by its shard from
+	// cur on — no per-shard copy — and the whole prefix is dropped when the
+	// epoch ends.
+	cur int
+	eng Engine
+}
+
+// Fire is the shard's delivery event (see drain).
+func (sh *shard) Fire() { sh.s.drain(sh.i) }
+
+// BatchHooks brackets every per-shard delivery drain: BeginBatch runs before
+// the first message of a (shard, instant) batch, EndBatch after the last.
+// The kernel points them at its IPI batch window.
+type BatchHooks interface {
+	BeginBatch(shard int)
+	EndBatch(shard int)
 }
 
 // NewSharded builds a sharded executor with n shards and the given
@@ -293,40 +314,41 @@ func NewSharded(n int, lookahead ktime.Duration) *Sharded {
 	if lookahead <= 0 {
 		panic("sim: NewSharded needs a positive lookahead")
 	}
-	s := &Sharded{
-		lookahead: lookahead,
-		shards:    make([]*Engine, n),
-		cur:       make([]int, n),
-		drainFn:   make([]func(), n),
-	}
-	for i := 0; i < n; i++ {
-		s.addSource()
-		s.shards[i] = New()
-		i := i
-		s.drainFn[i] = func() { s.drain(i) }
+	s := &Sharded{lookahead: lookahead, sh: make([]shard, n)}
+	s.out = make([][]smsg, n)
+	for i := range s.sh {
+		s.sh[i].s, s.sh[i].i = s, i
+		s.sh[i].eng.init()
 	}
 	return s
 }
 
 // NumShards returns the shard count.
-func (s *Sharded) NumShards() int { return len(s.shards) }
+func (s *Sharded) NumShards() int { return len(s.sh) }
 
 // Shard returns shard i's engine. Between runs it may be used freely
 // (setup, spawning); during a run only shard i's own events touch it.
-func (s *Sharded) Shard(i int) *Engine { return s.shards[i] }
+func (s *Sharded) Shard(i int) *Engine { return &s.sh[i].eng }
 
 // Lookahead returns the epoch length / minimum cross-shard latency.
 func (s *Sharded) Lookahead() ktime.Duration { return s.lookahead }
 
 // Now returns the global virtual-time floor (all shards are at or past it).
-func (s *Sharded) Now() ktime.Time { return s.now }
+// A lone shard's clock is the floor: its engine may also be driven directly
+// (through its kernel's RunFor), and the executor follows it.
+func (s *Sharded) Now() ktime.Time {
+	if len(s.sh) == 1 {
+		return s.sh[0].eng.now
+	}
+	return s.now
+}
 
 // Epochs returns how many merge rounds have run.
 func (s *Sharded) Epochs() uint64 { return s.epochs }
 
 // MsgsSent returns how many cross-shard messages were submitted. Read it
 // between runs.
-func (s *Sharded) MsgsSent() uint64 { return s.sent() }
+func (s *Sharded) MsgsSent() uint64 { return s.sendSeq }
 
 // MsgsDelivered returns how many cross-shard messages were delivered.
 func (s *Sharded) MsgsDelivered() uint64 { return s.delivered }
@@ -334,18 +356,14 @@ func (s *Sharded) MsgsDelivered() uint64 { return s.delivered }
 // EventsFired sums the event counts of every shard.
 func (s *Sharded) EventsFired() uint64 {
 	var n uint64
-	for _, e := range s.shards {
-		n += e.Fired()
+	for i := range s.sh {
+		n += s.sh[i].eng.Fired()
 	}
 	return n
 }
 
-// SetBatchHooks installs the pair bracketing every per-shard delivery
-// drain: begin before the first message of a (shard, instant) batch, end
-// after the last. The kernel points these at its IPI batch window.
-func (s *Sharded) SetBatchHooks(begin, end func(shard int)) {
-	s.beginHook, s.endHook = begin, end
-}
+// SetBatchHooks installs the pair bracketing every per-shard delivery drain.
+func (s *Sharded) SetBatchHooks(h BatchHooks) { s.hooks = h }
 
 // SetMsgHandler installs the function value messages are delivered to: it
 // runs in the destination shard's execution context at the message instant,
@@ -358,11 +376,12 @@ func (s *Sharded) SetMsgHandler(fn func(shard int, m *Msg)) { s.onMsg = fn }
 // sending earlier would let a message land in a shard's past, which is
 // exactly the race the epoch protocol exists to exclude, so it panics.
 func (s *Sharded) Send(from, to int, at ktime.Time, fn func()) {
-	if min := s.shards[from].Now().Add(s.lookahead); at < min {
+	if min := s.sh[from].eng.Now().Add(s.lookahead); at < min {
 		panic(fmt.Sprintf("sim: cross-shard send at %v under lookahead floor %v (shard %d → %d)",
 			at, min, from, to))
 	}
-	s.send(from, smsg{mkey: mkey{at: at, to: int32(to)}, fn: fn})
+	s.sendSeq++
+	s.out[from] = push(s.out[from], smsg{mkey: mkey{at, s.sendSeq, int32(to), int32(from)}, fn: fn})
 }
 
 // Inject commits fn for execution on shard `to` at absolute virtual time
@@ -391,8 +410,8 @@ func (s *Sharded) AcceptMsg(at ktime.Time, m *Msg) {
 }
 
 func (s *Sharded) inject(m smsg) {
-	if m.at < s.now {
-		panic(fmt.Sprintf("sim: Inject at %v before executor floor %v (shard %d)", m.at, s.now, m.to))
+	if now := s.Now(); m.at < now {
+		panic(fmt.Sprintf("sim: Inject at %v before executor floor %v (shard %d)", m.at, now, m.to))
 	}
 	s.extSeq++
 	m.from, m.seq = -1, s.extSeq
@@ -417,21 +436,22 @@ func (s *Sharded) NextEventTime() (ktime.Time, bool) {
 // messages are in merge order, so everything between the shard's cursor and
 // its group belongs to other shards, and the group itself is contiguous.
 func (s *Sharded) drain(i int) {
-	now := s.shards[i].Now()
+	sh := &s.sh[i]
+	now := sh.eng.Now()
 	mine := func(c int) bool {
 		m := &s.pending[c]
 		return m.at == now && int(m.to) == i
 	}
-	c := s.cur[i]
+	c := sh.cur
 	for c < s.committed && s.pending[c].at <= now && !mine(c) {
 		c++
 	}
-	s.cur[i] = c
+	sh.cur = c
 	if c >= s.committed || !mine(c) {
 		return // already drained by an earlier event at this instant
 	}
-	if s.beginHook != nil {
-		s.beginHook(i)
+	if s.hooks != nil {
+		s.hooks.BeginBatch(i)
 	}
 	for ; c < s.committed && mine(c); c++ {
 		m := &s.pending[c]
@@ -442,9 +462,9 @@ func (s *Sharded) drain(i int) {
 			s.onMsg(i, &m.msg)
 		}
 	}
-	s.cur[i] = c
-	if s.endHook != nil {
-		s.endHook(i)
+	sh.cur = c
+	if s.hooks != nil {
+		s.hooks.EndBatch(i)
 	}
 }
 
@@ -457,7 +477,8 @@ func (s *Sharded) deliver(upTo ktime.Time) {
 		// A group is contiguous in merge order, so it starts wherever the
 		// previous committed message has another instant or shard.
 		if j == 0 || s.pending[j-1].at != m.at || s.pending[j-1].to != m.to {
-			s.shards[m.to].PostAt(m.at, s.drainFn[m.to])
+			sh := &s.sh[m.to]
+			sh.eng.PostToAt(m.at, sh)
 		}
 	}
 	s.delivered += uint64(n - s.committed)
@@ -470,31 +491,34 @@ func (s *Sharded) unsent() []smsg { return s.pending[s.committed:] }
 // minNextEvent returns the earliest live event time across all shards.
 func (s *Sharded) minNextEvent() (ktime.Time, bool) {
 	best, ok := maxTime, false
-	for _, e := range s.shards {
-		if t, has := e.NextEventTime(); has && t < best {
+	for i := range s.sh {
+		if t, has := s.sh[i].eng.NextEventTime(); has && t < best {
 			best, ok = t, true
 		}
 	}
 	return best, ok
 }
 
-// runLone is runEpoch for a one-shard executor given a window longer than
-// the lookahead (run grants one when the bound is finite): with no peer
-// whose message could land inside it, the window only has to stop at the
-// first message the shard sends to itself — due no sooner than a lookahead
-// after the send, so never in the shard's past. It returns where the window
-// ended. The events fired, their order, and the engine state every delivery
-// is posted into are exactly those of lookahead-sized windows; a fleet
-// machine just stops paying an epoch turn per event.
+// runLone is runEpoch for a one-shard executor, which run grants a window
+// longer than the lookahead under either bound: with no peer whose message
+// could land inside it, the window only has to stop at the first message
+// the shard sends to itself — due no sooner than a lookahead after the send,
+// so never in the shard's past. It returns where the window ended: at its
+// bound, or, when an unbounded window sent nothing, at the last event, where
+// Engine.Run leaves the clock. The events fired, their order, and the engine
+// state every delivery is posted into are exactly those of lookahead-sized
+// windows; a one-shard machine just stops paying an epoch turn per event.
 func (s *Sharded) runLone(end ktime.Time) ktime.Time {
 	s.epochs++
-	e := s.shards[0]
+	e := &s.sh[0].eng
 	for seen := 0; e.stepBounded(end); {
 		for ; seen < len(s.out[0]); seen++ {
 			end = min(end, s.out[0][seen].at)
 		}
 	}
-	if e.now < end {
+	if end == maxTime {
+		end = e.now
+	} else if e.now < end {
 		e.now = end
 	}
 	s.retire()
@@ -504,8 +528,8 @@ func (s *Sharded) runLone(end ktime.Time) ktime.Time {
 // runEpoch advances every shard to end, in shard order.
 func (s *Sharded) runEpoch(end ktime.Time) {
 	s.epochs++
-	for _, e := range s.shards {
-		e.RunUntil(end)
+	for i := range s.sh {
+		s.sh[i].eng.RunUntil(end)
 	}
 	s.retire()
 }
@@ -514,13 +538,16 @@ func (s *Sharded) runEpoch(end ktime.Time) {
 func (s *Sharded) retire() {
 	s.drop(s.committed)
 	s.committed = 0
-	clear(s.cur)
+	for i := range s.sh {
+		s.sh[i].cur = 0
+	}
 }
 
 // run is the epoch loop: deliver due messages, pick the next productive
 // window, run it, merge the outboxes. With advance set, every shard clock
 // finishes at exactly t (so back-to-back runs compose like Engine.RunUntil).
 func (s *Sharded) run(t ktime.Time, advance bool) {
+	s.now = s.Now()
 	// Pick up messages submitted between runs (setup-time Sends).
 	s.collect()
 	for {
@@ -553,7 +580,7 @@ func (s *Sharded) run(t ktime.Time, advance bool) {
 			continue
 		}
 		var end ktime.Time
-		if len(s.shards) == 1 && t != maxTime {
+		if len(s.sh) == 1 {
 			end = s.runLone(min(t, nextMsg))
 		} else {
 			end = min(t, nextMsg, start.Add(s.lookahead))
@@ -581,10 +608,10 @@ func (s *Sharded) RunUntilIdle() { s.run(maxTime, false) }
 // clock at the last one, so a fleet can still bring it to any later floor,
 // and logs their instants (eventLog). It needs exactly one shard.
 func (s *Sharded) RunEvents(h ktime.Time, log []byte) []byte {
-	if len(s.shards) != 1 {
+	if len(s.sh) != 1 {
 		panic("sim: Sharded.RunEvents needs exactly one shard")
 	}
-	e, from := s.shards[0], s.now
+	e, from := &s.sh[0].eng, s.Now()
 	s.ahead = eventLog{buf: log, last: from - 1}
 	e.log = &s.ahead
 	s.run(h, false)

@@ -114,15 +114,21 @@ func TestShardedSendUnderLookaheadPanics(t *testing.T) {
 	s.Send(0, 1, ktime.Time(0).Add(500*time.Nanosecond), func() {})
 }
 
+// hookFuncs adapts a pair of functions to BatchHooks.
+type hookFuncs struct{ begin, end func(shard int) }
+
+func (h hookFuncs) BeginBatch(shard int) { h.begin(shard) }
+func (h hookFuncs) EndBatch(shard int)   { h.end(shard) }
+
 // TestShardedBatchHooks: all same-instant messages to one shard drain inside
 // a single begin/end bracket.
 func TestShardedBatchHooks(t *testing.T) {
 	s := NewSharded(2, time.Microsecond)
 	var trace []string
-	s.SetBatchHooks(
+	s.SetBatchHooks(hookFuncs{
 		func(sh int) { trace = append(trace, fmt.Sprintf("begin %d", sh)) },
 		func(sh int) { trace = append(trace, fmt.Sprintf("end %d", sh)) },
-	)
+	})
 	at := ktime.Time(0).Add(3 * time.Microsecond)
 	for i := 0; i < 4; i++ {
 		s.Send(0, 1, at, func() { trace = append(trace, "msg") })
@@ -206,12 +212,13 @@ func TestShardedZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestShardedLoneShardWindows: a one-shard executor driven to a finite bound
-// runs windows longer than its lookahead. That may change nothing but the
-// epoch count — in particular a shard that sends to itself must still get
-// the message at its instant, after the events due by then and before the
-// later ones. The reference is the same scenario under RunUntilIdle, which
-// keeps lookahead-sized windows.
+// TestShardedLoneShardWindows: a one-shard executor runs windows longer than
+// its lookahead. That may change nothing but the epoch count — in particular
+// a shard that sends to itself must still get the message at its instant,
+// after the events due by then and before the later ones. The reference
+// drives the same scenario in lookahead-sized RunUntil steps, so no window
+// can be longer than an epoch; the long windows run to a far bound and to
+// idle.
 func TestShardedLoneShardWindows(t *testing.T) {
 	la := 2 * time.Microsecond
 	build := func() (*Sharded, *[]string) {
@@ -219,7 +226,7 @@ func TestShardedLoneShardWindows(t *testing.T) {
 		eng := s.Shard(0)
 		log := new([]string)
 		note := func(what string) { *log = append(*log, fmt.Sprintf("%s @%d", what, eng.Now())) }
-		s.SetBatchHooks(func(int) { note("begin") }, func(int) { note("end") })
+		s.SetBatchHooks(hookFuncs{func(int) { note("begin") }, func(int) { note("end") }})
 		s.SetMsgHandler(func(_ int, m *Msg) { note(fmt.Sprintf("value %d", m.A)) })
 		n := 0
 		var tick func()
@@ -242,19 +249,54 @@ func TestShardedLoneShardWindows(t *testing.T) {
 		return s, log
 	}
 	ref, refLog := build()
-	ref.RunUntilIdle()
-	lone, loneLog := build()
-	lone.RunUntil(ktime.Time(0).Add(ktime.Duration(time.Millisecond)))
-	if fmt.Sprint(*refLog) != fmt.Sprint(*loneLog) {
-		t.Fatalf("long windows changed the run:\nlookahead windows %v\nlong windows      %v", *refLog, *loneLog)
+	end := ktime.Time(0).Add(ktime.Duration(time.Millisecond))
+	for ref.Now() < end {
+		ref.RunUntil(ref.Now().Add(ktime.Duration(la)))
 	}
 	if len(*refLog) < 30+10*3+4 {
 		t.Fatalf("scenario too small: %v", *refLog)
 	}
-	if lone.Epochs() >= ref.Epochs() {
-		t.Fatalf("long windows took %d epochs, lookahead windows %d", lone.Epochs(), ref.Epochs())
+	for _, drive := range []struct {
+		name string
+		run  func(*Sharded)
+	}{
+		{"RunUntil", func(s *Sharded) { s.RunUntil(end) }},
+		{"RunUntilIdle", (*Sharded).RunUntilIdle},
+	} {
+		lone, loneLog := build()
+		drive.run(lone)
+		if fmt.Sprint(*refLog) != fmt.Sprint(*loneLog) {
+			t.Fatalf("%s: long windows changed the run:\nlookahead windows %v\nlong windows      %v",
+				drive.name, *refLog, *loneLog)
+		}
+		if lone.Epochs() >= ref.Epochs() {
+			t.Fatalf("%s: long windows took %d epochs, lookahead windows %d", drive.name, lone.Epochs(), ref.Epochs())
+		}
+		if lone.MsgsDelivered() != ref.MsgsDelivered() {
+			t.Fatalf("%s: delivered %d vs %d", drive.name, lone.MsgsDelivered(), ref.MsgsDelivered())
+		}
 	}
-	if lone.MsgsDelivered() != ref.MsgsDelivered() {
-		t.Fatalf("delivered %d vs %d", lone.MsgsDelivered(), ref.MsgsDelivered())
+}
+
+// TestShardedLoneClock: a one-shard executor's clock is its engine's. An
+// idle run leaves it at the last event, as Engine.Run does, and after the
+// engine is driven directly the executor's next run starts from there.
+func TestShardedLoneClock(t *testing.T) {
+	s := NewSharded(1, time.Microsecond)
+	eng := s.Shard(0)
+	us := func(n int) ktime.Time { return ktime.Time(0).Add(ktime.Duration(n) * ktime.Duration(time.Microsecond)) }
+	eng.PostAt(us(5), func() {})
+	eng.PostAt(us(7), func() {})
+	s.RunUntilIdle()
+	if s.Now() != us(7) || eng.Now() != us(7) {
+		t.Fatalf("idle run ended at executor %v, engine %v; want the last event, %v", s.Now(), eng.Now(), us(7))
+	}
+	eng.RunUntil(us(20))
+	if s.Now() != us(20) {
+		t.Fatalf("executor reads %v after its engine ran to %v", s.Now(), us(20))
+	}
+	s.RunUntil(s.Now().Add(ktime.Duration(5 * time.Microsecond)))
+	if s.Now() != us(25) || eng.Now() != us(25) {
+		t.Fatalf("RunUntil(now+5us) ended at executor %v, engine %v; want %v", s.Now(), eng.Now(), us(25))
 	}
 }

@@ -178,8 +178,13 @@ type Engine struct {
 }
 
 // New returns an engine with the clock at T+0 and an empty queue.
-func New() *Engine {
-	return &Engine{firingSeq: armHorizon << lowBits}
+func New() *Engine { return new(Engine).init() }
+
+// init readies a zero Engine in place (a Sharded holds its shards' engines
+// in one slab).
+func (e *Engine) init() *Engine {
+	e.firingSeq = armHorizon << lowBits
+	return e
 }
 
 // Now returns the current virtual time.

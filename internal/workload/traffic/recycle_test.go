@@ -123,7 +123,7 @@ var raceGrowBytes = 0.0
 // module-side records were still allocated per task.
 func TestTrafficRequestAllocs(t *testing.T) {
 	m := kernel.Machine80()
-	sk := kernel.NewShardedKernel(m, kernel.CostsFor(m), 0)
+	sk := kernel.NewShardedKernel(m, kernel.CostsFor(m), m.NumNodes, 0)
 	sc := overloadScenario(1, 10*time.Millisecond)
 	var drivers []*traffic.Driver
 	for i := 0; i < sk.NumShards(); i++ {

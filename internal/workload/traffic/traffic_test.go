@@ -83,7 +83,7 @@ type drove struct {
 func (r rig) drive(t *testing.T) drove {
 	t.Helper()
 	m := kernel.Machine80()
-	sk := kernel.NewShardedKernel(m, kernel.CostsFor(m), 0)
+	sk := kernel.NewShardedKernel(m, kernel.CostsFor(m), m.NumNodes, 0)
 	adm := r.adm
 	if adm == nil {
 		adm = admission

@@ -10,15 +10,14 @@ import (
 	"enoki/internal/kernel"
 	"enoki/internal/overload"
 	"enoki/internal/record"
-	"enoki/internal/sim"
 	"enoki/internal/trace"
 	"enoki/internal/vpol"
 )
 
-// System is the assembled simulation: one event engine, one simulated
-// kernel, and the scheduler classes loaded into it. It is the front door of
-// the public API — construct one with NewSystem, attach policies, spawn
-// work, run:
+// System is the assembled simulation: a simulated machine under the
+// deterministic epoch executor, and the scheduler classes loaded into it.
+// It is the front door of the public API — construct one with NewSystem,
+// attach policies, spawn work, run:
 //
 //	sys := enoki.NewSystem(enoki.WithMachine(enoki.Machine80()))
 //	ad, err := sys.Attach(policyMine, enoki.GoModule(func(env enoki.Env) enoki.Scheduler {
@@ -32,27 +31,25 @@ import (
 // later ones, which is why Enoki policies attach before CFS. Attach accepts
 // all three tiers of the policy spectrum — GoModule, VerifiedProgram,
 // BuiltinClass (see PolicySource).
+//
+// The machine is always a ShardedKernel: one shard spanning the whole
+// machine, or one per NUMA node under WithShards. Everything the System
+// installs — modules, verified programs, CFS, admission — is installed on
+// every shard.
 type System struct {
-	eng *sim.Engine
-	k   *kernel.Kernel
-
-	// sk is non-nil in sharded mode (WithShards): one sub-kernel per NUMA
-	// node under the epoch-merge executor, and eng/k are nil — per-shard
-	// access goes through ShardKernel.
 	sk *kernel.ShardedKernel
 
 	cfg      Config
 	adapters []*enokic.Adapter
 
 	// verified indexes the verified-tier classes attached through
-	// Attach(VerifiedProgram(...)), by policy id (shard 0's instance in
-	// sharded mode).
+	// Attach(VerifiedProgram(...)), by policy id (shard 0's instance).
 	verified map[int]*vpol.Class
 
 	tracer *trace.Tracer
 
 	// adm holds the admission/brownout controllers installed by
-	// WithAdmission, one per shard (index 0 on an unsharded System).
+	// WithAdmission, one per shard.
 	adm []*overload.Controller
 
 	// Recorder plumbing: WithRecorder defers creation until the drain
@@ -89,8 +86,8 @@ type options struct {
 	admission []overload.ClassConfig
 	brownouts []brownoutOpt
 
-	sharded bool
-	shards  int
+	perNode bool // WithShards: one shard per NUMA node
+	shards  int  // WithShards' argument
 }
 
 // Option configures NewSystem.
@@ -118,7 +115,9 @@ func WithConfig(cfg Config) Option {
 // log to w, its userspace drain task spawned into drainPolicy (normally the
 // CFS policy id), installed on every module the System loads. The recorder
 // is created as soon as drainPolicy's class is registered — register it
-// before spawning tasks or the earliest task_new messages are lost.
+// before spawning tasks or the earliest task_new messages are lost. A
+// recorder taps one kernel, so NewSystem rejects it on a System of several
+// shards.
 func WithRecorder(w io.Writer, drainPolicy int) Option {
 	return func(o *options) {
 		o.recW, o.recPolicy, o.recWanted = w, drainPolicy, true
@@ -128,7 +127,8 @@ func WithRecorder(w io.Writer, drainPolicy int) Option {
 
 // WithTraceSink installs t as the event tracer on the kernel and on every
 // module the System loads, producing one interleaved timeline of scheduling
-// decisions and framework crossings.
+// decisions and framework crossings. A tracer taps one kernel, so NewSystem
+// rejects it on a System of several shards.
 func WithTraceSink(t *Tracer) Option {
 	return func(o *options) { o.tracer = t }
 }
@@ -137,18 +137,17 @@ func WithTraceSink(t *Tracer) Option {
 // driven by the deterministic epoch-merge executor: shard i owns node i's
 // CPUs, run queues, and timers, and the only cross-shard interaction is the
 // remote wake (see ShardedKernel.RemoteWake). n must equal the machine's
-// node count, or be 0 to accept whatever the machine has. Sharding changes
-// the execution strategy, not the model: Attach and RegisterCFS apply per
-// shard, and the simulation stays deterministic.
-//
-// In sharded mode Kernel and Engine return nil — use NumShards and
-// ShardKernel — and WithRecorder/WithTraceSink are rejected: recorders and
-// tracers are single-kernel taps, so attach one per shard by hand instead.
+// node count, or be 0 to accept whatever the machine has. Without it the
+// System is one shard spanning the whole machine. Sharding changes the
+// execution strategy, not the model: Attach and RegisterCFS apply per
+// shard, and the simulation stays deterministic. On a one-node machine the
+// partition is that one shard, and the System behaves as if built without
+// WithShards.
 func WithShards(n int) Option {
-	return func(o *options) { o.sharded, o.shards = true, n }
+	return func(o *options) { o.perNode, o.shards = true, n }
 }
 
-// NewSystem builds an engine and a kernel behind one handle. With no
+// NewSystem builds the machine and its executor behind one handle. With no
 // options it models the paper's 8-core machine with calibrated costs and no
 // observability taps.
 func NewSystem(opts ...Option) *System {
@@ -159,67 +158,59 @@ func NewSystem(opts ...Option) *System {
 	if !o.hasCosts {
 		o.costs = kernel.CostsFor(o.machine)
 	}
-	if o.sharded {
+	shards := 1
+	if o.perNode {
 		if o.shards != 0 && o.shards != o.machine.NumNodes {
 			panic(fmt.Sprintf("enoki: WithShards(%d) on a %d-node machine (shards are NUMA nodes)",
 				o.shards, o.machine.NumNodes))
 		}
-		if o.recWanted {
-			panic("enoki: WithRecorder is a single-kernel tap; in sharded mode attach one recorder per ShardKernel")
-		}
-		if o.tracer != nil {
-			panic("enoki: WithTraceSink is a single-kernel tap; in sharded mode attach one tracer per ShardKernel")
-		}
-		sk := kernel.NewShardedKernel(o.machine, o.costs, 0)
-		return &System{sk: sk, cfg: o.cfg, adm: buildAdmission(&o, sk.NumShards())}
+		shards = o.machine.NumNodes
 	}
-	eng := sim.New()
-	k := kernel.New(eng, o.machine, o.costs)
+	if shards > 1 && (o.recWanted || o.tracer != nil) {
+		panic("enoki: WithRecorder and WithTraceSink tap one kernel; with several shards attach one per ShardKernel")
+	}
 	s := &System{
-		eng: eng, k: k, cfg: o.cfg,
-		adm:  buildAdmission(&o, 1),
+		sk: kernel.NewShardedKernel(o.machine, o.costs, shards, 0), cfg: o.cfg,
+		adm:  buildAdmission(&o, shards),
 		recW: o.recW, recPolicy: o.recPolicy,
 		recCosts: o.recCosts, recWanted: o.recWanted,
 		tracer: o.tracer,
 	}
 	if o.tracer != nil {
-		k.SetTracer(o.tracer)
+		s.Kernel().SetTracer(o.tracer)
 	}
 	return s
 }
 
-// Kernel returns the simulated kernel (spawning tasks, querying state). In
-// sharded mode there is no single kernel and Kernel returns nil — use
-// ShardKernel.
-func (s *System) Kernel() *Kernel { return s.k }
-
-// Engine returns the discrete-event engine driving the simulation, or nil
-// in sharded mode (each shard has its own; ShardKernel(i).Engine()).
-func (s *System) Engine() *Engine { return s.eng }
-
-// NumShards returns the shard count: 1 for a single-kernel System, the
-// machine's NUMA node count under WithShards.
-func (s *System) NumShards() int {
-	if s.sk != nil {
-		return s.sk.NumShards()
+// Kernel returns the simulated kernel (spawning tasks, querying state): the
+// System's one shard, or nil when WithShards split the machine into several
+// — use ShardKernel then.
+func (s *System) Kernel() *Kernel {
+	if s.sk.NumShards() > 1 {
+		return nil
 	}
-	return 1
+	return s.sk.ShardKernel(0)
 }
 
-// ShardKernel returns shard i's sub-kernel. On a single-kernel System only
-// shard 0 exists and it is the kernel itself.
-func (s *System) ShardKernel(i int) *Kernel {
-	if s.sk != nil {
-		return s.sk.ShardKernel(i)
+// Engine returns the discrete-event engine of the System's one shard, or
+// nil when there are several (each has its own: ShardKernel(i).Engine()).
+func (s *System) Engine() *Engine {
+	if k := s.Kernel(); k != nil {
+		return k.Engine()
 	}
-	if i != 0 {
-		panic(fmt.Sprintf("enoki: ShardKernel(%d) on an unsharded System", i))
-	}
-	return s.k
+	return nil
 }
 
-// Sharded returns the sharded executor wrapper, or nil when the System was
-// built without WithShards.
+// NumShards returns the shard count: 1, or the machine's NUMA node count
+// under WithShards.
+func (s *System) NumShards() int { return s.sk.NumShards() }
+
+// ShardKernel returns shard i's sub-kernel; on a one-shard System, shard 0
+// is Kernel.
+func (s *System) ShardKernel(i int) *Kernel { return s.sk.ShardKernel(i) }
+
+// Sharded returns the machine under its executor: one shard, or one per
+// NUMA node under WithShards.
 func (s *System) Sharded() *ShardedKernel { return s.sk }
 
 // Close retires the System; it holds no goroutine, so Close only latches the
@@ -239,38 +230,32 @@ func (s *System) Close() error {
 // Config returns the framework Config handed to every attached module.
 func (s *System) Config() Config { return s.cfg }
 
-// RegisterCFS builds the native CFS baseline, registers it under policy,
-// and returns it. Register it after every Enoki module so the modules sit
-// above it in the pick order, mirroring the paper's setups. In sharded mode
-// one CFS is built per shard and shard 0's is returned.
+// RegisterCFS builds the native CFS baseline on every shard, attaches each
+// under policy as a BuiltinClass, and returns shard 0's. Register it after
+// every Enoki module so the modules sit above it in the pick order,
+// mirroring the paper's setups.
 func (s *System) RegisterCFS(policy int) *kernel.CFS {
 	if s.closed {
 		panic("enoki: RegisterCFS on a closed System")
 	}
-	if s.sk != nil {
-		var first *kernel.CFS
-		for i := 0; i < s.sk.NumShards(); i++ {
-			k := s.sk.ShardKernel(i)
-			c := kernel.NewCFS(k)
-			k.RegisterClass(policy, c)
-			if first == nil {
-				first = c
-			}
-		}
-		return first
+	for i := 0; i < s.NumShards(); i++ {
+		s.MustAttach(policy, builtinSource{c: kernel.NewCFS(s.ShardKernel(i)), shard: i})
 	}
-	c := kernel.NewCFS(s.k)
-	s.MustAttach(policy, BuiltinClass(c))
-	return c
+	return s.ShardKernel(0).ClassByID(policy).(*kernel.CFS)
 }
 
 // afterRegister creates the deferred recorder once its drain class exists
-// and installs it on every adapter loaded so far.
+// and installs it on every adapter loaded so far. A recorder implies one
+// shard (NewSystem).
 func (s *System) afterRegister() {
-	if !s.recWanted || s.recorder != nil || s.k.ClassByID(s.recPolicy) == nil {
+	if !s.recWanted || s.recorder != nil {
 		return
 	}
-	s.recorder = record.New(s.k, s.recW, s.recPolicy, s.recCosts)
+	k := s.sk.ShardKernel(0)
+	if k.ClassByID(s.recPolicy) == nil {
+		return
+	}
+	s.recorder = record.New(k, s.recW, s.recPolicy, s.recCosts)
 	for _, ad := range s.adapters {
 		ad.SetRecorder(s.recorder)
 	}
@@ -288,28 +273,14 @@ func (s *System) Run(d time.Duration) {
 	if s.closed {
 		panic("enoki: Run on a closed System")
 	}
-	if s.sk != nil {
-		s.sk.RunFor(d)
-		return
-	}
-	s.k.RunFor(d)
+	s.sk.RunFor(d)
 }
 
-// RunUntilIdle runs until the event queue drains (all tasks exited or
-// blocked with no timers pending; in sharded mode, every shard drained and
-// no cross-shard message in flight).
-func (s *System) RunUntilIdle() {
-	if s.sk != nil {
-		s.sk.RunUntilIdle()
-		return
-	}
-	s.k.RunUntilIdle()
-}
+// RunUntilIdle runs until every shard's event queue drains (all tasks exited
+// or blocked with no timers pending) and no cross-shard message is in
+// flight. On one shard the clock stops at the last event.
+func (s *System) RunUntilIdle() { s.sk.RunUntilIdle() }
 
-// Now returns the current virtual time.
-func (s *System) Now() Time {
-	if s.sk != nil {
-		return s.sk.Now()
-	}
-	return s.k.Now()
-}
+// Now returns the current virtual time: the executor's floor, which on one
+// shard is the shard's clock, however it was driven.
+func (s *System) Now() Time { return s.sk.Now() }

@@ -99,40 +99,113 @@ func TestSystemRecorderDeferred(t *testing.T) {
 }
 
 // TestSystemSharded: WithShards partitions the two-socket machine, Attach and
-// RegisterCFS apply per shard, and tasks run on both shards.
+// RegisterCFS apply per shard, and tasks run on both shards. On a one-node
+// machine the partition is the one shard a System has without WithShards,
+// so the single-kernel accessors and taps work there.
 func TestSystemSharded(t *testing.T) {
-	sys := enoki.NewSystem(enoki.WithMachine(enoki.Machine80()), enoki.WithShards(2))
-	if sys.NumShards() != 2 {
-		t.Fatalf("NumShards = %d, want 2", sys.NumShards())
-	}
-	if sys.Kernel() != nil || sys.Engine() != nil {
-		t.Fatal("sharded System must not expose a single kernel/engine")
-	}
-	if _, err := sys.Attach(1, enoki.GoModule(func(env enoki.Env) enoki.Scheduler {
-		return enoki.NewFIFOScheduler(env, 1)
-	})); err != nil {
-		t.Fatalf("sharded Attach failed: %v", err)
-	}
-	if got := len(sys.Adapters()); got != 2 {
-		t.Fatalf("sharded Attach made %d adapters, want one per shard", got)
-	}
-	sys.RegisterCFS(0)
-	done := make([]int, sys.NumShards())
-	for i := 0; i < sys.NumShards(); i++ {
-		i := i
-		if n := sys.ShardKernel(i).NumCPUs(); n != 40 {
-			t.Fatalf("shard %d has %d CPUs, want 40", i, n)
+	t.Run("two nodes", func(t *testing.T) {
+		sys := enoki.NewSystem(enoki.WithMachine(enoki.Machine80()), enoki.WithShards(2))
+		if sys.NumShards() != 2 {
+			t.Fatalf("NumShards = %d, want 2", sys.NumShards())
 		}
-		sys.ShardKernel(i).Spawn("w", 1, enoki.BehaviorFunc(func(*enoki.Kernel, *enoki.Task) enoki.Action {
-			done[i]++
+		if sys.Kernel() != nil || sys.Engine() != nil {
+			t.Fatal("sharded System must not expose a single kernel/engine")
+		}
+		if _, err := sys.Attach(1, enoki.GoModule(func(env enoki.Env) enoki.Scheduler {
+			return enoki.NewFIFOScheduler(env, 1)
+		})); err != nil {
+			t.Fatalf("sharded Attach failed: %v", err)
+		}
+		if got := len(sys.Adapters()); got != 2 {
+			t.Fatalf("sharded Attach made %d adapters, want one per shard", got)
+		}
+		sys.RegisterCFS(0)
+		done := make([]int, sys.NumShards())
+		for i := 0; i < sys.NumShards(); i++ {
+			i := i
+			if n := sys.ShardKernel(i).NumCPUs(); n != 40 {
+				t.Fatalf("shard %d has %d CPUs, want 40", i, n)
+			}
+			sys.ShardKernel(i).Spawn("w", 1, enoki.BehaviorFunc(func(*enoki.Kernel, *enoki.Task) enoki.Action {
+				done[i]++
+				return enoki.Action{Op: enoki.OpExit}
+			}))
+		}
+		sys.Run(time.Millisecond)
+		sys.Close()
+		for i, n := range done {
+			if n != 1 {
+				t.Errorf("shard %d task ran %d times, want 1", i, n)
+			}
+		}
+	})
+	t.Run("one node", func(t *testing.T) {
+		var log bytes.Buffer
+		sys := enoki.NewSystem(enoki.WithMachine(enoki.Machine8()), enoki.WithShards(0),
+			enoki.WithRecorder(&log, 0))
+		if sys.NumShards() != 1 || sys.Kernel() == nil || sys.Kernel() != sys.ShardKernel(0) ||
+			sys.Engine() != sys.Kernel().Engine() {
+			t.Fatalf("one-node WithShards: %d shards, Kernel %p, ShardKernel(0) %p", sys.NumShards(), sys.Kernel(), sys.ShardKernel(0))
+		}
+		sys.MustAttach(1, enoki.GoModule(func(env enoki.Env) enoki.Scheduler {
+			return enoki.NewFIFOScheduler(env, 1)
+		}))
+		sys.RegisterCFS(0)
+		sys.Kernel().Spawn("w", 1, enoki.BehaviorFunc(func(*enoki.Kernel, *enoki.Task) enoki.Action {
 			return enoki.Action{Op: enoki.OpExit}
 		}))
+		sys.Run(5 * time.Millisecond)
+		rec := sys.Recorder()
+		if rec == nil {
+			t.Fatal("no recorder on a one-shard System")
+		}
+		rec.Close()
+		if rec.Entries == 0 || log.Len() == 0 {
+			t.Fatalf("recorder captured nothing: %d entries, %d bytes", rec.Entries, log.Len())
+		}
+	})
+}
+
+// TestSystemClockFollowsKernel: a one-shard System's clock is its kernel's,
+// so driving the kernel directly and driving the System mix: the System
+// reads where the kernel left off and runs on from there.
+func TestSystemClockFollowsKernel(t *testing.T) {
+	for _, busy := range []bool{false, true} {
+		sys := enoki.NewSystem()
+		sys.RegisterCFS(0)
+		k := sys.Kernel()
+		if busy { // a sleeper keeps timers pending past the first 10 ms
+			k.Spawn("sleeper", 0, enoki.BehaviorFunc(func(*enoki.Kernel, *enoki.Task) enoki.Action {
+				return enoki.Action{Run: 50 * time.Microsecond, Op: enoki.OpSleep, SleepFor: 3 * time.Millisecond}
+			}))
+		}
+		k.RunFor(10 * time.Millisecond)
+		if got, want := sys.Now(), enoki.Time(0).Add(10*time.Millisecond); got != want {
+			t.Fatalf("after Kernel().RunFor(10ms) System.Now() = %v, want %v", got, want)
+		}
+		sys.Run(5 * time.Millisecond)
+		if got, want := sys.Now(), enoki.Time(0).Add(15*time.Millisecond); got != want || k.Now() != want {
+			t.Fatalf("after System.Run(5ms): System.Now() %v, kernel %v, want %v", got, k.Now(), want)
+		}
 	}
-	sys.Run(time.Millisecond)
-	sys.Close()
-	for i, n := range done {
-		if n != 1 {
-			t.Errorf("shard %d task ran %d times, want 1", i, n)
+}
+
+// systemBuildAllocs is what a one-shard System with CFS costs to build:
+// the kernel's slabs (TestMachineBuildAllocs), the System and its options,
+// the executor with its shard slab and outbox, and the CFS attachment.
+const systemBuildAllocs = 37
+
+// TestSystemBuildAllocs is the front door's construction ratchet: a
+// one-shard System is a ShardedKernel, and that must cost a fixed handful of
+// allocations over the bare kernel, the same on Machine8 and the flat
+// Machine80.
+func TestSystemBuildAllocs(t *testing.T) {
+	for _, m := range []enoki.Machine{enoki.Machine8(), enoki.Machine80()} {
+		n := testing.AllocsPerRun(20, func() {
+			enoki.NewSystem(enoki.WithMachine(m)).RegisterCFS(0)
+		})
+		if n > systemBuildAllocs {
+			t.Errorf("%s: NewSystem+RegisterCFS costs %.0f allocations, want at most %d", m.Name, n, systemBuildAllocs)
 		}
 	}
 }
