@@ -65,13 +65,16 @@ profile:
 
 # Fleet gate mirroring the CI job: the whole cluster control plane under the
 # race detector — placement, migration, failover, Close lifecycle, no
-# goroutine left behind by a dropped parallel cluster
-# (TestFleetDroppedUnclosedLeaksNothing), the job path's allocation ratchet
+# goroutine left behind by a dropped default (parallel) cluster
+# (TestFleetDroppedUnclosedLeaksNothing), the default drive against the
+# serial one and a setup hook's serial drive (TestFleetDefaultDriveMatchesSerial,
+# TestFleetSetupHookDrivesSerially), the job path's allocation ratchet
 # (TestClusterJobAllocs) and the quiet-run oracle over 24 seeded drives
 # (TestFleetQuietMatchesLockstep) — plus the fleet executor's serial-vs-
-# fork-join identity, the hub that breaks its silence promise
-# (TestFleetLyingHubPanics), the machine-kill chaos replay, and the
-# scaled-down fleet benchmark's pinned fingerprints and stats.
+# fork-join identity and its allocation-free fork (TestFleetParallelEpochAllocs),
+# the hub that breaks its silence promise (TestFleetLyingHubPanics), the
+# machine-kill chaos replay, and the scaled-down fleet benchmark's pinned
+# fingerprints and stats.
 fleet:
 	$(GO) test -race -count=1 ./internal/cluster
 	$(GO) test -race -run 'TestFleet|FuzzParseSpec' -count=1 ./internal/sim ./internal/chaos ./internal/bench

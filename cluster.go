@@ -125,11 +125,13 @@ func WithJobPolicy(policy int) ClusterOption {
 	return func(c *cluster.Config) { c.Policy = policy }
 }
 
-// WithFleetParallel runs each fleet epoch's machines on min(GOMAXPROCS,
-// machines) goroutines that exit when the epoch ends. Serial and parallel
-// drives are byte-identical; parallel only changes wall-clock speed.
+// WithFleetParallel forces the fleet drive: true runs each epoch's machines
+// on min(GOMAXPROCS, machines) goroutines, false on the caller's. Without
+// it the drive is parallel unless WithMachineSetup or WithMachineModules
+// installs hooks, which may share state across machines. Both drives give
+// byte-identical results.
 func WithFleetParallel(on bool) ClusterOption {
-	return func(c *cluster.Config) { c.Parallel = on }
+	return func(c *cluster.Config) { c.Parallel = &on }
 }
 
 // WithMachineSetup replaces the default per-shard CFS registration: setup

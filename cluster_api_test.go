@@ -14,7 +14,6 @@ func TestNewClusterQuickstart(t *testing.T) {
 	cl := enoki.NewCluster(
 		enoki.WithMachines(4),
 		enoki.WithPlacer("leastloaded"),
-		enoki.WithFleetParallel(true),
 	)
 	for i := 0; i < 20; i++ {
 		cl.Submit(enoki.JobSpec{Cycles: 3, Run: 100 * time.Microsecond})
@@ -36,8 +35,8 @@ func TestNewClusterQuickstart(t *testing.T) {
 }
 
 // TestNewClusterOptions covers the remaining option plumbing: machine
-// template, custom setup, rebalancing, failure injection, and the
-// by-instance placer option.
+// template, custom setup with a forced parallel drive, rebalancing, failure
+// injection, and the by-instance placer option.
 func TestNewClusterOptions(t *testing.T) {
 	setupRan := 0
 	cl := enoki.NewCluster(
@@ -49,6 +48,7 @@ func TestNewClusterOptions(t *testing.T) {
 		enoki.WithClusterPlacer(enoki.PlacerByName("roundrobin")),
 		enoki.WithRebalanceSpread(2),
 		enoki.WithJobPolicy(0),
+		enoki.WithFleetParallel(true), // the hook shares nothing across machines
 		enoki.WithMachineSetup(func(machine int, sk *enoki.ShardedKernel) {
 			setupRan++
 			for s := 0; s < sk.NumShards(); s++ {

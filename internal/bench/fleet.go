@@ -121,9 +121,10 @@ func fleetScale(m kernel.Machine) (machines, jobs int) {
 // serial and parallel, and assembles the verdicts.
 func RunFleet(m kernel.Machine) *FleetResult {
 	machines, jobs := fleetScale(m)
-	cfg := cluster.Config{Machines: machines, Machine: m, Placer: cluster.LeastLoaded{}}
+	off, on := false, true
+	cfg := cluster.Config{Machines: machines, Machine: m, Placer: cluster.LeastLoaded{}, Parallel: &off}
 	serial, fpSerial, virt := fleetDrive(cfg, jobs, 5*time.Millisecond)
-	cfg.Parallel = true
+	cfg.Parallel = &on
 	_, fpPar, _ := fleetDrive(cfg, jobs, 5*time.Millisecond)
 
 	r := &FleetResult{

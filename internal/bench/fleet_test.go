@@ -63,9 +63,10 @@ var fleetPins = []struct {
 // cheap enough for the test suite.
 func TestFleetDriveDeterministic(t *testing.T) {
 	const machines, jobs = 6, 120
-	cfg := cluster.Config{Machines: machines, Machine: kernel.Machine8(), Placer: cluster.LeastLoaded{}}
+	off, on := false, true
+	cfg := cluster.Config{Machines: machines, Machine: kernel.Machine8(), Placer: cluster.LeastLoaded{}, Parallel: &off}
 	serial, fpSerial, virt := fleetDrive(cfg, jobs, time.Millisecond)
-	cfg.Parallel = true
+	cfg.Parallel = &on
 	par, fpPar, _ := fleetDrive(cfg, jobs, time.Millisecond)
 	if fpSerial != fpPar {
 		t.Fatalf("fingerprints diverge: %016x vs %016x", fpSerial, fpPar)
@@ -92,7 +93,7 @@ func TestFleetDrivePinned(t *testing.T) {
 	for _, pin := range fleetPins {
 		for _, parallel := range []bool{false, true} {
 			cfg := pin.cfg()
-			cfg.Parallel = parallel
+			cfg.Parallel = &parallel
 			st, fp, virt := fleetDrive(cfg, jobs, time.Millisecond)
 			if fp != pin.fp {
 				t.Errorf("%s parallel=%v: fingerprint %#016x, pinned %#016x", pin.name, parallel, fp, pin.fp)
@@ -176,7 +177,7 @@ func TestFleetShapesPinned(t *testing.T) {
 	for _, pin := range fleetShapePins {
 		for _, parallel := range []bool{false, true} {
 			cl := cluster.New(cluster.Config{Machines: 6, Machine: kernel.Machine8(),
-				Placer: cluster.LeastLoaded{}, Parallel: parallel})
+				Placer: cluster.LeastLoaded{}, Parallel: &parallel})
 			rng := ktime.NewRand(0x5a4e5)
 			pin.drive(cl, func(n int) { submitFleetJobs(cl, rng, n) })
 			st, fp := cl.Stats(), fleetFingerprint(cl, nil, "")

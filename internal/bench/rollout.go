@@ -115,7 +115,7 @@ func rolloutDrive(m kernel.Machine, machines, jobs, faultyFrom int, parallel boo
 	cl := cluster.New(cluster.Config{
 		Machines: machines,
 		Machine:  m,
-		Parallel: parallel,
+		Parallel: &parallel,
 		Policy:   conformance.PolicyTest,
 		Placer:   cluster.LeastLoaded{},
 		SetupModules: func(mi int, sk *kernel.ShardedKernel) []*enokic.Adapter {

@@ -103,7 +103,7 @@ func newFleetRig(c conformance.Case, seed uint64, parallel bool, detect time.Dur
 	r.cl = cluster.New(cluster.Config{
 		Machines:        fleetMachines,
 		Machine:         kernel.Machine8(),
-		Parallel:        parallel,
+		Parallel:        &parallel,
 		Policy:          policy,
 		Placer:          &cluster.Pack{PerCPU: 2},
 		RebalanceSpread: 3,

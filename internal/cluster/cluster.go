@@ -57,9 +57,11 @@ type Config struct {
 	// Policy is the scheduler class id jobs spawn into (default 0, the CFS
 	// class the default setup registers).
 	Policy int
-	// Parallel runs each fleet epoch's machines on min(GOMAXPROCS,
-	// machines) goroutines; serial and parallel drives are byte-identical.
-	Parallel bool
+	// Parallel, when set, forces the drive: true runs each fleet epoch's
+	// machines on min(GOMAXPROCS, machines) goroutines, false on the
+	// caller's. Unset, it is parallel unless Setup or SetupModules (hooks
+	// that may share state across machines) is set. Both are byte-identical.
+	Parallel *bool
 	// Setup, when set, replaces the default per-shard CFS registration: it
 	// runs once per machine at construction and must register a class
 	// under Policy on every shard (recorders and extra instrumentation
@@ -94,6 +96,10 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Placer == nil {
 		c.Placer = LeastLoaded{}
+	}
+	if c.Parallel == nil {
+		par := c.Setup == nil && c.SetupModules == nil
+		c.Parallel = &par
 	}
 	return c
 }
@@ -204,7 +210,7 @@ func New(cfg Config) *Cluster {
 	}
 	c.fl.SetHub(c.ctrlNode) // machines talk only to the control plane
 	c.sched = newJobScheduler(c)
-	c.fl.SetParallel(cfg.Parallel)
+	c.fl.SetParallel(*cfg.Parallel)
 	return c
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -168,7 +169,7 @@ func TestClusterAllDeadTerminates(t *testing.T) {
 // first Close succeeds, the second reports ErrClosed, and post-Close use
 // panics.
 func TestClusterCloseIdempotence(t *testing.T) {
-	c := New(Config{Machines: 1, Parallel: true})
+	c := New(Config{Machines: 1})
 	c.Submit(JobSpec{})
 	c.Run(5 * time.Millisecond)
 	if err := c.Close(); err != nil {
@@ -186,14 +187,14 @@ func TestClusterCloseIdempotence(t *testing.T) {
 	c.Submit(JobSpec{})
 }
 
-// TestFleetDroppedUnclosedLeaksNothing: a cluster driven in parallel (what
-// WithFleetParallel(true) sets) and dropped without Close leaves no
-// goroutine behind to keep the fleet reachable — the parallel drive forks
-// and joins inside every epoch.
+// TestFleetDroppedUnclosedLeaksNothing: a default cluster, which drives in
+// parallel, dropped without Close leaves no goroutine behind to keep the
+// fleet reachable — the parallel drive forks and joins inside every epoch.
 func TestFleetDroppedUnclosedLeaksNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	base := runtime.NumGoroutine()
 	func() {
-		c := New(Config{Machines: 8, Parallel: true})
+		c := New(Config{Machines: 8})
 		for i := 0; i < 40; i++ {
 			c.Submit(JobSpec{Cycles: 2})
 		}
@@ -209,6 +210,90 @@ func TestFleetDroppedUnclosedLeaksNothing(t *testing.T) {
 		}
 		runtime.GC()
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// smokeFleet runs the smoke-size fleet_jobs shape — 12 Machine8s, 40 jobs
+// each of 2-4 cycles of 100-300 µs, half sleeping 200 µs, machine 4 killed
+// at 2 ms — to idle, and returns its stats and every machine's counters and
+// clock, then every job.
+func smokeFleet(cfg Config) (Stats, []uint64, []Job) {
+	c := New(cfg)
+	defer c.Close()
+	rng := ktime.NewRand(1)
+	for i := 0; i < 12*40; i++ {
+		c.Submit(JobSpec{Cycles: 2 + rng.Intn(3), Run: time.Duration(100+rng.Intn(200)) * time.Microsecond,
+			Sleep: time.Duration(rng.Intn(2)) * 200 * time.Microsecond})
+	}
+	c.FailMachine(4, 2*time.Millisecond)
+	c.RunUntilIdle()
+	var fp []uint64
+	for _, m := range c.machines {
+		sk := m.Sharded()
+		fp = append(fp, m.TasksSpawned(), sk.CtxSwitches(), sk.EventsFired(), sk.Wakeups(), uint64(sk.Now()))
+	}
+	jobs := make([]Job, c.NumJobs())
+	for i := range jobs {
+		jobs[i] = c.Job(i)
+	}
+	return c.Stats(), fp, jobs
+}
+
+// TestFleetDefaultDriveMatchesSerial: a cluster built with no drive option
+// drives in parallel, and its run is the forced-serial run's — every
+// machine's counters and clock, every job, the stats. Under -race it is
+// also the default drive's data-race gate.
+func TestFleetDefaultDriveMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	cfg := Config{Machines: 12, Machine: kernel.Machine8()}
+	if par := *New(cfg).cfg.Parallel; !par {
+		t.Fatal("a cluster with no drive option and no setup hook drives serially")
+	}
+	off := false
+	serial, fpSerial, jobsSerial := smokeFleet(Config{Machines: 12, Machine: kernel.Machine8(), Parallel: &off})
+	st, fp, jobs := smokeFleet(cfg)
+	if st != serial || !slices.Equal(fp, fpSerial) || !slices.Equal(jobs, jobsSerial) {
+		t.Fatalf("default drive differs from the serial one:\ndefault %+v\nserial  %+v", st, serial)
+	}
+	if st.Done != 12*40 || st.Lost == 0 {
+		t.Fatalf("done %d of %d, lost %d: the kill missed the run", st.Done, 12*40, st.Lost)
+	}
+}
+
+// countingCFS is CFS counting its new tasks into a counter every machine
+// shares, unsynchronized: only a serial drive may run it.
+type countingCFS struct {
+	*kernel.CFS
+	n *int
+}
+
+func (c countingCFS) TaskNew(t *kernel.Task) {
+	*c.n++
+	c.CFS.TaskNew(t)
+}
+
+// TestFleetSetupHookDrivesSerially: a setup hook may share state across
+// machines, so a cluster built with one and no drive option drives
+// serially — under -race, a parallel drive here is a reported race.
+func TestFleetSetupHookDrivesSerially(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	var n int
+	c := New(Config{Machines: 6, Setup: func(_ int, sk *kernel.ShardedKernel) {
+		for i := 0; i < sk.NumShards(); i++ {
+			k := sk.ShardKernel(i)
+			k.RegisterClass(0, countingCFS{kernel.NewCFS(k), &n})
+		}
+	}})
+	defer c.Close()
+	if *c.cfg.Parallel {
+		t.Fatal("a cluster with a setup hook and no drive option drives in parallel")
+	}
+	for i := 0; i < 60; i++ {
+		c.Submit(JobSpec{Cycles: 2, Run: 100 * time.Microsecond, Sleep: 100 * time.Microsecond})
+	}
+	c.RunUntilIdle()
+	if st := c.Stats(); st.Done != 60 || uint64(n) != st.TasksSpawned {
+		t.Fatalf("done %d of 60; the shared counter read %d for %d tasks", st.Done, n, st.TasksSpawned)
 	}
 }
 

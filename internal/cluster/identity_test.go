@@ -39,7 +39,7 @@ func recordFleetRun(c conformance.Case, m kernel.Machine, seed uint64, parallel 
 	cl := cluster.New(cluster.Config{
 		Machines:        machines,
 		Machine:         m,
-		Parallel:        parallel,
+		Parallel:        &parallel,
 		Policy:          policy,
 		Placer:          &cluster.Pack{PerCPU: 2},
 		RebalanceSpread: 3,

@@ -37,7 +37,8 @@ func quietDrive(seed uint64, lockstep bool) quietOutcome {
 	rng := ktime.NewRand(seed)
 	machines := 3 + rng.Intn(6)
 	recorded := seed%4 == 0
-	cfg := cluster.Config{Machines: machines, Machine: kernel.Machine8(), Parallel: seed%2 == 1}
+	parallel := seed%2 == 1
+	cfg := cluster.Config{Machines: machines, Machine: kernel.Machine8(), Parallel: &parallel}
 	if rng.Intn(2) == 0 {
 		cfg.Placer = &cluster.Pack{PerCPU: 1 + rng.Intn(3)}
 	}

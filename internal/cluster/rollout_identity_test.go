@@ -36,7 +36,7 @@ func recordRolloutRun(c conformance.Case, m kernel.Machine, seed uint64, paralle
 	cl := cluster.New(cluster.Config{
 		Machines:        machines,
 		Machine:         m,
-		Parallel:        parallel,
+		Parallel:        &parallel,
 		Policy:          conformance.PolicyTest,
 		Placer:          &cluster.Pack{PerCPU: 2},
 		RebalanceSpread: 3,

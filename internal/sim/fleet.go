@@ -17,7 +17,8 @@
 // and the serial and parallel fleet drives byte-identical.
 //
 // The parallel drive forks and joins inside every epoch (runEpoch), so the
-// executor owns no goroutine between epochs and needs no Close.
+// executor owns no goroutine between epochs and needs no Close; its counters,
+// barrier and worker body live in the Fleet, so a fork allocates nothing.
 //
 // Delivery differs from Sharded in one way: a committed message's closure
 // runs on the coordinator goroutine at the epoch boundary, while every node
@@ -90,6 +91,12 @@ type Fleet struct {
 	to                 ktime.Time
 	advanceFn, aheadFn func(w, i int)
 	logs               [][]byte
+	// each's fork-join, kept here so an epoch allocates nothing: the visit,
+	// node and worker-id counters, the barrier and the worker body.
+	fn        func(w, i int)
+	next, wid atomic.Int64
+	join      sync.WaitGroup
+	workerFn  func()
 
 	epochs    uint64
 	delivered uint64
@@ -130,7 +137,7 @@ func NewFleet(lookahead ktime.Duration) *Fleet {
 		panic("sim: NewFleet needs a positive lookahead")
 	}
 	f := &Fleet{lookahead: lookahead, hub: -1, heldNext: maxTime}
-	f.advanceFn, f.aheadFn = f.advance, f.runAhead
+	f.advanceFn, f.aheadFn, f.workerFn = f.advance, f.runAhead, f.worker
 	return f
 }
 
@@ -345,36 +352,38 @@ func (f *Fleet) minNextEvent() (ktime.Time, bool) {
 	return best, ok
 }
 
-// each calls fn(w, i) for every live node i on worker w: in index order on
-// the caller's goroutine, or as a fork-join of workers (the caller worker 0)
-// claiming node indices from one counter. The WaitGroup is the barrier.
+// each calls fn(w, i) for every live node i on worker w, as a fork-join of
+// workers (the caller worker 0) claiming node indices from one counter; the
+// WaitGroup is the barrier. Serial, or at one worker, the caller alone claims
+// every node, in index order.
 func (f *Fleet) each(fn func(w, i int)) {
-	if !f.parallel {
-		for i := range f.nodes {
-			if !f.dead[i] {
-				fn(0, i)
-			}
+	workers := 1
+	if f.parallel {
+		workers = min(runtime.GOMAXPROCS(0), len(f.nodes))
+	}
+	f.fn = fn
+	f.next.Store(0)
+	f.wid.Store(0)
+	f.join.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go f.workerFn()
+	}
+	f.work(0)
+	f.join.Wait()
+}
+
+// worker is a forked worker: it takes its id, then claims nodes.
+func (f *Fleet) worker() {
+	f.work(int(f.wid.Add(1)))
+	f.join.Done()
+}
+
+func (f *Fleet) work(w int) {
+	for i := int(f.next.Add(1) - 1); i < len(f.nodes); i = int(f.next.Add(1) - 1) {
+		if !f.dead[i] {
+			f.fn(w, i)
 		}
-		return
 	}
-	var next atomic.Int64
-	work := func(w int) {
-		for i := int(next.Add(1) - 1); i < len(f.nodes); i = int(next.Add(1) - 1) {
-			if !f.dead[i] {
-				fn(w, i)
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(f.nodes)) - 1; w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work(w)
-		}()
-	}
-	work(0)
-	wg.Wait()
 }
 
 // runEpoch advances the live nodes to end — but the leaves still ahead of it.

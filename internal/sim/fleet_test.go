@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -67,6 +68,36 @@ func TestFleetSerialParallelIdentity(t *testing.T) {
 				t.Fatalf("node %d diverges at %d: %q vs %q", i, j, serial[i][j], par[i][j])
 			}
 		}
+	}
+}
+
+// TestFleetParallelEpochAllocs is the fork-join's allocation ratchet: a
+// warmed fleet of engines, each re-arming one persistent timer, run in
+// parallel across many epochs allocates nothing. Counters, barrier and
+// worker body live in the Fleet; when each built them per call it was three
+// allocations an epoch.
+func TestFleetParallelEpochAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const nodes, la = 6, 10 * time.Microsecond
+	f := NewFleet(la)
+	f.SetParallel(true)
+	for i := 0; i < nodes; i++ {
+		e := New()
+		f.AddNode(e)
+		var ev *Event
+		ev = e.NewEvent(func() { e.RescheduleAfter(ev, ktime.Duration(3+i)*time.Microsecond) })
+		e.RescheduleAfter(ev, time.Microsecond)
+	}
+	step := func() { f.RunUntil(f.Now().Add(100 * la)) }
+	for i := 0; i < 10; i++ {
+		step() // warm the wheels and the runtime's free goroutines
+	}
+	epochs := f.Epochs()
+	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+		t.Fatalf("%.2f allocations per run of 100 lookaheads, want 0", allocs)
+	}
+	if n := f.Epochs() - epochs; n < 50*50 {
+		t.Fatalf("%d epochs in the measured runs, want at least %d", n, 50*50)
 	}
 }
 

@@ -548,6 +548,11 @@ func (s *Sharded) retire() {
 // finishes at exactly t (so back-to-back runs compose like Engine.RunUntil).
 func (s *Sharded) run(t ktime.Time, advance bool) {
 	s.now = s.Now()
+	for i := range s.sh {
+		if at := s.sh[i].eng.now; at > s.now {
+			panic(fmt.Sprintf("sim: shard %d clock %v is past the executor floor %v: a shard engine was driven directly", i, at, s.now))
+		}
+	}
 	// Pick up messages submitted between runs (setup-time Sends).
 	s.collect()
 	for {

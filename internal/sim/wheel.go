@@ -28,6 +28,7 @@ package sim
 import (
 	"cmp"
 	"math/bits"
+	"reflect"
 	"slices"
 
 	"enoki/internal/ktime"
@@ -265,7 +266,9 @@ func (w *wheelQueue) makeRoom(sl *slot) {
 		w.moved += uint64(live)
 	default:
 		if sl.ents = w.take(2 * n); sl.ents == nil {
-			sl.ents = slices.Grow(old[:0:0], n+max(n, 8))
+			// Grow fills the size class as append does, without the
+			// made slice slices.Grow appends (allocated under -race).
+			reflect.ValueOf(&sl.ents).Elem().Grow(n + max(n, 8))
 		}
 		sl.ents = append(sl.ents, old...)
 		clear(old)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -367,6 +368,29 @@ func TestSlotRefilledWhileDraining(t *testing.T) {
 			t.Fatalf("%d entries left behind", e.QueueLen())
 		}
 	})
+}
+
+// TestSlotGrowthCapacities: a slot outgrowing buffer after buffer moves
+// through the capacities slices.Grow would give it — each request rounded up
+// to fill its size class — while makeRoom makes them without slices.Grow.
+func TestSlotGrowthCapacities(t *testing.T) {
+	e := New()
+	sl := &e.wq.slots[slotOf(1)%numSlots]
+	caps := []int{}
+	for i := 0; i < 20000; i++ {
+		e.PostAt(1, func() {})
+		if len(caps) == 0 || cap(sl.ents) != caps[len(caps)-1] {
+			caps = append(caps, cap(sl.ents))
+		}
+	}
+	if caps[0] != slotCarve || len(caps) < 8 {
+		t.Fatalf("slot capacities %v, want %d first and at least 8 growths", caps, slotCarve)
+	}
+	for k, n := range caps[:len(caps)-1] {
+		if want := cap(slices.Grow([]entry(nil), n+max(n, 8))); caps[k+1] != want {
+			t.Fatalf("slot grew from %d to %d entries, slices.Grow gives %d (all: %v)", n, caps[k+1], want, caps)
+		}
+	}
 }
 
 // TestEngineColdWheelAllocs is the cold-engine allocation ratchet, counted

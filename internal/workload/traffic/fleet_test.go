@@ -43,7 +43,7 @@ func fleetDrive(t *testing.T, parallel bool) (*traffic.FleetDriver, cluster.Stat
 		Machines:  4,
 		Machine:   kernel.Machine8(),
 		Admission: fleetAdmission(),
-		Parallel:  parallel,
+		Parallel:  &parallel,
 	})
 	defer c.Close()
 	f := traffic.NewFleetDriver(c, fleetScenario())

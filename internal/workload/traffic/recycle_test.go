@@ -106,10 +106,6 @@ func TestTrafficRecyclingIdentity(t *testing.T) {
 	}
 }
 
-// raceGrowBytes is what the race detector adds per request (race_test.go):
-// nothing in a plain build.
-var raceGrowBytes = 0.0
-
 // TestTrafficRequestAllocs is the request path's allocation ratchet, counted
 // as the ledger counts (runtime.MemStats over the run region, rig set-up
 // excluded, a cold rig — slabs, free lists and wheel buffers grow inside the
@@ -152,7 +148,7 @@ func TestTrafficRequestAllocs(t *testing.T) {
 	allocs := float64(after.Mallocs-before.Mallocs) / float64(rep.Requests)
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(rep.Requests)
 	t.Logf("%d requests: %.3f allocs and %.0f B per request", rep.Requests, allocs, bytes)
-	if maxBytes := 180 + raceGrowBytes; allocs > 0.25 || bytes > maxBytes {
-		t.Fatalf("one request costs %.3f allocs and %.0f B, want <= 0.25 and <= %.0f", allocs, bytes, maxBytes)
+	if allocs > 0.25 || bytes > 180 {
+		t.Fatalf("one request costs %.3f allocs and %.0f B, want <= 0.25 and <= 180", allocs, bytes)
 	}
 }

@@ -3,6 +3,7 @@ package enoki_test
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -188,6 +189,24 @@ func TestSystemClockFollowsKernel(t *testing.T) {
 			t.Fatalf("after System.Run(5ms): System.Now() %v, kernel %v, want %v", got, k.Now(), want)
 		}
 	}
+}
+
+// TestSystemShardedClockPastFloorPanics: on a System of several shards a
+// shard kernel driven on its own leaves the executor floor behind, and the
+// next System.Run would end with the shard clocks apart. It panics instead,
+// naming the shard and both clocks.
+func TestSystemShardedClockPastFloorPanics(t *testing.T) {
+	sys := enoki.NewSystem(enoki.WithMachine(enoki.Machine80()), enoki.WithShards(0))
+	sys.ShardKernel(0).RunFor(10 * time.Millisecond)
+	defer func() {
+		msg, _ := recover().(string)
+		for _, want := range []string{"shard 0", "10ms", "0s"} {
+			if !strings.Contains(msg, want) {
+				t.Fatalf("System.Run after ShardKernel(0).RunFor(10ms): panic %q, want it to name %q", msg, want)
+			}
+		}
+	}()
+	sys.Run(5 * time.Millisecond)
 }
 
 // systemBuildAllocs is what a one-shard System with CFS costs to build:
