@@ -69,12 +69,14 @@ profile:
 # (TestFleetDroppedUnclosedLeaksNothing), the default drive against the
 # serial one and a setup hook's serial drive (TestFleetDefaultDriveMatchesSerial,
 # TestFleetSetupHookDrivesSerially), the job path's allocation ratchet
-# (TestClusterJobAllocs) and the quiet-run oracle over 24 seeded drives
-# (TestFleetQuietMatchesLockstep) — plus the fleet executor's serial-vs-
-# fork-join identity and its allocation-free fork (TestFleetParallelEpochAllocs),
-# the hub that breaks its silence promise (TestFleetLyingHubPanics), the
-# machine-kill chaos replay, and the scaled-down fleet benchmark's pinned
-# fingerprints and stats.
+# (TestClusterJobAllocs), the quiet-run oracle over 24 seeded drives
+# (TestFleetQuietMatchesLockstep) and the placement index against
+# LeastLoaded's scan (TestLoadIndexMatchesLeastLoaded) — plus the fleet
+# executor's serial-vs-fork-join identity and its allocation-free fork
+# (TestFleetParallelEpochAllocs), the commit order each destination of a hub
+# fleet sees (TestFleetCommitOrderPinned), the hub that breaks its silence
+# promise (TestFleetLyingHubPanics), the machine-kill chaos replay, and the
+# scaled-down fleet benchmark's pinned fingerprints and stats.
 fleet:
 	$(GO) test -race -count=1 ./internal/cluster
 	$(GO) test -race -run 'TestFleet|FuzzParseSpec' -count=1 ./internal/sim ./internal/chaos ./internal/bench

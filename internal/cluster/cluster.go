@@ -119,13 +119,15 @@ type Cluster struct {
 	detects  []ktime.Time // pending failure-detection instants (QuietUntil drops past ones)
 }
 
-// ctrlPlane is fleet node 0: the control-plane engine as a sim.MsgSink. A
-// committed lifecycle report waits in inbox until its instant and is handled
-// by one engine event of its own — the event the closure road posted, so the
-// control plane's event count and order are unchanged. The fleet commits in
-// nondecreasing time order and the engine fires ties in posting order, so
-// the k-th report event to fire belongs to the k-th report committed: a FIFO
-// is all the bookkeeping it takes (next panics if the instants ever differ).
+// ctrlPlane is fleet node 0: the control-plane engine as a sim.MsgSink. The
+// fleet commits the machines' reports straight from their outboxes, merged
+// at the queue heads in (at, from, seq) order. A committed report waits in
+// inbox until its instant and is handled by one engine event of its own —
+// the event the closure road posted, so the control plane's event count and
+// order are unchanged. The fleet commits in nondecreasing time order and the
+// engine fires ties in posting order, so the k-th report event to fire
+// belongs to the k-th report committed: a FIFO is all the bookkeeping it
+// takes (next panics if the instants ever differ).
 type ctrlPlane struct {
 	*sim.Engine
 	c     *Cluster

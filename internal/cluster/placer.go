@@ -33,7 +33,9 @@ func (p *RoundRobin) Pick(_ *Job, view []MachineView) int {
 
 // LeastLoaded picks the alive machine with the fewest assigned jobs per CPU
 // (cross-multiplied, so heterogeneous fleets compare without floats); ties
-// break toward the lowest machine id.
+// break toward the lowest machine id. Pick scans the view; a cluster whose
+// placer is LeastLoaded{} never calls it, and answers from its loadIndex,
+// which keeps the same order up to date as the view changes.
 type LeastLoaded struct{}
 
 // Name implements Placer.
@@ -43,15 +45,71 @@ func (LeastLoaded) Name() string { return "leastloaded" }
 func (LeastLoaded) Pick(_ *Job, view []MachineView) int {
 	best := -1
 	for m := range view {
-		v := &view[m]
-		if !v.Alive {
-			continue
-		}
-		if best == -1 || v.Assigned*view[best].CPUs < view[best].Assigned*v.CPUs {
+		if view[m].Alive && (best == -1 || lessLoaded(&view[m], &view[best])) {
 			best = m
 		}
 	}
 	return best
+}
+
+// lessLoaded reports whether a carries fewer assigned jobs per CPU than b.
+func lessLoaded(a, b *MachineView) bool { return a.Assigned*b.CPUs < b.Assigned*a.CPUs }
+
+// loadIndex is a tournament tree over the control plane's machine views:
+// every inner node holds the winner of its two subtrees in LeastLoaded's
+// order — an alive machine before a dead one, then fewer jobs per CPU, then
+// the lower id, which is the left subtree's — so the root is what
+// LeastLoaded.Pick returns, and a dead machine when none is alive. A change
+// to one view replays its leaf-to-root path: O(log machines) per assignment
+// instead of a scan of the fleet per placement.
+type loadIndex struct {
+	view []MachineView
+	win  []int32 // win[1] is the root, win[n+m] machine m, -1 a padding leaf
+	n    int     // leaves, a power of two
+}
+
+func newLoadIndex(view []MachineView) loadIndex {
+	n := 1
+	for n < len(view) {
+		n *= 2
+	}
+	x := loadIndex{view: view, win: make([]int32, 2*n), n: n}
+	for i := n; i < 2*n; i++ {
+		x.win[i] = -1
+		if m := i - n; m < len(view) {
+			x.win[i] = int32(m)
+		}
+	}
+	for i := n - 1; i >= 1; i-- {
+		x.win[i] = x.winner(x.win[2*i], x.win[2*i+1])
+	}
+	return x
+}
+
+// winner plays a, from the left subtree, against b, from the right.
+func (x *loadIndex) winner(a, b int32) int32 {
+	if b < 0 || !x.view[b].Alive {
+		return a
+	}
+	if a < 0 || !x.view[a].Alive || lessLoaded(&x.view[b], &x.view[a]) {
+		return b
+	}
+	return a
+}
+
+// fix replays machine m's path after its view changed.
+func (x *loadIndex) fix(m int) {
+	for i := (x.n + m) / 2; i >= 1; i /= 2 {
+		x.win[i] = x.winner(x.win[2*i], x.win[2*i+1])
+	}
+}
+
+// least returns LeastLoaded's pick: the least-loaded alive machine, or -1.
+func (x *loadIndex) least() int {
+	if m := x.win[1]; m >= 0 && x.view[m].Alive {
+		return int(m)
+	}
+	return -1
 }
 
 // Pack fills machines first-fit in id order up to PerCPU assigned jobs per

@@ -157,6 +157,10 @@ type jobScheduler struct {
 	placer Placer
 	jobs   slab[jobRec] // job id == index
 	view   []MachineView
+	// load orders the views as LeastLoaded does; with LeastLoaded{} as the
+	// placer (indexed) it places every job, and it answers anyAlive always.
+	load    loadIndex
+	indexed bool
 	// assigned[m] lists the jobs placed on machine m (Starting, Running or
 	// Stopping there), unordered; len(assigned[m]) == view[m].Assigned.
 	// Failover and rebalancing walk it instead of every job ever submitted.
@@ -185,17 +189,12 @@ func newJobScheduler(c *Cluster) *jobScheduler {
 	}
 	s.doneByMachine = make([]int, len(c.machines))
 	s.assigned = make([][]int, len(c.machines))
+	s.load = newLoadIndex(s.view)
+	_, s.indexed = s.placer.(LeastLoaded)
 	return s
 }
 
-func (s *jobScheduler) anyAlive() bool {
-	for i := range s.view {
-		if s.view[i].Alive {
-			return true
-		}
-	}
-	return false
-}
+func (s *jobScheduler) anyAlive() bool { return s.load.least() >= 0 }
 
 // assign records job id as placed on machine mi; unassign removes it
 // (swap-with-last, so both are O(1)).
@@ -203,6 +202,7 @@ func (s *jobScheduler) assign(id, mi int) {
 	s.jobs.at(id).slot = int32(len(s.assigned[mi]))
 	s.assigned[mi] = append(s.assigned[mi], id)
 	s.view[mi].Assigned++
+	s.load.fix(mi)
 }
 
 func (s *jobScheduler) unassign(id, mi int) {
@@ -212,6 +212,7 @@ func (s *jobScheduler) unassign(id, mi int) {
 	s.jobs.at(last).slot = slot
 	s.assigned[mi] = list[:len(list)-1]
 	s.view[mi].Assigned--
+	s.load.fix(mi)
 }
 
 // arm schedules a reconcile tick if none is pending.
@@ -252,7 +253,11 @@ func (s *jobScheduler) reconcile() {
 		}
 		target := j.Desired
 		if target < 0 || !s.view[target].Alive {
-			target = s.placer.Pick(j, s.view)
+			if s.indexed {
+				target = s.load.least()
+			} else {
+				target = s.placer.Pick(j, s.view)
+			}
 		}
 		if target < 0 || !s.view[target].Alive {
 			s.queue = append(s.queue, id) // nowhere to go; retry next tick
@@ -402,6 +407,7 @@ func (s *jobScheduler) machineDead(mi int) {
 	}
 	s.view[mi].Alive = false
 	s.view[mi].Assigned = 0
+	s.load.fix(mi)
 	// Every placement on the machine goes back to the queue in ascending
 	// job-id order; after that every Pending job is in the queue, which is
 	// where to find the ones still aimed at the dead machine.

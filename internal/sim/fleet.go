@@ -7,14 +7,18 @@
 // an epoch of that length can run every machine to the boundary with no
 // machine observing another's state.
 //
-// The merge ordering is the same (at, to, from, seq) total order Sharded
-// uses: every send names its sending node, whose execution context owns that
+// Every send names its sending node, whose execution context owns that
 // node's outbox during an epoch, so sends are race-free under the fleet's
-// parallel drive (a sharded node runs its shards one at a time). Ties at one
-// instant break by destination node, then sending node, then per-node send
-// sequence; every sequence counter is monotonic for the life of the executor
-// (never reset between epochs or runs), which is what makes the order total
-// and the serial and parallel fleet drives byte-identical.
+// parallel drive (a sharded node runs its shards one at a time). The outbox
+// is also the node's queue of uncommitted messages, in (at, seq) order, and
+// the coordinator commits straight from the queues' heads, merged in (at,
+// from, seq) order: each destination sees its messages in the (at, to, from,
+// seq) order Sharded merges by. Every sequence counter is monotonic for the
+// life of the executor (never reset between epochs or runs), which is what
+// makes the order total and the serial and parallel fleet drives
+// byte-identical. No message is copied into a sorted pending set: a hub's
+// burst of starts commits in its send order, the leaves' reports merge at
+// their queue heads.
 //
 // The parallel drive forks and joins inside every epoch (runEpoch), so the
 // executor owns no goroutine between epochs and needs no Close; its counters,
@@ -65,7 +69,10 @@ type FleetNode interface {
 	NextEventTime() (ktime.Time, bool)
 }
 
-// Fleet runs N FleetNodes under the epoch-merge protocol.
+// Fleet runs N FleetNodes under the epoch-merge protocol. Each node's
+// outbox is the queue its messages are committed from, so a message is
+// copied once, at its send, and the coordinator's work per message is a
+// step of a heap over the nonempty queues.
 type Fleet struct {
 	nodes     []FleetNode
 	sinks     []MsgSink // nodes[i] as a MsgSink, nil when it is none
@@ -74,18 +81,17 @@ type Fleet struct {
 	parallel  bool
 	now       ktime.Time // global floor: every live node clock sits here between epochs
 
-	mailroom      // one outbox per node, owned by the node during an epoch
-	floorMsgs int // pending non-handoff messages (each chops an epoch window)
+	out     []outbox     // node i's sends, owned by node i during an epoch
+	heads   []boxHead    // the nonempty outboxes, a min-heap on their heads
+	floorAt []ktime.Time // due times of the queued floor messages (each chops an epoch window), sorted
 
 	// Quiet runs (SetHub): while now < horizon, leaves with an ahead[i].run
-	// sit epochs out, their events fired to horizon (lockstep's to firedTo)
-	// and their sends held[i] until the replay reaches them.
+	// sit epochs out, their events fired to horizon (lockstep's to firedTo);
+	// what they sent on the way waits in their outboxes like any message.
 	hub              int                                  // -1 without one
 	quiet            interface{ QuietUntil() ktime.Time } // nil when no leaf can run ahead
 	ahead            []ahead
 	horizon, firedTo ktime.Time
-	held, ready      [][]smsg
-	heldNext         ktime.Time
 	// each's visits (built once: no closure per call) run nodes to `to`;
 	// logs[w] is worker w's log buffer.
 	to                 ktime.Time
@@ -102,6 +108,23 @@ type Fleet struct {
 	delivered uint64
 	dropped   uint64
 }
+
+// outbox is one node's sends: q[head:sorted] are its uncommitted messages in
+// (at, seq) order, q[sorted:] what it sent since the last collect.
+type outbox struct {
+	q            []smsg
+	head, sorted int
+	seq          uint64 // the node's send counter, never reset
+}
+
+// boxHead is a nonempty outbox in the commit heap: its first message's due
+// time and its node, which is the merge order's (at, from).
+type boxHead struct {
+	at   ktime.Time
+	node int
+}
+
+func (a boxHead) less(b boxHead) bool { return a.at < b.at || a.at == b.at && a.node < b.node }
 
 // ahead is one leaf's runner (nil when it cannot run ahead), its log, read
 // up to at, and its first event past the run.
@@ -136,7 +159,7 @@ func NewFleet(lookahead ktime.Duration) *Fleet {
 	if lookahead <= 0 {
 		panic("sim: NewFleet needs a positive lookahead")
 	}
-	f := &Fleet{lookahead: lookahead, hub: -1, heldNext: maxTime}
+	f := &Fleet{lookahead: lookahead, hub: -1}
 	f.advanceFn, f.aheadFn, f.workerFn = f.advance, f.runAhead, f.worker
 	return f
 }
@@ -151,7 +174,7 @@ func (f *Fleet) AddNode(n FleetNode) int {
 	sink, _ := n.(MsgSink)
 	f.sinks = append(f.sinks, sink)
 	f.dead = append(f.dead, false)
-	f.addSource() // node i sends from outbox i
+	f.out = append(f.out, outbox{})
 	return len(f.nodes) - 1
 }
 
@@ -172,7 +195,13 @@ func (f *Fleet) Epochs() uint64 { return f.epochs }
 
 // MsgsSent returns how many cross-node messages were submitted. Read it
 // between runs.
-func (f *Fleet) MsgsSent() uint64 { return f.sent() }
+func (f *Fleet) MsgsSent() uint64 {
+	var n uint64
+	for i := range f.out {
+		n += f.out[i].seq
+	}
+	return n
+}
 
 // MsgsDelivered returns how many cross-node messages were committed.
 func (f *Fleet) MsgsDelivered() uint64 { return f.delivered }
@@ -196,8 +225,9 @@ func (f *Fleet) Kill(i int) { f.dead[i] = true }
 // caller's goroutine. Both produce bit-identical simulations.
 func (f *Fleet) SetParallel(on bool) { f.parallel = on }
 
-// SetHub makes node the hub of a star, once every node is added:
-// a send between two other nodes panics. When the hub's QuietUntil() promises
+// SetHub makes node the hub of a star, once every node is added and before
+// anything is sent: a send between two other nodes panics, so the hub's
+// outbox holds every message to a leaf. When the hub's QuietUntil() promises
 // silence up to an instant, whatever it receives, and no pending message
 // reaches a leaf for over an epoch, every one-shard leaf runs ahead in one
 // visit to the last instant none could, and the loop replays the lockstep
@@ -205,8 +235,11 @@ func (f *Fleet) SetParallel(on bool) { f.parallel = on }
 // lockstep. With no such leaf the hub is never asked. A hub message to a
 // leaf, or a floor message, due by that horizon panics at its send.
 func (f *Fleet) SetHub(node int) {
+	if f.MsgsSent() > 0 {
+		panic("sim: Fleet.SetHub after a send")
+	}
 	f.hub = node
-	f.ahead, f.held, f.ready = make([]ahead, len(f.nodes)), make([][]smsg, len(f.out)), make([][]smsg, len(f.out))
+	f.ahead = make([]ahead, len(f.nodes))
 	for i, n := range f.nodes {
 		if r, ok := n.(aheadRunner); ok && i != node && r.NumShards() == 1 {
 			f.ahead[i].run = r
@@ -258,7 +291,7 @@ func (f *Fleet) SendMsg(from, to int, at ktime.Time, m Msg) {
 // Reserve tells the fleet that node `from` is about to send n messages, so
 // its outbox grows once, to fit, instead of by doubling through the burst.
 // Purely a sizing hint: sending more or fewer is fine.
-func (f *Fleet) Reserve(from, n int) { f.out[from] = slices.Grow(f.out[from], n) }
+func (f *Fleet) Reserve(from, n int) { f.out[from].q = slices.Grow(f.out[from].q, n) }
 
 func (f *Fleet) submit(from int, m smsg) {
 	if min := f.nodes[from].Now().Add(f.lookahead); m.at < min {
@@ -269,66 +302,114 @@ func (f *Fleet) submit(from int, m smsg) {
 		panic(fmt.Sprintf("sim: fleet send from node %d to node %d at %v bypasses hub %d or breaks its QuietUntil promise (horizon %v)",
 			from, m.to, m.at, f.hub, f.horizon))
 	}
-	f.send(from, m)
+	b := &f.out[from]
+	b.seq++
+	m.from, m.seq = int32(from), b.seq
+	b.q = push(b.q, m)
 }
 
-// deliver commits every pending message due at or before upTo, in merge
-// order, on the coordinator goroutine. Messages to dead nodes are dropped;
-// a commitment may itself Kill a node, affecting later messages in the same
-// batch (the order is fixed, so this too is deterministic).
+// collect takes in what every node sent since the last call: it puts the new
+// messages in due order behind the old, notes the floor messages' instants,
+// and rebuilds the commit heap.
+func (f *Fleet) collect() {
+	f.heads = f.heads[:0]
+	for i := range f.out {
+		b := &f.out[i]
+		if h := b.head; h > 0 && 2*h >= len(b.q) { // committed half the queue: move the rest down
+			n := copy(b.q, b.q[h:])
+			clear(b.q[n:])
+			b.q, b.head, b.sorted = b.q[:n], 0, b.sorted-h
+		}
+		for k := b.sorted; k < len(b.q); k++ {
+			if at := b.q[k].at; !b.q[k].msg.handoff {
+				pos, _ := slices.BinarySearch(f.floorAt, at)
+				f.floorAt = slices.Insert(f.floorAt, pos, at)
+			}
+			// Sends are due in send order unless a node sends with more
+			// than the lookahead, or a sharded node's later shard sends
+			// from an earlier instant: fold those back, behind their ties.
+			for j := k; j > b.head && b.q[j].at < b.q[j-1].at; j-- {
+				b.q[j], b.q[j-1] = b.q[j-1], b.q[j]
+			}
+		}
+		b.sorted = len(b.q)
+		if b.head < len(b.q) {
+			f.heads = append(f.heads, boxHead{b.q[b.head].at, i})
+		}
+	}
+	for i := len(f.heads)/2 - 1; i >= 0; i-- {
+		f.siftDown(i)
+	}
+}
+
+func (f *Fleet) siftDown(i int) {
+	h := f.heads
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].less(h[c]) {
+			c++
+		}
+		if !h[c].less(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// nextMsg returns the due time of the earliest queued message, or maxTime.
+func (f *Fleet) nextMsg() ktime.Time {
+	if len(f.heads) == 0 {
+		return maxTime
+	}
+	return f.heads[0].at
+}
+
+// nextFloorMsg returns the due time of the earliest queued non-handoff
+// message, or maxTime when none exists.
+func (f *Fleet) nextFloorMsg() ktime.Time {
+	if len(f.floorAt) == 0 {
+		return maxTime
+	}
+	return f.floorAt[0]
+}
+
+// deliver commits every queued message due at or before upTo, in merge
+// order, on the coordinator goroutine, taking each from the head of the
+// earliest outbox. Messages to dead nodes are dropped; a commitment may
+// itself Kill a node, affecting later messages in the same batch (the order
+// is fixed, so this too is deterministic). What a commitment sends waits for
+// the next collect.
 func (f *Fleet) deliver(upTo ktime.Time) {
-	n := f.due(upTo)
-	for j := 0; j < n; j++ {
-		m := &f.pending[j]
+	for len(f.heads) > 0 && f.heads[0].at <= upTo {
+		b := &f.out[f.heads[0].node]
+		m := &b.q[b.head]
 		if !m.msg.handoff {
-			f.floorMsgs--
+			f.floorAt = slices.Delete(f.floorAt, 0, 1) // m is the earliest
 		}
 		if f.dead[m.to] {
 			f.dropped++
-			continue
-		}
-		f.delivered++
-		if m.fn != nil {
+		} else if f.delivered++; m.fn != nil {
 			m.fn()
 		} else {
 			f.sinks[m.to].AcceptMsg(m.at, &m.msg)
 		}
-	}
-	f.drop(n)
-}
-
-// collect merges every outbox into the pending set, counting the
-// floor-observing messages on the way in.
-func (f *Fleet) collect() { f.floorMsgs += f.mailroom.collect() }
-
-// release merges the held messages due by upTo and notes the next one left.
-func (f *Fleet) release(upTo ktime.Time) {
-	f.heldNext = maxTime
-	for i, q := range f.held {
-		k := 0
-		for k < len(q) && q[k].at <= upTo {
-			k++
+		b.q[b.head] = smsg{} // drop closure and string references (a send may have moved q)
+		if b.head++; b.head < b.sorted {
+			f.heads[0].at = b.q[b.head].at
+		} else {
+			if b.sorted == len(b.q) {
+				b.q, b.head, b.sorted = b.q[:0], 0, 0
+			}
+			last := len(f.heads) - 1
+			f.heads[0] = f.heads[last]
+			f.heads = f.heads[:last]
 		}
-		if f.ready[i], f.held[i] = q[:k], q[k:]; k < len(q) {
-			f.heldNext = min(f.heldNext, q[k].at)
-		}
+		f.siftDown(0)
 	}
-	f.floorMsgs += f.merge(f.ready)
-}
-
-// nextFloorMsg returns the due time of the earliest pending non-handoff
-// message, or maxTime when none exists. On the cluster hot path nearly all
-// traffic is handoffs, so the scan is guarded by the count.
-func (f *Fleet) nextFloorMsg() ktime.Time {
-	if f.floorMsgs == 0 {
-		return maxTime
-	}
-	for i := range f.pending {
-		if !f.pending[i].msg.handoff {
-			return f.pending[i].at
-		}
-	}
-	return maxTime
 }
 
 // minNextEvent returns the earliest pending work across live nodes. Dead
@@ -392,9 +473,8 @@ func (f *Fleet) runEpoch(end ktime.Time) {
 	f.epochs++
 	if end < f.horizon {
 		f.firedTo = end
-	} else if f.horizon > 0 {
+	} else {
 		f.horizon = 0
-		f.release(maxTime) // the leaves send again: nothing may stay held
 	}
 	f.to = end
 	f.each(f.advanceFn)
@@ -415,10 +495,11 @@ func (f *Fleet) goQuiet(t ktime.Time) {
 	if p <= f.now {
 		return
 	}
-	reach := min(p, maxTime-ktime.Time(f.lookahead)).Add(f.lookahead)
-	for i := 0; i < len(f.pending) && f.pending[i].at < reach; i++ {
-		if m := &f.pending[i]; int(m.to) != f.hub || !m.msg.handoff {
-			reach = m.at
+	reach := min(min(p, maxTime-ktime.Time(f.lookahead)).Add(f.lookahead), f.nextFloorMsg())
+	hb := &f.out[f.hub] // the only sender to leaves
+	for k := hb.head; k < hb.sorted && hb.q[k].at < reach; k++ {
+		if int(hb.q[k].to) != f.hub {
+			reach = hb.q[k].at
 		}
 	}
 	h := min(t, reach-1)
@@ -433,13 +514,7 @@ func (f *Fleet) goQuiet(t ktime.Time) {
 	}
 	f.horizon, f.firedTo, f.to = h, f.now-1, h
 	f.each(f.aheadFn)
-	for i, q := range f.out {
-		if f.ahead[i].run != nil && !f.dead[i] {
-			slices.SortFunc(q, func(a, b smsg) int { return a.cmp(b.mkey) })
-			f.held[i], f.out[i] = q, q[:0] // the leaf sends nothing more until the horizon
-		}
-	}
-	f.release(f.now)
+	f.collect()
 }
 
 // runAhead runs leaf i ahead; its clock is at the floor, the log's base one before.
@@ -460,7 +535,6 @@ func (f *Fleet) runAhead(w, i int) {
 // jumps the horizon, or drained) by moving them to it, as lockstep would.
 func (f *Fleet) land() {
 	f.horizon, f.to = 0, f.now
-	f.release(maxTime)
 	f.each(f.advanceFn)
 }
 
@@ -469,17 +543,14 @@ func (f *Fleet) land() {
 func (f *Fleet) run(t ktime.Time, advance bool) {
 	f.collect()
 	for {
-		if len(f.pending) > 0 && f.pending[0].at <= f.now {
+		if f.nextMsg() <= f.now {
 			f.deliver(f.now)
 			continue
 		}
 		if f.quiet != nil && f.horizon <= f.now {
 			f.goQuiet(t)
 		}
-		nextMsg := f.heldNext
-		if len(f.pending) > 0 && f.pending[0].at < nextMsg {
-			nextMsg = f.pending[0].at
-		}
+		nextMsg := f.nextMsg()
 		nextEv, hasEv := f.minNextEvent()
 		next := nextMsg
 		if hasEv && nextEv < next {
@@ -494,8 +565,6 @@ func (f *Fleet) run(t ktime.Time, advance bool) {
 		}
 		if f.now < f.horizon && f.horizon < start {
 			f.land()
-		} else if f.now < f.horizon {
-			f.release(start.Add(f.lookahead)) // all this window can commit
 		}
 		if nextMsg <= start {
 			f.deliver(start)
@@ -515,9 +584,7 @@ func (f *Fleet) run(t ktime.Time, advance bool) {
 		if nf := f.nextFloorMsg(); nf < end {
 			end = nf
 		}
-		if len(f.pending) > 0 && f.pending[0].at < end {
-			f.deliver(end - 1)
-		}
+		f.deliver(end - 1)
 		f.runEpoch(end)
 		f.collect()
 		f.now = end

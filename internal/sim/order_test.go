@@ -61,10 +61,7 @@ func TestSmsgOrderTotal(t *testing.T) {
 		// third through an earlier collect, so it is the sorted prefix the
 		// rest folds into — and returns the pending set.
 		merge := func(arrival []smsg) []smsg {
-			var r mailroom
-			for i := 0; i < nsrc; i++ {
-				r.addSource()
-			}
+			r := mailroom{out: make([][]smsg, nsrc)}
 			for i, m := range arrival {
 				if i == len(arrival)/3 {
 					r.collect()

@@ -50,7 +50,7 @@ const maxTime = ktime.Time(math.MaxInt64)
 type Msg struct {
 	Kind uint8
 	// handoff belongs to the carrying smsg (see there); Kind's padding holds
-	// it for free, and a message is copied through three queues.
+	// it for free.
 	handoff bool
 	Shard   int32
 	A, B    int32
@@ -126,70 +126,34 @@ func push[T any](q []T, m T) []T {
 	return append(q, m)
 }
 
-// mailroom is the message plumbing Sharded and Fleet share: per-source
-// outboxes, each owned by its source's execution context during an epoch,
-// and the pending set they are merged into at every epoch boundary, kept in
-// (at, to, from, seq) order.
+// mailroom is Sharded's message plumbing: per-shard outboxes, each owned by
+// its shard's execution context during an epoch, and the pending set they
+// are merged into at every epoch boundary, kept in (at, to, from, seq)
+// order.
 type mailroom struct {
 	pending []smsg   // undelivered messages, sorted
 	out     [][]smsg // per-source outboxes
-	sendSeq []uint64 // send's per-source counters, never reset (ordering audit); Sharded keeps one
 	keys    []skey   // collect's scratch
-	// pending[:committed] is frozen — committed messages an executor still
-	// reads in place (Sharded; always 0 in a Fleet, which commits by
-	// running). Merges order what follows and never reach into it.
+	// pending[:committed] is frozen: committed messages the shards still
+	// read in place. Merges order what follows and never reach into it.
 	committed int
 }
 
-// addSource allocates an outbox and returns its id.
-func (r *mailroom) addSource() int {
-	r.out = append(r.out, nil)
-	r.sendSeq = append(r.sendSeq, 0)
-	return len(r.out) - 1
-}
-
-// send stamps m with src's next sequence number and leaves it in src's
-// outbox. Only src's execution context may call it during an epoch.
-func (r *mailroom) send(src int, m smsg) {
-	r.sendSeq[src]++
-	m.from, m.seq = int32(src), r.sendSeq[src]
-	r.out[src] = push(r.out[src], m)
-}
-
-// sent returns how many messages were submitted: the per-source sequences
-// are the counters, so the sum is race-free to maintain. Read it between
-// runs.
-func (r *mailroom) sent() uint64 {
-	var n uint64
-	for _, sq := range r.sendSeq {
-		n += sq
-	}
-	return n
-}
-
-// collect merges every outbox into the pending set. It returns how many of
-// the new messages are not handoffs (the fleet counts those).
-func (r *mailroom) collect() (floor int) { return r.merge(r.out) }
-
-// merge moves the messages of batch (indexed by source) into the pending set
-// and restores the merge order: sort the new messages' keys, append the
-// messages in key order, and fold that sorted run into the older prefix.
-func (r *mailroom) merge(batch [][]smsg) (floor int) {
+// collect moves the messages of every outbox into the pending set and
+// restores the merge order: sort the new messages' keys, append the messages
+// in key order, and fold that sorted run into the older prefix.
+func (r *mailroom) collect() {
 	n := 0
-	for src := range batch {
-		n += len(batch[src])
+	for src := range r.out {
+		n += len(r.out[src])
 	}
 	if n == 0 {
-		return 0
+		return
 	}
 	keys := slices.Grow(r.keys[:0], n)
-	for src := range batch {
-		for i := range batch[src] {
-			m := &batch[src][i]
-			keys = append(keys, skey{m.mkey, int32(i)})
-			if !m.msg.handoff {
-				floor++
-			}
+	for src := range r.out {
+		for i := range r.out[src] {
+			keys = append(keys, skey{r.out[src][i].mkey, int32(i)})
 		}
 	}
 	r.keys = keys
@@ -199,14 +163,13 @@ func (r *mailroom) merge(batch [][]smsg) (floor int) {
 		r.pending = slices.Grow(r.pending, max(n, sorted))
 	}
 	for _, k := range keys {
-		r.pending = append(r.pending, batch[k.from][k.idx])
+		r.pending = append(r.pending, r.out[k.from][k.idx])
 	}
-	for src := range batch {
-		clear(batch[src]) // drop closure and string references
-		batch[src] = batch[src][:0]
+	for src := range r.out {
+		clear(r.out[src]) // drop closure and string references
+		r.out[src] = r.out[src][:0]
 	}
 	foldSmsgs(r.pending[r.committed:], sorted-r.committed)
-	return floor
 }
 
 // insert adds one message straight to the pending set (Sharded.Inject).
